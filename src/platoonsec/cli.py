@@ -25,7 +25,8 @@ from pathlib import Path
 
 from .config import ConfigError, load_scenario
 from .control import ACC, CACC, DEFAULT_ACC_GAINS, DEFAULT_CACC_GAINS, assemble_closed_loop
-from .engine import run_scenario, trace_metrics, write_metrics_json, write_trace_csv
+from .engine import (_resolve_certificate, _row_lists, run_scenario, trace_metrics,
+                     write_metrics_json, write_trace_csv)
 from .game import best_response_gap, solve_nash, to_behavioral, to_normal_form
 from .stability import (TransferFunction, check_bibo_lemma1, check_common_lyapunov,
                         check_gues_inequalities, find_common_lyapunov, hinf_norm,
@@ -99,16 +100,13 @@ def cmd_simulate(request: CommandRequest) -> int:
                               "step": config.step})
 
     n = trace.positions.shape[1]
-    with open(out / "spacing.dat", "w") as f:
-        f.write("# t " + " ".join(f"eps{i}" for i in range(2, n + 1)) + "\n")
-        for k in range(trace.times.size):
-            f.write(" ".join([repr(float(trace.times[k]))]
-                             + [repr(float(e)) for e in trace.spacing_errors[k]]) + "\n")
-    with open(out / "velocity.dat", "w") as f:
-        f.write("# t " + " ".join(f"v{i}" for i in range(1, n + 1)) + "\n")
-        for k in range(trace.times.size):
-            f.write(" ".join([repr(float(trace.times[k]))]
-                             + [repr(float(v)) for v in trace.velocities[k]]) + "\n")
+    for name, labels, series in (
+            ("spacing.dat", [f"eps{i}" for i in range(2, n + 1)], trace.spacing_errors),
+            ("velocity.dat", [f"v{i}" for i in range(1, n + 1)], trace.velocities)):
+        with open(out / name, "w") as f:
+            f.write("# t " + " ".join(labels) + "\n")
+            for t, row in _row_lists(trace.times, series):
+                f.write(" ".join(map(repr, [t, *row])) + "\n")
 
     if metrics.collision:
         print(f"collision: follower {trace.collision.follower} at "
@@ -250,10 +248,12 @@ def _sweep_cell(payload) -> tuple:
                                  signal=dataclasses.replace(base.attack.signal,
                                                             amplitude=xi))
     platoon = dataclasses.replace(base.platoon, epsilon_max=eps)
+    # the certificate depends on the gains alone: resolve it once per cell
+    P, _ = _resolve_certificate(base)
     collisions = 0
     for j in range(runs):
         config = dataclasses.replace(base, attack=attack, platoon=platoon,
-                                     seed=seed0 + j)
+                                     lyapunov=P, seed=seed0 + j)
         if run_scenario(config).collision is not None:
             collisions += 1
     return xi, eps, runs, collisions

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from .control import AccGains, CaccGains, DEFAULT_ACC_GAINS, DEFAULT_CACC_GAINS
-from .engine import ScenarioConfig, SwitchingConfig
+from .engine import ScenarioConfig, SwitchingConfig, _steps_per_period
 from .game import DEFAULT_GAME, GameSpec
 from .platoon import LeaderProfile, PlatoonConfig
 from .stability import LyapunovCandidate
@@ -340,6 +340,13 @@ def scenario_from_dict(data: dict, path: str = "") -> ScenarioConfig:
                        exclusive_min=True)
 
     detector = _detector(_get(data, path, "detector", {}), _join(path, "detector"))
+    switching = _switching(_get(data, path, "switching", {}), _join(path, "switching"))
+    for name, period in (("switching.decision_period", switching.decision_period),
+                         ("detector.sampling_period", detector.sampling_period)):
+        try:
+            _steps_per_period(period, step)
+        except ValueError as exc:
+            raise ConfigError(_join(path, name), str(exc)) from exc
 
     offsets = _get(data, path, "gap_offsets", [])
     if not isinstance(offsets, list):
@@ -358,8 +365,7 @@ def scenario_from_dict(data: dict, path: str = "") -> ScenarioConfig:
                            platoon.vehicle_count),
             detector=detector,
             game=_game(_get(data, path, "game"), _join(path, "game"), detector),
-            switching=_switching(_get(data, path, "switching", {}),
-                                 _join(path, "switching")),
+            switching=switching,
             step=step,
             duration=duration,
             seed=_integer(_get(data, path, "seed", 0), _join(path, "seed")),

@@ -26,10 +26,30 @@ vector field and the integrator keeps its order.  Attack injection follows
 the communication structure: falsified content can only influence a victim
 while it runs the communication-based controller; radar-only followers are
 immune by construction.
+
+The run advances in segments.  A mode can change only at a decision tick or
+at a safety-surface crossing, and an input only at an edge (a leader pulse,
+the attack window, a step of a table signal); between those events the
+closed loop is one affine map x' = Phi x + c.  So the supervisor acts once
+at a segment's first row, the constants are built once, and the segment
+runs to the next decision tick or input edge with one matrix-vector product
+per step for the state and one for the recorded command.  (A ramp or
+sinusoid attack has a new value every step; its segments rebuild c for each
+step, as a per-step loop would.)  The per-row checks (a non-finite state, a
+collision, a safety-surface crossing) then scan the segment's rows at once,
+and the segment is cut at the first row one of them acts on; the supervisor
+handles that row as the next segment's first.  Detector reports change no
+mode, so the reports of the ticks inside a kept segment are drawn after it,
+in tick order, from the detector's own generator.  Every row is therefore
+computed by the same floating-point operations, on the same values and in
+the same order, as when the supervisor ran on every step: the trace and its
+outputs are bit-identical to per-step supervision.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -132,8 +152,12 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError("integrator step must be positive")
-        if self.switching.decision_period < self.step:
-            raise ValueError("decision_period must be at least one integrator step")
+        for name, period in (("switching.decision_period", self.switching.decision_period),
+                             ("detector.sampling_period", self.detector.sampling_period)):
+            try:
+                _steps_per_period(period, self.step)
+            except ValueError as exc:
+                raise ValueError(f"{name} {exc}") from None
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if self.gap_offsets and len(self.gap_offsets) != self.platoon.vehicle_count - 1:
@@ -301,6 +325,66 @@ def switching_decision(vehicle, spacing_error, report, equilibrium, dwell_state,
     return mode, _CAUSE_GAME
 
 
+# Steps in one segment at most.  A collision or a non-finite state is found
+# only after the segment is stepped, so this bounds the steps computed past
+# one on a run whose inputs rarely change (an unsupervised one, say).
+_MAX_SEGMENT = 128
+
+
+def _steps_per_period(period: float, step: float) -> int:
+    """``period`` as a whole number of integrator steps.
+
+    Detector samples and decisions fall on step ticks, so a period that is
+    not a whole multiple of the step would silently be rounded to one that is.
+    """
+    ticks = round(period / step)
+    if ticks < 1 or not math.isclose(period, ticks * step, rel_tol=1e-9):
+        raise ValueError(f"{period!r} is not a whole multiple of the integrator "
+                         f"step {step!r}")
+    return ticks
+
+
+def _first_tick(t: float, h: float) -> int:
+    """Smallest step index k >= 0 whose time k * h is at or after ``t``.
+
+    Computed on the same floating-point products the run compares event
+    edges against, so an edge such as 0.3 with h = 0.1 lands where
+    ``3 * 0.1 >= 0.3`` says it does.
+    """
+    if t <= 0.0:
+        return 0
+    k = math.ceil(t / h)
+    while k > 0 and (k - 1) * h >= t:
+        k -= 1
+    while k * h < t:
+        k += 1
+    return k
+
+
+def _input_edges(config: ScenarioConfig, steps: int) -> tuple[list[int], range]:
+    """Where the exogenous inputs may change value.
+
+    Returns the sorted step ticks in 1..steps at which the leader
+    acceleration, the attack window's activity or a table signal's value can
+    change, and the range of ticks inside the attack window at which a ramp
+    or sinusoid takes a new value every step.
+    """
+    def tick(t: float) -> int:  # steps + 1 for an edge after the run's end
+        return _first_tick(t, config.step) if t <= steps * config.step else steps + 1
+
+    times = [edge for start, end, _ in config.platoon.leader_profile.pulses
+             for edge in (start, end)]
+    varying = range(0)
+    attack = config.attack
+    if attack is not None:
+        times += attack.window
+        if attack.signal.kind == "table":
+            times += attack.signal.times
+        elif attack.signal.kind in ("ramp", "sinusoid"):
+            varying = range(tick(attack.window[0]), tick(attack.window[1]))
+    return sorted({tick(t) for t in times} - {0, steps + 1}), varying
+
+
 def _resolve_certificate(config: ScenarioConfig):
     """The (P, worst-case constants) pair used for dwell enforcement."""
     A_list = [assemble_closed_loop(CACC, config.cacc_gains).A,
@@ -334,13 +418,17 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     n = platoon.vehicle_count
     L = platoon.desired_gap
     h = config.step
+    sw = config.switching
     steps = max(1, int(round(config.duration / h)))
-    dec_every = max(1, int(round(config.switching.decision_period / h)))
-    det_every = max(1, int(round(config.detector.sampling_period / h)))
+    dec_every = _steps_per_period(sw.decision_period, h)
+    det_every = _steps_per_period(config.detector.sampling_period, h)
+    edges, varying = _input_edges(config, steps)
+    eps_max = platoon.epsilon_max
+    release_level = sw.hysteresis_release * eps_max
 
     _, constants = _resolve_certificate(config)
 
-    if config.switching.enabled and config.switching.policy_override is None:
+    if sw.enabled and sw.policy_override is None:
         equilibrium = equilibrium_strategy(config.game)
     else:
         equilibrium = BehavioralStrategy(None, Fraction(0), Fraction(0))
@@ -348,18 +436,22 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     seq = np.random.SeedSequence(config.seed)
     detector_rng, decision_rng = [np.random.default_rng(s) for s in seq.spawn(2)]
 
-    # state arrays (0-based: column i is vehicle i+1)
-    pos = np.empty(n)
-    vel = np.full(n, platoon.leader_profile.initial_velocity, dtype=float)
+    # row k of ``states`` is (positions, velocities) at t = k*h; column i of
+    # each half is vehicle i+1
+    states = np.empty((steps + 1, 2 * n))
+    commands = np.empty((steps + 1, n))
+    modes_grid = np.empty((steps + 1, n - 1), dtype=np.uint8)
+    xi_grid = np.empty(steps + 1)
+    pos = states[0, :n]
     pos[0] = 0.0
     offsets = config.gap_offsets or (0.0,) * (n - 1)
     for i in range(1, n):
         pos[i] = pos[i - 1] - L + offsets[i - 1]
+    states[0, n:] = platoon.leader_profile.initial_velocity
 
-    per_vehicle = config.switching.scope == "per-vehicle"
+    per_vehicle = sw.scope == "per-vehicle"
     unit_ids = tuple(range(2, n + 1)) if per_vehicle else (PLATOON_UNIT,)
-    units = {u: DwellState(config.switching.initial_mode, constants=constants)
-             for u in unit_ids}
+    units = {u: DwellState(sw.initial_mode, constants=constants) for u in unit_ids}
     latest_report = {u: REPORT_NONE for u in unit_ids}
     latched = np.zeros(n, dtype=bool)  # per-follower safety latch (leader unused)
 
@@ -367,19 +459,10 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     cacc = config.cacc_gains
     acc = config.acc_gains
 
-    times = np.empty(steps + 1)
-    positions = np.empty((steps + 1, n))
-    velocities = np.empty((steps + 1, n))
-    commands = np.empty((steps + 1, n))
-    modes_grid = np.empty((steps + 1, n - 1), dtype=np.uint8)
-    eps_grid = np.empty((steps + 1, n - 1))
-    xi_grid = np.empty(steps + 1)
-
     reports: list[ReportEvent] = []
     decisions: list[DecisionEvent] = []
     mode_events: list[ModeEvent] = [
-        ModeEvent(0.0, i, config.switching.initial_mode, _CAUSE_INITIAL)
-        for i in range(2, n + 1)
+        ModeEvent(0.0, i, sw.initial_mode, _CAUSE_INITIAL) for i in range(2, n + 1)
     ]
     collision: CollisionInfo | None = None
 
@@ -398,6 +481,14 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
         if unit == PLATOON_UNIT:
             return True
         return unit in attack.targets
+
+    def sample_detectors(k: int) -> None:
+        t = k * h
+        for unit in unit_ids:
+            rep = detector_sample(unit_attacked(unit, t), config.detector,
+                                  detector_rng, timestamp=t)
+            latest_report[unit] = rep.value
+            reports.append(ReportEvent(t, unit, rep.value))
 
     prev_eff = effective_modes()
 
@@ -472,12 +563,12 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
         return cached
 
     def _accel_consts(pattern, lead_acc, xi, hit) -> np.ndarray:
-        """Constant part of the chain for the step's frozen fields.
+        """Constant part of the chain for the segment's frozen inputs.
 
         Message falsification adds the attack value to the selected fields of
         both inbound messages of each victim; a lumped-disturbance attack
         adds it to the victim's physical acceleration instead.  Either way
-        the contribution is constant over the step.
+        the contribution is constant over the segment.
         """
         g = np.empty(n)
         g[0] = lead_acc
@@ -499,32 +590,33 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
                 g[i] = acc.alpha * L
         return g
 
-    t = 0.0
+    dot = np.dot  # the same BLAS matrix-vector product as ``@``, with less dispatch
     k = 0
     while True:
+        # -- segment start: the supervisor acts on row k
         final = (k == steps) or (collision is not None)
+        t = k * h
+        x = states[k]
+        pos = x[:n]
+        vel = x[n:]
         eps_now = pos[1:] - pos[:-1] + L
         deps_now = vel[1:] - vel[:-1]
 
-        if config.switching.enabled and not final:
+        if sw.enabled and not final:
             # 1. detector sampling (left endpoint of the step)
             if k % det_every == 0:
-                for unit in unit_ids:
-                    rep = detector_sample(unit_attacked(unit, t), config.detector,
-                                          detector_rng, timestamp=t)
-                    latest_report[unit] = rep.value
-                    reports.append(ReportEvent(t, unit, rep.value))
+                sample_detectors(k)
 
-            # 2. per-step safety surface with hysteresis
+            # 2. safety surface with hysteresis
             cause_map = {}
             changed = False
             for i in range(2, n + 1):
                 e = abs(eps_now[i - 2])
-                if not latched[i - 1] and e >= platoon.epsilon_max:
+                if not latched[i - 1] and e >= eps_max:
                     latched[i - 1] = True
                     cause_map[i] = _CAUSE_SAFETY
                     changed = True
-                elif latched[i - 1] and e <= config.switching.hysteresis_release * platoon.epsilon_max:
+                elif latched[i - 1] and e <= release_level:
                     latched[i - 1] = False
                     cause_map[i] = _CAUSE_RELEASE
                     changed = True
@@ -532,7 +624,7 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
                     if unit.mode == CACC:
                         # re-entering the cooperative mode: restart its dwell
                         unit.enter(CACC, t, error_state=(eps_now[i - 2], deps_now[i - 2]),
-                                   dwell_enforced=config.switching.dwell_enforced)
+                                   dwell_enforced=sw.dwell_enforced)
             if changed:
                 emit_mode_changes(t, effective_modes(), cause_map)
 
@@ -571,49 +663,93 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
         if attack is not None and attack.active(t):
             for i in attack.targets:
                 hit[i] = True
+        # followers whose recorded command excludes a nonzero lumped disturbance
+        disturbed = [i for i in range(1, n)
+                     if lumped and hit[i + 1] and frozen[i - 1] == 0]
 
         R, phi, psi_g = _step_map(frozen)
         g = _accel_consts(frozen, lead_acc, xi, hit)
-        x = np.concatenate((pos, vel))
-        u_now = R @ x + g
-        if lumped and xi != 0.0:
-            for i in range(1, n):
-                if hit[i + 1] and frozen[i - 1] == 0:
-                    u_now[i] -= xi  # command excludes the physical disturbance
-
-        times[k] = t
-        positions[k] = pos
-        velocities[k] = vel
-        commands[k] = u_now
-        modes_grid[k] = frozen
-        eps_grid[k] = eps_now
-        xi_grid[k] = xi
-
         if final:
+            u = commands[k]
+            dot(R, x, out=u)
+            u += g
+            if xi != 0.0:
+                u[disturbed] -= xi
+            modes_grid[k] = frozen
+            xi_grid[k] = xi
             break
 
-        x = phi @ x + psi_g @ g
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError("integration produced a non-finite state")
-        pos = x[:n]
-        vel = x[n:]
-        k += 1
-        t = k * h
+        # -- the segment: no mode changes and no input edge comes before the
+        # next decision tick or input edge, so step the affine map alone
+        end = min(steps, k + _MAX_SEGMENT)
+        if sw.enabled:
+            end = min(end, (k // dec_every + 1) * dec_every)
+        nxt = bisect.bisect_right(edges, k)
+        if nxt < len(edges):
+            end = min(end, edges[nxt])
+        if k in varying:
+            # a ramp or sinusoid takes a new value every step, and the
+            # constant part of the map with it
+            xis = [xi] + [attack_signal(attack, j * h) for j in range(k + 1, end)]
+            consts = [(g_j, psi_g @ g_j) for g_j in
+                      [g] + [_accel_consts(frozen, lead_acc, v, hit) for v in xis[1:]]]
+        else:
+            xis = [xi] * (end - k)
+            consts = itertools.repeat((g, psi_g @ g), end - k)
+        for j, (g_j, c_j) in zip(range(k, end), consts):
+            u = commands[j]
+            dot(R, x, out=u)
+            u += g_j
+            x_next = states[j + 1]
+            dot(phi, x, out=x_next)
+            x_next += c_j
+            x = x_next
 
-        gaps = pos[:-1] - pos[1:]
-        tight = np.nonzero(gaps <= platoon.vehicle_length)[0]
-        if tight.size:
-            worst = int(tight[np.argmin(gaps[tight])])
-            collision = CollisionInfo(time=t, follower=worst + 2, gap=float(gaps[worst]))
+        # -- cut the segment at the first row a per-row check acts on; the
+        # checks run in this order on each row: finiteness, collision, then
+        # (on a supervised run) the safety surface
+        block = states[k + 1:end + 1]
+        ahead = block[:, :n]
+        gaps = ahead[:, :-1] - ahead[:, 1:]
+        flags = [~np.isfinite(block).all(axis=1),
+                 (gaps <= platoon.vehicle_length).any(axis=1)]
+        if sw.enabled:
+            e = np.abs(ahead[:, 1:] - ahead[:, :-1] + L)
+            flags.append(np.where(latched[1:], e <= release_level, e >= eps_max).any(axis=1))
+        rows = end - k  # a check that flags no row reads as this
+        first = [int(np.argmax(f)) if f.any() else rows for f in flags]
+        cut = min(first)
+        if cut < rows:
+            if first[0] == cut:
+                raise FloatingPointError("integration produced a non-finite state")
+            if first[1] == cut:
+                tight = np.flatnonzero(gaps[cut] <= platoon.vehicle_length)
+                worst = int(tight[np.argmin(gaps[cut, tight])])
+                collision = CollisionInfo(time=(k + 1 + cut) * h, follower=worst + 2,
+                                          gap=float(gaps[cut, worst]))
+        cut = min(k + 1 + cut, end)
+
+        xi_rows = np.array(xis[:cut - k])
+        if disturbed:
+            hit_rows = np.flatnonzero(xi_rows != 0.0)
+            commands[np.ix_(hit_rows + k, disturbed)] -= xi_rows[hit_rows, None]
+        modes_grid[k:cut] = frozen
+        xi_grid[k:cut] = xi_rows
+        if sw.enabled:
+            # detector reports of the rows kept, drawn in tick order
+            for j in range((k // det_every + 1) * det_every, cut, det_every):
+                sample_detectors(j)
+        k = cut
 
     last = k + 1
+    positions = states[:last, :n].copy()
     return SimTrace(
-        times=times[:last].copy(),
-        positions=positions[:last].copy(),
-        velocities=velocities[:last].copy(),
+        times=np.arange(last) * h,
+        positions=positions,
+        velocities=states[:last, n:].copy(),
         commands=commands[:last].copy(),
         modes=modes_grid[:last].copy(),
-        spacing_errors=eps_grid[:last].copy(),
+        spacing_errors=positions[:, 1:] - positions[:, :-1] + L,
         attack_xi=xi_grid[:last].copy(),
         reports=tuple(reports),
         decisions=tuple(decisions),
@@ -727,6 +863,13 @@ def cacc_entry_values(trace: SimTrace, P) -> list[tuple[float, np.ndarray]]:
 _CSV_FLOAT = repr  # shortest round-trip representation: byte-stable given a seed
 
 
+def _row_lists(*arrays):
+    """The arrays' rows side by side as Python values, converted a block of
+    rows at a time so that a writer never holds a whole trace as objects."""
+    for k in range(0, len(arrays[0]), 1024):
+        yield from zip(*(a[k:k + 1024].tolist() for a in arrays))
+
+
 def write_trace_csv(trace: SimTrace, path):
     """One row per time step.
 
@@ -740,20 +883,18 @@ def write_trace_csv(trace: SimTrace, path):
     header += [f"mode{i}" for i in range(2, n + 1)]
     header += [f"eps{i}" for i in range(2, n + 1)]
     header.append("xi")
-    lines = [",".join(header)]
+    kinematics = np.empty((trace.times.size, 3 * n))
+    kinematics[:, 0::3] = trace.positions
+    kinematics[:, 1::3] = trace.velocities
+    kinematics[:, 2::3] = trace.commands
     mode_names = (CACC, ACC)
-    for k in range(trace.times.size):
-        row = [_CSV_FLOAT(float(trace.times[k]))]
-        for i in range(n):
-            row += [_CSV_FLOAT(float(trace.positions[k, i])),
-                    _CSV_FLOAT(float(trace.velocities[k, i])),
-                    _CSV_FLOAT(float(trace.commands[k, i]))]
-        row += [mode_names[m] for m in trace.modes[k]]
-        row += [_CSV_FLOAT(float(e)) for e in trace.spacing_errors[k]]
-        row.append(_CSV_FLOAT(float(trace.attack_xi[k])))
-        lines.append(",".join(row))
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(",".join(header) + "\n")
+        for t, xvu, modes, eps, xi in _row_lists(trace.times, kinematics, trace.modes,
+                                                 trace.spacing_errors, trace.attack_xi):
+            f.write(",".join([_CSV_FLOAT(t), *map(_CSV_FLOAT, xvu),
+                              *(mode_names[m] for m in modes),
+                              *map(_CSV_FLOAT, eps), _CSV_FLOAT(xi)]) + "\n")
 
 
 def write_metrics_json(metrics: TraceMetrics, path, extra: dict | None = None):

@@ -147,11 +147,25 @@ def test_unknown_top_level_key():
     (lambda d: d["integration"].update(step=0.0), "integration.step"),
     (lambda d: d["integration"].update(cadence=1), "integration.cadence"),
     (lambda d: d.update(seed=1.5), "seed"),
+    # event periods must be whole multiples of the 0.01 s step
+    (lambda d: d.update(detector={"sampling_period": 0.015}), "detector.sampling_period"),
+    (lambda d: d.update(detector={"sampling_period": 0.005}), "detector.sampling_period"),
+    (lambda d: d.update(switching={"decision_period": 0.025}), "switching.decision_period"),
 ])
 def test_dotted_paths_name_the_bad_entry(mutate, path):
     data = base_scenario()
     mutate(data)
     assert error_path(data) == path
+
+
+def test_periods_that_fit_the_step_are_accepted():
+    # 0.3 / 0.1 is 2.9999999999999996 in floating point, yet 0.3 s is 3 steps
+    data = with_patch(integration={"step": 0.1, "duration": 5.0},
+                      detector={"sampling_period": 0.3},
+                      switching={"decision_period": 0.7})
+    config = scenario_from_dict(data)
+    assert config.detector.sampling_period == 0.3
+    assert config.switching.decision_period == 0.7
 
 
 def test_geometry_contradiction_points_at_platoon():

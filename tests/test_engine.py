@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from platoonsec.control import ACC, CACC, AccGains, CaccGains
 from platoonsec.engine import (PLATOON_UNIT, DwellState, ScenarioConfig,
@@ -17,7 +18,7 @@ from platoonsec.game import BehavioralStrategy
 from platoonsec.platoon import LeaderProfile, PlatoonConfig
 from platoonsec.stability import (LyapunovCandidate, lyapunov_constants,
                                   min_dwell_time)
-from platoonsec.threat import AttackSignal, AttackSpec
+from platoonsec.threat import AttackSignal, AttackSpec, DetectorModel
 
 P_REF = LyapunovCandidate(1.0, 0.154297, 1.57813)
 A_CACC = np.array([[0.0, 1.0], [-1.58, -2.51]])
@@ -82,6 +83,17 @@ def test_scenario_validation():
         ScenarioConfig(platoon=plat, gap_offsets=(1.0,))
     with pytest.raises(ValueError):
         ScenarioConfig(platoon=plat, attack=AttackSpec(targets={9}))
+    # event periods are counted in whole steps; 0.015 s is not one
+    with pytest.raises(ValueError, match="sampling_period"):
+        ScenarioConfig(platoon=plat, step=0.01,
+                       detector=DetectorModel(sampling_period=0.015))
+    with pytest.raises(ValueError, match="decision_period"):
+        ScenarioConfig(platoon=plat, step=0.01,
+                       switching=SwitchingConfig(decision_period=0.025))
+    with pytest.raises(ValueError, match="sampling_period"):
+        ScenarioConfig(platoon=plat, step=0.2)  # the default 0.1 s is half a step
+    # float quotients such as 0.3 / 0.1 = 2.9999999999999996 still fit
+    ScenarioConfig(platoon=plat, step=0.1, detector=DetectorModel(sampling_period=0.3))
 
 
 def test_switching_validation():
@@ -239,6 +251,149 @@ def test_affine_integration_matches_message_interface():
                                        trace.velocities[k], trace.modes[k],
                                        trace.times[k])
         assert np.allclose(trace.commands[k], u, atol=1e-9), f"row {k}"
+
+
+# A small platoon over a short horizon, drawn so that every branch of the
+# supervisor and every input kind shows up: both scopes, lumped and
+# message-level attacks, each signal kind, pulse and window edges off the
+# decision and step grids, and initial gaps past the safety surface.
+_P_BENIGN = LyapunovCandidate(1.0, 0.7593734335839599, 0.9585116102515634)
+_edge_time = st.floats(0.0, 4.0).flatmap(
+    lambda t: st.sampled_from([t, round(t, 1)]))
+
+
+@st.composite
+def oracle_scenarios(draw):
+    n = draw(st.integers(2, 4))
+    step = draw(st.sampled_from([0.02, 0.05, 0.1]))
+    eps_max = draw(st.floats(0.5, 5.0))
+    pulses = tuple((s, s + d, a) for s, d, a in draw(st.lists(
+        st.tuples(_edge_time, st.floats(0.05, 3.0), st.floats(-3.0, 3.0)), max_size=2)))
+    attack = None
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(["constant", "ramp", "sinusoid", "table"]))
+        table = sorted(draw(st.lists(_edge_time, min_size=1, max_size=3)))
+        signal = AttackSignal(kind=kind, amplitude=draw(st.floats(-1.0, 4.0)),
+                              rate=draw(st.floats(-2.0, 2.0)), frequency=0.4, phase=0.3,
+                              times=tuple(table) if kind == "table" else (),
+                              values=tuple(draw(st.lists(st.floats(-3.0, 3.0),
+                                                         min_size=len(table),
+                                                         max_size=len(table))))
+                              if kind == "table" else ())
+        start = draw(_edge_time)
+        attack = AttackSpec(
+            targets=draw(st.sets(st.integers(2, n), min_size=1)),
+            mode=draw(st.sampled_from(["lumped-acceleration", "message-level"])),
+            signal=signal, xi_max=draw(st.floats(0.5, 4.0)),
+            window=(start, draw(st.sampled_from([math.inf, start + 2.5, start + 0.01]))),
+            message_fields=draw(st.sets(st.sampled_from(["position", "velocity",
+                                                         "acceleration"]), min_size=1)))
+    switching = SwitchingConfig(
+        enabled=draw(st.booleans()),
+        decision_period=step * draw(st.integers(1, 15)),
+        scope=draw(st.sampled_from(["per-vehicle", "platoon"])),
+        dwell_enforced=draw(st.booleans()),
+        hysteresis_release=draw(st.floats(0.0, 1.0)),
+        policy_override=draw(st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))),
+        initial_mode=draw(st.sampled_from([CACC, ACC])))
+    return ScenarioConfig(
+        platoon=make_platoon(n=n, eps_max=eps_max, pulses=pulses),
+        lyapunov=_P_BENIGN,
+        attack=attack,
+        detector=DetectorModel(0.7, 0.3, sampling_period=step * draw(st.integers(1, 6))),
+        switching=switching, step=step,
+        duration=step * draw(st.integers(5, round(4.0 / step))),
+        seed=draw(st.integers(0, 2 ** 16)),
+        gap_offsets=tuple(draw(st.lists(st.floats(-5.0, 5.45), min_size=n - 1,
+                                        max_size=n - 1))))
+
+
+def _rk4_message_step(config, pos, vel, modes, t):
+    """One classical RK4 step of the message-object controller chain with
+    the modes, attack value and leader acceleration frozen at ``t``."""
+    n = pos.size
+
+    def rhs(s):
+        _, dv = commanded_accelerations(config, s[:n], s[n:], modes, t)
+        return np.concatenate((s[n:], dv))
+
+    s = np.concatenate((pos, vel))
+    h = config.step
+    k1 = rhs(s)
+    k2 = rhs(s + 0.5 * h * k1)
+    k3 = rhs(s + 0.5 * h * k2)
+    k4 = rhs(s + h * k3)
+    return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracle_scenarios())
+@example(ScenarioConfig(  # a collision mid-run
+    platoon=make_platoon(n=3), attack=crash_attack(window=(0.3, math.inf)),
+    switching=NO_SWITCH, step=0.05, duration=4.0, gap_offsets=(0.0, 2.0)))
+@example(ScenarioConfig(  # a latch at t = 0 and its release; a decision citing the surface
+    platoon=make_platoon(n=3, eps_max=2.0), gap_offsets=(2.5, 0.0), lyapunov=_P_BENIGN,
+    switching=SwitchingConfig(scope="platoon", policy_override=(0.0, 0.0),
+                              decision_period=0.5, hysteresis_release=0.9),
+    step=0.05, duration=4.0))
+def test_every_row_matches_the_message_object_oracle(config):
+    """Every row of a run against the readable message-object model: the
+    recorded command, the step to the next row, the safety latch and
+    release rows, and the collision row."""
+    trace = run_scenario(config)
+    n = config.platoon.vehicle_count
+    last = trace.times.size - 1  # the final row is recorded before supervision
+    for k in range(last + 1):
+        t = trace.times[k]
+        u, _ = commanded_accelerations(config, trace.positions[k], trace.velocities[k],
+                                       trace.modes[k], t)
+        assert np.allclose(trace.commands[k], u, rtol=0.0, atol=1e-9), f"row {k}"
+        if k < last:
+            want = _rk4_message_step(config, trace.positions[k], trace.velocities[k],
+                                     trace.modes[k], t)
+            got = np.concatenate((trace.positions[k + 1], trace.velocities[k + 1]))
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-9), f"step {k}"
+
+    # the latch replayed from the stored errors: each latch or release is on
+    # the first row whose |eps| crosses its threshold
+    sw = config.switching
+    safety = {(e.time, e.vehicle) for e in trace.mode_events if e.cause == "safety-surface"}
+    release = {(e.time, e.vehicle) for e in trace.mode_events if e.cause == "safety-release"}
+    want_safety, want_release = set(), set()
+    if sw.enabled:
+        dec_every = int(round(sw.decision_period / config.step))
+        latched = [False] * (n - 1)
+        before = [int(sw.initial_mode == ACC)] * (n - 1)
+        for k in range(last):
+            t = float(trace.times[k])
+            for i in range(n - 1):
+                e = abs(trace.spacing_errors[k, i])
+                if not latched[i] and e >= config.platoon.epsilon_max:
+                    latched[i] = True
+                    want_safety.add((t, i + 2))
+                    if before[i] == 0:
+                        assert (t, i + 2) in safety, f"latch of {i + 2} at row {k}"
+                elif latched[i] and e <= sw.hysteresis_release * config.platoon.epsilon_max:
+                    latched[i] = False
+                    want_release.add((t, i + 2))
+                    if trace.modes[k, i] == 0 and k % dec_every != 0:
+                        assert (t, i + 2) in release, f"release of {i + 2} at row {k}"
+                if latched[i]:
+                    assert trace.modes[k, i] == 1, f"latched {i + 2} cooperative at row {k}"
+            before = trace.modes[k].tolist()
+    # a platoon-scope decision may also cite the surface, for every follower
+    decided = {d.time for d in trace.decisions}
+    assert {(t, v) for t, v in safety if t not in decided} <= want_safety
+    assert release <= want_release
+
+    gaps = trace.positions[:, :-1] - trace.positions[:, 1:]
+    tight = np.flatnonzero((gaps <= config.platoon.vehicle_length).any(axis=1))
+    if trace.collision is None:
+        assert tight.size == 0
+        assert last == int(round(config.duration / config.step))
+    else:
+        assert tight.tolist() == [last]
+        assert trace.collision.time == trace.times[last]
 
 
 # -------------------------------------------------------- crash / defense
