@@ -13,14 +13,14 @@ from .control import (ACC, CACC, AccGains, CaccGains, DEFAULT_ACC_GAINS,
                       DEFAULT_CACC_GAINS, acc_accel, assemble_closed_loop,
                       cacc_accel)
 from .engine import (ScenarioConfig, SimTrace, SwitchingConfig, cacc_entry_values,
-                     run_scenario, step_rk4, switching_decision, trace_metrics,
+                     run_scenario, switching_decision, trace_metrics,
                      write_metrics_json, write_trace_csv)
 from .config import ConfigError, load_scenario, scenario_from_dict
 from .game import (BehavioralStrategy, DEFAULT_GAME, GameSpec, best_response_gap,
                    equilibrium_strategy, monte_carlo_play, solve_nash,
                    to_normal_form)
-from .platoon import (LeaderProfile, NeighborMessage, PlatoonConfig, PlatoonState,
-                      RadarMeasurement, VehicleState, spacing_error)
+from .platoon import (LeaderProfile, NeighborMessage, PlatoonConfig, RadarMeasurement,
+                      VehicleState)
 from .stability import (LyapunovCandidate, check_bibo_lemma1, check_common_lyapunov,
                         check_gues_inequalities, find_common_lyapunov, hinf_norm,
                         impulse_response_nonneg, lyapunov_constants, min_dwell_time,
@@ -34,13 +34,13 @@ __all__ = [
     "ACC", "CACC", "AccGains", "CaccGains", "DEFAULT_ACC_GAINS",
     "DEFAULT_CACC_GAINS", "acc_accel", "assemble_closed_loop", "cacc_accel",
     "ScenarioConfig", "SimTrace", "SwitchingConfig", "cacc_entry_values",
-    "run_scenario", "step_rk4", "switching_decision", "trace_metrics",
+    "run_scenario", "switching_decision", "trace_metrics",
     "write_metrics_json", "write_trace_csv",
     "ConfigError", "load_scenario", "scenario_from_dict",
     "BehavioralStrategy", "DEFAULT_GAME", "GameSpec", "best_response_gap",
     "equilibrium_strategy", "monte_carlo_play", "solve_nash", "to_normal_form",
-    "LeaderProfile", "NeighborMessage", "PlatoonConfig", "PlatoonState",
-    "RadarMeasurement", "VehicleState", "spacing_error",
+    "LeaderProfile", "NeighborMessage", "PlatoonConfig",
+    "RadarMeasurement", "VehicleState",
     "LyapunovCandidate", "check_bibo_lemma1", "check_common_lyapunov",
     "check_gues_inequalities", "find_common_lyapunov", "hinf_norm",
     "impulse_response_nonneg", "lyapunov_constants", "min_dwell_time",

@@ -24,14 +24,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import ConfigError, load_scenario
-from .control import ACC, CACC, DEFAULT_ACC_GAINS, DEFAULT_CACC_GAINS, assemble_closed_loop
-from .engine import (_resolve_certificate, _row_lists, run_scenario, trace_metrics,
-                     write_metrics_json, write_trace_csv)
+from .control import ACC, CACC, DEFAULT_ACC_GAINS, DEFAULT_CACC_GAINS
+from .engine import (CertificateError, _row_lists, resolve_certificate, run_scenario,
+                     trace_metrics, write_metrics_json, write_trace_csv)
 from .game import best_response_gap, solve_nash, to_behavioral, to_normal_form
 from .stability import (TransferFunction, check_bibo_lemma1, check_common_lyapunov,
-                        check_gues_inequalities, find_common_lyapunov, hinf_norm,
-                        impulse_response_nonneg, lyapunov_constants, min_dwell_time,
-                        spacing_error_tf)
+                        check_gues_inequalities, hinf_norm, impulse_response_nonneg,
+                        min_dwell_time, spacing_error_tf)
 
 __all__ = ["main", "CommandRequest"]
 
@@ -142,13 +141,11 @@ def cmd_stability(request: CommandRequest) -> int:
             print("  -> gains are not stabilizing; no certificate exists")
             return EXIT_OUTCOME
 
-    A_list = [assemble_closed_loop(CACC, cacc).A, assemble_closed_loop(ACC, acc).A]
     searched = P is None
-    if searched:
-        P = find_common_lyapunov(A_list)
-        if P is None:
-            print("no certificate found (search budget exhausted; not a disproof)")
-            return EXIT_OUTCOME
+    A_list, P, consts = resolve_certificate(cacc, acc, P)
+    if P is None:
+        print("no certificate found (search budget exhausted; not a disproof)")
+        return EXIT_OUTCOME
 
     report = check_common_lyapunov(P, A_list)
     ineq = check_gues_inequalities(cacc.k1, cacc.k2, acc.k3, acc.k4, P)
@@ -169,7 +166,6 @@ def cmd_stability(request: CommandRequest) -> int:
         print(f"  violated inequalities: {', '.join(failed)}")
     ok = report.passed and ineq.all_satisfied
     if ok:
-        consts = min((lyapunov_constants(P, A) for A in A_list), key=lambda c: c.lam)
         dwell = min_dwell_time((eps_ref, 0.0), (eps_ref, 0.0), consts)
         print(f"  envelope constants: a={_fmt(consts.a)} b={_fmt(consts.b)} "
               f"c={_fmt(consts.c)} rate={_fmt(consts.lam)}")
@@ -242,18 +238,15 @@ def cmd_string_check(request: CommandRequest) -> int:
 
 def _sweep_cell(payload) -> tuple:
     """One grid cell in a worker process: returns (xi, eps, runs, collisions)."""
-    config_path, xi, eps, seed0, runs = payload
-    base = load_scenario(config_path)
+    base, xi, eps, runs = payload
     attack = dataclasses.replace(base.attack, xi_max=xi,
                                  signal=dataclasses.replace(base.attack.signal,
                                                             amplitude=xi))
     platoon = dataclasses.replace(base.platoon, epsilon_max=eps)
-    # the certificate depends on the gains alone: resolve it once per cell
-    P, _ = _resolve_certificate(base)
     collisions = 0
     for j in range(runs):
         config = dataclasses.replace(base, attack=attack, platoon=platoon,
-                                     lyapunov=P, seed=seed0 + j)
+                                     seed=base.seed + j)
         if run_scenario(config).collision is not None:
             collisions += 1
     return xi, eps, runs, collisions
@@ -264,12 +257,13 @@ def cmd_sweep(request: CommandRequest) -> int:
     if base.attack is None:
         raise ConfigError("attack", "sweep varies the attack magnitude; the base "
                                     "scenario must define an attack")
+    # the certificate depends on the gains alone: resolve it once for the grid
+    _, P, _ = resolve_certificate(base.cacc_gains, base.acc_gains, base.lyapunov)
+    base = dataclasses.replace(base, lyapunov=P)
     xi_grid = request.extra["xi_grid"]
     eps_grid = request.extra["eps_grid"]
     runs = request.extra["runs"]
-    seed0 = base.seed if request.seed is None else request.seed
-    jobs = [(request.config, xi, eps, seed0, runs)
-            for xi in xi_grid for eps in eps_grid]
+    jobs = [(base, xi, eps, runs) for xi in xi_grid for eps in eps_grid]
     workers = min(len(jobs), request.extra.get("jobs") or os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -361,6 +355,9 @@ def main(argv=None) -> int:
     )
     try:
         return _HANDLERS[args.subcommand](request)
+    except (CertificateError, FloatingPointError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OUTCOME
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -13,7 +13,7 @@ import json
 
 from .control import AccGains, CaccGains, DEFAULT_ACC_GAINS, DEFAULT_CACC_GAINS
 from .engine import ScenarioConfig, SwitchingConfig, _steps_per_period
-from .game import DEFAULT_GAME, GameSpec
+from .game import DEFAULT_GAME
 from .platoon import LeaderProfile, PlatoonConfig
 from .stability import LyapunovCandidate
 from .threat import (AttackSignal, AttackSpec, DetectorModel, MESSAGE_FIELDS)
@@ -263,9 +263,10 @@ def _detector(obj, path: str) -> DetectorModel:
     )
 
 
-def _game(obj, path: str, detector: DetectorModel) -> GameSpec:
+def _game(obj, path: str) -> tuple:
+    """The game's leaf utilities; its report probabilities are the detector's."""
     if obj is None or obj == "default":
-        return GameSpec.with_detector(DEFAULT_GAME.leaf_utilities, detector)
+        return DEFAULT_GAME.leaf_utilities
     obj = _mapping(obj, path)
     _check_keys(obj, path, ("leaf_utilities",))
     raw = _get(obj, path, "leaf_utilities", required=True)
@@ -278,7 +279,7 @@ def _game(obj, path: str, detector: DetectorModel) -> GameSpec:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(p, "expected [attacker_utility, defender_utility]")
         leaves.append((_number(pair[0], _join(p, 0)), _number(pair[1], _join(p, 1))))
-    return GameSpec.with_detector(tuple(leaves), detector)
+    return tuple(leaves)
 
 
 def _switching(obj, path: str) -> SwitchingConfig:
@@ -364,7 +365,7 @@ def scenario_from_dict(data: dict, path: str = "") -> ScenarioConfig:
             attack=_attack(_get(data, path, "attack"), _join(path, "attack"),
                            platoon.vehicle_count),
             detector=detector,
-            game=_game(_get(data, path, "game"), _join(path, "game"), detector),
+            leaf_utilities=_game(_get(data, path, "game"), _join(path, "game")),
             switching=switching,
             step=step,
             duration=duration,

@@ -14,9 +14,10 @@ Two controller families are implemented:
 
       u_i = alpha (x_i - x_{i-1} + L) + beta (v_i - v_{i-1})
 
-Writing z_i = (x_i, v_i), either law can be put in the linear form
-zdot_i = A z_i + B R where R stacks the neighbor signals; the aggregate
-position/velocity gains k1..k4 appear in A's bottom row.  Vehicle 2's
+In the spacing-error state z = (eps_i, eps_i') of a follower whose neighbors
+hold the desired gaps and steady speed, either law closes to zdot = A z with
+the aggregate position/velocity gains k1..k4 in A's bottom row; these A
+matrices are what the stability certificate is computed for.  Vehicle 2's
 predecessor *is* the leader, so it applies both gain sets to vehicle 1's
 message; this keeps the aggregates (and hence A) identical for every follower.
 """
@@ -32,10 +33,8 @@ from .platoon import NeighborMessage, RadarMeasurement, VehicleState, desired_di
 __all__ = [
     "CACC",
     "ACC",
-    "CommunicationLoss",
     "CaccGains",
     "AccGains",
-    "ClosedLoopForm",
     "cacc_accel",
     "acc_accel",
     "assemble_closed_loop",
@@ -45,10 +44,6 @@ __all__ = [
 
 CACC = "CACC"
 ACC = "ACC"
-
-
-class CommunicationLoss(RuntimeError):
-    """A required V2V message is missing; the caller decides the fallback."""
 
 
 @dataclass(frozen=True)
@@ -74,10 +69,6 @@ class CaccGains:
     @property
     def k2(self) -> float:
         return self.beta_pred + self.beta_lead
-
-    @property
-    def gamma_sum(self) -> float:
-        return self.gamma_pred + self.gamma_lead
 
     @classmethod
     def from_aggregate(cls, k1: float, k2: float, split: float = 0.5,
@@ -129,32 +120,8 @@ DEFAULT_CACC_GAINS = CaccGains.from_aggregate(-1.58, -2.51)
 DEFAULT_ACC_GAINS = AccGains(-0.25, -1.0)
 
 
-@dataclass(frozen=True)
-class ClosedLoopForm:
-    """zdot = A z + B R for a single follower, z = (x_i, v_i).
-
-    ``input_layout`` names the entries of R in order.  Columns are grouped by
-    quantity kind -- shifted positions (x_j - L_ij), velocities, accelerations
-    -- with the leader before the predecessor inside each group.  The ACC form
-    keeps the acceleration column (all zeros) so both modes share a layout
-    family.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    input_layout: tuple[str, ...]
-
-    def __post_init__(self):
-        A = np.asarray(self.A, float)
-        B = np.asarray(self.B, float)
-        if A.shape != (2, 2) or A[0, 0] != 0.0 or A[0, 1] != 1.0:
-            raise ValueError("A must be 2x2 with double-integrator top row [0, 1]")
-        if B.shape[0] != 2 or np.any(B[0] != 0.0):
-            raise ValueError("B's first row must be zero")
-
-
-def cacc_accel(i: int, own_state: VehicleState, pred_msg: NeighborMessage | None,
-               leader_msg: NeighborMessage | None, gains: CaccGains, L: float) -> float:
+def cacc_accel(i: int, own_state: VehicleState, pred_msg: NeighborMessage,
+               leader_msg: NeighborMessage, gains: CaccGains, L: float) -> float:
     """Cooperative acceleration command for follower i from its two messages.
 
     For i == 2 both messages come from vehicle 1 (the predecessor is the
@@ -163,9 +130,6 @@ def cacc_accel(i: int, own_state: VehicleState, pred_msg: NeighborMessage | None
     """
     if i < 2:
         raise ValueError("only followers (i >= 2) run a controller")
-    if pred_msg is None or leader_msg is None:
-        missing = "predecessor" if pred_msg is None else "leader"
-        raise CommunicationLoss(f"no {missing} message available for vehicle {i}")
     u = 0.0
     for msg, alpha, beta, gamma, j in (
         (pred_msg, gains.alpha_pred, gains.beta_pred, gains.gamma_pred, i - 1),
@@ -188,32 +152,14 @@ def acc_accel(i: int, own_state: VehicleState, radar: RadarMeasurement,
     return gains.alpha * eps + gains.beta * deps
 
 
-def assemble_closed_loop(mode: str, gains) -> ClosedLoopForm:
-    """Matrix form of the selected control law.
-
-    CACC input layout (leader first within each group):
-        R = (x_1 - L_i1, x_p - L_ip, v_1, v_p, a_1, a_p)
-    ACC layout:
-        R = (x_p - L_ip, v_p, a_p)   with a zero acceleration column.
-    """
+def assemble_closed_loop(mode: str, gains) -> np.ndarray:
+    """The 2x2 matrix A of the selected law's spacing-error dynamics."""
     if mode == CACC:
         if not isinstance(gains, CaccGains):
             raise TypeError("CACC mode requires CaccGains")
-        A = np.array([[0.0, 1.0], [gains.k1, gains.k2]])
-        B = np.array([
-            [0.0] * 6,
-            [-gains.alpha_lead, -gains.alpha_pred,
-             -gains.beta_lead, -gains.beta_pred,
-             gains.gamma_lead, gains.gamma_pred],
-        ])
-        layout = ("x_lead - L_lead", "x_pred - L_pred",
-                  "v_lead", "v_pred", "a_lead", "a_pred")
-        return ClosedLoopForm(A, B, layout)
+        return np.array([[0.0, 1.0], [gains.k1, gains.k2]])
     if mode == ACC:
         if not isinstance(gains, AccGains):
             raise TypeError("ACC mode requires AccGains")
-        A = np.array([[0.0, 1.0], [gains.k3, gains.k4]])
-        B = np.array([[0.0, 0.0, 0.0], [-gains.alpha, -gains.beta, 0.0]])
-        layout = ("x_pred - L_pred", "v_pred", "a_pred")
-        return ClosedLoopForm(A, B, layout)
+        return np.array([[0.0, 1.0], [gains.k3, gains.k4]])
     raise ValueError(f"unknown control mode {mode!r}")

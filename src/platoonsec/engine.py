@@ -63,8 +63,8 @@ from .control import (ACC, CACC, AccGains, CaccGains, DEFAULT_ACC_GAINS,
 from .game import BehavioralStrategy, GameSpec, DEFAULT_GAME, equilibrium_strategy
 from .platoon import (NeighborMessage, PlatoonConfig, RadarMeasurement,
                       VehicleState)
-from .stability import (LyapunovCandidate, LyapunovConstants, find_common_lyapunov,
-                        lyapunov_constants, min_dwell_time)
+from .stability import (LyapunovCandidate, LyapunovConstants, check_common_lyapunov,
+                        find_common_lyapunov, lyapunov_constants, min_dwell_time)
 from .threat import (AttackSpec, DetectorModel, REPORT_NONE,
                      attack_signal, detector_sample, falsify_message)
 
@@ -79,9 +79,10 @@ __all__ = [
     "CollisionInfo",
     "SimTrace",
     "TraceMetrics",
-    "step_rk4",
+    "CertificateError",
     "switching_decision",
     "commanded_accelerations",
+    "resolve_certificate",
     "run_scenario",
     "trace_metrics",
     "cacc_entry_values",
@@ -134,7 +135,12 @@ class SwitchingConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one deterministic run needs."""
+    """Everything one deterministic run needs.
+
+    The security game is not stored: ``game`` pairs ``leaf_utilities`` with
+    the report probabilities of ``detector``, so the policy is always solved
+    for the detector that is simulated.
+    """
 
     platoon: PlatoonConfig
     cacc_gains: CaccGains = DEFAULT_CACC_GAINS
@@ -142,7 +148,7 @@ class ScenarioConfig:
     lyapunov: LyapunovCandidate | None = None  # None: search for a certificate
     attack: AttackSpec | None = None
     detector: DetectorModel = field(default_factory=DetectorModel)
-    game: GameSpec = DEFAULT_GAME
+    leaf_utilities: tuple = DEFAULT_GAME.leaf_utilities
     switching: SwitchingConfig = field(default_factory=SwitchingConfig)
     step: float = 0.01
     duration: float = 60.0
@@ -166,6 +172,10 @@ class ScenarioConfig:
             bad = [i for i in self.attack.targets if i > self.platoon.vehicle_count]
             if bad:
                 raise ValueError(f"attack targets {bad} exceed the platoon size")
+
+    @property
+    def game(self) -> GameSpec:
+        return GameSpec.with_detector(self.leaf_utilities, self.detector)
 
 
 @dataclass
@@ -269,30 +279,8 @@ class TraceMetrics:
         }
 
 
-def step_rk4(state, derivative_fn, h: float):
-    """One classical Runge-Kutta step on an array-valued state.
-
-    The vector field must be smooth over the step; the engine guarantees
-    that by freezing modes, attack values, and the leader profile at the
-    step's left endpoint.  Aborts on non-finite results rather than letting
-    divergence propagate silently.
-    """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    state = np.asarray(state, dtype=float)
-    k1 = np.asarray(derivative_fn(state))
-    k2 = np.asarray(derivative_fn(state + 0.5 * h * k1))
-    k3 = np.asarray(derivative_fn(state + 0.5 * h * k2))
-    k4 = np.asarray(derivative_fn(state + h * k3))
-    out = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("integration produced a non-finite state")
-    return out
-
-
-def switching_decision(vehicle, spacing_error, report, equilibrium, dwell_state,
-                       config, rng, now: float = 0.0, error_rate: float = 0.0,
-                       entry_state=None):
+def switching_decision(spacing_error, report, equilibrium, dwell_state, config, rng,
+                       now: float = 0.0, error_rate: float = 0.0, entry_state=None):
     """Mode for one switching unit at a decision instant, with its cause.
 
     Priority: safety surface (|eps| >= epsilon_max forces radar-only), then
@@ -385,32 +373,37 @@ def _input_edges(config: ScenarioConfig, steps: int) -> tuple[list[int], range]:
     return sorted({tick(t) for t in times} - {0, steps + 1}), varying
 
 
-def _resolve_certificate(config: ScenarioConfig):
-    """The (P, worst-case constants) pair used for dwell enforcement."""
-    A_list = [assemble_closed_loop(CACC, config.cacc_gains).A,
-              assemble_closed_loop(ACC, config.acc_gains).A]
-    P = config.lyapunov
-    if P is None:
-        P = find_common_lyapunov(A_list)
-        if P is None and config.switching.dwell_enforced and config.switching.enabled:
-            raise ValueError("no common Lyapunov certificate found; supply one "
-                             "explicitly or disable dwell enforcement")
-    if P is None:
-        return None, None
-    constants = min(
-        (lyapunov_constants(P, A) for A in A_list),
-        key=lambda c: c.lam,
-    )
-    return P, constants
+class CertificateError(ValueError):
+    """Dwell enforcement needs a common Lyapunov certificate and has none."""
 
 
+def resolve_certificate(cacc: CaccGains, acc: AccGains, lyapunov=None):
+    """The two modes' closed-loop matrices, the certificate and its constants.
+
+    P is ``lyapunov`` when given, else the result of the certificate search
+    (None when the search finds nothing).  The constants are the worst case,
+    the smallest decay rate, over both modes; they are None unless P
+    certifies both.  Returns (A_list, P, constants).
+    """
+    A_list = [assemble_closed_loop(CACC, cacc), assemble_closed_loop(ACC, acc)]
+    P = find_common_lyapunov(A_list) if lyapunov is None else lyapunov
+    if P is None or not check_common_lyapunov(P, A_list).passed:
+        return A_list, P, None
+    constants = min((lyapunov_constants(P, A) for A in A_list), key=lambda c: c.lam)
+    return A_list, P, constants
+
+
+# a diverging run is reported once, by the non-finite check on its rows,
+# not by a numpy warning from each operation on the overflowed values
+@np.errstate(over="ignore", invalid="ignore")
 def run_scenario(config: ScenarioConfig) -> SimTrace:
     """Integrate one scenario deterministically.
 
     The returned trace records every state sample, every detector report,
     every supervisor decision with its cause, and every mode change.  The
     run ends early with a collision marker if any follower's front-to-rear
-    gap closes to the vehicle length.
+    gap closes to the vehicle length, and raises FloatingPointError if the
+    state leaves the floats.
     """
     config.cacc_gains.validate()
     config.acc_gains.validate()
@@ -426,7 +419,12 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     eps_max = platoon.epsilon_max
     release_level = sw.hysteresis_release * eps_max
 
-    _, constants = _resolve_certificate(config)
+    _, _, constants = resolve_certificate(config.cacc_gains, config.acc_gains,
+                                          config.lyapunov)
+    if constants is None and sw.enabled and sw.dwell_enforced:
+        raise CertificateError("no common Lyapunov certificate for the configured "
+                               "gains (none found, or the given one fails); supply "
+                               "one or disable dwell enforcement")
 
     if sw.enabled and sw.policy_override is None:
         equilibrium = equilibrium_strategy(config.game)
@@ -485,16 +483,15 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     def sample_detectors(k: int) -> None:
         t = k * h
         for unit in unit_ids:
-            rep = detector_sample(unit_attacked(unit, t), config.detector,
-                                  detector_rng, timestamp=t)
-            latest_report[unit] = rep.value
-            reports.append(ReportEvent(t, unit, rep.value))
+            report = detector_sample(unit_attacked(unit, t), config.detector, detector_rng)
+            latest_report[unit] = report
+            reports.append(ReportEvent(t, unit, report))
 
     prev_eff = effective_modes()
 
     def emit_mode_changes(t, new_eff, cause_map):
         nonlocal prev_eff
-        for idx in np.nonzero(new_eff != prev_eff)[0]:
+        for idx in np.flatnonzero(new_eff != prev_eff).tolist():
             vehicle = idx + 2
             mode = ACC if new_eff[idx] else CACC
             mode_events.append(ModeEvent(t, vehicle, mode, cause_map.get(vehicle, _CAUSE_GAME)))
@@ -644,7 +641,7 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
                         s_rate = float(deps_now[unit - 2])
                         entry = None
                     mode, cause = switching_decision(
-                        unit, s_err, latest_report[unit], equilibrium, state,
+                        s_err, latest_report[unit], equilibrium, state,
                         config, decision_rng, now=t, error_rate=s_rate,
                         entry_state=entry,
                     )
@@ -721,7 +718,8 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
         cut = min(first)
         if cut < rows:
             if first[0] == cut:
-                raise FloatingPointError("integration produced a non-finite state")
+                raise FloatingPointError("integration produced a non-finite state "
+                                         f"at t={(k + 1 + cut) * h:.9g} s")
             if first[1] == cut:
                 tight = np.flatnonzero(gaps[cut] <= platoon.vehicle_length)
                 worst = int(tight[np.argmin(gaps[cut, tight])])

@@ -1,21 +1,20 @@
-"""Domain types and continuous-time dynamics of a longitudinal vehicle platoon.
+"""Domain types of a longitudinal vehicle platoon.
 
 Vehicles are numbered 1..N with vehicle 1 the (human-driven) leader; followers
 hold a constant desired gap L behind their predecessor.  Under the
 predecessor-leader information topology each follower i receives V2V messages
 from vehicle 1 and vehicle i-1.  All coordinates are absolute 1-D road
-positions in meters.
+positions in meters.  Follower i's spacing error is x_i - x_{i-1} + L: zero
+at the desired gap, positive when the follower is too close.
 
-State is stored as flat numpy arrays (index 0 = vehicle 1) so the simulation
-engine can integrate it directly; the public operations take 1-based vehicle
-indices matching the domain convention.
+The message and measurement types here are what one follower's controller
+sees; the simulation engine integrates the whole platoon as one affine map
+and holds its state itself.  Vehicle indices are 1-based.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 __all__ = [
     "VehicleState",
@@ -23,10 +22,7 @@ __all__ = [
     "RadarMeasurement",
     "LeaderProfile",
     "PlatoonConfig",
-    "PlatoonState",
-    "spacing_error",
     "desired_distance",
-    "platoon_derivative",
 ]
 
 
@@ -87,12 +83,6 @@ class LeaderProfile:
     def acceleration(self, t: float) -> float:
         return sum(a for (s, e, a) in self.pulses if s <= t < e)
 
-    def velocity(self, t: float) -> float:
-        v = self.initial_velocity
-        for s, e, a in self.pulses:
-            v += a * max(0.0, min(t, e) - s)
-        return v
-
 
 @dataclass(frozen=True)
 class PlatoonConfig:
@@ -116,64 +106,8 @@ class PlatoonConfig:
             )
 
 
-class PlatoonState:
-    """Positions and velocities of all vehicles, stored as numpy arrays."""
-
-    __slots__ = ("positions", "velocities")
-
-    def __init__(self, positions, velocities):
-        self.positions = np.asarray(positions, dtype=float)
-        self.velocities = np.asarray(velocities, dtype=float)
-        if self.positions.shape != self.velocities.shape or self.positions.ndim != 1:
-            raise ValueError("positions and velocities must be 1-D arrays of equal length")
-
-    @property
-    def vehicle_count(self) -> int:
-        return self.positions.size
-
-    def vehicle(self, i: int) -> VehicleState:
-        """State of vehicle i (1-based)."""
-        return VehicleState(float(self.positions[i - 1]), float(self.velocities[i - 1]))
-
-    @classmethod
-    def equilibrium(cls, n: int, gap: float, velocity: float, lead_position: float = 0.0):
-        """All vehicles at the desired gap, moving at a common speed."""
-        pos = lead_position - gap * np.arange(n, dtype=float)
-        return cls(pos, np.full(n, float(velocity)))
-
-    def copy(self) -> "PlatoonState":
-        return PlatoonState(self.positions.copy(), self.velocities.copy())
-
-
-def spacing_error(state: PlatoonState, i: int, L: float) -> float:
-    """Spacing error of follower i: x_i - x_{i-1} + L (zero at the desired gap).
-
-    Positive values mean the follower is too close to its predecessor.
-    """
-    if not 2 <= i <= state.vehicle_count:
-        raise IndexError(f"follower index {i} outside 2..{state.vehicle_count}")
-    return float(state.positions[i - 1] - state.positions[i - 2] + L)
-
-
 def desired_distance(i: int, j: int, L: float) -> float:
     """Desired separation between vehicles i and j: L times the hop count."""
     if i == j:
         raise ValueError("desired distance is defined only for distinct vehicles")
     return L * abs(i - j)
-
-
-def platoon_derivative(state: PlatoonState, accel_commands, leader_accel: float = 0.0):
-    """Time derivative (dx/dt, dv/dt) of the platoon state.
-
-    ``accel_commands`` supplies one commanded acceleration per vehicle; the
-    leader's entry is ignored and replaced by ``leader_accel`` from its velocity
-    profile, so follower commands can never influence the leader.
-    """
-    u = np.asarray(accel_commands, dtype=float)
-    if u.shape != state.positions.shape:
-        raise ValueError(
-            f"expected {state.vehicle_count} acceleration commands, got {u.size}"
-        )
-    dv = u.copy()
-    dv[0] = leader_accel
-    return state.velocities.copy(), dv

@@ -32,7 +32,6 @@ from .control import ACC, CACC, AccGains, CaccGains
 __all__ = [
     "LyapunovCandidate",
     "LyapunovConstants",
-    "GuesEnvelope",
     "CertificateReport",
     "GuesInequalities",
     "DwellBounds",
@@ -48,7 +47,6 @@ __all__ = [
     "spacing_error_tf",
     "hinf_norm",
     "impulse_response_nonneg",
-    "fit_envelope",
 ]
 
 
@@ -96,18 +94,6 @@ class LyapunovConstants:
     b: float
     c: float
     lam: float
-
-
-@dataclass(frozen=True)
-class GuesEnvelope:
-    """Fitted exponential envelope |z(t)| <= gain * |z(0)| * exp(-rate * t)."""
-
-    gain: float
-    rate: float
-
-    def __post_init__(self):
-        if not (self.gain > 0 and self.rate > 0):
-            raise ValueError("envelope gain and rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -525,12 +511,3 @@ def impulse_response_nonneg(H: TransferFunction, horizon: float = 80.0,
             raise FloatingPointError("impulse-response integration diverged")
     return True
 
-
-def fit_envelope(times, norms, rate: float) -> GuesEnvelope:
-    """Fit the smallest gain c with |z(t)| <= c |z(0)| exp(-rate t) on samples."""
-    times = np.asarray(times, dtype=float)
-    norms = np.asarray(norms, dtype=float)
-    if norms[0] <= 0:
-        raise ValueError("initial state norm must be positive to fit an envelope")
-    gain = float(np.max(norms * np.exp(rate * times)) / norms[0])
-    return GuesEnvelope(gain=gain, rate=rate)

@@ -35,7 +35,6 @@ __all__ = [
     "AttackSignal",
     "AttackSpec",
     "DetectorModel",
-    "DetectorReport",
     "attack_signal",
     "falsify_message",
     "detector_sample",
@@ -134,15 +133,13 @@ def attack_signal(spec: AttackSpec, t: float) -> float:
     return max(-spec.xi_max, min(spec.xi_max, raw))
 
 
-def falsify_message(msg: NeighborMessage, spec: AttackSpec, t: float,
-                    rng=None) -> NeighborMessage:
+def falsify_message(msg: NeighborMessage, spec: AttackSpec, t: float) -> NeighborMessage:
     """Forge a message bound for a victim by offsetting the selected fields.
 
     The caller routes messages: only traffic inbound to a vehicle in
     ``spec.targets`` should pass through here.  Outside the attack window (or
     in lumped mode, which never touches message content) messages pass
-    unchanged.  ``rng`` is accepted for waveforms that may need randomness;
-    the scripted kinds are deterministic and ignore it.
+    unchanged.
     """
     if spec.mode != "message-level" or not spec.active(t):
         return msg
@@ -174,21 +171,8 @@ class DetectorModel:
             raise ValueError("sampling_period must be positive")
 
 
-@dataclass(frozen=True)
-class DetectorReport:
-    """One detector output: 'r' (attack reported) or 'nr', with its timestamp."""
-
-    value: str
-    timestamp: float
-
-    @property
-    def reported(self) -> bool:
-        return self.value == REPORT_ATTACK
-
-
-def detector_sample(attack_active: bool, model: DetectorModel, rng,
-                    timestamp: float = 0.0) -> DetectorReport:
-    """Draw one report from the confusion matrix with the caller's generator."""
+def detector_sample(attack_active: bool, model: DetectorModel, rng) -> str:
+    """Draw one report, REPORT_ATTACK or REPORT_NONE, from the confusion
+    matrix with the caller's generator."""
     p = model.p_report_given_attack if attack_active else model.p_report_given_benign
-    value = REPORT_ATTACK if rng.random() < p else REPORT_NONE
-    return DetectorReport(value=value, timestamp=timestamp)
+    return REPORT_ATTACK if rng.random() < p else REPORT_NONE

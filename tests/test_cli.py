@@ -119,6 +119,42 @@ def test_semantic_error_carries_dotted_path(tmp_path, capsys):
     assert "switching" in capsys.readouterr().err
 
 
+# ---------------------------------------------------------- domain outcomes
+
+@pytest.mark.parametrize("certificate", [
+    # a Hurwitz pair that the certificate search finds no common P for
+    {"gains": {"cacc": {"k1": -100.0, "k2": -0.1}, "acc": {"alpha": -0.01, "beta": -20.0}}},
+    # a given P that does not certify the default pair
+    {"lyapunov": {"p11": 1.0, "p12": 0.0, "p22": 1.0}},
+])
+@pytest.mark.parametrize("argv", [
+    ["stability"],
+    ["simulate"],
+    ["sweep", "--xi-grid", "1.0", "--eps-grid", "4.0", "--runs", "1", "--jobs", "1"],
+])
+def test_missing_certificate_is_outcome(tmp_path, capsys, argv, certificate):
+    config = write_config(tmp_path, attack={"targets": [3]}, **certificate)
+    assert main(argv + ["--config", config, "--out", str(tmp_path)]) == EXIT_OUTCOME
+    captured = capsys.readouterr()
+    assert "certificate" in captured.out + captured.err
+
+
+def test_non_finite_state_is_outcome(tmp_path, capsys):
+    huge = -1e160
+    config = write_config(
+        tmp_path,
+        gains={"cacc": {name: huge for name in ("alpha_pred", "beta_pred", "gamma_pred",
+                                                "alpha_lead", "beta_lead", "gamma_lead")},
+               "acc": {"alpha": huge, "beta": huge}},
+        switching={"dwell_enforced": False},
+        integration={"step": 0.1, "duration": 5.0},
+    )
+    assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == EXIT_OUTCOME
+    err = capsys.readouterr().err
+    assert err.startswith("error: integration produced a non-finite state at t=")
+    assert err.count("\n") == 1
+
+
 # ----------------------------------------------------------------- stability
 
 def test_stability_default_gains_certify(capsys):

@@ -1,8 +1,9 @@
-"""Controller laws and their closed-loop matrix form.
+"""Controller laws and their closed-loop matrices.
 
-The core contract: the scalar message-based laws and the (A, B) matrix form
-assembled for certificate checks are the same function of the state, so
-anything proven about A holds for the code that actually runs.
+The core contract: the matrix A assembled for the certificate checks is the
+message-based law itself, applied to vehicle 2 behind a leader cruising at
+zero acceleration, whose spacing-error state z = (eps, eps') then follows
+zdot = A z.  So anything proven about A holds for the code that actually runs.
 """
 
 import numpy as np
@@ -10,8 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from platoonsec.control import (ACC, CACC, AccGains, CaccGains,
-                                CommunicationLoss, DEFAULT_ACC_GAINS,
-                                DEFAULT_CACC_GAINS, acc_accel,
+                                DEFAULT_ACC_GAINS, DEFAULT_CACC_GAINS, acc_accel,
                                 assemble_closed_loop, cacc_accel)
 from platoonsec.platoon import NeighborMessage, RadarMeasurement, VehicleState
 
@@ -23,68 +23,40 @@ ff_gain = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 def test_default_aggregate_gains():
     assert DEFAULT_CACC_GAINS.k1 == pytest.approx(-1.58)
     assert DEFAULT_CACC_GAINS.k2 == pytest.approx(-2.51)
-    assert DEFAULT_CACC_GAINS.gamma_sum == pytest.approx(1.0)
+    assert DEFAULT_CACC_GAINS.gamma_pred + DEFAULT_CACC_GAINS.gamma_lead == pytest.approx(1.0)
     assert DEFAULT_ACC_GAINS.k3 == -0.25
     assert DEFAULT_ACC_GAINS.k4 == -1.0
 
 
 def test_closed_loop_matrices_match_pinned_values():
-    A = assemble_closed_loop(CACC, DEFAULT_CACC_GAINS).A
+    A = assemble_closed_loop(CACC, DEFAULT_CACC_GAINS)
     assert np.allclose(A, [[0.0, 1.0], [-1.58, -2.51]], atol=1e-12)
-    A = assemble_closed_loop(ACC, DEFAULT_ACC_GAINS).A
+    A = assemble_closed_loop(ACC, DEFAULT_ACC_GAINS)
     assert np.allclose(A, [[0.0, 1.0], [-0.25, -1.0]], atol=1e-12)
 
 
-def test_acc_input_matrix_keeps_zero_acceleration_column():
-    # the radar law has no acceleration feed-through, but the column exists
-    # so both modes share one input layout shape convention
-    form = assemble_closed_loop(ACC, DEFAULT_ACC_GAINS)
-    assert form.B.shape[1] == len(form.input_layout) == 3
-    assert form.B[1, 2] == 0.0
-    assert np.all(form.B[0] == 0.0)
-
-
-def test_cacc_input_layout_orders_leader_before_predecessor():
-    form = assemble_closed_loop(CACC, DEFAULT_CACC_GAINS)
-    layout = form.input_layout
-    assert layout[0].startswith("x_lead") and layout[1].startswith("x_pred")
-    assert layout[4] == "a_lead" and layout[5] == "a_pred"
-    g = DEFAULT_CACC_GAINS
-    expected = [-g.alpha_lead, -g.alpha_pred, -g.beta_lead, -g.beta_pred,
-                g.gamma_lead, g.gamma_pred]
-    assert np.allclose(form.B[1], expected, atol=1e-15)
-
-
-@given(x_i=coord, v_i=coord, x_p=coord, v_p=coord, a_p=coord,
-       x_l=coord, v_l=coord, a_l=coord,
-       k1=gain, k2=gain, gp=ff_gain, gl=ff_gain,
-       i=st.integers(3, 8), L=st.floats(5.0, 20.0))
-def test_cacc_accel_equals_closed_loop_row(x_i, v_i, x_p, v_p, a_p, x_l, v_l,
-                                           a_l, k1, k2, gp, gl, i, L):
-    gains = CaccGains.from_aggregate(k1, k2, split=0.4, gamma_pred=gp,
+@given(eps=coord, deps=coord, x_l=coord, v_l=coord,
+       k1=gain, k2=gain, split=st.floats(0.0, 1.0), gp=ff_gain, gl=ff_gain,
+       L=st.floats(5.0, 20.0))
+def test_cacc_accel_equals_closed_loop_row(eps, deps, x_l, v_l, k1, k2, split,
+                                           gp, gl, L):
+    gains = CaccGains.from_aggregate(k1, k2, split=split, gamma_pred=gp,
                                      gamma_lead=gl)
-    own = VehicleState(x_i, v_i)
-    pred = NeighborMessage(x_p, v_p, a_p, sender_id=i - 1)
-    lead = NeighborMessage(x_l, v_l, a_l, sender_id=1)
-    u = cacc_accel(i, own, pred, lead, gains, L)
-
-    form = assemble_closed_loop(CACC, gains)
-    z = np.array([x_i, v_i])
-    R = np.array([x_l - (i - 1) * L, x_p - L, v_l, v_p, a_l, a_p])
-    row = form.A[1] @ z + form.B[1] @ R
-    assert u == pytest.approx(row, abs=1e-9 * max(1.0, abs(row)))
+    own = VehicleState(x_l - L + eps, v_l + deps)
+    lead = NeighborMessage(x_l, v_l, 0.0, sender_id=1)
+    u = cacc_accel(2, own, lead, lead, gains, L)
+    row = assemble_closed_loop(CACC, gains)[1] @ np.array([eps, deps])
+    assert u == pytest.approx(row, abs=1e-9 * max(1.0, abs(x_l), abs(v_l)))
 
 
-@given(x_i=coord, v_i=coord, x_p=coord, v_p=coord,
-       k3=gain, k4=gain, i=st.integers(2, 8), L=st.floats(5.0, 20.0))
-def test_acc_accel_equals_closed_loop_row(x_i, v_i, x_p, v_p, k3, k4, i, L):
+@given(eps=coord, deps=coord, x_l=coord, v_l=coord,
+       k3=gain, k4=gain, L=st.floats(5.0, 20.0))
+def test_acc_accel_equals_closed_loop_row(eps, deps, x_l, v_l, k3, k4, L):
     gains = AccGains(k3, k4)
-    u = acc_accel(i, VehicleState(x_i, v_i), RadarMeasurement(x_p, v_p), gains, L)
-    form = assemble_closed_loop(ACC, gains)
-    z = np.array([x_i, v_i])
-    R = np.array([x_p - L, v_p, 0.0])
-    row = form.A[1] @ z + form.B[1] @ R
-    assert u == pytest.approx(row, abs=1e-9 * max(1.0, abs(row)))
+    own = VehicleState(x_l - L + eps, v_l + deps)
+    u = acc_accel(2, own, RadarMeasurement(x_l, v_l), gains, L)
+    row = assemble_closed_loop(ACC, gains)[1] @ np.array([eps, deps])
+    assert u == pytest.approx(row, abs=1e-9 * max(1.0, abs(x_l), abs(v_l)))
 
 
 def test_follower_two_consumes_vehicle_one_twice():
@@ -95,17 +67,9 @@ def test_follower_two_consumes_vehicle_one_twice():
     u = cacc_accel(2, own, msg, msg, gains, 10.0)
     eps = own.position - msg.position + 10.0
     deps = own.velocity - msg.velocity
-    expected = gains.k1 * eps + gains.k2 * deps + gains.gamma_sum * msg.acceleration
+    expected = (gains.k1 * eps + gains.k2 * deps
+                + (gains.gamma_pred + gains.gamma_lead) * msg.acceleration)
     assert u == pytest.approx(expected, abs=1e-12)
-
-
-def test_cacc_accel_raises_on_missing_message():
-    own = VehicleState(0.0, 20.0)
-    msg = NeighborMessage(10.0, 20.0, 0.0, sender_id=2)
-    with pytest.raises(CommunicationLoss):
-        cacc_accel(3, own, None, msg, DEFAULT_CACC_GAINS, 10.0)
-    with pytest.raises(CommunicationLoss):
-        cacc_accel(3, own, msg, None, DEFAULT_CACC_GAINS, 10.0)
 
 
 def test_follower_index_validation():

@@ -2,19 +2,22 @@
 
 import dataclasses
 import hashlib
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import platoonsec.engine
 from platoonsec.control import ACC, CACC, AccGains, CaccGains
-from platoonsec.engine import (PLATOON_UNIT, DwellState, ScenarioConfig,
-                               SwitchingConfig, cacc_entry_values,
-                               commanded_accelerations, run_scenario, step_rk4,
+from platoonsec.engine import (PLATOON_UNIT, CertificateError, DwellState,
+                               ScenarioConfig, SwitchingConfig, cacc_entry_values,
+                               commanded_accelerations, run_scenario,
                                switching_decision, trace_metrics,
                                write_metrics_json, write_trace_csv)
-from platoonsec.game import BehavioralStrategy
+from platoonsec.game import BehavioralStrategy, equilibrium_strategy
 from platoonsec.platoon import LeaderProfile, PlatoonConfig
 from platoonsec.stability import (LyapunovCandidate, lyapunov_constants,
                                   min_dwell_time)
@@ -43,29 +46,36 @@ def crash_attack(window=(10.0, 40.0)):
 
 # ------------------------------------------------------------------ stepper
 
-def test_step_rk4_exponential_accuracy():
-    y = np.array([1.0])
-    for _ in range(10):
-        y = step_rk4(y, lambda s: -s, 0.1)
-    assert abs(y[0] - math.exp(-1.0)) < 1e-5
+def leading_hop_error(step, duration=1.0, offset=3.0):
+    """Vehicle 2's spacing-error state behind a cruising leader, integrated by
+    the engine and in closed form: it follows zdot = A z exactly."""
+    trace = run_scenario(ScenarioConfig(
+        platoon=make_platoon(n=2, eps_max=5.0), gap_offsets=(offset,),
+        switching=NO_SWITCH, step=step, duration=duration))
+    z = np.array([trace.spacing_errors[-1, 0],
+                  trace.velocities[-1, 1] - trace.velocities[-1, 0]])
+    w, V = np.linalg.eig(A_CACC)
+    exact = (V @ np.diag(np.exp(w * duration)) @ np.linalg.inv(V)).real @ [offset, 0.0]
+    return np.linalg.norm(z - exact)
 
 
-def test_step_rk4_is_fourth_order():
-    def run(h):
-        y = np.array([1.0])
-        for _ in range(int(round(1.0 / h))):
-            y = step_rk4(y, lambda s: -s, h)
-        return abs(y[0] - math.exp(-1.0))
+def test_engine_step_exponential_accuracy():
+    assert leading_hop_error(0.1) < 1e-5 * 3.0
 
-    ratio = run(0.1) / run(0.05)
+
+def test_engine_step_is_fourth_order():
+    ratio = leading_hop_error(0.1) / leading_hop_error(0.05)
     assert 12.0 < ratio < 20.0  # halving h divides the error by ~2^4
 
 
-def test_step_rk4_rejects_bad_step_and_divergence():
+def test_engine_rejects_bad_step_and_divergence():
     with pytest.raises(ValueError):
-        step_rk4(np.array([1.0]), lambda s: -s, 0.0)
-    with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-        step_rk4(np.array([1e308]), lambda s: s * 1e308, 1.0)
+        ScenarioConfig(platoon=make_platoon(), step=0.0)
+    stiff = ScenarioConfig(platoon=make_platoon(), acc_gains=AccGains(-1e160, -1e160),
+                           switching=SwitchingConfig(enabled=False, initial_mode=ACC),
+                           gap_offsets=(1.0, 0.0, 0.0), step=0.1, duration=5.0)
+    with pytest.raises(FloatingPointError, match="non-finite state at t="):
+        run_scenario(stiff)
 
 
 # --------------------------------------------------------------- validation
@@ -116,12 +126,29 @@ def test_unstable_gain_family_needs_explicit_certificate():
         acc_gains=AccGains(alpha=-0.01, beta=-20.0),
         duration=1.0,
     )
-    with pytest.raises(ValueError, match="no common Lyapunov certificate"):
+    with pytest.raises(CertificateError, match="no common Lyapunov certificate"):
         run_scenario(config)
     # without dwell enforcement the same scenario runs
     relaxed = dataclasses.replace(
         config, switching=SwitchingConfig(dwell_enforced=False))
     run_scenario(relaxed)
+    # a given matrix that does not certify both modes is no certificate either
+    with pytest.raises(CertificateError):
+        run_scenario(ScenarioConfig(platoon=make_platoon(), duration=1.0,
+                                    lyapunov=LyapunovCandidate(1.0, 0.0, 1.0)))
+
+
+def test_game_is_solved_for_the_simulated_detector(monkeypatch):
+    config = dataclasses.replace(
+        ScenarioConfig(platoon=make_platoon(), duration=2.0),
+        detector=DetectorModel(0.95, 0.01))
+    assert config.game.p_report_given_attack == Fraction(19, 20)
+    assert config.game.p_report_given_benign == Fraction(1, 100)
+    solved = []
+    monkeypatch.setattr(platoonsec.engine, "equilibrium_strategy",
+                        lambda spec: solved.append(spec) or equilibrium_strategy(spec))
+    run_scenario(config)
+    assert solved == [config.game]
 
 
 # ----------------------------------------------------------- basic dynamics
@@ -422,6 +449,9 @@ def test_switching_defends_the_same_attack():
     # the victim actually used the radar fallback during the attack
     victim_modes = trace.modes[:, 1]
     assert victim_modes.max() == 1
+    # the mode events serialise: every vehicle id is a Python int
+    events = json.loads(json.dumps([dataclasses.asdict(e) for e in trace.mode_events]))
+    assert len(events) > 3 and {e["vehicle"] for e in events} == {2, 3, 4}
 
 
 def test_safety_surface_dominates_every_other_rule():
@@ -516,7 +546,7 @@ def test_decision_safety_beats_override():
     config = supervisor_config(policy_override=(0.0, 0.0))
     state = DwellState(CACC)
     rng = np.random.default_rng(0)
-    mode, cause = switching_decision(2, 4.0, "nr", None, state, config, rng)
+    mode, cause = switching_decision(4.0, "nr", None, state, config, rng)
     assert (mode, cause) == (ACC, "safety-surface")
     assert state.mode == ACC
 
@@ -525,11 +555,11 @@ def test_decision_dwell_beats_game():
     config = supervisor_config(policy_override=(1.0, 1.0))
     state = DwellState(CACC, entry_time=0.0, required=5.0)
     rng = np.random.default_rng(0)
-    mode, cause = switching_decision(2, 1.0, "r", None, state, config, rng,
+    mode, cause = switching_decision(1.0, "r", None, state, config, rng,
                                      now=2.0)
     assert (mode, cause) == (CACC, "dwell-hold")
     # once the hold expires the override forces the downgrade
-    mode, cause = switching_decision(2, 1.0, "r", None, state, config, rng,
+    mode, cause = switching_decision(1.0, "r", None, state, config, rng,
                                      now=6.0)
     assert (mode, cause) == (ACC, "game")
 
@@ -538,10 +568,10 @@ def test_decision_override_extremes_are_deterministic():
     config = supervisor_config(policy_override=(1.0, 0.0))
     rng = np.random.default_rng(0)
     for _ in range(20):
-        mode, _ = switching_decision(2, 0.0, "r", None, DwellState(CACC),
+        mode, _ = switching_decision(0.0, "r", None, DwellState(CACC),
                                      config, rng)
         assert mode == ACC
-        mode, _ = switching_decision(2, 0.0, "nr", None, DwellState(ACC),
+        mode, _ = switching_decision(0.0, "nr", None, DwellState(ACC),
                                      config, rng)
         assert mode == CACC
 
@@ -550,9 +580,9 @@ def test_decision_samples_equilibrium_policy():
     config = supervisor_config()
     eq = BehavioralStrategy(None, 1.0, 0.0)  # downgrade iff reported
     rng = np.random.default_rng(0)
-    mode, _ = switching_decision(2, 0.0, "r", eq, DwellState(CACC), config, rng)
+    mode, _ = switching_decision(0.0, "r", eq, DwellState(CACC), config, rng)
     assert mode == ACC
-    mode, _ = switching_decision(2, 0.0, "nr", eq, DwellState(ACC), config, rng)
+    mode, _ = switching_decision(0.0, "nr", eq, DwellState(ACC), config, rng)
     assert mode == CACC
 
 
@@ -561,13 +591,13 @@ def test_decision_entry_into_cacc_restarts_dwell():
     consts = lyapunov_constants(P_REF, A_CACC)
     state = DwellState(ACC, constants=consts)
     rng = np.random.default_rng(0)
-    mode, cause = switching_decision(2, 3.0, "nr", None, state, config, rng,
+    mode, cause = switching_decision(3.0, "nr", None, state, config, rng,
                                      now=10.0, error_rate=0.5)
     assert mode == CACC and cause == "game"
     assert state.required == min_dwell_time((3.0, 0.5), (3.0, 0.5), consts).enforced
     # platoon scope supplies the worst-vehicle entry norm explicitly
     state2 = DwellState(ACC, constants=consts)
-    switching_decision(PLATOON_UNIT, 1.0, "nr", None, state2, config, rng,
+    switching_decision(1.0, "nr", None, state2, config, rng,
                        now=10.0, entry_state=(4.0, 0.0))
     assert state2.required == min_dwell_time((4.0, 0.0), (4.0, 0.0), consts).enforced
 

@@ -1,37 +1,40 @@
-"""Platoon geometry, state containers, and the open-loop derivative."""
+"""Platoon geometry, the leader profile, and the controller's inputs."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from platoonsec.platoon import (LeaderProfile, PlatoonConfig, PlatoonState,
-                                desired_distance, platoon_derivative,
-                                spacing_error)
+from platoonsec.engine import ScenarioConfig, SwitchingConfig, run_scenario
+from platoonsec.platoon import LeaderProfile, PlatoonConfig, desired_distance
 
-finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+def cruise(n=5, pulses=(), duration=1.0):
+    """A platoon started at its slots and run without supervision."""
+    platoon = PlatoonConfig(vehicle_count=n, desired_gap=10.0, vehicle_length=4.5,
+                            epsilon_max=4.0,
+                            leader_profile=LeaderProfile(20.0, tuple(pulses)))
+    return run_scenario(ScenarioConfig(platoon=platoon, duration=duration,
+                                       switching=SwitchingConfig(enabled=False)))
 
 
 def test_equilibrium_state_has_zero_spacing_errors():
-    state = PlatoonState.equilibrium(5, gap=10.0, velocity=20.0)
-    for i in range(2, 6):
-        assert spacing_error(state, i, 10.0) == 0.0
-    assert state.vehicle(1).position == 0.0
-    assert state.vehicle(5).position == -40.0
+    trace = cruise()
+    assert (trace.spacing_errors[0] == 0.0).all()
+    assert trace.positions[0, 0] == 0.0
+    assert trace.positions[0, 4] == -40.0
 
 
 def test_spacing_error_sign_convention():
     # follower 2 sits 9 m behind the leader with a 10 m desired gap: it is
-    # 1 m too close, so the error is positive
-    state = PlatoonState([0.0, -9.0], [20.0, 20.0])
-    assert spacing_error(state, 2, 10.0) == pytest.approx(1.0)
-
-
-def test_spacing_error_rejects_leader_and_out_of_range():
-    state = PlatoonState.equilibrium(3, 10.0, 20.0)
-    with pytest.raises(IndexError):
-        spacing_error(state, 1, 10.0)
-    with pytest.raises(IndexError):
-        spacing_error(state, 4, 10.0)
+    # 1 m too close, so the error is positive; follower 3 is half a metre
+    # too far back, so its error is negative
+    platoon = PlatoonConfig(vehicle_count=3, desired_gap=10.0, vehicle_length=4.5,
+                            epsilon_max=4.0, leader_profile=LeaderProfile(20.0, ()))
+    trace = run_scenario(ScenarioConfig(platoon=platoon, duration=1.0,
+                                        gap_offsets=(1.0, -0.5),
+                                        switching=SwitchingConfig(enabled=False)))
+    assert trace.positions[0].tolist() == [0.0, -9.0, -19.5]
+    assert trace.spacing_errors[0, 0] == pytest.approx(1.0)
+    assert trace.spacing_errors[0, 1] == pytest.approx(-0.5)
 
 
 @given(st.integers(1, 8), st.integers(1, 8), st.floats(0.1, 100.0))
@@ -44,17 +47,6 @@ def test_desired_distance_is_symmetric_hop_count(i, j, L):
         assert desired_distance(i, j, L) == pytest.approx(L * abs(i - j))
 
 
-@given(shift=finite, n=st.integers(2, 6))
-def test_spacing_error_invariant_under_rigid_translation(shift, n):
-    rng = np.random.default_rng(0)
-    pos = np.cumsum(-rng.uniform(5, 15, n))
-    state = PlatoonState(pos, np.full(n, 20.0))
-    moved = PlatoonState(pos + shift, np.full(n, 20.0))
-    for i in range(2, n + 1):
-        assert spacing_error(moved, i, 10.0) == pytest.approx(
-            spacing_error(state, i, 10.0), abs=1e-6)
-
-
 def test_leader_profile_pulse_window_is_half_open():
     prof = LeaderProfile(20.0, ((10.0, 13.0, -2.0),))
     assert prof.acceleration(9.999) == 0.0
@@ -64,10 +56,11 @@ def test_leader_profile_pulse_window_is_half_open():
 
 
 def test_leader_profile_velocity_integrates_pulses():
-    prof = LeaderProfile(20.0, ((10.0, 13.0, -2.0), (30.0, 31.0, 1.0)))
-    assert prof.velocity(0.0) == 20.0
-    assert prof.velocity(11.5) == pytest.approx(20.0 - 2.0 * 1.5)
-    assert prof.velocity(100.0) == pytest.approx(20.0 - 6.0 + 1.0)
+    trace = cruise(n=2, pulses=((10.0, 13.0, -2.0), (30.0, 31.0, 1.0)), duration=40.0)
+    leader = dict(zip(trace.times.round(6).tolist(), trace.velocities[:, 0]))
+    assert leader[0.0] == 20.0
+    assert leader[11.5] == pytest.approx(20.0 - 2.0 * 1.5)
+    assert leader[40.0] == pytest.approx(20.0 - 6.0 + 1.0)
 
 
 def test_leader_profile_rejects_empty_pulse():
@@ -90,20 +83,6 @@ def test_overlapping_pulses_sum():
 def test_platoon_config_rejects_inconsistent_geometry(kwargs):
     with pytest.raises(ValueError):
         PlatoonConfig(**kwargs)
-
-
-def test_platoon_derivative_overrides_leader_command():
-    state = PlatoonState.equilibrium(3, 10.0, 20.0)
-    dx, dv = platoon_derivative(state, [99.0, 1.0, 2.0], leader_accel=-2.0)
-    assert np.array_equal(dx, state.velocities)
-    assert dv[0] == -2.0  # the profile wins, follower commands never leak in
-    assert dv[1] == 1.0 and dv[2] == 2.0
-
-
-def test_platoon_derivative_checks_command_length():
-    state = PlatoonState.equilibrium(3, 10.0, 20.0)
-    with pytest.raises(ValueError):
-        platoon_derivative(state, [0.0, 1.0])
 
 
 def test_radar_measurement_has_no_acceleration_field():

@@ -18,8 +18,7 @@ from platoonsec.stability import (LyapunovCandidate, LyapunovConstants,
                                   TransferFunction, check_bibo_lemma1,
                                   check_common_lyapunov,
                                   check_gues_inequalities, find_common_lyapunov,
-                                  fit_envelope, hinf_norm,
-                                  impulse_response_nonneg, lmi_residual,
+                                  hinf_norm, impulse_response_nonneg, lmi_residual,
                                   lyapunov_constants, min_dwell_time,
                                   spacing_error_tf, sym_eig_2x2)
 
@@ -226,14 +225,6 @@ def test_certificate_decay_bounds_trajectories():
             z = expAt @ z0
             bound = math.sqrt(consts.b / consts.a) * math.exp(-consts.lam * t)
             assert np.linalg.norm(z) <= bound * np.linalg.norm(z0) * (1 + 1e-9)
-
-
-def test_fit_envelope_covers_samples():
-    times = np.linspace(0.0, 5.0, 50)
-    norms = 2.0 * np.exp(-0.3 * times)
-    env = fit_envelope(times, norms, rate=0.25)
-    assert env.rate == 0.25
-    assert np.all(norms <= env.gain * norms[0] * np.exp(-env.rate * times) + 1e-12)
 
 
 # ------------------------------------------------ transfer functions / norms

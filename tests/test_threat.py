@@ -181,10 +181,8 @@ def test_detector_validation(kwargs):
 def test_detector_report_flags():
     model = DetectorModel(p_report_given_attack=1.0, p_report_given_benign=0.0)
     rng = np.random.default_rng(0)
-    hit = detector_sample(True, model, rng, timestamp=3.5)
-    assert hit.value == REPORT_ATTACK and hit.reported and hit.timestamp == 3.5
-    miss = detector_sample(False, model, rng)
-    assert miss.value == REPORT_NONE and not miss.reported
+    assert detector_sample(True, model, rng) == REPORT_ATTACK == "r"
+    assert detector_sample(False, model, rng) == REPORT_NONE == "nr"
 
 
 def test_detector_frequencies_match_confusion_matrix():
@@ -193,15 +191,14 @@ def test_detector_frequencies_match_confusion_matrix():
     rng = np.random.default_rng(42)
     n = 10_000
     for active, p in ((True, 0.7), (False, 0.1)):
-        hits = sum(detector_sample(active, model, rng).reported for _ in range(n))
+        hits = sum(detector_sample(active, model, rng) == REPORT_ATTACK for _ in range(n))
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(hits / n - p) < 3 * sigma
 
 
 def test_detector_reproducible_with_seeded_generator():
     model = DetectorModel()
-    a = [detector_sample(True, model, np.random.default_rng(7)).value
-         for _ in range(5)]
+    a = [detector_sample(True, model, np.random.default_rng(7)) for _ in range(5)]
     assert len(set(a)) == 1  # same seed, same draw
 
 
