@@ -33,17 +33,21 @@ the attack window, a step of a table signal); between those events the
 closed loop is one affine map x' = Phi x + c.  So the supervisor acts once
 at a segment's first row, the constants are built once, and the segment
 runs to the next decision tick or input edge with one matrix-vector product
-per step for the state and one for the recorded command.  (A ramp or
-sinusoid attack has a new value every step; its segments rebuild c for each
-step, as a per-step loop would.)  The per-row checks (a non-finite state, a
-collision, a safety-surface crossing) then scan the segment's rows at once,
-and the segment is cut at the first row one of them acts on; the supervisor
-handles that row as the next segment's first.  Detector reports change no
+per step, for the state alone.  (A ramp or sinusoid attack has a new value
+every step; its segments rebuild c for each step, as a per-step loop
+would.)  The per-row checks (a non-finite state, a collision, a
+safety-surface crossing) then scan the segment's rows at once, and the
+segment is cut at the first row one of them acts on; the supervisor handles
+that row as the next segment's first.  No step reads the recorded command
+u = R x + g, so the commands of the kept rows are computed after the cut,
+in one stacked matmul over the rows: numpy runs the same BLAS
+matrix-vector kernel on each row as ``np.dot(R, x)``, where a matrix-matrix
+product over the block would round differently.  Detector reports change no
 mode, so the reports of the ticks inside a kept segment are drawn after it,
-in tick order, from the detector's own generator.  Every row is therefore
-computed by the same floating-point operations, on the same values and in
-the same order, as when the supervisor ran on every step: the trace and its
-outputs are bit-identical to per-step supervision.
+in tick order, in one batch from the detector's own generator.  Every row
+is therefore computed by the same floating-point operations, on the same
+values and in the same order, as when the supervisor ran on every step: the
+trace and its outputs are bit-identical to per-step supervision.
 """
 
 from __future__ import annotations
@@ -480,12 +484,17 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
             return True
         return unit in attack.targets
 
-    def sample_detectors(k: int) -> None:
-        t = k * h
-        for unit in unit_ids:
-            report = detector_sample(unit_attacked(unit, t), config.detector, detector_rng)
-            latest_report[unit] = report
-            reports.append(ReportEvent(t, unit, report))
+    def sample_detectors(ticks: range) -> None:
+        """Every unit's report at each tick, drawn in (tick, unit) order."""
+        times = [j * h for j in ticks]
+        drawn = iter(detector_sample([unit_attacked(unit, t) for t in times
+                                      for unit in unit_ids],
+                                     config.detector, detector_rng))
+        for t in times:
+            for unit in unit_ids:
+                report = next(drawn)
+                latest_report[unit] = report
+                reports.append(ReportEvent(t, unit, report))
 
     prev_eff = effective_modes()
 
@@ -602,7 +611,7 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
         if sw.enabled and not final:
             # 1. detector sampling (left endpoint of the step)
             if k % det_every == 0:
-                sample_detectors(k)
+                sample_detectors(range(k, k + 1))
 
             # 2. safety surface with hysteresis
             cause_map = {}
@@ -688,16 +697,13 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
             # a ramp or sinusoid takes a new value every step, and the
             # constant part of the map with it
             xis = [xi] + [attack_signal(attack, j * h) for j in range(k + 1, end)]
-            consts = [(g_j, psi_g @ g_j) for g_j in
-                      [g] + [_accel_consts(frozen, lead_acc, v, hit) for v in xis[1:]]]
+            gs = [g] + [_accel_consts(frozen, lead_acc, v, hit) for v in xis[1:]]
+            consts = [psi_g @ g_j for g_j in gs]
         else:
             xis = [xi] * (end - k)
-            consts = itertools.repeat((g, psi_g @ g), end - k)
-        for j, (g_j, c_j) in zip(range(k, end), consts):
-            u = commands[j]
-            dot(R, x, out=u)
-            u += g_j
-            x_next = states[j + 1]
+            consts = itertools.repeat(psi_g @ g, end - k)
+        for j, c_j in zip(range(k + 1, end + 1), consts):
+            x_next = states[j]
             dot(phi, x, out=x_next)
             x_next += c_j
             x = x_next
@@ -727,6 +733,12 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
                                           gap=float(gaps[cut, worst]))
         cut = min(k + 1 + cut, end)
 
+        # the kept rows' commands, one matrix-vector product a row: stacked
+        # matmul runs the gemv kernel of ``dot`` on each row (a GEMM over
+        # the block would not round the same way)
+        kept = commands[k:cut]
+        np.matmul(R, states[k:cut, :, None], out=kept[:, :, None])
+        kept += np.array(gs[:cut - k]) if k in varying else g
         xi_rows = np.array(xis[:cut - k])
         if disturbed:
             hit_rows = np.flatnonzero(xi_rows != 0.0)
@@ -735,8 +747,9 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
         xi_grid[k:cut] = xi_rows
         if sw.enabled:
             # detector reports of the rows kept, drawn in tick order
-            for j in range((k // det_every + 1) * det_every, cut, det_every):
-                sample_detectors(j)
+            ticks = range((k // det_every + 1) * det_every, cut, det_every)
+            if ticks:
+                sample_detectors(ticks)
         k = cut
 
     last = k + 1

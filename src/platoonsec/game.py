@@ -19,6 +19,7 @@ reported with representative points and a flag.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -425,11 +426,14 @@ def monte_carlo_play(spec: GameSpec, behavioral: BehavioralStrategy,
     )
 
 
+@functools.lru_cache
 def equilibrium_strategy(spec: GameSpec) -> BehavioralStrategy:
     """Solve the game and return the behavioral profile driving the switch.
 
     When several equilibria exist the defender-optimal one is selected (the
     defender operates the switch, so it plays the equilibrium it prefers).
+    The solution is memoised per spec: both types are frozen, and seed
+    ensembles and sweep cells solve the same game in every run.
     """
     equilibria = solve_nash(to_normal_form(spec))
     if not equilibria:

@@ -499,15 +499,18 @@ def impulse_response_nonneg(H: TransferFunction, horizon: float = 80.0,
     B[-1] = 1.0
     C = np.array(num[::-1])
 
-    hA = step * A
-    M = np.eye(n) + hA + hA @ hA / 2.0 + hA @ hA @ hA / 6.0 + hA @ hA @ hA @ hA / 24.0
-    z = B.copy()
-    steps = int(math.ceil(horizon / step))
-    for _ in range(steps):
-        z = M @ z
-        if C @ z < -tol:
-            return False
-        if not np.all(np.isfinite(z)):
-            raise FloatingPointError("impulse-response integration diverged")
+    # a diverging response is reported once, by the non-finite check below,
+    # not by a numpy warning from each operation on the overflowed values
+    with np.errstate(over="ignore", invalid="ignore"):
+        hA = step * A
+        M = np.eye(n) + hA + hA @ hA / 2.0 + hA @ hA @ hA / 6.0 + hA @ hA @ hA @ hA / 24.0
+        z = B.copy()
+        steps = int(math.ceil(horizon / step))
+        for _ in range(steps):
+            z = M @ z
+            if C @ z < -tol:
+                return False
+            if not np.all(np.isfinite(z)):
+                raise FloatingPointError("impulse-response integration diverged")
     return True
 

@@ -171,8 +171,16 @@ class DetectorModel:
             raise ValueError("sampling_period must be positive")
 
 
-def detector_sample(attack_active: bool, model: DetectorModel, rng) -> str:
-    """Draw one report, REPORT_ATTACK or REPORT_NONE, from the confusion
-    matrix with the caller's generator."""
-    p = model.p_report_given_attack if attack_active else model.p_report_given_benign
-    return REPORT_ATTACK if rng.random() < p else REPORT_NONE
+def detector_sample(attacked: list[bool], model: DetectorModel, rng) -> list[str]:
+    """Draw one report, REPORT_ATTACK or REPORT_NONE, per attack flag in
+    ``attacked`` from the confusion matrix with the caller's generator.
+
+    The draws are one ``rng.random(len(attacked))`` call, which yields the
+    same doubles as that many successive single draws, so a batch gives the
+    reports of drawing one flag at a time, in order.
+    """
+    p_attack = model.p_report_given_attack
+    p_benign = model.p_report_given_benign
+    draws = rng.random(len(attacked)).tolist()
+    return [REPORT_ATTACK if d < (p_attack if a else p_benign) else REPORT_NONE
+            for d, a in zip(draws, attacked)]

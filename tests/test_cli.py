@@ -6,6 +6,7 @@ can be asserted without spawning interpreters.
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -238,6 +239,16 @@ def test_string_check_cacc_leader_coupling_rejected(capsys):
     # the default cooperative law has leader terms: no single-hop relation
     assert main(["string-check", "--mode", "CACC"]) == EXIT_INPUT
     assert "leader" in capsys.readouterr().err
+
+
+def test_string_check_divergence_is_one_error_line(capsys):
+    # the step matrix overflows: one error line, no numpy warning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["string-check", "--num", "1e160", "1e160",
+                     "--den", "1", "1e160", "1e160"])
+    assert code == EXIT_OUTCOME
+    assert capsys.readouterr().err == "error: impulse-response integration diverged\n"
 
 
 # -------------------------------------------------------------------- sweep

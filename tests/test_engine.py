@@ -78,6 +78,28 @@ def test_engine_rejects_bad_step_and_divergence():
         run_scenario(stiff)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+@np.errstate(over="ignore", invalid="ignore")  # as in run_scenario
+def test_stacked_matmul_rounds_like_per_row_dot(n):
+    """The engine records a segment's commands with one stacked matmul over
+    its rows; each row must hold the bytes of ``np.dot(R, x)``, the product
+    a per-step loop computes.  A numpy or BLAS build whose stacked matmul
+    takes another kernel fails here instead of changing traces silently."""
+    rng = np.random.default_rng(n)
+    R = rng.normal(size=(n, 2 * n)) * 10.0 ** rng.integers(-3, 4, size=(n, 2 * n))
+    for rows in (1, 2, 5, 50, 128):
+        # the engine's layout: a block of rows inside a longer state array
+        states = rng.normal(scale=50.0, size=(rows + 3, 2 * n))
+        states[1 + rows // 2, n - 1] = np.inf
+        states[rows, 0] = np.nan
+        states[1, 2 * n - 1] = -np.inf
+        block = states[1:1 + rows]
+        commands = np.zeros((rows + 3, n))
+        np.matmul(R, block[:, :, None], out=commands[1:1 + rows, :, None])
+        stacked = np.stack([np.dot(R, x) for x in block])
+        assert commands[1:1 + rows].tobytes() == stacked.tobytes(), rows
+
+
 # --------------------------------------------------------------- validation
 
 def test_scenario_validation():

@@ -17,6 +17,7 @@ from platoonsec.game import (DEFAULT_GAME, DEFENDER_PURE_STRATEGIES, LEAF_ORDER,
                              equilibrium_strategy, expected_utilities,
                              monte_carlo_play, solve_nash, to_behavioral,
                              to_normal_form)
+from platoonsec.threat import DetectorModel
 
 F = Fraction
 
@@ -151,6 +152,22 @@ def test_equilibrium_strategy_picks_defender_optimal():
     assert strat.attacker_p_attack == 0
     assert strat.defender_p_downgrade_given_r == 0
     assert strat.defender_p_downgrade_given_nr == 0
+
+
+def test_equilibrium_strategy_is_memoised_per_spec():
+    """Equal specs share one solved profile; a spec built for another
+    detector is solved on its own."""
+    spec = GameSpec(DEFAULT_GAME.leaf_utilities, 0.7, 0.1)
+    equal = GameSpec(list(DEFAULT_GAME.leaf_utilities), F(7, 10), F(1, 10))
+    assert spec == equal and spec is not equal
+    solved = equilibrium_strategy(spec)
+    assert equilibrium_strategy(equal) is solved
+    assert solved == equilibrium_strategy.__wrapped__(spec)
+
+    other = GameSpec.with_detector(DEFAULT_GAME.leaf_utilities, DetectorModel(0.95, 0.01))
+    sharp = equilibrium_strategy(other)
+    assert sharp == equilibrium_strategy.__wrapped__(other)
+    assert sharp != solved
 
 
 def test_perfectly_informative_detector_shrinks_attack_rate():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from platoonsec.platoon import NeighborMessage
 from platoonsec.threat import (MESSAGE_FIELDS, REPORT_ATTACK, REPORT_NONE,
@@ -181,8 +181,8 @@ def test_detector_validation(kwargs):
 def test_detector_report_flags():
     model = DetectorModel(p_report_given_attack=1.0, p_report_given_benign=0.0)
     rng = np.random.default_rng(0)
-    assert detector_sample(True, model, rng) == REPORT_ATTACK == "r"
-    assert detector_sample(False, model, rng) == REPORT_NONE == "nr"
+    assert detector_sample([True, False], model, rng) == [REPORT_ATTACK, REPORT_NONE]
+    assert (REPORT_ATTACK, REPORT_NONE) == ("r", "nr")
 
 
 def test_detector_frequencies_match_confusion_matrix():
@@ -191,15 +191,37 @@ def test_detector_frequencies_match_confusion_matrix():
     rng = np.random.default_rng(42)
     n = 10_000
     for active, p in ((True, 0.7), (False, 0.1)):
-        hits = sum(detector_sample(active, model, rng) == REPORT_ATTACK for _ in range(n))
+        hits = detector_sample([active] * n, model, rng).count(REPORT_ATTACK)
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(hits / n - p) < 3 * sigma
 
 
 def test_detector_reproducible_with_seeded_generator():
     model = DetectorModel()
-    a = [detector_sample(True, model, np.random.default_rng(7)) for _ in range(5)]
-    assert len(set(a)) == 1  # same seed, same draw
+    a = [detector_sample([True], model, np.random.default_rng(7)) for _ in range(5)]
+    assert len(set(map(tuple, a))) == 1  # same seed, same draw
+
+
+@given(flags=st.lists(st.booleans(), max_size=60), seed=st.integers(0, 2**32 - 1))
+@example(flags=[True, False, False, True, True, False, True], seed=0)
+def test_detector_batch_equals_successive_single_draws(flags, seed):
+    model = DetectorModel(p_report_given_attack=0.6, p_report_given_benign=0.3)
+    batch_rng = np.random.default_rng(seed)
+    batch = detector_sample(flags, model, batch_rng)
+    single_rng = np.random.default_rng(seed)
+    assert batch == [detector_sample([f], model, single_rng)[0] for f in flags]
+    # each report is the scalar draw ``rng.random() < p`` of its flag
+    scalar_rng = np.random.default_rng(seed)
+    assert batch == [REPORT_ATTACK if scalar_rng.random() < (0.6 if f else 0.3)
+                     else REPORT_NONE for f in flags]
+    assert batch_rng.bit_generator.state == single_rng.bit_generator.state
+
+
+def test_detector_empty_batch_leaves_generator_untouched():
+    rng = np.random.default_rng(11)
+    state = rng.bit_generator.state
+    assert detector_sample([], DetectorModel(), rng) == []
+    assert rng.bit_generator.state == state
 
 
 def test_message_fields_constant_is_complete():
