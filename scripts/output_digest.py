@@ -8,6 +8,13 @@ output file's sha256 in ``sha256sum`` format and, last, the sha256 of that
 whole listing.  Run it on two trees and compare the last lines; equal listing
 digests mean equal bytes in all 65 files.
 
+A last line, ``trace sha256``, digests the in-memory traces of
+benign_switching at seeds 0-49 and crash_defended at seeds 0-7: every array's
+shape, dtype and bytes, then the reports, decisions, mode events and
+collision by their ``repr``.  The files above hold no reports or decisions,
+so this line is what pins them, over an ensemble as large as the
+benchmark's.
+
 The digests hold per machine, not across machines: the traces go through
 BLAS matrix-vector products, and BLAS libraries pick their kernels by CPU,
 so another CPU (or another numpy/BLAS build) may round differently.
@@ -16,19 +23,23 @@ Usage: python scripts/output_digest.py
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import sys
 import tempfile
 from pathlib import Path
 
-from platoonsec import cli
+from platoonsec import cli, load_scenario, run_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SEEDS = range(4)
 RUN_FILES = ("trace.csv", "metrics.json", "spacing.dat", "velocity.dat")
 SWEEP = ["--config", str(CONFIGS / "crash_defended.json"), "--xi-grid", "1", "2.5", "4",
          "--eps-grid", "2", "4", "--runs", "4", "--seed", "0", "--jobs", "1"]
+TRACE_RUNS = (("benign_switching", range(50)), ("crash_defended", range(8)))
+TRACE_ARRAYS = ("times", "positions", "velocities", "commands", "modes",
+                "spacing_errors", "attack_xi")
 
 
 def run(argv) -> None:
@@ -48,6 +59,22 @@ def listing(root: Path) -> list[str]:
             for p in files]
 
 
+def trace_digest() -> str:
+    """sha256 over the traces of TRACE_RUNS, run in-process in that order."""
+    digest = hashlib.sha256()
+    for stem, seeds in TRACE_RUNS:
+        base = load_scenario(CONFIGS / f"{stem}.json")
+        for seed in seeds:
+            trace = run_scenario(dataclasses.replace(base, seed=seed))
+            for name in TRACE_ARRAYS:
+                array = getattr(trace, name)
+                digest.update(f"{name} {array.shape} {array.dtype}".encode())
+                digest.update(array.tobytes())
+            digest.update(repr((trace.reports, trace.decisions, trace.mode_events,
+                                trace.collision)).encode())
+    return digest.hexdigest()
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -60,6 +87,7 @@ def main() -> None:
     text = "".join(line + "\n" for line in lines)
     sys.stdout.write(text)
     print(f"listing sha256 {hashlib.sha256(text.encode()).hexdigest()}")
+    print(f"trace sha256 {trace_digest()}")
 
 
 if __name__ == "__main__":

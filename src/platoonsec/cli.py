@@ -253,6 +253,10 @@ def _sweep_cell(payload) -> tuple:
 
 
 def cmd_sweep(request: CommandRequest) -> int:
+    for flag in ("runs", "jobs"):
+        value = request.extra[flag]
+        if value is not None and value < 1:
+            raise ValueError(f"--{flag} must be at least 1, got {value}")
     base = _load(request)
     if base.attack is None:
         raise ConfigError("attack", "sweep varies the attack magnitude; the base "

@@ -31,23 +31,32 @@ The run advances in segments.  A mode can change only at a decision tick or
 at a safety-surface crossing, and an input only at an edge (a leader pulse,
 the attack window, a step of a table signal); between those events the
 closed loop is one affine map x' = Phi x + c.  So the supervisor acts once
-at a segment's first row, the constants are built once, and the segment
-runs to the next decision tick or input edge with one matrix-vector product
-per step, for the state alone.  (A ramp or sinusoid attack has a new value
-every step; its segments rebuild c for each step, as a per-step loop
-would.)  The per-row checks (a non-finite state, a collision, a
-safety-surface crossing) then scan the segment's rows at once, and the
-segment is cut at the first row one of them acts on; the supervisor handles
-that row as the next segment's first.  No step reads the recorded command
-u = R x + g, so the commands of the kept rows are computed after the cut,
-in one stacked matmul over the rows: numpy runs the same BLAS
-matrix-vector kernel on each row as ``np.dot(R, x)``, where a matrix-matrix
-product over the block would round differently.  Detector reports change no
-mode, so the reports of the ticks inside a kept segment are drawn after it,
-in tick order, in one batch from the detector's own generator.  Every row
-is therefore computed by the same floating-point operations, on the same
-values and in the same order, as when the supervisor ran on every step: the
-trace and its outputs are bit-identical to per-step supervision.
+at a segment's first row, Phi and c are built once a run for each set of
+frozen inputs, and the segment runs to the next decision tick or input edge
+with one matrix-vector product per step, for the state alone.  (A ramp or
+sinusoid attack has a new value every step; its segments rebuild c for
+each step, as a per-step loop would.)  The per-row checks (a non-finite
+state, a collision, a safety-surface crossing) then act on the segment's
+rows at once.  A quiet segment passes a test of the whole block that is
+exact for floats: its last row is finite (a non-finite entry stays
+non-finite under the step), its smallest gap exceeds the vehicle length,
+the spacing errors of its two extreme gaps lie inside epsilon_max (fl(L -
+gap) is monotone in the gap), and no follower is latched.  Any other
+segment is scanned row by row and cut at the first row a check acts on;
+the supervisor handles that row as the next segment's first, latching and
+releasing the followers the scan found there.  No step reads the recorded
+command u = R x + g, so the commands are computed after the run, one
+stacked matmul over each span of rows that shares a map: numpy runs the
+same BLAS matrix-vector kernel on each row as ``np.dot(R, x)``, where a
+matrix-matrix product over the rows would round differently.  A detector
+report depends on time alone (the attack window, the targets and the
+detector's own generator), never on the state, so every sampling tick's
+reports are drawn before the run, in (tick, unit) order, in one batch from
+that generator; a decision reads the latest one by index, and the report
+records of the ticks before the final row are built after the run.  Every
+row is therefore computed by the same floating-point operations, on the
+same values and in the same order, as when the supervisor ran on every
+step: the trace and its outputs are bit-identical to per-step supervision.
 """
 
 from __future__ import annotations
@@ -69,8 +78,8 @@ from .platoon import (NeighborMessage, PlatoonConfig, RadarMeasurement,
                       VehicleState)
 from .stability import (LyapunovCandidate, LyapunovConstants, check_common_lyapunov,
                         find_common_lyapunov, lyapunov_constants, min_dwell_time)
-from .threat import (AttackSpec, DetectorModel, REPORT_NONE,
-                     attack_signal, detector_sample, falsify_message)
+from .threat import (AttackSpec, DetectorModel, attack_signal, detector_sample,
+                     falsify_message)
 
 __all__ = [
     "PLATOON_UNIT",
@@ -414,6 +423,7 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     platoon = config.platoon
     n = platoon.vehicle_count
     L = platoon.desired_gap
+    vehicle_length = platoon.vehicle_length
     h = config.step
     sw = config.switching
     steps = max(1, int(round(config.duration / h)))
@@ -453,58 +463,53 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
 
     per_vehicle = sw.scope == "per-vehicle"
     unit_ids = tuple(range(2, n + 1)) if per_vehicle else (PLATOON_UNIT,)
-    units = {u: DwellState(sw.initial_mode, constants=constants) for u in unit_ids}
-    latest_report = {u: REPORT_NONE for u in unit_ids}
-    latched = np.zeros(n, dtype=bool)  # per-follower safety latch (leader unused)
+    units = [DwellState(sw.initial_mode, constants=constants) for _ in unit_ids]
+    # the switching unit of each follower column
+    unit_of = [units[i if per_vehicle else 0] for i in range(n - 1)]
+    latched = np.zeros(n - 1, dtype=bool)  # per-follower safety latch
 
     attack = config.attack
     cacc = config.cacc_gains
     acc = config.acc_gains
+    targeted = [attack is not None and i + 1 in attack.targets for i in range(n)]
 
-    reports: list[ReportEvent] = []
     decisions: list[DecisionEvent] = []
     mode_events: list[ModeEvent] = [
         ModeEvent(0.0, i, sw.initial_mode, _CAUSE_INITIAL) for i in range(2, n + 1)
     ]
     collision: CollisionInfo | None = None
 
+    # A report depends on time alone (the attack window, the targets and the
+    # detector's own generator), never on the state, so every sampling
+    # tick's reports are drawn here, in (tick, unit) order, in one batch:
+    # unit u's report at tick j * det_every is drawn[j * len(unit_ids) + u].
+    report_ticks = range(0, steps, det_every) if sw.enabled else range(0)
+    reached = [attack is not None and (unit == PLATOON_UNIT or unit in attack.targets)
+               for unit in unit_ids]  # by the attack, while its window is open
+    attacked = [hit and attack.active(j * h) for j in report_ticks for hit in reached]
+    drawn = detector_sample(attacked, config.detector, detector_rng) if attacked else []
+
     def effective_modes() -> np.ndarray:
         """uint8 mode per follower column (0 = cooperative, 1 = radar-only)."""
-        out = np.zeros(n - 1, dtype=np.uint8)
-        for i in range(2, n + 1):
-            unit = units[i if per_vehicle else PLATOON_UNIT]
-            forced = latched[i - 1]
-            out[i - 2] = 1 if (forced or unit.mode == ACC) else 0
-        return out
-
-    def unit_attacked(unit: int, t: float) -> bool:
-        if attack is None or not attack.active(t):
-            return False
-        if unit == PLATOON_UNIT:
-            return True
-        return unit in attack.targets
-
-    def sample_detectors(ticks: range) -> None:
-        """Every unit's report at each tick, drawn in (tick, unit) order."""
-        times = [j * h for j in ticks]
-        drawn = iter(detector_sample([unit_attacked(unit, t) for t in times
-                                      for unit in unit_ids],
-                                     config.detector, detector_rng))
-        for t in times:
-            for unit in unit_ids:
-                report = next(drawn)
-                latest_report[unit] = report
-                reports.append(ReportEvent(t, unit, report))
+        radar = np.array([unit.mode == ACC for unit in units])
+        return (latched | radar).view(np.uint8)  # one platoon unit broadcasts
 
     prev_eff = effective_modes()
 
-    def emit_mode_changes(t, new_eff, cause_map):
+    def emit_mode_changes(t, cause_map):
         nonlocal prev_eff
-        for idx in np.flatnonzero(new_eff != prev_eff).tolist():
+        new_eff = effective_modes()
+        for idx in (new_eff != prev_eff).nonzero()[0].tolist():
             vehicle = idx + 2
             mode = ACC if new_eff[idx] else CACC
             mode_events.append(ModeEvent(t, vehicle, mode, cause_map.get(vehicle, _CAUSE_GAME)))
         prev_eff = new_eff
+
+    def surface_flags(ahead) -> np.ndarray:
+        """Per row of positions and follower: does the safety surface act,
+        latching a free follower or releasing a latched one?"""
+        e = np.abs(ahead[:, 1:] - ahead[:, :-1] + L)
+        return np.where(latched, e <= release_level, e >= eps_max)
 
     lumped = attack is not None and attack.mode == "lumped-acceleration"
     offset_fields = (attack.message_fields
@@ -522,6 +527,7 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     # product per step instead of four controller-chain evaluations.
     ident = np.eye(2 * n)
     step_maps: dict[bytes, tuple] = {}
+    segment_maps: dict[tuple, tuple] = {}
 
     def _accel_rows(pattern) -> np.ndarray:
         """Linear part of the physical-acceleration chain, front to back.
@@ -568,7 +574,7 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
             step_maps[key] = cached
         return cached
 
-    def _accel_consts(pattern, lead_acc, xi, hit) -> np.ndarray:
+    def _accel_consts(pattern, lead_acc, xi, active) -> np.ndarray:
         """Constant part of the chain for the segment's frozen inputs.
 
         Message falsification adds the attack value to the selected fields of
@@ -579,8 +585,9 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
         g = np.empty(n)
         g[0] = lead_acc
         for i in range(1, n):
+            hit = active and targeted[i]
             if pattern[i - 1] == 0:  # cooperative
-                if hit[i + 1]:
+                if hit:
                     ox = xi if off_x else 0.0
                     ov = xi if off_v else 0.0
                     oa = xi if off_a else 0.0
@@ -590,100 +597,119 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
                         + cacc.gamma_pred * (g[i - 1] + oa)
                         + cacc.alpha_lead * (i * L - ox) - cacc.beta_lead * ov
                         + cacc.gamma_lead * (lead_acc + oa))
-                if lumped and hit[i + 1]:
+                if lumped and hit:
                     g[i] += xi
             else:  # radar-only: immune to transmitted content
                 g[i] = acc.alpha * L
         return g
 
-    dot = np.dot  # the same BLAS matrix-vector product as ``@``, with less dispatch
+    def _segment_map(pattern, lead_acc, xi, active):
+        """(R, Phi, Psi_g, g, Psi_g g, disturbed, pattern, xi) for one set of
+        frozen inputs, built once per run.  ``disturbed`` lists the followers
+        whose recorded command excludes a nonzero lumped disturbance.  The
+        key tells 0.0 from -0.0, which can round a sum differently."""
+        key = (pattern.tobytes(), lead_acc, math.copysign(1.0, lead_acc),
+               xi, math.copysign(1.0, xi), active)
+        cached = segment_maps.get(key)
+        if cached is None:
+            R, phi, psi_g = _step_map(pattern)
+            g = _accel_consts(pattern, lead_acc, xi, active)
+            disturbed = [i for i in range(1, n)
+                         if lumped and active and targeted[i] and pattern[i - 1] == 0]
+            cached = (R, phi, psi_g, g, psi_g @ g, disturbed, pattern, xi)
+            segment_maps[key] = cached
+        return cached
+
+    # Kept rows, as [first row, end row, segment map, per-row (g, xi) or
+    # None]: no step reads a recorded command, so the commands, modes and
+    # attack values are written after the run, one span of rows at a time,
+    # where consecutive segments with the same map share one span.
+    spans: list[list] = []
+
+    def keep(start, stop, segment, per_row=None):
+        """Rows start..stop-1 were stepped under ``segment``; each segment
+        starts where the last one was cut."""
+        if per_row is None and spans and spans[-1][2] is segment and spans[-1][3] is None:
+            spans[-1][1] = stop
+        else:
+            spans.append([start, stop, segment, per_row])
+
+    flips: list[int] = (surface_flags(states[:1, :n])[0].nonzero()[0].tolist()
+                        if sw.enabled else [])
+    none_latched = True
     k = 0
     while True:
         # -- segment start: the supervisor acts on row k
         final = (k == steps) or (collision is not None)
+        if final:
+            flips = []  # the final row is recorded before supervision
         t = k * h
         x = states[k]
-        pos = x[:n]
-        vel = x[n:]
-        eps_now = pos[1:] - pos[:-1] + L
-        deps_now = vel[1:] - vel[:-1]
+        decide = sw.enabled and not final and k > 0 and k % dec_every == 0
+        if flips or decide:
+            pos = x[:n]
+            vel = x[n:]
+            eps_now = pos[1:] - pos[:-1] + L
+            deps_now = vel[1:] - vel[:-1]
 
-        if sw.enabled and not final:
-            # 1. detector sampling (left endpoint of the step)
-            if k % det_every == 0:
-                sample_detectors(range(k, k + 1))
-
-            # 2. safety surface with hysteresis
+        if flips:
+            # the safety surface with hysteresis: ``flips`` are the followers
+            # the cut scan (or, at t = 0, the first row's test) found acting
             cause_map = {}
-            changed = False
-            for i in range(2, n + 1):
-                e = abs(eps_now[i - 2])
-                if not latched[i - 1] and e >= eps_max:
-                    latched[i - 1] = True
-                    cause_map[i] = _CAUSE_SAFETY
-                    changed = True
-                elif latched[i - 1] and e <= release_level:
-                    latched[i - 1] = False
-                    cause_map[i] = _CAUSE_RELEASE
-                    changed = True
-                    unit = units[i if per_vehicle else PLATOON_UNIT]
+            for col in flips:
+                if latched[col]:
+                    latched[col] = False
+                    cause_map[col + 2] = _CAUSE_RELEASE
+                    unit = unit_of[col]
                     if unit.mode == CACC:
                         # re-entering the cooperative mode: restart its dwell
-                        unit.enter(CACC, t, error_state=(eps_now[i - 2], deps_now[i - 2]),
+                        unit.enter(CACC, t, error_state=(eps_now[col], deps_now[col]),
                                    dwell_enforced=sw.dwell_enforced)
-            if changed:
-                emit_mode_changes(t, effective_modes(), cause_map)
+                else:
+                    latched[col] = True
+                    cause_map[col + 2] = _CAUSE_SAFETY
+            none_latched = not latched.any()
+            emit_mode_changes(t, cause_map)
 
-            # 3. game/dwell decisions at the decision cadence
-            if k > 0 and k % dec_every == 0:
-                cause_map = {}
-                for unit in unit_ids:
-                    state = units[unit]
-                    if unit == PLATOON_UNIT:
-                        worst = int(np.argmax(np.abs(eps_now)))
-                        s_err = float(eps_now[worst])
-                        s_rate = float(deps_now[worst])
-                        z = float(np.max(np.hypot(eps_now, deps_now)))
-                        entry = (z, 0.0)
-                    else:
-                        s_err = float(eps_now[unit - 2])
-                        s_rate = float(deps_now[unit - 2])
-                        entry = None
-                    mode, cause = switching_decision(
-                        s_err, latest_report[unit], equilibrium, state,
-                        config, decision_rng, now=t, error_rate=s_rate,
-                        entry_state=entry,
-                    )
-                    decisions.append(DecisionEvent(t, unit, latest_report[unit], mode, cause))
-                    if unit == PLATOON_UNIT:
-                        for i in range(2, n + 1):
-                            cause_map[i] = cause
-                    else:
-                        cause_map[unit] = cause
-                emit_mode_changes(t, effective_modes(), cause_map)
+        if decide:
+            # game/dwell decisions at the decision cadence, on the latest reports
+            at = (k // det_every) * len(unit_ids)
+            before = [unit.mode for unit in units]
+            cause_map = {}
+            for u, (unit, state) in enumerate(zip(unit_ids, units)):
+                report = drawn[at + u]
+                if unit == PLATOON_UNIT:
+                    worst = int(abs(eps_now).argmax())
+                    s_err = float(eps_now[worst])
+                    s_rate = float(deps_now[worst])
+                    z = float(np.hypot(eps_now, deps_now).max())
+                    entry = (z, 0.0)
+                else:
+                    s_err = float(eps_now[unit - 2])
+                    s_rate = float(deps_now[unit - 2])
+                    entry = None
+                mode, cause = switching_decision(
+                    s_err, report, equilibrium, state,
+                    config, decision_rng, now=t, error_rate=s_rate,
+                    entry_state=entry,
+                )
+                decisions.append(DecisionEvent(t, unit, report, mode, cause))
+                if unit == PLATOON_UNIT:
+                    for i in range(2, n + 1):
+                        cause_map[i] = cause
+                else:
+                    cause_map[unit] = cause
+            if [unit.mode for unit in units] != before:
+                emit_mode_changes(t, cause_map)
 
-        frozen = prev_eff
         lead_acc = platoon.leader_profile.acceleration(t)
         xi = attack_signal(attack, t) if attack is not None else 0.0
-        hit = np.zeros(n + 2, dtype=bool)
-        if attack is not None and attack.active(t):
-            for i in attack.targets:
-                hit[i] = True
-        # followers whose recorded command excludes a nonzero lumped disturbance
-        disturbed = [i for i in range(1, n)
-                     if lumped and hit[i + 1] and frozen[i - 1] == 0]
-
-        R, phi, psi_g = _step_map(frozen)
-        g = _accel_consts(frozen, lead_acc, xi, hit)
+        active = attack is not None and attack.active(t)
+        segment = _segment_map(prev_eff, lead_acc, xi, active)
         if final:
-            u = commands[k]
-            dot(R, x, out=u)
-            u += g
-            if xi != 0.0:
-                u[disturbed] -= xi
-            modes_grid[k] = frozen
-            xi_grid[k] = xi
+            keep(k, k + 1, segment)
             break
+        _, phi, psi_g, g, c, _, frozen, _ = segment
 
         # -- the segment: no mode changes and no input edge comes before the
         # next decision tick or input edge, so step the affine map alone
@@ -697,72 +723,88 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
             # a ramp or sinusoid takes a new value every step, and the
             # constant part of the map with it
             xis = [xi] + [attack_signal(attack, j * h) for j in range(k + 1, end)]
-            gs = [g] + [_accel_consts(frozen, lead_acc, v, hit) for v in xis[1:]]
-            consts = [psi_g @ g_j for g_j in gs]
+            gs = [g] + [_accel_consts(frozen, lead_acc, v, active) for v in xis[1:]]
+            consts = [c] + [psi_g @ g_j for g_j in gs[1:]]
         else:
-            xis = [xi] * (end - k)
-            consts = itertools.repeat(psi_g @ g, end - k)
-        for j, c_j in zip(range(k + 1, end + 1), consts):
-            x_next = states[j]
-            dot(phi, x, out=x_next)
+            consts = itertools.repeat(c, end - k)
+        for x_next, c_j in zip(states[k + 1:end + 1], consts):  # row views
+            phi.dot(x, out=x_next)
             x_next += c_j
             x = x_next
 
         # -- cut the segment at the first row a per-row check acts on; the
         # checks run in this order on each row: finiteness, collision, then
-        # (on a supervised run) the safety surface
+        # (on a supervised run) the safety surface.  A quiet block passes
+        # the whole-block test first (see the module docstring); any other
+        # is scanned row by row.
         block = states[k + 1:end + 1]
         ahead = block[:, :n]
         gaps = ahead[:, :-1] - ahead[:, 1:]
-        flags = [~np.isfinite(block).all(axis=1),
-                 (gaps <= platoon.vehicle_length).any(axis=1)]
-        if sw.enabled:
-            e = np.abs(ahead[:, 1:] - ahead[:, :-1] + L)
-            flags.append(np.where(latched[1:], e <= release_level, e >= eps_max).any(axis=1))
-        rows = end - k  # a check that flags no row reads as this
-        first = [int(np.argmax(f)) if f.any() else rows for f in flags]
-        cut = min(first)
-        if cut < rows:
-            if first[0] == cut:
-                raise FloatingPointError("integration produced a non-finite state "
-                                         f"at t={(k + 1 + cut) * h:.9g} s")
-            if first[1] == cut:
-                tight = np.flatnonzero(gaps[cut] <= platoon.vehicle_length)
-                worst = int(tight[np.argmin(gaps[cut, tight])])
-                collision = CollisionInfo(time=(k + 1 + cut) * h, follower=worst + 2,
-                                          gap=float(gaps[cut, worst]))
-        cut = min(k + 1 + cut, end)
-
-        # the kept rows' commands, one matrix-vector product a row: stacked
-        # matmul runs the gemv kernel of ``dot`` on each row (a GEMM over
-        # the block would not round the same way)
-        kept = commands[k:cut]
-        np.matmul(R, states[k:cut, :, None], out=kept[:, :, None])
-        kept += np.array(gs[:cut - k]) if k in varying else g
-        xi_rows = np.array(xis[:cut - k])
-        if disturbed:
-            hit_rows = np.flatnonzero(xi_rows != 0.0)
-            commands[np.ix_(hit_rows + k, disturbed)] -= xi_rows[hit_rows, None]
-        modes_grid[k:cut] = frozen
-        xi_grid[k:cut] = xi_rows
-        if sw.enabled:
-            # detector reports of the rows kept, drawn in tick order
-            ticks = range((k // det_every + 1) * det_every, cut, det_every)
-            if ticks:
-                sample_detectors(ticks)
+        low = float(gaps.min())
+        high = float(gaps.max())
+        flips = []
+        if (low > vehicle_length and math.isfinite(x.sum()) and none_latched
+                and (not sw.enabled or max(abs(L - low), abs(L - high)) < eps_max)):
+            cut = end
+        else:
+            flags = [~np.isfinite(block).all(axis=1),
+                     (gaps <= vehicle_length).any(axis=1)]
+            if sw.enabled:
+                surface = surface_flags(ahead)
+                flags.append(surface.any(axis=1))
+            nrows = end - k  # a check that flags no row reads as this
+            first = [int(f.argmax()) if f.any() else nrows for f in flags]
+            cut = min(first)
+            if cut < nrows:
+                if first[0] == cut:
+                    raise FloatingPointError("integration produced a non-finite state "
+                                             f"at t={(k + 1 + cut) * h:.9g} s")
+                if first[1] == cut:
+                    tight = np.flatnonzero(gaps[cut] <= vehicle_length)
+                    worst = int(tight[np.argmin(gaps[cut, tight])])
+                    collision = CollisionInfo(time=(k + 1 + cut) * h, follower=worst + 2,
+                                              gap=float(gaps[cut, worst]))
+                else:
+                    flips = surface[cut].nonzero()[0].tolist()
+            cut = min(k + 1 + cut, end)
+        keep(k, cut, segment, (gs[:cut - k], xis[:cut - k]) if k in varying else None)
         k = cut
 
+    # the kept rows' commands, one matrix-vector product a row: stacked
+    # matmul runs the gemv kernel of ``dot`` on each row (a GEMM over the
+    # rows would not round the same way); then the frozen inputs
+    for start, stop, (R, _, _, g, _, disturbed, frozen, xi), per_row in spans:
+        kept = commands[start:stop]
+        np.matmul(R, states[start:stop, :, None], out=kept[:, :, None])
+        modes_grid[start:stop] = frozen
+        if per_row is None:
+            kept += g
+            xi_grid[start:stop] = xi
+            if disturbed and xi != 0.0:
+                kept[:, disturbed] -= xi
+        else:
+            kept += np.array(per_row[0])
+            xi_rows = np.array(per_row[1])
+            xi_grid[start:stop] = xi_rows
+            if disturbed:
+                hit_rows = np.flatnonzero(xi_rows != 0.0)
+                commands[np.ix_(hit_rows + start, disturbed)] -= xi_rows[hit_rows, None]
+
+    # the reports of the sampling ticks before the final row
+    report_keys = itertools.product(range(0, k, det_every), unit_ids)
+    reports = tuple(ReportEvent(j * h, unit, value)
+                    for (j, unit), value in zip(report_keys, drawn))
     last = k + 1
-    positions = states[:last, :n].copy()
+    positions = states[:last, :n]
     return SimTrace(
         times=np.arange(last) * h,
         positions=positions,
-        velocities=states[:last, n:].copy(),
-        commands=commands[:last].copy(),
-        modes=modes_grid[:last].copy(),
+        velocities=states[:last, n:],
+        commands=commands[:last],
+        modes=modes_grid[:last],
         spacing_errors=positions[:, 1:] - positions[:, :-1] + L,
-        attack_xi=xi_grid[:last].copy(),
-        reports=tuple(reports),
+        attack_xi=xi_grid[:last],
+        reports=reports,
         decisions=tuple(decisions),
         mode_events=tuple(mode_events),
         collision=collision,

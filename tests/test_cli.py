@@ -280,3 +280,20 @@ def test_sweep_requires_attack(tmp_path, capsys):
                  "--eps-grid", "4.0", "--runs", "1", "--jobs", "1"])
     assert code == EXIT_INPUT
     assert "attack" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--runs", "0"), ("--runs", "-2"),
+                                         ("--jobs", "0"), ("--jobs", "-1")])
+def test_sweep_rejects_counts_below_one(tmp_path, capsys, flag, value):
+    """A sweep needs at least one run a cell and one worker: anything less
+    is an input error on one line, before any cell runs or file is written."""
+    config = write_config(tmp_path, attack={"targets": [3]})
+    out = tmp_path / "sweep-out"
+    argv = ["sweep", "--config", config, "--out", str(out), "--xi-grid", "1.0",
+            "--eps-grid", "4.0", "--runs", "1", "--jobs", "1"]
+    argv[argv.index(flag) + 1] = value
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} must be at least 1, got {value}\n"
+    assert captured.out == ""
+    assert not out.exists()

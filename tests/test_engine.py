@@ -13,15 +13,16 @@ from hypothesis import example, given, settings, strategies as st
 import platoonsec.engine
 from platoonsec.control import ACC, CACC, AccGains, CaccGains
 from platoonsec.engine import (PLATOON_UNIT, CertificateError, DwellState,
-                               ScenarioConfig, SwitchingConfig, cacc_entry_values,
-                               commanded_accelerations, run_scenario,
-                               switching_decision, trace_metrics,
+                               ReportEvent, ScenarioConfig, SwitchingConfig,
+                               cacc_entry_values, commanded_accelerations,
+                               run_scenario, switching_decision, trace_metrics,
                                write_metrics_json, write_trace_csv)
 from platoonsec.game import BehavioralStrategy, equilibrium_strategy
 from platoonsec.platoon import LeaderProfile, PlatoonConfig
 from platoonsec.stability import (LyapunovCandidate, lyapunov_constants,
                                   min_dwell_time)
-from platoonsec.threat import AttackSignal, AttackSpec, DetectorModel
+from platoonsec.threat import (AttackSignal, AttackSpec, DetectorModel, attack_signal,
+                              detector_sample)
 
 P_REF = LyapunovCandidate(1.0, 0.154297, 1.57813)
 A_CACC = np.array([[0.0, 1.0], [-1.58, -2.51]])
@@ -375,6 +376,14 @@ def _rk4_message_step(config, pos, vel, modes, t):
     return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _zero_table_attack(mode):
+    """A table signal alternating 0.0 and -0.0 on both followers: the
+    recorded attack value must keep each zero's sign."""
+    return AttackSpec(targets={2, 3}, mode=mode, xi_max=2.0, window=(0.25, 3.0),
+                      signal=AttackSignal(kind="table", times=(0.0, 0.5, 1.0, 1.5, 2.0),
+                                          values=(0.0, -0.0, 0.0, -0.0, 0.0)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(oracle_scenarios())
 @example(ScenarioConfig(  # a collision mid-run
@@ -385,12 +394,51 @@ def _rk4_message_step(config, pos, vel, modes, t):
     switching=SwitchingConfig(scope="platoon", policy_override=(0.0, 0.0),
                               decision_period=0.5, hysteresis_release=0.9),
     step=0.05, duration=4.0))
+@example(ScenarioConfig(  # |eps3| reaches epsilon_max exactly on row 35, a segment's last
+    # row (the pulse ends there; no decision tick): the latch is on that row
+    platoon=make_platoon(n=3, eps_max=3.5074254575275035, pulses=[(1.0, 1.75, -1.0)]),
+    attack=crash_attack(window=(0.3, math.inf)), lyapunov=_P_BENIGN,
+    switching=SwitchingConfig(policy_override=(0.0, 0.0), decision_period=2.0),
+    step=0.05, duration=4.0))
+@example(ScenarioConfig(  # vehicle 2, latched at t = 0, falls to exactly the release
+    # level (2.0 * 0.53335823356025) on row 77, between decision ticks
+    platoon=make_platoon(n=3, eps_max=2.0), gap_offsets=(2.5, 0.0), lyapunov=_P_BENIGN,
+    switching=SwitchingConfig(policy_override=(0.0, 0.0), decision_period=0.5,
+                              hysteresis_release=0.53335823356025),
+    step=0.05, duration=4.0))
+@example(ScenarioConfig(  # diverges: the velocities leave the floats on row 47
+    # (t = 4.7 s), the positions a row later; the pulse ends a segment there
+    platoon=make_platoon(n=2, pulses=[(4.7, 5.0, -1.0)]), acc_gains=AccGains(-1e3, -1e3),
+    gap_offsets=(1.0,),
+    switching=SwitchingConfig(enabled=False, initial_mode=ACC), step=0.1, duration=30.0))
+@example(ScenarioConfig(
+    platoon=make_platoon(n=3), attack=_zero_table_attack("lumped-acceleration"),
+    lyapunov=_P_BENIGN, step=0.05, duration=3.5))
+@example(ScenarioConfig(
+    platoon=make_platoon(n=3), attack=_zero_table_attack("message-level"),
+    switching=SwitchingConfig(scope="platoon", decision_period=0.25),
+    lyapunov=_P_BENIGN, step=0.05, duration=3.5))
 def test_every_row_matches_the_message_object_oracle(config):
     """Every row of a run against the readable message-object model: the
-    recorded command, the step to the next row, the safety latch and
-    release rows, and the collision row."""
-    trace = run_scenario(config)
+    recorded command, the step to the next row, the attack value, the
+    safety latch and release rows, and the collision row.  A run that
+    leaves the floats names the first row with a non-finite entry: the run
+    cut one row short of it is finite, and is the one checked."""
+    try:
+        trace = run_scenario(config)
+    except FloatingPointError as exc:
+        bad = round(float(str(exc).rsplit("t=", 1)[1].split()[0]) / config.step)
+        config = dataclasses.replace(config, duration=(bad - 1) * config.step)
+        trace = run_scenario(config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = _rk4_message_step(config, trace.positions[-1], trace.velocities[-1],
+                                     trace.modes[-1], trace.times[-1])
+        assert not np.isfinite(step).all()
+    assert np.isfinite(trace.positions).all() and np.isfinite(trace.velocities).all()
     n = config.platoon.vehicle_count
+    xi = [attack_signal(config.attack, t) if config.attack is not None else 0.0
+          for t in trace.times.tolist()]
+    assert np.array(xi).tobytes() == trace.attack_xi.tobytes()  # signed zeros too
     last = trace.times.size - 1  # the final row is recorded before supervision
     for k in range(last + 1):
         t = trace.times[k]
@@ -658,6 +706,55 @@ def test_reports_and_decisions_land_on_their_grids():
     for e in trace.mode_events:
         assert e.time / config.step == pytest.approx(round(e.time / config.step),
                                                      abs=1e-6)
+
+
+def _reports_one_draw_at_a_time(config, rows):
+    """The reports of the sampling ticks before row ``rows``, drawn one
+    ``detector_sample`` call per (tick, unit) from a fresh generator seeded
+    as the run's detector stream."""
+    sw = config.switching
+    if not sw.enabled:
+        return ()
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[0])
+    units = (range(2, config.platoon.vehicle_count + 1) if sw.scope == "per-vehicle"
+             else (PLATOON_UNIT,))
+    attack = config.attack
+    out = []
+    for k in range(0, rows, round(config.detector.sampling_period / config.step)):
+        t = k * config.step
+        for unit in units:
+            attacked = (attack is not None and attack.active(t)
+                        and (unit == PLATOON_UNIT or unit in attack.targets))
+            out.append(ReportEvent(t, unit, detector_sample([attacked], config.detector,
+                                                            rng)[0]))
+    return tuple(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_scenarios())
+@example(ScenarioConfig(  # collides on row 55, a sampling tick: no report there or after
+    platoon=make_platoon(n=3, eps_max=5.4), attack=crash_attack(window=(0.3, math.inf)),
+    lyapunov=_P_BENIGN, switching=SwitchingConfig(policy_override=(0.0, 0.0),
+                                                  decision_period=0.5),
+    detector=DetectorModel(0.7, 0.3, sampling_period=0.25),
+    step=0.05, duration=4.0, gap_offsets=(0.0, 2.0)))
+@example(ScenarioConfig(  # a window with edges between sampling ticks, both scopes
+    platoon=make_platoon(n=4), attack=crash_attack(window=(0.33, 1.27)), lyapunov=_P_BENIGN,
+    switching=SwitchingConfig(scope="platoon"), step=0.05, duration=3.0))
+@example(ScenarioConfig(
+    platoon=make_platoon(n=4), attack=crash_attack(window=(0.33, 1.27)), lyapunov=_P_BENIGN,
+    step=0.05, duration=3.0))
+@example(ScenarioConfig(  # no supervisor, no reports
+    platoon=make_platoon(n=3), attack=crash_attack(window=(0.33, 1.27)),
+    switching=NO_SWITCH, step=0.05, duration=3.0))
+def test_reports_match_one_draw_at_a_time(config):
+    """A run's reports are those of drawing each (tick, unit) report on its
+    own, in order, from the detector's stream, for every tick before the
+    final row: a report depends on time alone, never on the state."""
+    trace = run_scenario(config)
+    assert trace.reports == _reports_one_draw_at_a_time(config, trace.times.size - 1)
+    if trace.collision is not None:
+        assert all(r.time < trace.collision.time for r in trace.reports)
 
 
 def test_per_vehicle_scope_gives_each_follower_a_unit():
