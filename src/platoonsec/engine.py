@@ -27,41 +27,44 @@ the communication structure: falsified content can only influence a victim
 while it runs the communication-based controller; radar-only followers are
 immune by construction.
 
-The run advances in segments.  A mode can change only at a decision tick or
-at a safety-surface crossing, and an input only at an edge (a leader pulse,
-the attack window, a step of a table signal); between those events the
-closed loop is one affine map x' = Phi x + c.  So the supervisor acts once
-at a segment's first row, Phi and c are built once a run for each set of
-frozen inputs, and the segment runs to the next decision tick or input edge
-with one matrix-vector product per step, for the state alone.  (A ramp or
-sinusoid attack has a new value every step; its segments rebuild c for
-each step, as a per-step loop would.)  The per-row checks (a non-finite
-state, a collision, a safety-surface crossing) then act on the segment's
-rows at once.  A quiet segment passes a test of the whole block that is
-exact for floats: its last row is finite (a non-finite entry stays
-non-finite under the step), its smallest gap exceeds the vehicle length,
-the spacing errors of its two extreme gaps lie inside epsilon_max (fl(L -
-gap) is monotone in the gap), and no follower is latched.  Any other
-segment is scanned row by row and cut at the first row a check acts on;
-the supervisor handles that row as the next segment's first, latching and
-releasing the followers the scan found there.  No step reads the recorded
-command u = R x + g, so the commands are computed after the run, one
-stacked matmul over each span of rows that shares a map: numpy runs the
-same BLAS matrix-vector kernel on each row as ``np.dot(R, x)``, where a
-matrix-matrix product over the rows would round differently.  A detector
-report depends on time alone (the attack window, the targets and the
-detector's own generator), never on the state, so every sampling tick's
-reports are drawn before the run, in (tick, unit) order, in one batch from
-that generator; a decision reads the latest one by index, and the report
-records of the ticks before the final row are built after the run.  Every
-row is therefore computed by the same floating-point operations, on the
-same values and in the same order, as when the supervisor ran on every
+The run advances in segments, split between a supervisor, the switching
+signal, and an integrator, the closed loop the signal selects.  A mode can
+change only at a decision tick or at a safety-surface crossing, and an input
+only at an edge (a leader pulse, the attack window, a step of a table
+signal); between those events the closed loop is one affine map
+x' = Phi x + c.  So the supervisor acts once at a segment's first row
+(latching and releasing followers, then deciding on a decision tick) and
+returns the mode pattern; the integrator builds Phi and c once a run for
+each set of frozen inputs and steps the segment to the next decision tick
+or input edge with one matrix-vector product per step, for the state alone.
+(A ramp or sinusoid attack has a new value every step; its segments rebuild
+c for each step, as a per-step loop would.)  The per-row checks (a
+non-finite state, a collision, a safety-surface crossing) then act on the
+segment's rows at once, as on the initial row before the first segment.  A
+quiet block passes a test of the whole block that is exact for floats: its
+last row is finite (a non-finite entry stays non-finite under the step),
+its smallest gap exceeds the vehicle length, the spacing errors of its two
+extreme gaps lie inside epsilon_max (fl(L - gap) is monotone in the gap),
+and no follower is latched.  Any other block is scanned row by row and cut
+at the first row a check acts on, which the supervisor handles as the next
+segment's first.  No step reads the recorded command u = R x + g, so the
+commands are computed after the run, one stacked matmul over each span of
+rows that shares a map: numpy runs the same BLAS matrix-vector kernel on
+each row as ``np.dot(R, x)``, where a matrix-matrix product over the rows
+would round differently.  A detector report depends on time alone (the
+attack window, the targets and the detector's own generator), never on the
+state, so every sampling tick's reports are drawn before the run, in (tick,
+unit) order, in one batch from that generator; a decision reads the latest
+one by index, and the trace builds its report records on first read.
+Every row is therefore computed by the same floating-point operations, on
+the same values and in the same order, as when the supervisor ran on every
 step: the trace and its outputs are bit-identical to per-step supervision.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 import math
@@ -193,18 +196,18 @@ class ScenarioConfig:
 
 @dataclass
 class DwellState:
-    """Mutable supervisor state for one switching unit."""
+    """Mutable supervisor state for one switching unit; one without the
+    certificate's ``constants`` (dwell not enforced) never holds."""
 
     mode: str
     entry_time: float = 0.0
     required: float = 0.0
     constants: LyapunovConstants | None = None
 
-    def enter(self, mode: str, now: float, error_state=None, dwell_enforced: bool = True):
+    def enter(self, mode: str, now: float, error_state=None):
         self.mode = mode
         self.entry_time = now
-        if mode == CACC and dwell_enforced and self.constants is not None \
-                and error_state is not None:
+        if mode == CACC and self.constants is not None and error_state is not None:
             self.required = min_dwell_time(error_state, error_state, self.constants).enforced
         else:
             self.required = 0.0
@@ -255,15 +258,21 @@ class SimTrace:
     modes: np.ndarray  # follower columns, "CACC"/"ACC" codes 0/1
     spacing_errors: np.ndarray
     attack_xi: np.ndarray
-    reports: tuple[ReportEvent, ...]
+    drawn_reports: list[str]  # every sampling tick's, in (tick, unit) order
     decisions: tuple[DecisionEvent, ...]
     mode_events: tuple[ModeEvent, ...]
     collision: CollisionInfo | None
     config: ScenarioConfig
 
-    def mode_trace(self, vehicle: int) -> tuple[ModeEvent, ...]:
-        """Per-vehicle (timestamp, mode, cause) event sequence."""
-        return tuple(e for e in self.mode_events if e.vehicle == vehicle)
+    @functools.cached_property
+    def reports(self) -> tuple[ReportEvent, ...]:
+        """Each switching unit's detector report at each sampling tick
+        before the final row, built from ``drawn_reports`` on first read."""
+        h = self.config.step
+        every = _steps_per_period(self.config.detector.sampling_period, h)
+        keys = itertools.product(range(0, self.times.size - 1, every), _unit_ids(self.config))
+        return tuple(ReportEvent(j * h, unit, value)
+                     for (j, unit), value in zip(keys, self.drawn_reports))
 
 
 @dataclass(frozen=True)
@@ -311,7 +320,7 @@ def switching_decision(spacing_error, report, equilibrium, dwell_state, config, 
         if dwell_state.mode != ACC:
             dwell_state.enter(ACC, now)
         return ACC, _CAUSE_SAFETY
-    if sw.dwell_enforced and dwell_state.holding(now):
+    if dwell_state.holding(now):
         return CACC, _CAUSE_DWELL
     if sw.policy_override is not None:
         p_acc = sw.policy_override[0] if report == "r" else sw.policy_override[1]
@@ -320,9 +329,7 @@ def switching_decision(spacing_error, report, equilibrium, dwell_state, config, 
                       else equilibrium.defender_p_downgrade_given_nr)
     mode = ACC if rng.random() < p_acc else CACC
     if mode != dwell_state.mode:
-        dwell_state.enter(mode, now,
-                          error_state=entry_state or (spacing_error, error_rate),
-                          dwell_enforced=sw.dwell_enforced)
+        dwell_state.enter(mode, now, error_state=entry_state or (spacing_error, error_rate))
     return mode, _CAUSE_GAME
 
 
@@ -367,8 +374,8 @@ def _input_edges(config: ScenarioConfig, steps: int) -> tuple[list[int], range]:
 
     Returns the sorted step ticks in 1..steps at which the leader
     acceleration, the attack window's activity or a table signal's value can
-    change, and the range of ticks inside the attack window at which a ramp
-    or sinusoid takes a new value every step.
+    change, ending with ``steps`` itself, and the range of ticks inside the
+    attack window at which a ramp or sinusoid takes a new value every step.
     """
     def tick(t: float) -> int:  # steps + 1 for an edge after the run's end
         return _first_tick(t, config.step) if t <= steps * config.step else steps + 1
@@ -383,7 +390,7 @@ def _input_edges(config: ScenarioConfig, steps: int) -> tuple[list[int], range]:
             times += attack.signal.times
         elif attack.signal.kind in ("ramp", "sinusoid"):
             varying = range(tick(attack.window[0]), tick(attack.window[1]))
-    return sorted({tick(t) for t in times} - {0, steps + 1}), varying
+    return sorted({tick(t) for t in times} - {0, steps + 1} | {steps}), varying
 
 
 class CertificateError(ValueError):
@@ -406,136 +413,187 @@ def resolve_certificate(cacc: CaccGains, acc: AccGains, lyapunov=None):
     return A_list, P, constants
 
 
-# a diverging run is reported once, by the non-finite check on its rows,
-# not by a numpy warning from each operation on the overflowed values
-@np.errstate(over="ignore", invalid="ignore")
-def run_scenario(config: ScenarioConfig) -> SimTrace:
-    """Integrate one scenario deterministically.
+def _unit_ids(config: ScenarioConfig) -> tuple[int, ...]:
+    """The switching units: one a follower, or the one platoon unit."""
+    n = config.platoon.vehicle_count
+    return tuple(range(2, n + 1)) if config.switching.scope == "per-vehicle" else (PLATOON_UNIT,)
 
-    The returned trace records every state sample, every detector report,
-    every supervisor decision with its cause, and every mode change.  The
-    run ends early with a collision marker if any follower's front-to-rear
-    gap closes to the vehicle length, and raises FloatingPointError if the
-    state leaves the floats.
-    """
-    config.cacc_gains.validate()
-    config.acc_gains.validate()
-    platoon = config.platoon
-    n = platoon.vehicle_count
-    L = platoon.desired_gap
-    vehicle_length = platoon.vehicle_length
-    h = config.step
-    sw = config.switching
-    steps = max(1, int(round(config.duration / h)))
-    dec_every = _steps_per_period(sw.decision_period, h)
-    det_every = _steps_per_period(config.detector.sampling_period, h)
-    edges, varying = _input_edges(config, steps)
-    eps_max = platoon.epsilon_max
-    release_level = sw.hysteresis_release * eps_max
 
-    _, _, constants = resolve_certificate(config.cacc_gains, config.acc_gains,
-                                          config.lyapunov)
-    if constants is None and sw.enabled and sw.dwell_enforced:
-        raise CertificateError("no common Lyapunov certificate for the configured "
-                               "gains (none found, or the given one fails); supply "
-                               "one or disable dwell enforcement")
+class _Supervisor:
+    """The switching signal of one run: the safety latches, the dwell units,
+    the game decisions on the pre-drawn detector reports, and the events
+    they emit.  ``act`` supervises a segment's first row; ``quiet`` and
+    ``surface_flags`` give the integrator's checks the safety surface."""
 
-    if sw.enabled and sw.policy_override is None:
-        equilibrium = equilibrium_strategy(config.game)
-    else:
-        equilibrium = BehavioralStrategy(None, Fraction(0), Fraction(0))
+    def __init__(self, config: ScenarioConfig, steps: int):
+        sw = config.switching
+        n = config.platoon.vehicle_count
+        _, _, constants = resolve_certificate(config.cacc_gains, config.acc_gains,
+                                              config.lyapunov)
+        if constants is None and sw.enabled and sw.dwell_enforced:
+            raise CertificateError("no common Lyapunov certificate for the configured "
+                                   "gains (none found, or the given one fails); supply "
+                                   "one or disable dwell enforcement")
+        if sw.enabled and sw.policy_override is None:
+            self.equilibrium = equilibrium_strategy(config.game)
+        else:
+            self.equilibrium = BehavioralStrategy(None, Fraction(0), Fraction(0))
+        self.config = config
+        self.enabled = sw.enabled
+        self.n = n
+        self.h = config.step
+        self.L = config.platoon.desired_gap
+        self.eps_max = config.platoon.epsilon_max
+        # an unsupervised run has no decision tick before its end
+        self.dec_every = (_steps_per_period(sw.decision_period, self.h) if sw.enabled
+                          else steps + 1)
+        self.det_every = _steps_per_period(config.detector.sampling_period, self.h)
+        self.unit_ids = _unit_ids(config)
+        self.units = [DwellState(sw.initial_mode,
+                                 constants=constants if sw.dwell_enforced else None)
+                      for _ in self.unit_ids]
+        self.latched = np.zeros(n - 1, dtype=bool)  # per-follower safety latch
+        self.pattern = np.full(n - 1, sw.initial_mode == ACC).view(np.uint8)
+        self.decisions: list[DecisionEvent] = []
+        self.mode_events = [ModeEvent(0.0, i, sw.initial_mode, _CAUSE_INITIAL)
+                            for i in range(2, n + 1)]
 
-    seq = np.random.SeedSequence(config.seed)
-    detector_rng, decision_rng = [np.random.default_rng(s) for s in seq.spawn(2)]
+        seq = np.random.SeedSequence(config.seed)
+        detector_rng, self.decision_rng = [np.random.default_rng(s) for s in seq.spawn(2)]
+        # unit u's report at tick j * det_every is drawn[j * len(unit_ids) + u]
+        attack = config.attack
+        report_ticks = range(0, steps, self.det_every) if sw.enabled else range(0)
+        reached = [attack is not None and (unit == PLATOON_UNIT or unit in attack.targets)
+                   for unit in self.unit_ids]  # by the attack, while its window is open
+        attacked = [hit and attack.active(j * self.h) for j in report_ticks for hit in reached]
+        self.drawn = detector_sample(attacked, config.detector, detector_rng) if attacked else []
 
-    # row k of ``states`` is (positions, velocities) at t = k*h; column i of
-    # each half is vehicle i+1
-    states = np.empty((steps + 1, 2 * n))
-    commands = np.empty((steps + 1, n))
-    modes_grid = np.empty((steps + 1, n - 1), dtype=np.uint8)
-    xi_grid = np.empty(steps + 1)
-    pos = states[0, :n]
-    pos[0] = 0.0
-    offsets = config.gap_offsets or (0.0,) * (n - 1)
-    for i in range(1, n):
-        pos[i] = pos[i - 1] - L + offsets[i - 1]
-    states[0, n:] = platoon.leader_profile.initial_velocity
+    def quiet(self, low: float, high: float) -> bool:
+        """Does the safety surface act on no row whose gaps all lie in
+        [low, high]?  Exact for floats: fl(L - gap) is monotone in the gap."""
+        return not self.enabled or (not self.latched.any() and max(
+            abs(self.L - low), abs(self.L - high)) < self.eps_max)
 
-    per_vehicle = sw.scope == "per-vehicle"
-    unit_ids = tuple(range(2, n + 1)) if per_vehicle else (PLATOON_UNIT,)
-    units = [DwellState(sw.initial_mode, constants=constants) for _ in unit_ids]
-    # the switching unit of each follower column
-    unit_of = [units[i if per_vehicle else 0] for i in range(n - 1)]
-    latched = np.zeros(n - 1, dtype=bool)  # per-follower safety latch
-
-    attack = config.attack
-    cacc = config.cacc_gains
-    acc = config.acc_gains
-    targeted = [attack is not None and i + 1 in attack.targets for i in range(n)]
-
-    decisions: list[DecisionEvent] = []
-    mode_events: list[ModeEvent] = [
-        ModeEvent(0.0, i, sw.initial_mode, _CAUSE_INITIAL) for i in range(2, n + 1)
-    ]
-    collision: CollisionInfo | None = None
-
-    # A report depends on time alone (the attack window, the targets and the
-    # detector's own generator), never on the state, so every sampling
-    # tick's reports are drawn here, in (tick, unit) order, in one batch:
-    # unit u's report at tick j * det_every is drawn[j * len(unit_ids) + u].
-    report_ticks = range(0, steps, det_every) if sw.enabled else range(0)
-    reached = [attack is not None and (unit == PLATOON_UNIT or unit in attack.targets)
-               for unit in unit_ids]  # by the attack, while its window is open
-    attacked = [hit and attack.active(j * h) for j in report_ticks for hit in reached]
-    drawn = detector_sample(attacked, config.detector, detector_rng) if attacked else []
-
-    def effective_modes() -> np.ndarray:
-        """uint8 mode per follower column (0 = cooperative, 1 = radar-only)."""
-        radar = np.array([unit.mode == ACC for unit in units])
-        return (latched | radar).view(np.uint8)  # one platoon unit broadcasts
-
-    prev_eff = effective_modes()
-
-    def emit_mode_changes(t, cause_map):
-        nonlocal prev_eff
-        new_eff = effective_modes()
-        for idx in (new_eff != prev_eff).nonzero()[0].tolist():
-            vehicle = idx + 2
-            mode = ACC if new_eff[idx] else CACC
-            mode_events.append(ModeEvent(t, vehicle, mode, cause_map.get(vehicle, _CAUSE_GAME)))
-        prev_eff = new_eff
-
-    def surface_flags(ahead) -> np.ndarray:
+    def surface_flags(self, ahead) -> np.ndarray:
         """Per row of positions and follower: does the safety surface act,
-        latching a free follower or releasing a latched one?"""
-        e = np.abs(ahead[:, 1:] - ahead[:, :-1] + L)
-        return np.where(latched, e <= release_level, e >= eps_max)
+        latching a free follower or releasing a latched one?  It never acts
+        on an unsupervised run."""
+        e = np.abs(ahead[:, 1:] - ahead[:, :-1] + self.L)
+        release = self.config.switching.hysteresis_release * self.eps_max
+        return np.where(self.latched, e <= release, e >= self.eps_max) & self.enabled
 
-    lumped = attack is not None and attack.mode == "lumped-acceleration"
-    offset_fields = (attack.message_fields
-                     if attack is not None and attack.mode == "message-level"
-                     else frozenset())
-    off_x = "position" in offset_fields
-    off_v = "velocity" in offset_fields
-    off_a = "acceleration" in offset_fields
+    def act(self, k: int, x, flips: list[int]) -> tuple[np.ndarray, int]:
+        """Supervise row k, state ``x``: the safety surface with hysteresis
+        on the followers in ``flips`` (those the integrator's checks found
+        acting on row k), then, on a decision tick, every unit's dwell or
+        game decision on its latest report.  Returns the effective mode
+        pattern (uint8 per follower column, 1 = radar-only) the segment from
+        row k runs under, and the next decision tick, where it ends."""
+        decide = k > 0 and k % self.dec_every == 0
+        if flips or decide:
+            t = k * self.h
+            n = self.n
+            eps = x[1:n] - x[:n - 1] + self.L
+            deps = x[n + 1:] - x[n:-1]
+        if flips:
+            causes = {}
+            for col in flips:
+                if self.latched[col]:
+                    self.latched[col] = False
+                    causes[col + 2] = _CAUSE_RELEASE
+                    unit = self.units[min(col, len(self.units) - 1)]  # own, or the platoon's
+                    if unit.mode == CACC:
+                        # re-entering the cooperative mode: restart its dwell
+                        unit.enter(CACC, t, error_state=(eps[col], deps[col]))
+                else:
+                    self.latched[col] = True
+                    causes[col + 2] = _CAUSE_SAFETY
+            self._emit(t, causes)
+        if decide:
+            at = (k // self.det_every) * len(self.unit_ids)  # the latest reports
+            before = [unit.mode for unit in self.units]
+            causes = {}
+            for u, (unit, state) in enumerate(zip(self.unit_ids, self.units)):
+                report = self.drawn[at + u]
+                if unit == PLATOON_UNIT:  # the worst follower, and the largest entry norm
+                    col = int(abs(eps).argmax())
+                    entry = (float(np.hypot(eps, deps).max()), 0.0)
+                else:
+                    col, entry = unit - 2, None
+                mode, cause = switching_decision(
+                    float(eps[col]), report, self.equilibrium, state, self.config,
+                    self.decision_rng, now=t, error_rate=float(deps[col]), entry_state=entry)
+                self.decisions.append(DecisionEvent(t, unit, report, mode, cause))
+                causes.update(dict.fromkeys(range(2, n + 1) if unit == PLATOON_UNIT
+                                            else (unit,), cause))
+            if [unit.mode for unit in self.units] != before:
+                self._emit(t, causes)
+        return self.pattern, (k // self.dec_every + 1) * self.dec_every
 
-    # Within one step every gated quantity (modes, attack value, leader
-    # acceleration) is frozen, so the closed loop is affine: xdot = M x + b
-    # with x = (positions, velocities).  The classical fourth-order step on
-    # an affine field collapses to x' = Phi x + Psi b with the degree-4
-    # Taylor polynomials below, so integration is one cached matrix-vector
-    # product per step instead of four controller-chain evaluations.
-    ident = np.eye(2 * n)
-    step_maps: dict[bytes, tuple] = {}
-    segment_maps: dict[tuple, tuple] = {}
+    def _emit(self, t: float, causes: dict):
+        """A mode event for each follower whose effective mode changed."""
+        radar = np.array([unit.mode == ACC for unit in self.units])
+        pattern = (self.latched | radar).view(np.uint8)  # one platoon unit broadcasts
+        for idx in (pattern != self.pattern).nonzero()[0].tolist():
+            self.mode_events.append(ModeEvent(t, idx + 2, ACC if pattern[idx] else CACC,
+                                              causes.get(idx + 2, _CAUSE_GAME)))
+        self.pattern = pattern
 
-    def _accel_rows(pattern) -> np.ndarray:
+
+class _Integrator:
+    """The closed loop a mode pattern selects, stepped a segment at a time.
+
+    Within one step every gated quantity (modes, attack value, leader
+    acceleration) is frozen, so the closed loop is affine: xdot = M x + b
+    with x = (positions, velocities).  The classical fourth-order step on an
+    affine field collapses to x' = Phi x + Psi b with the degree-4 Taylor
+    polynomials of ``_step_map``, so integration is one cached
+    matrix-vector product per step instead of four controller-chain
+    evaluations.
+    """
+
+    def __init__(self, config: ScenarioConfig, steps: int):
+        platoon = config.platoon
+        attack = config.attack
+        n = platoon.vehicle_count
+        self.n = n
+        self.h = config.step
+        self.L = platoon.desired_gap
+        self.vehicle_length = platoon.vehicle_length
+        self.leader = platoon.leader_profile
+        self.cacc = config.cacc_gains
+        self.acc = config.acc_gains
+        self.attack = attack
+        self.edges, self.varying = _input_edges(config, steps)
+        self.targeted = [attack is not None and i + 1 in attack.targets for i in range(n)]
+        self.lumped = attack is not None and attack.mode == "lumped-acceleration"
+        fields = (attack.message_fields
+                  if attack is not None and attack.mode == "message-level" else ())
+        self.offsets = tuple(f in fields for f in ("position", "velocity", "acceleration"))
+        self.step_maps: dict[bytes, tuple] = {}
+        self.segment_maps: dict[tuple, tuple] = {}
+        # Kept rows, as [first row, end row, R, g, xi, disturbed, pattern]
+        # with g and xi the span's constants or arrays of one a row
+        self.spans: list[list] = []
+
+        # row k of ``states`` is (positions, velocities) at t = k*h; column i
+        # of each half is vehicle i+1
+        self.states = np.empty((steps + 1, 2 * n))
+        pos = self.states[0, :n]
+        pos[0] = 0.0
+        offsets = config.gap_offsets or (0.0,) * (n - 1)
+        for i in range(1, n):
+            pos[i] = pos[i - 1] - self.L + offsets[i - 1]
+        self.states[0, n:] = self.leader.initial_velocity
+
+    def _accel_rows(self, pattern) -> np.ndarray:
         """Linear part of the physical-acceleration chain, front to back.
 
         Row i gives follower i+1's acceleration as a functional of the full
         state; the cooperative feed-forward term chains through the
         predecessor's row, whatever that vehicle's own mode is.
         """
+        n, cacc, acc = self.n, self.cacc, self.acc
         R = np.zeros((n, 2 * n))
         for i in range(1, n):
             row = R[i]
@@ -554,11 +612,13 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
                 row[n + i - 1] -= acc.beta
         return R
 
-    def _step_map(pattern):
+    def _step_map(self, pattern):
         key = pattern.tobytes()
-        cached = step_maps.get(key)
+        cached = self.step_maps.get(key)
         if cached is None:
-            R = _accel_rows(pattern)
+            n, h = self.n, self.h
+            ident = np.eye(2 * n)
+            R = self._accel_rows(pattern)
             M = np.zeros((2 * n, 2 * n))
             M[:n, n:] = np.eye(n)
             M[n:, :] = R
@@ -571,10 +631,10 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
                        + (h ** 3 / 24.0) * M3)
             # b is zero on the position block, so only Psi's velocity columns act
             cached = (R, phi, np.ascontiguousarray(psi[:, n:]))
-            step_maps[key] = cached
+            self.step_maps[key] = cached
         return cached
 
-    def _accel_consts(pattern, lead_acc, xi, active) -> np.ndarray:
+    def _accel_consts(self, pattern, lead_acc, xi, active) -> np.ndarray:
         """Constant part of the chain for the segment's frozen inputs.
 
         Message falsification adds the attack value to the selected fields of
@@ -582,10 +642,12 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
         adds it to the victim's physical acceleration instead.  Either way
         the contribution is constant over the segment.
         """
+        n, L, cacc, acc = self.n, self.L, self.cacc, self.acc
+        off_x, off_v, off_a = self.offsets
         g = np.empty(n)
         g[0] = lead_acc
         for i in range(1, n):
-            hit = active and targeted[i]
+            hit = active and self.targeted[i]
             if pattern[i - 1] == 0:  # cooperative
                 if hit:
                     ox = xi if off_x else 0.0
@@ -597,216 +659,152 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
                         + cacc.gamma_pred * (g[i - 1] + oa)
                         + cacc.alpha_lead * (i * L - ox) - cacc.beta_lead * ov
                         + cacc.gamma_lead * (lead_acc + oa))
-                if lumped and hit:
+                if self.lumped and hit:
                     g[i] += xi
             else:  # radar-only: immune to transmitted content
                 g[i] = acc.alpha * L
         return g
 
-    def _segment_map(pattern, lead_acc, xi, active):
-        """(R, Phi, Psi_g, g, Psi_g g, disturbed, pattern, xi) for one set of
-        frozen inputs, built once per run.  ``disturbed`` lists the followers
-        whose recorded command excludes a nonzero lumped disturbance.  The
-        key tells 0.0 from -0.0, which can round a sum differently."""
-        key = (pattern.tobytes(), lead_acc, math.copysign(1.0, lead_acc),
-               xi, math.copysign(1.0, xi), active)
-        cached = segment_maps.get(key)
-        if cached is None:
-            R, phi, psi_g = _step_map(pattern)
-            g = _accel_consts(pattern, lead_acc, xi, active)
-            disturbed = [i for i in range(1, n)
-                         if lumped and active and targeted[i] and pattern[i - 1] == 0]
-            cached = (R, phi, psi_g, g, psi_g @ g, disturbed, pattern, xi)
-            segment_maps[key] = cached
-        return cached
-
-    # Kept rows, as [first row, end row, segment map, per-row (g, xi) or
-    # None]: no step reads a recorded command, so the commands, modes and
-    # attack values are written after the run, one span of rows at a time,
-    # where consecutive segments with the same map share one span.
-    spans: list[list] = []
-
-    def keep(start, stop, segment, per_row=None):
-        """Rows start..stop-1 were stepped under ``segment``; each segment
-        starts where the last one was cut."""
-        if per_row is None and spans and spans[-1][2] is segment and spans[-1][3] is None:
-            spans[-1][1] = stop
-        else:
-            spans.append([start, stop, segment, per_row])
-
-    flips: list[int] = (surface_flags(states[:1, :n])[0].nonzero()[0].tolist()
-                        if sw.enabled else [])
-    none_latched = True
-    k = 0
-    while True:
-        # -- segment start: the supervisor acts on row k
-        final = (k == steps) or (collision is not None)
-        if final:
-            flips = []  # the final row is recorded before supervision
-        t = k * h
-        x = states[k]
-        decide = sw.enabled and not final and k > 0 and k % dec_every == 0
-        if flips or decide:
-            pos = x[:n]
-            vel = x[n:]
-            eps_now = pos[1:] - pos[:-1] + L
-            deps_now = vel[1:] - vel[:-1]
-
-        if flips:
-            # the safety surface with hysteresis: ``flips`` are the followers
-            # the cut scan (or, at t = 0, the first row's test) found acting
-            cause_map = {}
-            for col in flips:
-                if latched[col]:
-                    latched[col] = False
-                    cause_map[col + 2] = _CAUSE_RELEASE
-                    unit = unit_of[col]
-                    if unit.mode == CACC:
-                        # re-entering the cooperative mode: restart its dwell
-                        unit.enter(CACC, t, error_state=(eps_now[col], deps_now[col]),
-                                   dwell_enforced=sw.dwell_enforced)
-                else:
-                    latched[col] = True
-                    cause_map[col + 2] = _CAUSE_SAFETY
-            none_latched = not latched.any()
-            emit_mode_changes(t, cause_map)
-
-        if decide:
-            # game/dwell decisions at the decision cadence, on the latest reports
-            at = (k // det_every) * len(unit_ids)
-            before = [unit.mode for unit in units]
-            cause_map = {}
-            for u, (unit, state) in enumerate(zip(unit_ids, units)):
-                report = drawn[at + u]
-                if unit == PLATOON_UNIT:
-                    worst = int(abs(eps_now).argmax())
-                    s_err = float(eps_now[worst])
-                    s_rate = float(deps_now[worst])
-                    z = float(np.hypot(eps_now, deps_now).max())
-                    entry = (z, 0.0)
-                else:
-                    s_err = float(eps_now[unit - 2])
-                    s_rate = float(deps_now[unit - 2])
-                    entry = None
-                mode, cause = switching_decision(
-                    s_err, report, equilibrium, state,
-                    config, decision_rng, now=t, error_rate=s_rate,
-                    entry_state=entry,
-                )
-                decisions.append(DecisionEvent(t, unit, report, mode, cause))
-                if unit == PLATOON_UNIT:
-                    for i in range(2, n + 1):
-                        cause_map[i] = cause
-                else:
-                    cause_map[unit] = cause
-            if [unit.mode for unit in units] != before:
-                emit_mode_changes(t, cause_map)
-
-        lead_acc = platoon.leader_profile.acceleration(t)
+    def _segment_map(self, pattern, k: int):
+        """(R, Phi, Psi_g, g, Psi_g g, disturbed, lead_acc, xi, active) for
+        the inputs at row k, which hold over its segment; built once per run
+        for each set of them.  ``disturbed`` lists the followers whose
+        recorded command excludes a nonzero lumped disturbance.  The key
+        tells 0.0 from -0.0, which can round a sum differently."""
+        t = k * self.h
+        attack = self.attack
+        lead_acc = self.leader.acceleration(t)
         xi = attack_signal(attack, t) if attack is not None else 0.0
         active = attack is not None and attack.active(t)
-        segment = _segment_map(prev_eff, lead_acc, xi, active)
-        if final:
-            keep(k, k + 1, segment)
-            break
-        _, phi, psi_g, g, c, _, frozen, _ = segment
+        key = (pattern.tobytes(), lead_acc, math.copysign(1.0, lead_acc),
+               xi, math.copysign(1.0, xi), active)
+        cached = self.segment_maps.get(key)
+        if cached is None:
+            R, phi, psi_g = self._step_map(pattern)
+            g = self._accel_consts(pattern, lead_acc, xi, active)
+            disturbed = [i for i in range(1, self.n) if self.lumped and active
+                         and self.targeted[i] and pattern[i - 1] == 0]
+            cached = (R, phi, psi_g, g, psi_g @ g, disturbed, lead_acc, xi, active)
+            self.segment_maps[key] = cached
+        return cached
 
-        # -- the segment: no mode changes and no input edge comes before the
-        # next decision tick or input edge, so step the affine map alone
-        end = min(steps, k + _MAX_SEGMENT)
-        if sw.enabled:
-            end = min(end, (k // dec_every + 1) * dec_every)
-        nxt = bisect.bisect_right(edges, k)
-        if nxt < len(edges):
-            end = min(end, edges[nxt])
-        if k in varying:
+    def check(self, first: int, last: int, supervisor: _Supervisor):
+        """The per-row checks on rows first..last: finiteness, collision,
+        then the safety surface, in this order on each row (see the module
+        docstring).  Raises FloatingPointError on a non-finite row; returns
+        the first row a check acts on, else ``last``, with the collision
+        there (or None) and the followers the surface acts on there."""
+        block = self.states[first:last + 1]
+        ahead = block[:, :self.n]
+        gaps = ahead[:, :-1] - ahead[:, 1:]
+        low = float(gaps.min())
+        if (low > self.vehicle_length and math.isfinite(block[-1].sum())
+                and supervisor.quiet(low, float(gaps.max()))):
+            return last, None, []
+        surface = supervisor.surface_flags(ahead)
+        flags = (~np.isfinite(block).all(axis=1), (gaps <= self.vehicle_length).any(axis=1),
+                 surface.any(axis=1))
+        hits = [int(f.argmax()) if f.any() else len(block) for f in flags]
+        cut = min(hits + [len(block) - 1])  # with no flag, the last row and no event
+        row = first + cut
+        if hits[0] == cut:
+            raise FloatingPointError("integration produced a non-finite state "
+                                     f"at t={row * self.h:.9g} s")
+        if hits[1] == cut:
+            tight = np.flatnonzero(gaps[cut] <= self.vehicle_length)
+            worst = int(tight[np.argmin(gaps[cut, tight])])
+            return row, CollisionInfo(time=row * self.h, follower=worst + 2,
+                                      gap=float(gaps[cut, worst])), []
+        return row, None, surface[cut].nonzero()[0].tolist()
+
+    def advance(self, k: int, until: int, pattern, supervisor: _Supervisor):
+        """Step from row k under ``pattern`` and row k's inputs to row
+        ``until`` or the next input edge, keep the rows ``check`` lets
+        stand, and return its (row, collision, flips): the next segment
+        starts there."""
+        end = min(k + _MAX_SEGMENT, until, self.edges[bisect.bisect_right(self.edges, k)])
+        R, phi, psi_g, g, c, disturbed, lead_acc, xi, active = self._segment_map(pattern, k)
+        per_row = k in self.varying
+        if per_row:
             # a ramp or sinusoid takes a new value every step, and the
             # constant part of the map with it
-            xis = [xi] + [attack_signal(attack, j * h) for j in range(k + 1, end)]
-            gs = [g] + [_accel_consts(frozen, lead_acc, v, active) for v in xis[1:]]
+            xis = [xi] + [attack_signal(self.attack, j * self.h) for j in range(k + 1, end)]
+            gs = [g] + [self._accel_consts(pattern, lead_acc, v, active) for v in xis[1:]]
             consts = [c] + [psi_g @ g_j for g_j in gs[1:]]
         else:
             consts = itertools.repeat(c, end - k)
-        for x_next, c_j in zip(states[k + 1:end + 1], consts):  # row views
+        x = self.states[k]
+        for x_next, c_j in zip(self.states[k + 1:end + 1], consts):  # row views
             phi.dot(x, out=x_next)
             x_next += c_j
             x = x_next
-
-        # -- cut the segment at the first row a per-row check acts on; the
-        # checks run in this order on each row: finiteness, collision, then
-        # (on a supervised run) the safety surface.  A quiet block passes
-        # the whole-block test first (see the module docstring); any other
-        # is scanned row by row.
-        block = states[k + 1:end + 1]
-        ahead = block[:, :n]
-        gaps = ahead[:, :-1] - ahead[:, 1:]
-        low = float(gaps.min())
-        high = float(gaps.max())
-        flips = []
-        if (low > vehicle_length and math.isfinite(x.sum()) and none_latched
-                and (not sw.enabled or max(abs(L - low), abs(L - high)) < eps_max)):
-            cut = end
+        cut, collision, flips = self.check(k + 1, end, supervisor)
+        if per_row:
+            g, xi = np.array(gs[:cut - k]), np.array(xis[:cut - k])
+        if self.spans and self.spans[-1][3] is g:  # the same constant inputs go on
+            self.spans[-1][1] = cut
         else:
-            flags = [~np.isfinite(block).all(axis=1),
-                     (gaps <= vehicle_length).any(axis=1)]
-            if sw.enabled:
-                surface = surface_flags(ahead)
-                flags.append(surface.any(axis=1))
-            nrows = end - k  # a check that flags no row reads as this
-            first = [int(f.argmax()) if f.any() else nrows for f in flags]
-            cut = min(first)
-            if cut < nrows:
-                if first[0] == cut:
-                    raise FloatingPointError("integration produced a non-finite state "
-                                             f"at t={(k + 1 + cut) * h:.9g} s")
-                if first[1] == cut:
-                    tight = np.flatnonzero(gaps[cut] <= vehicle_length)
-                    worst = int(tight[np.argmin(gaps[cut, tight])])
-                    collision = CollisionInfo(time=(k + 1 + cut) * h, follower=worst + 2,
-                                              gap=float(gaps[cut, worst]))
-                else:
-                    flips = surface[cut].nonzero()[0].tolist()
-            cut = min(k + 1 + cut, end)
-        keep(k, cut, segment, (gs[:cut - k], xis[:cut - k]) if k in varying else None)
-        k = cut
+            self.spans.append([k, cut, R, g, xi, disturbed, pattern])
+        return cut, collision, flips
 
-    # the kept rows' commands, one matrix-vector product a row: stacked
-    # matmul runs the gemv kernel of ``dot`` on each row (a GEMM over the
-    # rows would not round the same way); then the frozen inputs
-    for start, stop, (R, _, _, g, _, disturbed, frozen, xi), per_row in spans:
-        kept = commands[start:stop]
-        np.matmul(R, states[start:stop, :, None], out=kept[:, :, None])
-        modes_grid[start:stop] = frozen
-        if per_row is None:
+    def record(self, last: int, pattern) -> dict:
+        """Keep the final row under ``pattern``, then return the trace's
+        series over rows 0..last.
+
+        The commands are one matrix-vector product a row: stacked matmul
+        runs the gemv kernel of ``dot`` on each row (a GEMM over the rows
+        would not round the same way); then the frozen inputs.
+        """
+        R, _, _, g, _, disturbed, _, xi, _ = self._segment_map(pattern, last)
+        self.spans.append([last, last + 1, R, g, xi, disturbed, pattern])
+        states = self.states[:last + 1]
+        commands = np.empty((last + 1, self.n))
+        modes = np.empty((last + 1, self.n - 1), dtype=np.uint8)
+        xis = np.empty(last + 1)
+        for start, stop, R, g, xi, disturbed, pattern in self.spans:
+            kept = commands[start:stop]
+            np.matmul(R, states[start:stop, :, None], out=kept[:, :, None])
             kept += g
-            xi_grid[start:stop] = xi
-            if disturbed and xi != 0.0:
-                kept[:, disturbed] -= xi
-        else:
-            kept += np.array(per_row[0])
-            xi_rows = np.array(per_row[1])
-            xi_grid[start:stop] = xi_rows
+            modes[start:stop] = pattern
+            xis[start:stop] = xi
             if disturbed:
-                hit_rows = np.flatnonzero(xi_rows != 0.0)
-                commands[np.ix_(hit_rows + start, disturbed)] -= xi_rows[hit_rows, None]
+                # the disturbance acts on the vehicle, not on its command; a
+                # zero is taken as +0.0, whose subtraction changes no float
+                kept[:, disturbed] -= np.where(xi != 0.0, xi, 0.0)[..., None]
+        positions = states[:, :self.n]
+        return dict(times=np.arange(last + 1) * self.h, positions=positions,
+                    velocities=states[:, self.n:], commands=commands, modes=modes,
+                    spacing_errors=positions[:, 1:] - positions[:, :-1] + self.L,
+                    attack_xi=xis)
 
-    # the reports of the sampling ticks before the final row
-    report_keys = itertools.product(range(0, k, det_every), unit_ids)
-    reports = tuple(ReportEvent(j * h, unit, value)
-                    for (j, unit), value in zip(report_keys, drawn))
-    last = k + 1
-    positions = states[:last, :n]
+
+# a diverging run is reported once, by the non-finite check on its rows,
+# not by a numpy warning from each operation on the overflowed values
+@np.errstate(over="ignore", invalid="ignore")
+def run_scenario(config: ScenarioConfig) -> SimTrace:
+    """Integrate one scenario deterministically.
+
+    The returned trace records every state sample, every detector report,
+    every supervisor decision with its cause, and every mode change.  The
+    run ends early with a collision marker if any follower's front-to-rear
+    gap closes to the vehicle length, and raises FloatingPointError if the
+    state leaves the floats.
+    """
+    config.cacc_gains.validate()
+    config.acc_gains.validate()
+    steps = max(1, int(round(config.duration / config.step)))
+    supervisor = _Supervisor(config, steps)
+    integrator = _Integrator(config, steps)
+    k, collision, flips = integrator.check(0, 0, supervisor)
+    while k < steps and collision is None:
+        pattern, until = supervisor.act(k, integrator.states[k], flips)
+        k, collision, flips = integrator.advance(k, until, pattern, supervisor)
+    # the final row is recorded before supervision
     return SimTrace(
-        times=np.arange(last) * h,
-        positions=positions,
-        velocities=states[:last, n:],
-        commands=commands[:last],
-        modes=modes_grid[:last],
-        spacing_errors=positions[:, 1:] - positions[:, :-1] + L,
-        attack_xi=xi_grid[:last],
-        reports=reports,
-        decisions=tuple(decisions),
-        mode_events=tuple(mode_events),
+        **integrator.record(k, supervisor.pattern),
+        drawn_reports=supervisor.drawn,
+        decisions=tuple(supervisor.decisions),
+        mode_events=tuple(supervisor.mode_events),
         collision=collision,
         config=config,
     )

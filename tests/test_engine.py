@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import platoonsec.engine
 from platoonsec.control import ACC, CACC, AccGains, CaccGains
-from platoonsec.engine import (PLATOON_UNIT, CertificateError, DwellState,
+from platoonsec.config import load_scenario
+from platoonsec.engine import (PLATOON_UNIT, CertificateError, CollisionInfo, DwellState,
                                ReportEvent, ScenarioConfig, SwitchingConfig,
                                cacc_entry_values, commanded_accelerations,
                                run_scenario, switching_decision, trace_metrics,
@@ -24,6 +26,7 @@ from platoonsec.stability import (LyapunovCandidate, lyapunov_constants,
 from platoonsec.threat import (AttackSignal, AttackSpec, DetectorModel, attack_signal,
                               detector_sample)
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 P_REF = LyapunovCandidate(1.0, 0.154297, 1.57813)
 A_CACC = np.array([[0.0, 1.0], [-1.58, -2.51]])
 
@@ -67,6 +70,46 @@ def test_engine_step_exponential_accuracy():
 def test_engine_step_is_fourth_order():
     ratio = leading_hop_error(0.1) / leading_hop_error(0.05)
     assert 12.0 < ratio < 20.0  # halving h divides the error by ~2^4
+
+
+def test_row_zero_is_checked_like_every_other_row():
+    """The initial state goes through the per-row checks: a follower that
+    starts within the vehicle length has collided at t = 0, and a
+    non-finite initial state is reported at t = 0."""
+    config = ScenarioConfig(platoon=make_platoon(n=2), gap_offsets=(5.8,),
+                            step=0.1, duration=5.0)
+    trace = run_scenario(config)
+    assert trace.times.size == 1
+    assert trace.collision == CollisionInfo(time=0.0, follower=2,
+                                            gap=float(trace.positions[0, 0]
+                                                      - trace.positions[0, 1]))
+    assert trace.collision.gap == pytest.approx(4.2)
+    assert trace.reports == () and trace.decisions == ()
+    assert {e.cause for e in trace.mode_events} == {"initial"}
+    with pytest.raises(FloatingPointError, match=r"non-finite state at t=0 s"):
+        run_scenario(dataclasses.replace(config, gap_offsets=(math.inf,)))
+
+
+def test_run_looks_up_the_traced_engine_names_at_call_time(monkeypatch):
+    """``bench/tracer.py`` times the layers of a run by wrapping these
+    ``engine`` module globals, so a run must call each of them through the
+    module: a name bound at import time would read as zero time."""
+    names = ("find_common_lyapunov", "lyapunov_constants", "min_dwell_time",
+             "equilibrium_strategy", "detector_sample", "attack_signal",
+             "switching_decision")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(platoonsec.engine, name,
+                            counting(name, getattr(platoonsec.engine, name)))
+    run_scenario(load_scenario(CONFIGS / "crash_defended.json"))
+    assert all(calls.values()), calls
 
 
 def test_engine_rejects_bad_step_and_divergence():
@@ -545,7 +588,7 @@ def test_hysteresis_release_sequence():
         duration=20.0,
     )
     trace = run_scenario(config)
-    events = trace.mode_trace(2)
+    events = [e for e in trace.mode_events if e.vehicle == 2]
     assert [(e.mode, e.cause) for e in events] == [
         (CACC, "initial"),
         (ACC, "safety-surface"),
