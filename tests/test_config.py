@@ -9,8 +9,9 @@ import pytest
 
 from platoonsec.config import ConfigError, load_scenario, scenario_from_dict
 from platoonsec.control import DEFAULT_ACC_GAINS, DEFAULT_CACC_GAINS
-from platoonsec.engine import run_scenario
+from platoonsec.engine import ScenarioConfig, run_scenario
 from platoonsec.game import DEFAULT_GAME
+from platoonsec.platoon import PlatoonConfig
 from platoonsec.stability import LyapunovCandidate
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -47,6 +48,11 @@ def test_minimal_scenario_uses_package_defaults():
     assert config.game == DEFAULT_GAME
     assert config.switching.enabled and config.switching.scope == "per-vehicle"
     assert config.seed == 0 and config.step == 0.01 and config.duration == 5.0
+
+
+def test_minimal_scenario_is_the_dataclass_defaults():
+    assert scenario_from_dict(base_scenario()) == ScenarioConfig(
+        platoon=PlatoonConfig(4, 10.0, 4.5, 4.0), step=0.01, duration=5.0)
 
 
 def test_full_scenario_round_trip():
@@ -151,6 +157,17 @@ def test_unknown_top_level_key():
     (lambda d: d.update(detector={"sampling_period": 0.015}), "detector.sampling_period"),
     (lambda d: d.update(detector={"sampling_period": 0.005}), "detector.sampling_period"),
     (lambda d: d.update(switching={"decision_period": 0.025}), "switching.decision_period"),
+    (lambda d: d["platoon"].update(leader={"pulses": [[2.0, 2.0, -1.0]]}),
+     "platoon.leader.pulses[0]"),
+    (lambda d: d.update(attack={"window": [-1.0, 5.0]}), "attack.window[0]"),
+    (lambda d: d.update(attack={"signal": {"kind": "table", "values": [1.0]}}),
+     "attack.signal.times"),
+    (lambda d: d.update(gains={"cacc": {"k1": -1.58, "k2": -2.51, "split": 1.5}}),
+     "gains.cacc.split"),
+    (lambda d: d.update(switching={"hysteresis_release": -0.1}),
+     "switching.hysteresis_release"),
+    (lambda d: d.update(attack={"targets": "3"}), "attack.targets"),
+    (lambda d: d.update(attack={"message_fields": []}), "attack.message_fields"),
 ])
 def test_dotted_paths_name_the_bad_entry(mutate, path):
     data = base_scenario()
@@ -214,6 +231,11 @@ def test_switching_paths():
     assert error_path(
         with_patch(switching={"policy_override": [0.5, 1.5]})
     ) == "switching.policy_override[1]"
+
+
+def test_null_policy_override_means_the_game():
+    config = scenario_from_dict(with_patch(switching={"policy_override": None}))
+    assert config.switching.policy_override is None
 
 
 def test_game_paths():
