@@ -6,10 +6,11 @@ Five subcommands: ``simulate`` (one scenario -> trace/metrics/plot data),
 (frequency/impulse criteria for one controller), and ``sweep`` (attack
 magnitude x safety threshold grid, collision rates, in parallel).
 
-Exit codes are a stable contract: 0 ok, 1 input error, 2 domain outcome
-(collision, failed certificate, unstable behavior, equilibrium gap above
-tolerance).  All outputs land under ``--out`` (or $PLATOONSEC_OUT, or the
-working directory); reruns with the same inputs and seed are byte-identical.
+Exit codes are a stable contract: 0 ok, 1 input error (a bad scenario file or
+command line), 2 domain outcome (collision, failed certificate, unstable
+behavior, equilibrium gap above tolerance).  All outputs land under
+``--out`` (or $PLATOONSEC_OUT, or the working directory); reruns with the
+same inputs and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 from .config import ConfigError, load_scenario
@@ -32,26 +32,13 @@ from .stability import (TransferFunction, check_bibo_lemma1, check_common_lyapun
                         check_gues_inequalities, hinf_norm, impulse_response_nonneg,
                         min_dwell_time, spacing_error_tf)
 
-__all__ = ["main", "CommandRequest"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_OUTCOME = 2
 
 _OUT_ENV = "PLATOONSEC_OUT"
-
-
-@dataclass(frozen=True)
-class CommandRequest:
-    """Parsed invocation: what to run, where to read, where to write."""
-
-    subcommand: str
-    config: str | None
-    out: Path
-    seed: int | None
-    tol: float
-    verbose: bool
-    extra: dict
 
 
 def _fmt(x: float) -> str:
@@ -77,21 +64,21 @@ def _poly_str(coeffs) -> str:
     return " ".join(terms) if terms else "0"
 
 
-def _load(request: CommandRequest):
-    if request.config is None:
+def _load(args: argparse.Namespace):
+    if args.config is None:
         raise ConfigError("", "this subcommand needs --config <scenario.json>")
-    config = load_scenario(request.config)
-    if request.seed is not None:
-        config = dataclasses.replace(config, seed=request.seed)
+    config = load_scenario(args.config)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
     return config
 
 
-def cmd_simulate(request: CommandRequest) -> int:
-    config = _load(request)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    config = _load(args)
     trace = run_scenario(config)
-    metrics = trace_metrics(trace, tol=request.tol)
+    metrics = trace_metrics(trace, tol=args.tol)
 
-    out = request.out
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace, out / "trace.csv")
     write_metrics_json(metrics, out / "metrics.json",
@@ -114,16 +101,16 @@ def cmd_simulate(request: CommandRequest) -> int:
         print(f"no collision; min spacing {_fmt(metrics.min_spacing)} m, "
               f"sup spacing errors "
               f"[{', '.join(_fmt(s) for s in metrics.sup_spacing_errors)}] m")
-    if request.verbose:
+    if args.verbose:
         print(f"mode events: {len(trace.mode_events)}, decisions: {len(trace.decisions)}")
     print(f"wrote {out / 'trace.csv'}, {out / 'metrics.json'}, "
           f"{out / 'spacing.dat'}, {out / 'velocity.dat'}")
     return EXIT_OUTCOME if metrics.collision else EXIT_OK
 
 
-def cmd_stability(request: CommandRequest) -> int:
-    if request.config is not None:
-        config = _load(request)
+def cmd_stability(args: argparse.Namespace) -> int:
+    if args.config is not None:
+        config = _load(args)
         cacc, acc, P = config.cacc_gains, config.acc_gains, config.lyapunov
         eps_ref = config.platoon.epsilon_max
     else:
@@ -176,9 +163,9 @@ def cmd_stability(request: CommandRequest) -> int:
     return EXIT_OUTCOME
 
 
-def cmd_game(request: CommandRequest) -> int:
-    if request.config is not None:
-        spec = _load(request).game
+def cmd_game(args: argparse.Namespace) -> int:
+    if args.config is not None:
+        spec = _load(args).game
     else:
         from .game import DEFAULT_GAME
         spec = DEFAULT_GAME
@@ -199,13 +186,12 @@ def cmd_game(request: CommandRequest) -> int:
               f"= {_fmt(beh.defender_p_downgrade_given_nr)}")
         print(f"  best-response gaps: attacker {_fmt(gap_a)}, defender {_fmt(gap_d)}")
     print(f"{len(equilibria)} equilibria; worst gap {_fmt(worst)} "
-          f"(tolerance {_fmt(request.tol)})")
-    return EXIT_OK if worst <= request.tol else EXIT_OUTCOME
+          f"(tolerance {_fmt(args.tol)})")
+    return EXIT_OK if worst <= args.tol else EXIT_OUTCOME
 
 
-def cmd_string_check(request: CommandRequest) -> int:
-    num = request.extra.get("num")
-    den = request.extra.get("den")
+def cmd_string_check(args: argparse.Namespace) -> int:
+    num, den = args.num, args.den
     if num is not None or den is not None:
         if not num or not den:
             print("error: --num and --den must be given together", file=sys.stderr)
@@ -213,9 +199,9 @@ def cmd_string_check(request: CommandRequest) -> int:
         H = TransferFunction(tuple(num), tuple(den))
         label = "fixture"
     else:
-        mode = request.extra.get("mode", ACC)
-        if request.config is not None:
-            config = _load(request)
+        mode = args.mode
+        if args.config is not None:
+            config = _load(args)
             gains = config.acc_gains if mode == ACC else config.cacc_gains
         else:
             gains = DEFAULT_ACC_GAINS if mode == ACC else DEFAULT_CACC_GAINS
@@ -252,30 +238,27 @@ def _sweep_cell(payload) -> tuple:
     return xi, eps, runs, collisions
 
 
-def cmd_sweep(request: CommandRequest) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     for flag in ("runs", "jobs"):
-        value = request.extra[flag]
+        value = getattr(args, flag)
         if value is not None and value < 1:
             raise ValueError(f"--{flag} must be at least 1, got {value}")
-    base = _load(request)
+    base = _load(args)
     if base.attack is None:
         raise ConfigError("attack", "sweep varies the attack magnitude; the base "
                                     "scenario must define an attack")
     # the certificate depends on the gains alone: resolve it once for the grid
     _, P, _ = resolve_certificate(base.cacc_gains, base.acc_gains, base.lyapunov)
     base = dataclasses.replace(base, lyapunov=P)
-    xi_grid = request.extra["xi_grid"]
-    eps_grid = request.extra["eps_grid"]
-    runs = request.extra["runs"]
-    jobs = [(base, xi, eps, runs) for xi in xi_grid for eps in eps_grid]
-    workers = min(len(jobs), request.extra.get("jobs") or os.cpu_count() or 1)
+    jobs = [(base, xi, eps, args.runs) for xi in args.xi_grid for eps in args.eps_grid]
+    workers = min(len(jobs), args.jobs or os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, jobs))
     else:
         results = [_sweep_cell(j) for j in jobs]
 
-    out = request.out
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     rows = ["xi_max,epsilon_max,runs,collisions,collision_rate"]
     print(f"{'xi_max':>10} {'eps_max':>10} {'collisions':>11} {'rate':>8}")
@@ -288,26 +271,39 @@ def cmd_sweep(request: CommandRequest) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 1, not argparse's 2 (a domain outcome here)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="platoonsec",
         description="Platoon simulation and certification under message falsification.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def command(name, handler, summary, tol=None):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", help="scenario JSON file")
         p.add_argument("--out", help=f"output directory (default ${_OUT_ENV} or .)")
         p.add_argument("--seed", type=int, help="override the scenario seed")
-        p.add_argument("--tol", type=float, default=None,
-                       help="verdict tolerance (subcommand-specific default)")
-        p.add_argument("-v", "--verbose", action="store_true")
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol,
+                           help=f"verdict tolerance (default {tol:g})")
+        return p
 
-    common(sub.add_parser("simulate", help="run one scenario, write trace and metrics"))
-    common(sub.add_parser("stability", help="certificate report for the configured gains"))
-    common(sub.add_parser("game", help="equilibria of the configured security game"))
+    p = command("simulate", cmd_simulate, "run one scenario, write trace and metrics", 1e-6)
+    p.add_argument("-v", "--verbose", action="store_true",
+                   help="also print the mode-event and decision counts")
+    command("stability", cmd_stability, "certificate report for the configured gains")
+    command("game", cmd_game, "equilibria of the configured security game", 1e-9)
 
-    p = sub.add_parser("string-check", help="frequency/impulse string-stability check")
-    common(p)
+    p = command("string-check", cmd_string_check,
+                "frequency/impulse string-stability check")
     p.add_argument("--mode", choices=[ACC, CACC], default=ACC,
                    help="which controller's propagation to check (default ACC)")
     p.add_argument("--num", type=float, nargs="+",
@@ -315,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--den", type=float, nargs="+",
                    help="explicit denominator coefficients, descending powers")
 
-    p = sub.add_parser("sweep", help="attack-magnitude x safety-threshold grid")
-    common(p)
+    p = command("sweep", cmd_sweep, "attack-magnitude x safety-threshold grid")
     p.add_argument("--xi-grid", type=float, nargs="+", required=True,
                    help="attack magnitudes to sweep")
     p.add_argument("--eps-grid", type=float, nargs="+", required=True,
@@ -326,46 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULT_TOL = {"simulate": 1e-6, "stability": 1e-9, "game": 1e-9,
-                "string-check": 1e-9, "sweep": 1e-6}
-
-_HANDLERS = {
-    "simulate": cmd_simulate,
-    "stability": cmd_stability,
-    "game": cmd_game,
-    "string-check": cmd_string_check,
-    "sweep": cmd_sweep,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = Path(args.out or os.environ.get(_OUT_ENV) or ".")
-    extra = {}
-    for name in ("mode", "num", "den", "runs", "jobs"):
-        if hasattr(args, name):
-            extra[name] = getattr(args, name)
-    if hasattr(args, "xi_grid"):
-        extra["xi_grid"] = args.xi_grid
-        extra["eps_grid"] = args.eps_grid
-    request = CommandRequest(
-        subcommand=args.subcommand,
-        config=args.config,
-        out=out,
-        seed=args.seed,
-        tol=args.tol if args.tol is not None else _DEFAULT_TOL[args.subcommand],
-        verbose=args.verbose,
-        extra=extra,
-    )
+    args.out = Path(args.out or os.environ.get(_OUT_ENV) or ".")
     try:
-        return _HANDLERS[args.subcommand](request)
+        return args.handler(args)
     except (CertificateError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OUTCOME
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ConfigError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -3,20 +3,26 @@
 A scenario file is a single JSON object.  Required sections are ``platoon``
 and ``integration``; everything else falls back to the package defaults
 (certified gains, the default detector and game, per-vehicle switching).
-Validation errors carry the dotted path of the offending entry so a typo in
-a large sweep file is findable without bisecting it.
+
+This module holds no defaults: an entry the file omits is not passed on, so
+the dataclass default applies.  It checks what the dataclasses cannot see --
+JSON types, list shapes, unknown entries, finite numbers -- plus the ranges
+of single entries, and reports every error, its own or a dataclass's, at the
+dotted path of the offending entry, so a typo in a large sweep file is
+findable without bisecting it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
-from .control import AccGains, CaccGains, DEFAULT_ACC_GAINS, DEFAULT_CACC_GAINS
+from .control import AccGains, CaccGains
 from .engine import ScenarioConfig, SwitchingConfig, _steps_per_period
-from .game import DEFAULT_GAME
 from .platoon import LeaderProfile, PlatoonConfig
 from .stability import LyapunovCandidate
-from .threat import (AttackSignal, AttackSpec, DetectorModel, MESSAGE_FIELDS)
+from .threat import (AttackSignal, AttackSpec, DetectorModel, MESSAGE_FIELDS,
+                     SIGNAL_KINDS)
 
 __all__ = ["ConfigError", "load_scenario", "scenario_from_dict"]
 
@@ -29,37 +35,92 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-def _get(obj: dict, path: str, key: str, default=None, required: bool = False):
-    if key not in obj:
-        if required:
-            raise ConfigError(_join(path, key), "missing required entry")
-        return default
-    return obj[key]
-
-
 def _join(path: str, key) -> str:
     return f"{path}.{key}" if path else str(key)
 
 
-def _number(value, path: str, minimum=None, maximum=None,
-            exclusive_min=False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    v = float(value)
-    if minimum is not None and (v <= minimum if exclusive_min else v < minimum):
-        cmp = ">" if exclusive_min else ">="
-        raise ConfigError(path, f"expected a value {cmp} {minimum}, got {value!r}")
-    if maximum is not None and v > maximum:
-        raise ConfigError(path, f"expected a value <= {maximum}, got {value!r}")
-    return v
+# A parser reads one JSON value at its dotted path: parse(value, path).
+
+def _number(minimum=None, maximum=None, exclusive_min=False, open_end=False):
+    """Parser for a finite number in range; ``open_end`` also admits +Infinity,
+    which ends an interval that never closes."""
+    def parse(value, path):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(path, f"expected a number, got {value!r}")
+        try:
+            v = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            v = math.nan
+        if not (math.isfinite(v) or open_end and v == math.inf):
+            raise ConfigError(path, f"expected a finite number, got {value!r}")
+        if minimum is not None and (v <= minimum if exclusive_min else v < minimum):
+            cmp = ">" if exclusive_min else ">="
+            raise ConfigError(path, f"expected a value {cmp} {minimum}, got {value!r}")
+        if maximum is not None and v > maximum:
+            raise ConfigError(path, f"expected a value <= {maximum}, got {value!r}")
+        return v
+    return parse
 
 
-def _integer(value, path: str, minimum=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(path, f"expected an integer >= {minimum}, got {value!r}")
-    return value
+_REAL = _number()
+_NONNEGATIVE = _number(0.0)
+_POSITIVE = _number(0.0, exclusive_min=True)
+_FRACTION = _number(0.0, 1.0)
+
+
+def _integer(minimum=None):
+    def parse(value, path):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(path, f"expected an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ConfigError(path, f"expected an integer >= {minimum}, got {value!r}")
+        return value
+    return parse
+
+
+def _is(kind):
+    def parse(value, path):
+        if not isinstance(value, kind):
+            raise ConfigError(path, f"expected {kind.__name__}, got {value!r}")
+        return value
+    return parse
+
+
+def _one_of(*choices):
+    def parse(value, path):
+        if value not in choices:
+            raise ConfigError(path, f"unknown value {value!r}; valid: {', '.join(choices)}")
+        return value
+    return parse
+
+
+_DEFAULT = object()  # a parser's result meaning "leave the dataclass default"
+
+
+def _or_none(parse, *aliases):
+    """``parse``, except that null (or an alias such as "auto") keeps the default."""
+    return lambda value, path: (_DEFAULT if value is None or value in aliases
+                                else parse(value, path))
+
+
+def _list(parse, length=None, nonempty=False, item="{}[{}]"):
+    """Parser for a JSON list whose item i is read at ``item.format(path, i)``.
+
+    ``parse`` reads every item, or is a tuple of one parser per position,
+    which fixes the length.
+    """
+    if isinstance(parse, tuple):
+        length = len(parse)
+
+    def read(value, path):
+        if (not isinstance(value, list) or length not in (None, len(value))
+                or nonempty and not value):
+            shape = (f" of {length} entries" if length is not None
+                     else " with at least one entry" if nonempty else "")
+            raise ConfigError(path, f"expected a list{shape}, got {value!r}")
+        each = parse if isinstance(parse, tuple) else (parse,) * len(value)
+        return tuple(p(x, item.format(path, i)) for i, (p, x) in enumerate(zip(each, value)))
+    return read
 
 
 def _mapping(value, path: str) -> dict:
@@ -68,314 +129,159 @@ def _mapping(value, path: str) -> dict:
     return value
 
 
-def _check_keys(obj: dict, path: str, allowed) -> None:
-    unknown = sorted(set(obj) - set(allowed))
+def _fields(obj, path: str, parsers: dict, required=()) -> dict:
+    """The entries a JSON object gives, each read at its own dotted path.
+
+    Unknown and missing required entries are errors.  Omitted entries, and
+    those a parser maps to ``_DEFAULT``, are left out of the result.
+    """
+    obj = _mapping(obj, path)
+    unknown = sorted(set(obj) - set(parsers))
     if unknown:
         raise ConfigError(_join(path, unknown[0]), "unknown entry")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(_join(path, key), "missing required entry")
+    read = {key: parse(obj[key], _join(path, key))
+            for key, parse in parsers.items() if key in obj}
+    return {key: value for key, value in read.items() if value is not _DEFAULT}
 
 
-def _leader(obj, path: str) -> LeaderProfile:
-    obj = _mapping(obj, path)
-    _check_keys(obj, path, ("initial_velocity", "pulses"))
-    v0 = _number(_get(obj, path, "initial_velocity", 20.0), _join(path, "initial_velocity"))
-    raw = _get(obj, path, "pulses", [])
-    if not isinstance(raw, list):
-        raise ConfigError(_join(path, "pulses"), "expected a list of [start, end, accel]")
-    pulses = []
-    for idx, item in enumerate(raw):
-        p = _join(path, f"pulses[{idx}]")
-        if not isinstance(item, list) or len(item) != 3:
-            raise ConfigError(p, "expected [start, end, accel]")
-        start = _number(item[0], _join(p, 0), minimum=0.0)
-        end = _number(item[1], _join(p, 1))
-        if end <= start:
-            raise ConfigError(p, f"pulse must end after it starts, got {item!r}")
-        pulses.append((start, end, _number(item[2], _join(p, 2))))
-    return LeaderProfile(initial_velocity=v0, pulses=tuple(pulses))
+def _build(make, path: str, **kwargs):
+    """``make(**kwargs)``, with any rule it enforces reported at ``path``."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _section(make, parsers: dict, required=()):
+    """Parser for a JSON object that builds ``make`` from the entries it gives."""
+    return lambda obj, path: _build(make, path, **_fields(obj, path, parsers, required))
+
+
+_PULSE_FIELDS = _list((_NONNEGATIVE, _number(open_end=True), _REAL), item="{}.{}")
+
+
+def _pulse(value, path: str) -> tuple:
+    start, end, _ = pulse = _PULSE_FIELDS(value, path)
+    if end <= start:
+        raise ConfigError(path, f"pulse must end after it starts, got {value!r}")
+    return pulse
+
+
+_leader = _section(LeaderProfile, {"initial_velocity": _REAL, "pulses": _list(_pulse)})
+
+_PLATOON = {"vehicle_count": _integer(2), "desired_gap": _POSITIVE,
+            "vehicle_length": _POSITIVE, "epsilon_max": _POSITIVE}
 
 
 def _platoon(obj, path: str) -> PlatoonConfig:
-    obj = _mapping(obj, path)
-    _check_keys(obj, path, ("vehicle_count", "desired_gap", "vehicle_length",
-                            "epsilon_max", "leader"))
-    try:
-        return PlatoonConfig(
-            vehicle_count=_integer(_get(obj, path, "vehicle_count", required=True),
-                                   _join(path, "vehicle_count"), minimum=2),
-            desired_gap=_number(_get(obj, path, "desired_gap", required=True),
-                                _join(path, "desired_gap"), minimum=0.0, exclusive_min=True),
-            vehicle_length=_number(_get(obj, path, "vehicle_length", required=True),
-                                   _join(path, "vehicle_length"), minimum=0.0,
-                                   exclusive_min=True),
-            epsilon_max=_number(_get(obj, path, "epsilon_max", required=True),
-                                _join(path, "epsilon_max"), minimum=0.0, exclusive_min=True),
-            leader_profile=_leader(_get(obj, path, "leader", {}), _join(path, "leader")),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    kwargs = _fields(obj, path, {**_PLATOON, "leader": _leader}, required=tuple(_PLATOON))
+    if "leader" in kwargs:
+        kwargs["leader_profile"] = kwargs.pop("leader")
+    return _build(PlatoonConfig, path, **kwargs)
+
+
+_AGGREGATE = {"k1": _REAL, "k2": _REAL, "split": _FRACTION,
+              "gamma_pred": _REAL, "gamma_lead": _REAL}
+_EXPLICIT = dict.fromkeys(("alpha_pred", "beta_pred", "gamma_pred", "alpha_lead",
+                           "beta_lead", "gamma_lead"), _REAL)
 
 
 def _cacc_gains(obj, path: str) -> CaccGains:
-    obj = _mapping(obj, path)
-    aggregate = {"k1", "k2", "split", "gamma_pred", "gamma_lead"}
-    explicit = {"alpha_pred", "beta_pred", "gamma_pred", "alpha_lead",
-                "beta_lead", "gamma_lead"}
-    keys = set(obj)
-    try:
-        if keys <= aggregate and {"k1", "k2"} <= keys:
-            return CaccGains.from_aggregate(
-                k1=_number(obj["k1"], _join(path, "k1")),
-                k2=_number(obj["k2"], _join(path, "k2")),
-                split=_number(_get(obj, path, "split", 0.5), _join(path, "split"),
-                              minimum=0.0, maximum=1.0),
-                gamma_pred=_number(_get(obj, path, "gamma_pred", 0.5),
-                                   _join(path, "gamma_pred")),
-                gamma_lead=_number(_get(obj, path, "gamma_lead", 0.5),
-                                   _join(path, "gamma_lead")),
-            )
-        if keys == explicit:
-            return CaccGains(**{k: _number(obj[k], _join(path, k)) for k in explicit})
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    keys = set(_mapping(obj, path))
+    if {"k1", "k2"} <= keys <= _AGGREGATE.keys():
+        return _build(CaccGains.from_aggregate, path, **_fields(obj, path, _AGGREGATE))
+    if keys == _EXPLICIT.keys():
+        return _build(CaccGains, path, **_fields(obj, path, _EXPLICIT))
     raise ConfigError(path, "use either {k1, k2[, split, gamma_pred, gamma_lead]} "
                             "or all six explicit per-neighbor gains")
 
 
-def _acc_gains(obj, path: str) -> AccGains:
-    obj = _mapping(obj, path)
-    _check_keys(obj, path, ("alpha", "beta"))
-    try:
-        return AccGains(alpha=_number(_get(obj, path, "alpha", required=True),
-                                      _join(path, "alpha")),
-                        beta=_number(_get(obj, path, "beta", required=True),
-                                     _join(path, "beta")))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
-def _lyapunov(obj, path: str):
-    if obj == "auto" or obj is None:
-        return None
-    obj = _mapping(obj, path)
-    _check_keys(obj, path, ("p11", "p12", "p22"))
-    cand = LyapunovCandidate(
-        p11=_number(_get(obj, path, "p11", required=True), _join(path, "p11")),
-        p12=_number(_get(obj, path, "p12", required=True), _join(path, "p12")),
-        p22=_number(_get(obj, path, "p22", required=True), _join(path, "p22")),
-    )
+def _lyapunov(obj, path: str) -> LyapunovCandidate:
+    entries = ("p11", "p12", "p22")
+    cand = LyapunovCandidate(**_fields(obj, path, dict.fromkeys(entries, _REAL), entries))
     if not cand.is_positive_definite():
         raise ConfigError(path, "matrix is not positive definite")
     return cand
 
 
+_WAVEFORM = {"kind": _one_of(*SIGNAL_KINDS), "amplitude": _REAL, "rate": _REAL,
+             "frequency": _REAL, "phase": _REAL,
+             "times": _list(_REAL), "values": _list(_REAL)}
+
+
 def _signal(obj, path: str) -> AttackSignal:
     obj = _mapping(obj, path)
-    _check_keys(obj, path, ("kind", "amplitude", "rate", "frequency", "phase",
-                            "times", "values"))
-    kind = _get(obj, path, "kind", "constant")
-    if kind not in ("constant", "ramp", "sinusoid", "table"):
-        raise ConfigError(_join(path, "kind"), f"unknown signal kind {kind!r}")
-    kwargs = {"kind": kind}
-    for name in ("amplitude", "rate", "frequency", "phase"):
-        if name in obj:
-            kwargs[name] = _number(obj[name], _join(path, name))
-    if kind == "table":
-        times = _get(obj, path, "times", required=True)
-        values = _get(obj, path, "values", required=True)
-        if (not isinstance(times, list) or not isinstance(values, list)
-                or len(times) != len(values) or not times):
-            raise ConfigError(path, "table signals need equal-length, non-empty "
-                                    "'times' and 'values' lists")
-        kwargs["times"] = tuple(_number(x, _join(path, f"times[{i}]"))
-                                for i, x in enumerate(times))
-        kwargs["values"] = tuple(_number(x, _join(path, f"values[{i}]"))
-                                 for i, x in enumerate(values))
-    try:
-        return AttackSignal(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    table = ("times", "values")
+    if obj.get("kind") != "table":  # only a table signal reads times and values
+        obj, table = {key: value for key, value in obj.items() if key not in table}, ()
+    if not all(isinstance(obj.get(key, []), list) for key in table):
+        raise ConfigError(path, "a table signal needs 'times' and 'values' lists")
+    return _build(AttackSignal, path, **_fields(obj, path, _WAVEFORM, required=table))
 
 
-def _attack(obj, path: str, vehicle_count: int):
-    if obj is None:
-        return None
-    obj = _mapping(obj, path)
-    _check_keys(obj, path, ("targets", "mode", "signal", "xi_max", "window",
-                            "message_fields"))
-    raw_targets = _get(obj, path, "targets", [3])
-    if not isinstance(raw_targets, list) or not raw_targets:
-        raise ConfigError(_join(path, "targets"), "expected a non-empty list of "
-                                                  "follower indices")
-    targets = frozenset(_integer(x, _join(path, f"targets[{i}]"), minimum=2)
-                        for i, x in enumerate(raw_targets))
-    for x in sorted(targets):
-        if x > vehicle_count:
-            raise ConfigError(_join(path, "targets"),
-                              f"vehicle {x} is outside the platoon (N={vehicle_count})")
-    mode = _get(obj, path, "mode", "message-level")
-    window = _get(obj, path, "window", [0.0, float("inf")])
-    if not isinstance(window, list) or len(window) != 2:
-        raise ConfigError(_join(path, "window"), "expected [start, end]")
-    fields = _get(obj, path, "message_fields", list(MESSAGE_FIELDS))
-    if not isinstance(fields, list) or not fields:
-        raise ConfigError(_join(path, "message_fields"), "expected a non-empty list")
-    for i, f in enumerate(fields):
-        if f not in MESSAGE_FIELDS:
-            raise ConfigError(_join(path, f"message_fields[{i}]"),
-                              f"unknown field {f!r}; valid: {', '.join(MESSAGE_FIELDS)}")
-    try:
-        return AttackSpec(
-            targets=targets,
-            mode=mode,
-            signal=_signal(_get(obj, path, "signal", {}), _join(path, "signal")),
-            xi_max=_number(_get(obj, path, "xi_max", 2.0), _join(path, "xi_max"),
-                           minimum=0.0, exclusive_min=True),
-            window=(_number(window[0], _join(path, "window[0]"), minimum=0.0),
-                    _number(window[1], _join(path, "window[1]"))),
-            message_fields=frozenset(fields),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+_attack = _section(AttackSpec, {
+    "targets": _list(_integer(2), nonempty=True),
+    "mode": lambda value, path: value,  # AttackSpec judges it
+    "window": _list((_NONNEGATIVE, _number(open_end=True))),
+    "message_fields": _list(_one_of(*MESSAGE_FIELDS), nonempty=True),
+    "signal": _signal,
+    "xi_max": _POSITIVE,
+})
 
+_switching = _section(SwitchingConfig, {
+    "policy_override": _or_none(_list((_FRACTION, _FRACTION))),
+    "enabled": _is(bool), "scope": _is(str), "dwell_enforced": _is(bool),
+    "initial_mode": _is(str), "decision_period": _POSITIVE,
+    "hysteresis_release": _NONNEGATIVE,
+})
 
-def _detector(obj, path: str) -> DetectorModel:
-    obj = _mapping(obj, path)
-    _check_keys(obj, path, ("p_report_given_attack", "p_report_given_benign",
-                            "sampling_period"))
-    return DetectorModel(
-        p_report_given_attack=_number(
-            _get(obj, path, "p_report_given_attack", 0.7),
-            _join(path, "p_report_given_attack"), minimum=0.0, maximum=1.0),
-        p_report_given_benign=_number(
-            _get(obj, path, "p_report_given_benign", 0.1),
-            _join(path, "p_report_given_benign"), minimum=0.0, maximum=1.0),
-        sampling_period=_number(_get(obj, path, "sampling_period", 0.1),
-                                _join(path, "sampling_period"),
-                                minimum=0.0, exclusive_min=True),
-    )
+# the game's leaf utilities; its report probabilities are the detector's
+_game = _section(dict, {"leaf_utilities": _list(_list((_REAL, _REAL), item="{}.{}"), length=8)},
+                 required=("leaf_utilities",))
 
-
-def _game(obj, path: str) -> tuple:
-    """The game's leaf utilities; its report probabilities are the detector's."""
-    if obj is None or obj == "default":
-        return DEFAULT_GAME.leaf_utilities
-    obj = _mapping(obj, path)
-    _check_keys(obj, path, ("leaf_utilities",))
-    raw = _get(obj, path, "leaf_utilities", required=True)
-    if not isinstance(raw, list) or len(raw) != 8:
-        raise ConfigError(_join(path, "leaf_utilities"),
-                          "expected 8 [attacker, defender] pairs")
-    leaves = []
-    for i, pair in enumerate(raw):
-        p = _join(path, f"leaf_utilities[{i}]")
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(p, "expected [attacker_utility, defender_utility]")
-        leaves.append((_number(pair[0], _join(p, 0)), _number(pair[1], _join(p, 1))))
-    return tuple(leaves)
-
-
-def _switching(obj, path: str) -> SwitchingConfig:
-    obj = _mapping(obj, path)
-    _check_keys(obj, path, ("enabled", "decision_period", "scope", "dwell_enforced",
-                            "hysteresis_release", "policy_override", "initial_mode"))
-    override = _get(obj, path, "policy_override")
-    if override is not None:
-        if not isinstance(override, list) or len(override) != 2:
-            raise ConfigError(_join(path, "policy_override"),
-                              "expected [p_acc_given_report, p_acc_given_no_report]")
-        override = (_number(override[0], _join(path, "policy_override[0]"),
-                            minimum=0.0, maximum=1.0),
-                    _number(override[1], _join(path, "policy_override[1]"),
-                            minimum=0.0, maximum=1.0))
-    kwargs = {}
-    for name, conv in (("enabled", bool), ("scope", str), ("dwell_enforced", bool),
-                       ("initial_mode", str)):
-        if name in obj:
-            value = obj[name]
-            if not isinstance(value, conv):
-                raise ConfigError(_join(path, name),
-                                  f"expected {conv.__name__}, got {value!r}")
-            kwargs[name] = value
-    for name in ("decision_period", "hysteresis_release"):
-        if name in obj:
-            kwargs[name] = _number(obj[name], _join(path, name),
-                                   minimum=0.0, exclusive_min=(name == "decision_period"))
-    try:
-        return SwitchingConfig(policy_override=override, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+_SCENARIO = {
+    "platoon": _platoon,
+    "gains": _section(dict, {"cacc": _cacc_gains,
+                             "acc": _section(AccGains, {"alpha": _REAL, "beta": _REAL},
+                                             required=("alpha", "beta"))}),
+    "integration": _section(dict, {"step": _POSITIVE, "duration": _POSITIVE},
+                            required=("duration",)),
+    "detector": _section(DetectorModel, {"p_report_given_attack": _FRACTION,
+                                         "p_report_given_benign": _FRACTION,
+                                         "sampling_period": _POSITIVE}),
+    "switching": _switching,
+    "gap_offsets": _list(_REAL),
+    "lyapunov": _or_none(_lyapunov, "auto"),
+    "attack": _or_none(_attack),
+    "game": _or_none(_game, "default"),
+    "seed": _integer(),
+}
 
 
 def scenario_from_dict(data: dict, path: str = "") -> ScenarioConfig:
     """Validate a parsed scenario object and build the runnable config."""
-    data = _mapping(data, path)
-    _check_keys(data, path, ("platoon", "gains", "lyapunov", "attack", "detector",
-                             "game", "switching", "integration", "seed",
-                             "gap_offsets"))
-    platoon = _platoon(_get(data, path, "platoon", required=True),
-                       _join(path, "platoon"))
+    kwargs = _fields(data, path, _SCENARIO, required=("platoon", "integration"))
+    for section in ("integration", "game"):  # their entries are ScenarioConfig fields
+        kwargs.update(kwargs.pop(section, {}))
+    kwargs.update((f"{key}_gains", gains) for key, gains in kwargs.pop("gains", {}).items())
 
-    gains = _get(data, path, "gains", {})
-    gains = _mapping(gains, _join(path, "gains"))
-    _check_keys(gains, _join(path, "gains"), ("cacc", "acc"))
-    cacc = (DEFAULT_CACC_GAINS if "cacc" not in gains
-            else _cacc_gains(gains["cacc"], _join(path, "gains.cacc")))
-    acc = (DEFAULT_ACC_GAINS if "acc" not in gains
-           else _acc_gains(gains["acc"], _join(path, "gains.acc")))
-
-    integ = _mapping(_get(data, path, "integration", required=True),
-                     _join(path, "integration"))
-    _check_keys(integ, _join(path, "integration"), ("step", "duration"))
-    step = _number(_get(integ, _join(path, "integration"), "step", 0.01),
-                   _join(path, "integration.step"), minimum=0.0, exclusive_min=True)
-    duration = _number(_get(integ, _join(path, "integration"), "duration", required=True),
-                       _join(path, "integration.duration"), minimum=0.0,
-                       exclusive_min=True)
-
-    detector = _detector(_get(data, path, "detector", {}), _join(path, "detector"))
-    switching = _switching(_get(data, path, "switching", {}), _join(path, "switching"))
-    for name, period in (("switching.decision_period", switching.decision_period),
-                         ("detector.sampling_period", detector.sampling_period)):
+    step = kwargs.get("step", ScenarioConfig.step)
+    for name, owner in (("switching.decision_period", kwargs.get("switching", SwitchingConfig)),
+                        ("detector.sampling_period", kwargs.get("detector", DetectorModel))):
         try:
-            _steps_per_period(period, step)
+            _steps_per_period(getattr(owner, name.split(".")[1]), step)
         except ValueError as exc:
             raise ConfigError(_join(path, name), str(exc)) from exc
 
-    offsets = _get(data, path, "gap_offsets", [])
-    if not isinstance(offsets, list):
-        raise ConfigError(_join(path, "gap_offsets"), "expected a list")
-    offsets = tuple(_number(x, _join(path, f"gap_offsets[{i}]"))
-                    for i, x in enumerate(offsets))
-
-    try:
-        return ScenarioConfig(
-            platoon=platoon,
-            cacc_gains=cacc,
-            acc_gains=acc,
-            lyapunov=_lyapunov(_get(data, path, "lyapunov", "auto"),
-                               _join(path, "lyapunov")),
-            attack=_attack(_get(data, path, "attack"), _join(path, "attack"),
-                           platoon.vehicle_count),
-            detector=detector,
-            leaf_utilities=_game(_get(data, path, "game"), _join(path, "game")),
-            switching=switching,
-            step=step,
-            duration=duration,
-            seed=_integer(_get(data, path, "seed", 0), _join(path, "seed")),
-            gap_offsets=offsets,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(path or "scenario", str(exc)) from exc
+    n = kwargs["platoon"].vehicle_count
+    outside = sorted(i for i in getattr(kwargs.get("attack"), "targets", ()) if i > n)
+    if outside:
+        raise ConfigError(_join(path, "attack.targets"),
+                          f"vehicle {outside[0]} is outside the platoon (N={n})")
+    return _build(ScenarioConfig, path or "scenario", **kwargs)
 
 
 def load_scenario(filename) -> ScenarioConfig:

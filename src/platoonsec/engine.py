@@ -68,7 +68,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -287,18 +287,6 @@ class TraceMetrics:
     string_stable: bool
     string_vacuous: bool
     tol: float
-
-    def as_dict(self) -> dict:
-        return {
-            "min_spacing": self.min_spacing,
-            "sup_spacing_errors": list(self.sup_spacing_errors),
-            "mode_occupancy": list(self.mode_occupancy),
-            "collision": self.collision,
-            "collision_time": self.collision_time,
-            "string_stable": self.string_stable,
-            "string_vacuous": self.string_vacuous,
-            "tol": self.tol,
-        }
 
 
 def switching_decision(spacing_error, report, equilibrium, dwell_state, config, rng,
@@ -949,7 +937,7 @@ def write_trace_csv(trace: SimTrace, path):
 
 
 def write_metrics_json(metrics: TraceMetrics, path, extra: dict | None = None):
-    payload = metrics.as_dict()
+    payload = asdict(metrics)
     if extra:
         payload.update(extra)
     with open(path, "w") as f:

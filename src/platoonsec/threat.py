@@ -44,6 +44,7 @@ REPORT_ATTACK = "r"
 REPORT_NONE = "nr"
 
 MESSAGE_FIELDS = ("position", "velocity", "acceleration")
+SIGNAL_KINDS = ("constant", "ramp", "sinusoid", "table")
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class AttackSignal:
     values: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("constant", "ramp", "sinusoid", "table"):
+        if self.kind not in SIGNAL_KINDS:
             raise ValueError(f"unknown attack signal kind {self.kind!r}")
         if self.kind == "table":
             if len(self.times) != len(self.values) or not self.times:

@@ -120,6 +120,35 @@ def test_semantic_error_carries_dotted_path(tmp_path, capsys):
     assert "switching" in capsys.readouterr().err
 
 
+def test_non_finite_input_is_input_error(tmp_path, capsys):
+    # json writes the float as the literal Infinity, which json also reads back
+    config = write_config(tmp_path, gap_offsets=[float("inf"), 0.0, 0.0])
+    assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: gap_offsets[0]: expected a finite")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", DEFENDED, "--bogus"],
+    ["sweep", "--config", DEFENDED, "--eps-grid", "4.0"],
+    ["simulate", "--config", DEFENDED, "--seed", "x"],
+    ["stability", "--tol", "1e-3"],
+    ["game", "-v"],
+    [],
+])
+def test_usage_errors_are_input_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    assert "usage: platoonsec" in capsys.readouterr().err
+
+
+def test_help_exits_ok(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert "--xi-grid" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------- domain outcomes
 
 @pytest.mark.parametrize("certificate", [

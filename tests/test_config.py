@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -249,6 +250,35 @@ def test_gap_offsets_validation():
     assert error_path(with_patch(gap_offsets=[0.1, "x", 0.0])) == "gap_offsets[1]"
     with pytest.raises(ConfigError, match="gap_offsets"):
         scenario_from_dict(with_patch(gap_offsets=[0.1]))
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (lambda d: d.update(gap_offsets=[math.inf, 0.0, 0.0]), "gap_offsets[0]"),
+    (lambda d: d["integration"].update(duration=math.inf), "integration.duration"),
+    (lambda d: d["integration"].update(step=math.nan), "integration.step"),
+    (lambda d: d.update(detector={"p_report_given_attack": math.nan}),
+     "detector.p_report_given_attack"),
+    (lambda d: d.update(game={"leaf_utilities": [[math.nan, 0]] + [[0, 0]] * 7}),
+     "game.leaf_utilities[0].0"),
+    (lambda d: d.update(attack={"xi_max": math.inf}), "attack.xi_max"),
+    (lambda d: d.update(attack={"window": [0.0, -math.inf]}), "attack.window[1]"),
+    (lambda d: d["platoon"].update(leader={"pulses": [[1.0, math.nan, -1.0]]}),
+     "platoon.leader.pulses[0].1"),
+    (lambda d: d["platoon"].update(leader={"initial_velocity": 10 ** 400}),
+     "platoon.leader.initial_velocity"),
+])
+def test_non_finite_numbers_are_rejected_at_their_path(mutate, path):
+    data = base_scenario()
+    mutate(data)
+    assert error_path(data) == path
+
+
+def test_infinity_ends_an_open_interval():
+    data = with_patch(attack={"window": [1.0, math.inf]})
+    data["platoon"]["leader"] = {"pulses": [[2.0, math.inf, -0.5]]}
+    config = scenario_from_dict(data)
+    assert config.attack.window == (1.0, math.inf)
+    assert config.platoon.leader_profile.pulses == ((2.0, math.inf, -0.5),)
 
 
 def test_config_error_is_value_error():
