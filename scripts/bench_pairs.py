@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on the benchmark, in alternating pairs, into BENCH_*.json.
+
+Usage (from the repository root):
+
+    python scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json
+        [--first-seed 100] [--commits PARENT CHANGE]
+
+For each workload in the change's ``BENCHMARK.json``, pair i of ten runs
+``bench/run.py --trace 0`` once in each checkout, for the benchmark's
+``run_seconds``, with seed ``first_seed + i``, the parent first in even pairs
+and the change first in odd ones.  Then one traced pass (``--trace 1``) a
+side, with the first seed, gives the per-layer metrics that show where a
+difference went.
+
+The output holds, per workload and end-to-end metric, each side's median and
+quartiles (``statistics.quantiles``, inclusive method), the change's wins out
+of the pairs in the metric's better direction (ties count for neither), and
+every run's value; then both sides' traced per-layer metrics, the seeds, each
+side's manifest (machine and versions, as ``bench/run.py`` reports it) and the
+commits.  A checkout without ``.git`` reports its commit as unknown; name it
+with ``--commits PARENT CHANGE``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+PAIRS = 10
+
+
+def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple:
+    """(manifest, result) of one ``bench/run.py`` run in ``checkout``."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    manifest = json.loads(lines[-2].removeprefix("manifest "))
+    return manifest, json.loads(lines[-1])
+
+
+def summary(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(runs: dict, better: dict) -> dict:
+    """Per end-to-end metric: both sides' summaries, wins and values."""
+    out = {}
+    for name, direction in better.items():
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+        sign = 1 if direction == "lower" else -1
+        wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+        out[name] = {"unit": runs["change"][0]["metrics"][name]["unit"],
+                     "better": direction,
+                     **{side: {**summary(values[side]), "values": values[side]}
+                        for side in SIDES},
+                     "change_wins": wins, "pairs": len(values["parent"])}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--first-seed", type=int, default=100)
+    parser.add_argument("--commits", nargs=2, metavar=("PARENT", "CHANGE"))
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    checkouts = {"parent": args.parent, "change": args.change}
+    seconds = spec["run_seconds"]
+    seeds = list(range(args.first_seed, args.first_seed + PAIRS))
+    report = {"pairs": PAIRS, "seconds": seconds, "seeds": seeds,
+              "order": "parent first in even pairs, change first in odd pairs",
+              "workloads": {}}
+    manifests = {}
+    for workload in [w["name"] for w in spec["workloads"]]:
+        runs = {side: [] for side in SIDES}
+        for i, seed in enumerate(seeds):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                manifests[side], result = bench(checkouts[side], workload, seed,
+                                                seconds, 0)
+                runs[side].append(result)
+                print(f"{workload} pair {i} {side}: wall_s "
+                      f"{result['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
+        traced = {side: bench(checkouts[side], workload, seeds[0], seconds, 1)[1]
+                  for side in SIDES}
+        report["workloads"][workload] = {
+            "all_correct": all(r["correct"] for side in SIDES for r in runs[side]),
+            "end_to_end": compare(runs, better),
+            "traced_per_layer": {side: {name: m["value"] for name, m in
+                                        traced[side]["metrics"].items()} for side in SIDES},
+        }
+    report["manifest"] = manifests
+    report["commits"] = dict(zip(SIDES, args.commits or
+                                 [manifests[side]["git_commit"] for side in SIDES]))
+    args.out.write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,8 +25,8 @@ from pathlib import Path
 
 from .config import ConfigError, load_scenario
 from .control import ACC, CACC, DEFAULT_ACC_GAINS, DEFAULT_CACC_GAINS
-from .engine import (CertificateError, _row_lists, resolve_certificate, run_scenario,
-                     trace_metrics, write_metrics_json, write_trace_csv)
+from .engine import (CertificateError, resolve_certificate, run_scenario, trace_metrics,
+                     write_metrics_json, write_trace_csv)
 from .game import best_response_gap, solve_nash, to_behavioral, to_normal_form
 from .stability import (TransferFunction, check_bibo_lemma1, check_common_lyapunov,
                         check_gues_inequalities, hinf_norm, impulse_response_nonneg,
@@ -80,19 +80,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(trace, out / "trace.csv")
+    write_trace_csv(trace, out / "trace.csv", out / "spacing.dat", out / "velocity.dat")
     write_metrics_json(metrics, out / "metrics.json",
                        extra={"seed": config.seed, "duration": config.duration,
                               "step": config.step})
-
-    n = trace.positions.shape[1]
-    for name, labels, series in (
-            ("spacing.dat", [f"eps{i}" for i in range(2, n + 1)], trace.spacing_errors),
-            ("velocity.dat", [f"v{i}" for i in range(1, n + 1)], trace.velocities)):
-        with open(out / name, "w") as f:
-            f.write("# t " + " ".join(labels) + "\n")
-            for t, row in _row_lists(trace.times, series):
-                f.write(" ".join(map(repr, [t, *row])) + "\n")
 
     if metrics.collision:
         print(f"collision: follower {trace.collision.follower} at "

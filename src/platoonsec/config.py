@@ -202,6 +202,9 @@ def _cacc_gains(obj, path: str) -> CaccGains:
 def _lyapunov(obj, path: str) -> LyapunovCandidate:
     entries = ("p11", "p12", "p22")
     cand = LyapunovCandidate(**_fields(obj, path, dict.fromkeys(entries, _REAL), entries))
+    if cand.p11 > 0 and cand.p11 * cand.p22 == math.inf:  # no determinant is computable
+        raise ConfigError(path, "p11 * p22 overflows; a certificate is scale "
+                                "invariant, so scale the matrix down")
     if not cand.is_positive_definite():
         raise ConfigError(path, "matrix is not positive definite")
     return cand
@@ -213,12 +216,7 @@ _WAVEFORM = {"kind": _one_of(*SIGNAL_KINDS), "amplitude": _REAL, "rate": _REAL,
 
 
 def _signal(obj, path: str) -> AttackSignal:
-    obj = _mapping(obj, path)
-    table = ("times", "values")
-    if obj.get("kind") != "table":  # only a table signal reads times and values
-        obj, table = {key: value for key, value in obj.items() if key not in table}, ()
-    if not all(isinstance(obj.get(key, []), list) for key in table):
-        raise ConfigError(path, "a table signal needs 'times' and 'values' lists")
+    table = ("times", "values") if _mapping(obj, path).get("kind") == "table" else ()
     return _build(AttackSignal, path, **_fields(obj, path, _WAVEFORM, required=table))
 
 
@@ -257,7 +255,7 @@ _SCENARIO = {
     "lyapunov": _or_none(_lyapunov, "auto"),
     "attack": _or_none(_attack),
     "game": _or_none(_game, "default"),
-    "seed": _integer(),
+    "seed": _integer(0),
 }
 
 

@@ -58,6 +58,16 @@ def sym_eig_2x2(S) -> tuple[float, float]:
     return mean - radius, mean + radius
 
 
+def _square(x: float) -> float:
+    """``x ** 2``, or inf where that overflows: a float power raises
+    OverflowError there.  (``x * x`` would not raise, but it differs from
+    ``x ** 2`` in the last bit for some x, which could move a verdict.)"""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class LyapunovCandidate:
     """Entries of a symmetric 2x2 Lyapunov matrix P."""
@@ -70,7 +80,7 @@ class LyapunovCandidate:
         return np.array([[self.p11, self.p12], [self.p12, self.p22]])
 
     def is_positive_definite(self, tol: float = 0.0) -> bool:
-        return self.p11 > tol and self.p11 * self.p22 - self.p12 ** 2 > tol
+        return self.p11 > tol and self.p11 * self.p22 - _square(self.p12) > tol
 
 
 def _p_matrix(P) -> np.ndarray:
@@ -193,7 +203,7 @@ class GuesInequalities:
 
 def _velocity_gain_bracket(k: float, m: float, p11: float, p12: float, p22: float):
     """(above_lower, below_upper, ill_posed) for one mode's (k, m) pair."""
-    arg = k * (p12 ** 2 - p11 * p22)
+    arg = k * (_square(p12) - p11 * p22)
     if arg < 0 or p12 == 0:
         return False, False, True
     root_span = 2.0 * math.sqrt(arg)
@@ -213,7 +223,7 @@ def check_gues_inequalities(k1: float, k2: float, k3: float, k4: float, P) -> Gu
         P = _p_matrix(P)
         p11, p12, p22 = P[0, 0], P[0, 1], P[1, 1]
 
-    det_ok = p11 > 0 and p22 > p12 ** 2 / p11
+    det_ok = p11 > 0 and p22 > _square(p12) / p11
     k2_lo, k2_hi, ill_cacc = _velocity_gain_bracket(k1, k2, p11, p12, p22)
     k4_lo, k4_hi, ill_acc = _velocity_gain_bracket(k3, k4, p11, p12, p22)
     ill = set()

@@ -127,6 +127,21 @@ def test_non_finite_input_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: gap_offsets[0]: expected a finite")
 
 
+def test_lyapunov_overflow_is_input_error(tmp_path, capsys):
+    config = write_config(tmp_path, lyapunov={"p11": 1, "p12": 1e300, "p22": 1})
+    assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: lyapunov: ")
+
+
+@pytest.mark.parametrize("extra", [
+    ["simulate"], ["stability"], ["game"], ["string-check"],
+    ["sweep", "--xi-grid", "1", "--eps-grid", "4", "--runs", "1", "--jobs", "1"]])
+def test_negative_seed_is_input_error(tmp_path, capsys, extra):
+    argv = [*extra, "--config", DEFENDED, "--out", str(tmp_path), "--seed", "-1"]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--config", DEFENDED, "--bogus"],
     ["sweep", "--config", DEFENDED, "--eps-grid", "4.0"],

@@ -176,6 +176,18 @@ def test_dotted_paths_name_the_bad_entry(mutate, path):
     assert error_path(data) == path
 
 
+def test_negative_seed_is_rejected():
+    assert error_path(with_patch(seed=-1)) == "seed"
+
+
+def test_non_table_signal_entries_are_still_checked():
+    # only a table signal reads times and values, but a bad one is an error
+    assert error_path(with_patch(attack={"signal": {"kind": "constant", "times": "x"}})
+                      ) == "attack.signal.times"
+    assert error_path(with_patch(attack={"signal": {"values": [1.0, None]}})
+                      ) == "attack.signal.values[1]"
+
+
 def test_periods_that_fit_the_step_are_accepted():
     # 0.3 / 0.1 is 2.9999999999999996 in floating point, yet 0.3 s is 3 steps
     data = with_patch(integration={"step": 0.1, "duration": 5.0},
@@ -221,6 +233,29 @@ def test_gain_paths():
 def test_lyapunov_must_be_definite():
     assert error_path(with_patch(lyapunov={"p11": 1.0, "p12": 2.0,
                                            "p22": 1.0})) == "lyapunov"
+
+
+@pytest.mark.parametrize("entries", [
+    {"p11": 1.0, "p12": 1e300, "p22": 1.0},      # p12 ** 2 overflows
+    {"p11": 1e170, "p12": 1e160, "p22": 1e170},  # p11 * p22 overflows too
+])
+def test_lyapunov_overflow_is_an_input_error(entries):
+    assert error_path(with_patch(lyapunov=entries)) == "lyapunov"
+
+
+def test_lyapunov_with_overflowing_determinant_is_rejected_not_misjudged():
+    # p12 ** 2 is finite and the matrix looks definite (inf - 1e200 > 0), but
+    # the inequality brackets then take the square root of an infinite
+    # argument and call every velocity gain inside them, while the
+    # scale-equivalent {1, 1e-100, 1} violates k2_below_upper and
+    # k4_below_upper
+    with pytest.raises(ConfigError, match="p11 \\* p22 overflows") as err:
+        scenario_from_dict(with_patch(lyapunov={"p11": 1e200, "p12": 1e100,
+                                                "p22": 1e200}))
+    assert err.value.path == "lyapunov"
+    scaled = scenario_from_dict(with_patch(lyapunov={"p11": 1.0, "p12": 1e-100,
+                                                     "p22": 1.0})).lyapunov
+    assert scaled.is_positive_definite()
 
 
 def test_switching_paths():

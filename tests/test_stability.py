@@ -92,6 +92,14 @@ def test_positive_position_gain_makes_bracket_ill_posed():
     assert "k2_above_lower" in ineq.ill_posed
 
 
+def test_huge_off_diagonal_is_a_verdict_not_an_overflow():
+    # p12 ** 2 overflows a float: the power raises, the checks must not
+    P = LyapunovCandidate(1.0, 1e300, 1.0)
+    assert not P.is_positive_definite()
+    ineq = check_gues_inequalities(-1.58, -2.51, -0.25, -1.0, P)
+    assert not ineq.p_det_positive and not ineq.all_satisfied
+
+
 p11s = st.floats(0.2, 3.0)
 p12s = st.floats(-1.5, 1.5)
 p22s = st.floats(0.2, 3.0)
