@@ -4,16 +4,23 @@
 Runs ``platoonsec simulate`` on every ``configs/*.json`` at seeds 0-3 and the
 benchmark's sweep grid (crash_defended, ``--xi-grid 1 2.5 4 --eps-grid 2 4
 --runs 4 --seed 0 --jobs 1``) into a temporary directory, then prints each
-output file's sha256 in ``sha256sum`` format and, last, the sha256 of that
-whole listing.  Run it on two trees and compare the last lines; equal listing
-digests mean equal bytes in all 65 files.
+output file's sha256 in ``sha256sum`` format and then the sha256 of that
+whole listing.  Run it on two trees and compare the last three lines; equal
+listing digests mean equal bytes in all 65 files.
 
-A last line, ``trace sha256``, digests the in-memory traces of
+A second line, ``trace sha256``, digests the in-memory traces of
 benign_switching at seeds 0-49 and crash_defended at seeds 0-7: every array's
 shape, dtype and bytes, then the reports, decisions, mode events and
 collision by their ``repr``.  The files above hold no reports or decisions,
 so this line is what pins them, over an ensemble as large as the
 benchmark's.
+
+A last line, ``cli sha256``, digests the exit code, stdout and stderr of
+``stability``, ``game``, ``string-check --mode ACC`` and ``string-check
+--mode CACC``, each run with no config and with every ``configs/*.json``,
+and of ``string-check --num -1 -0.25 --den 1 1 0.25`` (acceptance criterion
+3).  The closed-loop matrices A and the transfer functions H(s) reach users
+only through this output.
 
 The digests hold per machine, not across machines: the traces go through
 BLAS matrix-vector products, and BLAS libraries pick their kernels by CPU,
@@ -40,6 +47,9 @@ SWEEP = ["--config", str(CONFIGS / "crash_defended.json"), "--xi-grid", "1", "2.
 TRACE_RUNS = (("benign_switching", range(50)), ("crash_defended", range(8)))
 TRACE_ARRAYS = ("times", "positions", "velocities", "commands", "modes",
                 "spacing_errors", "attack_xi")
+CLI_COMMANDS = (["stability"], ["game"], ["string-check", "--mode", "ACC"],
+                ["string-check", "--mode", "CACC"])
+CLI_FIXTURE = ["string-check", "--num", "-1", "-0.25", "--den", "1", "1", "0.25"]
 
 
 def run(argv) -> None:
@@ -75,6 +85,23 @@ def trace_digest() -> str:
     return digest.hexdigest()
 
 
+def cli_digest() -> str:
+    """sha256 over the exit code, stdout and stderr of CLI_COMMANDS with no
+    config and with each config, then of CLI_FIXTURE, run in-process.  A
+    config enters the digest by its file name, so the tree's path does not."""
+    digest = hashlib.sha256()
+    configs = [None, *sorted(CONFIGS.glob("*.json"))]
+    runs = [(argv, config) for config in configs for argv in CLI_COMMANDS]
+    for argv, config in [*runs, (CLI_FIXTURE, None)]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv + ([] if config is None else ["--config", str(config)]))
+        name = "-" if config is None else config.name
+        digest.update(f"{' '.join(argv)} {name} -> {code}\n".encode())
+        digest.update(f"{out.getvalue()}\0{err.getvalue()}\0".encode())
+    return digest.hexdigest()
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -88,6 +115,7 @@ def main() -> None:
     sys.stdout.write(text)
     print(f"listing sha256 {hashlib.sha256(text.encode()).hexdigest()}")
     print(f"trace sha256 {trace_digest()}")
+    print(f"cli sha256 {cli_digest()}")
 
 
 if __name__ == "__main__":

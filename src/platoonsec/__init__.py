@@ -10,8 +10,7 @@ defender game that picks the switching policy.
 """
 
 from .control import (ACC, CACC, AccGains, CaccGains, DEFAULT_ACC_GAINS,
-                      DEFAULT_CACC_GAINS, acc_accel, assemble_closed_loop,
-                      cacc_accel)
+                      DEFAULT_CACC_GAINS, assemble_closed_loop, law_accel, law_terms)
 from .engine import (ScenarioConfig, SimTrace, SwitchingConfig, cacc_entry_values,
                      run_scenario, switching_decision, trace_metrics,
                      write_metrics_json, write_trace_csv)
@@ -32,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ACC", "CACC", "AccGains", "CaccGains", "DEFAULT_ACC_GAINS",
-    "DEFAULT_CACC_GAINS", "acc_accel", "assemble_closed_loop", "cacc_accel",
+    "DEFAULT_CACC_GAINS", "assemble_closed_loop", "law_accel", "law_terms",
     "ScenarioConfig", "SimTrace", "SwitchingConfig", "cacc_entry_values",
     "run_scenario", "switching_decision", "trace_metrics",
     "write_metrics_json", "write_trace_csv",

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import ConfigError, load_scenario
-from .control import ACC, CACC, DEFAULT_ACC_GAINS, DEFAULT_CACC_GAINS
+from .control import (ACC, CACC, DEFAULT_ACC_GAINS, DEFAULT_CACC_GAINS,
+                      assemble_closed_loop)
 from .engine import (CertificateError, resolve_certificate, run_scenario, trace_metrics,
                      write_metrics_json, write_trace_csv)
 from .game import best_response_gap, solve_nash, to_behavioral, to_normal_form
@@ -62,6 +63,14 @@ def _poly_str(coeffs) -> str:
             body = f"{mag} s^{p}" if abs(c) != 1 else f"s^{p}"
         terms.append(f"{sign} {body}".strip() if sign else body)
     return " ".join(terms) if terms else "0"
+
+
+def finite(text: str) -> float:
+    """A float flag's value: nan and inf parse as floats but mean no number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _load(args: argparse.Namespace):
@@ -108,10 +117,12 @@ def cmd_stability(args: argparse.Namespace) -> int:
         cacc, acc, P = DEFAULT_CACC_GAINS, DEFAULT_ACC_GAINS, None
         eps_ref = 4.0
 
-    print(f"cooperative gains: k1={_fmt(cacc.k1)} k2={_fmt(cacc.k2)}  "
-          f"radar gains: k3={_fmt(acc.k3)} k4={_fmt(acc.k4)}")
-    for label, pair in (("cooperative", (cacc.k1, cacc.k2)),
-                        ("radar-only", (acc.k3, acc.k4))):
+    # the aggregates are the bottom rows of the two laws' A
+    (k1, k2), (k3, k4) = (assemble_closed_loop(mode, gains)[1].tolist()
+                          for mode, gains in ((CACC, cacc), (ACC, acc)))
+    print(f"cooperative gains: k1={_fmt(k1)} k2={_fmt(k2)}  "
+          f"radar gains: k3={_fmt(k3)} k4={_fmt(k4)}")
+    for label, pair in (("cooperative", (k1, k2)), ("radar-only", (k3, k4))):
         verdict = check_bibo_lemma1(*pair)
         print(f"  {label}: hurwitz={verdict['hurwitz']} "
               f"real-pole criterion={verdict['lemma1']}")
@@ -126,7 +137,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
         return EXIT_OUTCOME
 
     report = check_common_lyapunov(P, A_list)
-    ineq = check_gues_inequalities(cacc.k1, cacc.k2, acc.k3, acc.k4, P)
+    ineq = check_gues_inequalities(k1, k2, k3, k4, P)
     source = "searched" if searched else "given"
     print(f"certificate P ({source}): p11={_fmt(P.p11)} p12={_fmt(P.p12)} "
           f"p22={_fmt(P.p22)}")
@@ -283,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help=f"output directory (default ${_OUT_ENV} or .)")
         p.add_argument("--seed", type=int, help="override the scenario seed")
         if tol is not None:
-            p.add_argument("--tol", type=float, default=tol,
+            p.add_argument("--tol", type=finite, default=tol,
                            help=f"verdict tolerance (default {tol:g})")
         return p
 
@@ -297,15 +308,15 @@ def build_parser() -> argparse.ArgumentParser:
                 "frequency/impulse string-stability check")
     p.add_argument("--mode", choices=[ACC, CACC], default=ACC,
                    help="which controller's propagation to check (default ACC)")
-    p.add_argument("--num", type=float, nargs="+",
+    p.add_argument("--num", type=finite, nargs="+",
                    help="explicit numerator coefficients, descending powers")
-    p.add_argument("--den", type=float, nargs="+",
+    p.add_argument("--den", type=finite, nargs="+",
                    help="explicit denominator coefficients, descending powers")
 
     p = command("sweep", cmd_sweep, "attack-magnitude x safety-threshold grid")
-    p.add_argument("--xi-grid", type=float, nargs="+", required=True,
+    p.add_argument("--xi-grid", type=finite, nargs="+", required=True,
                    help="attack magnitudes to sweep")
-    p.add_argument("--eps-grid", type=float, nargs="+", required=True,
+    p.add_argument("--eps-grid", type=finite, nargs="+", required=True,
                    help="safety thresholds to sweep")
     p.add_argument("--runs", type=int, default=20, help="runs per grid cell")
     p.add_argument("--jobs", type=int, default=None, help="worker processes")

@@ -1,42 +1,51 @@
 """Upper-level longitudinal control laws and their closed-loop matrix forms.
 
-Two controller families are implemented:
+Both controllers are one law form over a table of terms, each reading one
+neighbour j of follower i over one channel:
 
-* CACC -- cooperative control using V2V messages from the predecessor and the
-  platoon leader.  For follower i:
+    u_i = sum over terms of alpha (x_i - x_j + L_ij) + beta (v_i - v_j) + gamma a_j
 
-      u_i = sum_j alpha_j (x_i - x_j + L_ij) + sum_j beta_j (v_i - v_j)
-            + sum_j gamma_j a_j,            j in {leader, predecessor}
+with L_ij the desired distance (L times the hop count).  ``law_terms`` holds
+the table, the only map from a mode to coefficients:
 
-* ACC -- radar-only control using relative position/velocity of the
-  predecessor (no acceleration feed-through, hence immune to falsified
-  acceleration messages):
+    CACC   predecessor  V2V    alpha_pred  beta_pred  gamma_pred
+           leader       V2V    alpha_lead  beta_lead  gamma_lead
+    ACC    predecessor  radar  alpha       beta       0
 
-      u_i = alpha (x_i - x_{i-1} + L) + beta (v_i - v_{i-1})
+Radar measures no acceleration, hence gamma = 0, and falsified content enters
+only through a V2V term: the radar law (ACC) is immune to the channel.
 
 In the spacing-error state z = (eps_i, eps_i') of a follower whose neighbors
 hold the desired gaps and steady speed, either law closes to zdot = A z with
-the aggregate position/velocity gains k1..k4 in A's bottom row; these A
-matrices are what the stability certificate is computed for.  Vehicle 2's
-predecessor *is* the leader, so it applies both gain sets to vehicle 1's
-message; this keeps the aggregates (and hence A) identical for every follower.
+A's bottom row the sums of its alphas and betas, (k1, k2) or (k3, k4); the
+certificate is computed for these A.  Vehicle 2's predecessor *is* the
+leader, so it applies both CACC terms to vehicle 1's message, which keeps
+the sums (and hence A) the same for every follower.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .platoon import NeighborMessage, RadarMeasurement, VehicleState, desired_distance
+from .platoon import VehicleState, desired_distance
 
 __all__ = [
     "CACC",
     "ACC",
+    "PREDECESSOR",
+    "LEADER",
+    "V2V",
+    "RADAR",
     "CaccGains",
     "AccGains",
-    "cacc_accel",
-    "acc_accel",
+    "LawTerm",
+    "law_terms",
+    "law_accel",
     "assemble_closed_loop",
     "DEFAULT_CACC_GAINS",
     "DEFAULT_ACC_GAINS",
@@ -44,6 +53,10 @@ __all__ = [
 
 CACC = "CACC"
 ACC = "ACC"
+PREDECESSOR = "predecessor"
+LEADER = "leader"
+V2V = "V2V"
+RADAR = "radar"
 
 
 @dataclass(frozen=True)
@@ -101,14 +114,6 @@ class AccGains:
     alpha: float
     beta: float
 
-    @property
-    def k3(self) -> float:
-        return self.alpha
-
-    @property
-    def k4(self) -> float:
-        return self.beta
-
     def validate(self):
         if not (self.alpha < 0 and self.beta < 0):
             raise ValueError(
@@ -120,46 +125,55 @@ DEFAULT_CACC_GAINS = CaccGains.from_aggregate(-1.58, -2.51)
 DEFAULT_ACC_GAINS = AccGains(-0.25, -1.0)
 
 
-def cacc_accel(i: int, own_state: VehicleState, pred_msg: NeighborMessage,
-               leader_msg: NeighborMessage, gains: CaccGains, L: float) -> float:
-    """Cooperative acceleration command for follower i from its two messages.
+class LawTerm(NamedTuple):
+    """One row of a law's table (see the module docstring)."""
 
-    For i == 2 both messages come from vehicle 1 (the predecessor is the
-    leader); both gain sets still apply so the closed loop matches every other
-    follower.
-    """
-    if i < 2:
-        raise ValueError("only followers (i >= 2) run a controller")
-    u = 0.0
-    for msg, alpha, beta, gamma, j in (
-        (pred_msg, gains.alpha_pred, gains.beta_pred, gains.gamma_pred, i - 1),
-        (leader_msg, gains.alpha_lead, gains.beta_lead, gains.gamma_lead, 1),
-    ):
-        L_ij = desired_distance(i, j, L)
-        u += alpha * (own_state.position - msg.position + L_ij)
-        u += beta * (own_state.velocity - msg.velocity)
-        u += gamma * msg.acceleration
-    return u
+    neighbour: str  # PREDECESSOR or LEADER
+    channel: str  # V2V or RADAR
+    alpha: float
+    beta: float
+    gamma: float
+
+    def sender(self, i: int) -> int:
+        """The 1-based vehicle this term reads for follower i."""
+        return i - 1 if self.neighbour == PREDECESSOR else 1
 
 
-def acc_accel(i: int, own_state: VehicleState, radar: RadarMeasurement,
-              gains: AccGains, L: float) -> float:
-    """Radar-only acceleration command for follower i."""
-    if i < 2:
-        raise ValueError("only followers (i >= 2) run a controller")
-    eps = own_state.position - radar.position + L
-    deps = own_state.velocity - radar.velocity
-    return gains.alpha * eps + gains.beta * deps
-
-
-def assemble_closed_loop(mode: str, gains) -> np.ndarray:
-    """The 2x2 matrix A of the selected law's spacing-error dynamics."""
+def law_terms(mode: str, gains) -> tuple[LawTerm, ...]:
+    """The terms of the law ``mode`` runs with ``gains``, predecessor first."""
     if mode == CACC:
         if not isinstance(gains, CaccGains):
             raise TypeError("CACC mode requires CaccGains")
-        return np.array([[0.0, 1.0], [gains.k1, gains.k2]])
+        return (LawTerm(PREDECESSOR, V2V, gains.alpha_pred, gains.beta_pred,
+                        gains.gamma_pred),
+                LawTerm(LEADER, V2V, gains.alpha_lead, gains.beta_lead, gains.gamma_lead))
     if mode == ACC:
         if not isinstance(gains, AccGains):
             raise TypeError("ACC mode requires AccGains")
-        return np.array([[0.0, 1.0], [gains.k3, gains.k4]])
+        return (LawTerm(PREDECESSOR, RADAR, gains.alpha, gains.beta, 0.0),)
     raise ValueError(f"unknown control mode {mode!r}")
+
+
+def law_accel(i: int, own_state: VehicleState, terms, readings, L: float) -> float:
+    """Acceleration command for follower i from one reading per term: a
+    ``NeighborMessage`` from the sender of a V2V term, a ``RadarMeasurement``
+    (no acceleration to feed through) for a radar term."""
+    if i < 2:
+        raise ValueError("only followers (i >= 2) run a controller")
+    u = 0.0
+    for term, reading in zip(terms, readings, strict=True):
+        L_ij = desired_distance(i, term.sender(i), L)
+        u += term.alpha * (own_state.position - reading.position + L_ij)
+        u += term.beta * (own_state.velocity - reading.velocity)
+        if term.channel == V2V:
+            u += term.gamma * reading.acceleration
+    return u
+
+
+def assemble_closed_loop(mode: str, gains) -> np.ndarray:
+    """The 2x2 matrix A of the selected law's spacing-error dynamics:
+    bottom row (sum of alphas, sum of betas) over the law's terms."""
+    terms = law_terms(mode, gains)
+    k = functools.reduce(operator.add, (term.alpha for term in terms))
+    m = functools.reduce(operator.add, (term.beta for term in terms))
+    return np.array([[0.0, 1.0], [k, m]])

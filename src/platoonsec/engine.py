@@ -20,6 +20,11 @@ one supervisor with a single switching signal applied to all followers,
 which is the setting the dwell-time guarantee speaks about.  The safety
 surface is always per vehicle, evaluated every integrator step.
 
+A mode change records its cause: ``initial``, ``safety-surface`` (the
+follower's own error reached the surface), ``safety-release``, ``dwell-hold``,
+``game``, or ``safety-broadcast`` for a follower inside the surface moved by a
+platoon-scope decision that cites the surface (as that decision does).
+
 Discontinuities (attack window edges, leader profile pulses, mode changes)
 take effect only at step boundaries, so every integration step sees a smooth
 vector field and the integrator keeps its order.  Attack injection follows
@@ -74,12 +79,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .control import (ACC, CACC, AccGains, CaccGains, DEFAULT_ACC_GAINS,
-                      DEFAULT_CACC_GAINS, acc_accel, assemble_closed_loop,
-                      cacc_accel)
+from .control import (ACC, CACC, V2V, AccGains, CaccGains, DEFAULT_ACC_GAINS,
+                      DEFAULT_CACC_GAINS, assemble_closed_loop, law_accel, law_terms)
 from .game import BehavioralStrategy, GameSpec, DEFAULT_GAME, equilibrium_strategy
 from .platoon import (NeighborMessage, PlatoonConfig, RadarMeasurement,
-                      VehicleState)
+                      VehicleState, desired_distance)
 from .stability import (LyapunovCandidate, LyapunovConstants, check_common_lyapunov,
                         find_common_lyapunov, lyapunov_constants, min_dwell_time)
 from .threat import (AttackSpec, DetectorModel, attack_signal, detector_sample,
@@ -114,6 +118,7 @@ _CAUSE_GAME = "game"
 _CAUSE_DWELL = "dwell-hold"
 _CAUSE_SAFETY = "safety-surface"
 _CAUSE_RELEASE = "safety-release"
+_CAUSE_BROADCAST = "safety-broadcast"
 
 
 @dataclass(frozen=True)
@@ -515,8 +520,9 @@ class _Supervisor:
                     float(eps[col]), report, self.equilibrium, state, self.config,
                     self.decision_rng, now=t, error_rate=float(deps[col]), entry_state=entry)
                 self.decisions.append(DecisionEvent(t, unit, report, mode, cause))
-                causes.update(dict.fromkeys(range(2, n + 1) if unit == PLATOON_UNIT
-                                            else (unit,), cause))
+                for i in range(2, n + 1) if unit == PLATOON_UNIT else (unit,):
+                    inside = cause == _CAUSE_SAFETY and abs(eps[i - 2]) < self.eps_max
+                    causes[i] = _CAUSE_BROADCAST if inside else cause
             if [unit.mode for unit in self.units] != before:
                 self._emit(t, causes)
         return self.pattern, (k // self.dec_every + 1) * self.dec_every
@@ -536,11 +542,11 @@ class _Integrator:
 
     Within one step every gated quantity (modes, attack value, leader
     acceleration) is frozen, so the closed loop is affine: xdot = M x + b
-    with x = (positions, velocities).  The classical fourth-order step on an
-    affine field collapses to x' = Phi x + Psi b with the degree-4 Taylor
-    polynomials of ``_step_map``, so integration is one cached
-    matrix-vector product per step instead of four controller-chain
-    evaluations.
+    with x = (positions, velocities).  Each follower's rows of M and b are
+    its mode's law, read term by term from ``control.law_terms``, the table
+    the certificate's A and H(s) come from.  The fourth-order step on an
+    affine field collapses to x' = Phi x + Psi b (``_step_map``), one cached
+    matrix-vector product per step.
     """
 
     def __init__(self, config: ScenarioConfig, steps: int):
@@ -552,8 +558,11 @@ class _Integrator:
         self.L = platoon.desired_gap
         self.vehicle_length = platoon.vehicle_length
         self.leader = platoon.leader_profile
-        self.cacc = config.cacc_gains
-        self.acc = config.acc_gains
+        # per mode code (0 cooperative, 1 radar-only): the law's terms and
+        # its A's bottom row, and whether it reads V2V (and so feels an attack)
+        self.laws = [(law_terms(mode, gains), assemble_closed_loop(mode, gains)[1])
+                     for mode, gains in ((CACC, config.cacc_gains), (ACC, config.acc_gains))]
+        self.exposed = [any(term.channel == V2V for term in terms) for terms, _ in self.laws]
         self.attack = attack
         self.edges, self.varying = _input_edges(config, steps)
         self.targeted = [attack is not None and i + 1 in attack.targets for i in range(n)]
@@ -581,26 +590,20 @@ class _Integrator:
         """Linear part of the physical-acceleration chain, front to back.
 
         Row i gives follower i+1's acceleration as a functional of the full
-        state; the cooperative feed-forward term chains through the
-        predecessor's row, whatever that vehicle's own mode is.
+        state; a term's feed-forward chains through its neighbour's row,
+        whatever that vehicle's own mode is (the leader's row is zero).
         """
-        n, cacc, acc = self.n, self.cacc, self.acc
+        n = self.n
         R = np.zeros((n, 2 * n))
         for i in range(1, n):
             row = R[i]
-            if pattern[i - 1] == 0:  # cooperative
-                row[i] = cacc.alpha_pred + cacc.alpha_lead
-                row[i - 1] -= cacc.alpha_pred
-                row[0] -= cacc.alpha_lead
-                row[n + i] = cacc.beta_pred + cacc.beta_lead
-                row[n + i - 1] -= cacc.beta_pred
-                row[n] -= cacc.beta_lead
-                row += cacc.gamma_pred * R[i - 1]
-            else:  # radar-only
-                row[i] = acc.alpha
-                row[i - 1] -= acc.alpha
-                row[n + i] = acc.beta
-                row[n + i - 1] -= acc.beta
+            terms, bottom = self.laws[pattern[i - 1]]
+            row[[i, n + i]] = bottom  # A's own sums of alphas and of betas
+            for term in terms:
+                j = term.sender(i + 1) - 1
+                row[j] -= term.alpha
+                row[n + j] -= term.beta
+                row += term.gamma * R[j]
         return R
 
     def _step_map(self, pattern):
@@ -629,32 +632,26 @@ class _Integrator:
         """Constant part of the chain for the segment's frozen inputs.
 
         Message falsification adds the attack value to the selected fields of
-        both inbound messages of each victim; a lumped-disturbance attack
-        adds it to the victim's physical acceleration instead.  Either way
-        the contribution is constant over the segment.
+        a victim's V2V readings; a lumped-disturbance attack adds it to the
+        acceleration of a victim whose law reads V2V.  A radar term is immune.
+        Each sum starts from its first product, in the law's term order.
         """
-        n, L, cacc, acc = self.n, self.L, self.cacc, self.acc
-        off_x, off_v, off_a = self.offsets
-        g = np.empty(n)
-        g[0] = lead_acc
-        for i in range(1, n):
+        L = self.L
+        forged = tuple(xi if on else 0.0 for on in self.offsets)
+        g = [float(lead_acc)]  # floats round as the array's float64 entries do
+        for i, code in enumerate(pattern.tolist(), start=1):
+            terms, _ = self.laws[code]
             hit = active and self.targeted[i]
-            if pattern[i - 1] == 0:  # cooperative
-                if hit:
-                    ox = xi if off_x else 0.0
-                    ov = xi if off_v else 0.0
-                    oa = xi if off_a else 0.0
-                else:
-                    ox = ov = oa = 0.0
-                g[i] = (cacc.alpha_pred * (L - ox) - cacc.beta_pred * ov
-                        + cacc.gamma_pred * (g[i - 1] + oa)
-                        + cacc.alpha_lead * (i * L - ox) - cacc.beta_lead * ov
-                        + cacc.gamma_lead * (lead_acc + oa))
-                if self.lumped and hit:
-                    g[i] += xi
-            else:  # radar-only: immune to transmitted content
-                g[i] = acc.alpha * L
-        return g
+            u = None
+            for term in terms:
+                j = term.sender(i + 1) - 1
+                ox, ov, oa = forged if hit and term.channel == V2V else (0.0, 0.0, 0.0)
+                part = term.alpha * (desired_distance(i, j, L) - ox)
+                u = part if u is None else u + part
+                u -= term.beta * ov
+                u += term.gamma * (g[j] + oa)
+            g.append(u + xi if self.lumped and hit and self.exposed[code] else u)
+        return np.array(g)
 
     def _segment_map(self, pattern, k: int):
         """(R, Phi, Psi_g, g, Psi_g g, disturbed, lead_acc, xi, active) for
@@ -674,7 +671,7 @@ class _Integrator:
             R, phi, psi_g = self._step_map(pattern)
             g = self._accel_consts(pattern, lead_acc, xi, active)
             disturbed = [i for i in range(1, self.n) if self.lumped and active
-                         and self.targeted[i] and pattern[i - 1] == 0]
+                         and self.targeted[i] and self.exposed[pattern[i - 1]]]
             cached = (R, phi, psi_g, g, psi_g @ g, disturbed, lead_acc, xi, active)
             self.segment_maps[key] = cached
         return cached
@@ -804,43 +801,41 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
 def commanded_accelerations(config: ScenarioConfig, pos, vel, modes, t: float):
     """Controller evaluation through the message-object interface.
 
-    Builds each follower's inbound traffic explicitly -- predecessor and
-    leader messages (falsified when the attack targets the receiver), or a
-    radar measurement -- and chains transmitted accelerations front to back.
-    ``run_scenario`` integrates an algebraically identical affine form; this
-    is the readable reference the property tests hold it against.
+    Builds each follower's inbound traffic explicitly -- a message from the
+    sender of each V2V term (falsified when the attack targets the
+    receiver), a radar measurement for a radar term -- and chains
+    transmitted accelerations front to back.  ``run_scenario`` integrates an
+    algebraically identical affine form; this is the readable reference the
+    property tests hold it against.
 
     ``modes`` is the follower mode row (0 cooperative, 1 radar-only).
     Returns (commands, physical accelerations), leader entries included.
     """
     plat = config.platoon
     n = plat.vehicle_count
-    L = plat.desired_gap
     attack = config.attack
     lumped = attack is not None and attack.mode == "lumped-acceleration"
     xi = attack_signal(attack, t) if attack is not None else 0.0
+    laws = (law_terms(CACC, config.cacc_gains), law_terms(ACC, config.acc_gains))
     u = np.empty(n)
     dv = np.empty(n)
     u[0] = dv[0] = plat.leader_profile.acceleration(t)
     for i in range(2, n + 1):
-        own = VehicleState(position=float(pos[i - 1]), velocity=float(vel[i - 1]))
+        own = VehicleState(float(pos[i - 1]), float(vel[i - 1]))
         targeted = attack is not None and i in attack.targets
-        if modes[i - 2] == 0:
-            pred = NeighborMessage(position=float(pos[i - 2]), velocity=float(vel[i - 2]),
-                                   acceleration=float(dv[i - 2]), sender_id=i - 1)
-            lead = NeighborMessage(position=float(pos[0]), velocity=float(vel[0]),
-                                   acceleration=float(dv[0]), sender_id=1)
-            if targeted:
-                pred = falsify_message(pred, attack, t)
-                lead = falsify_message(lead, attack, t)
-            u[i - 1] = cacc_accel(i, own, pred, lead, config.cacc_gains, L)
-            dv[i - 1] = u[i - 1] + (xi if (lumped and targeted and attack.active(t))
-                                    else 0.0)
-        else:
-            radar = RadarMeasurement(position=float(pos[i - 2]),
-                                     velocity=float(vel[i - 2]))
-            u[i - 1] = acc_accel(i, own, radar, config.acc_gains, L)
-            dv[i - 1] = u[i - 1]
+        terms = laws[modes[i - 2]]
+        readings = []
+        for term in terms:
+            j = term.sender(i) - 1
+            if term.channel == V2V:
+                msg = NeighborMessage(float(pos[j]), float(vel[j]), float(dv[j]), j + 1)
+                readings.append(falsify_message(msg, attack, t) if targeted else msg)
+            else:
+                readings.append(RadarMeasurement(float(pos[j]), float(vel[j])))
+        u[i - 1] = law_accel(i, own, terms, readings, plat.desired_gap)
+        disturbed = lumped and targeted and attack.active(t) and any(
+            term.channel == V2V for term in terms)
+        dv[i - 1] = u[i - 1] + (xi if disturbed else 0.0)
     return u, dv
 
 

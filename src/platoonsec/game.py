@@ -85,8 +85,8 @@ class GameSpec:
     """
 
     leaf_utilities: tuple
-    p_report_given_attack: Fraction = Fraction(7, 10)
-    p_report_given_benign: Fraction = Fraction(1, 10)
+    p_report_given_attack: Fraction = _frac(DetectorModel.p_report_given_attack)
+    p_report_given_benign: Fraction = _frac(DetectorModel.p_report_given_benign)
 
     def __post_init__(self):
         leaves = tuple((_frac(ua), _frac(ud)) for ua, ud in self.leaf_utilities)

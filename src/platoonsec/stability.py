@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ACC, CACC, AccGains, CaccGains
+from .control import law_terms
 
 __all__ = [
     "LyapunovCandidate",
@@ -391,41 +391,23 @@ def _strip(coeffs) -> tuple[float, ...]:
 def spacing_error_tf(mode: str, gains) -> TransferFunction:
     """Hop-to-hop spacing-error transfer function H(s) = eps_i / eps_{i-1}.
 
-    Derived from eps_ddot_i = u_i - u_{i-1} under the respective control law
-    (valid for i >= 3, where both vehicles of the hop run the controller).
-    For radar-only gains (alpha, beta):
+    Derived from eps_ddot_i = u_i - u_{i-1} under the law's predecessor term
+    (alpha, beta, gamma), for i >= 3 (both vehicles of the hop run the law):
 
-        H(s) = -(beta s + alpha) / (s^2 - beta s - alpha)
+        H(s) = (gamma s^2 - beta s - alpha) / (s^2 - beta s - alpha)
 
-    so stable gains give DC gain +1: a slow positive offset on the
-    predecessor's error reappears with the same sign one hop back.  The
-    cooperative law admits such a single-hop relation only when the leader
-    gains are zero (a pure predecessor-following chain); with leader coupling
-    active the error dynamics involve every upstream hop and the request is
-    rejected.
+    The radar law has gamma = 0, so stable gains give DC gain +1: a slow
+    positive offset on the predecessor's error reappears with the same sign
+    one hop back.  With a nonzero leader term the error dynamics involve
+    every upstream hop, and the request is rejected.
     """
-    if mode == ACC:
-        if not isinstance(gains, AccGains):
-            raise TypeError("ACC mode requires AccGains")
-        a, b = gains.alpha, gains.beta
-        return TransferFunction(
-            num=(-b + 0.0, -a + 0.0),
-            den=(1.0, -b + 0.0, -a + 0.0),
-        )
-    if mode == CACC:
-        if not isinstance(gains, CaccGains):
-            raise TypeError("CACC mode requires CaccGains")
-        if gains.alpha_lead != 0.0 or gains.beta_lead != 0.0 or gains.gamma_lead != 0.0:
-            raise ValueError(
-                "no single-hop spacing-error transfer function exists with leader "
-                "coupling active; set the leader gains to zero for a chain analysis"
-            )
-        a, b, g = gains.alpha_pred, gains.beta_pred, gains.gamma_pred
-        return TransferFunction(
-            num=(g + 0.0, -b + 0.0, -a + 0.0),
-            den=(1.0, -b + 0.0, -a + 0.0),
-        )
-    raise ValueError(f"unknown control mode {mode!r}")
+    pred, *leader = law_terms(mode, gains)
+    if any(term.alpha or term.beta or term.gamma for term in leader):
+        raise ValueError("no single-hop spacing-error transfer function exists with leader "
+                         "coupling active; set the leader gains to zero for a chain analysis")
+    a, b, g = pred.alpha, pred.beta, pred.gamma
+    den = (1.0, -b + 0.0, -a + 0.0)
+    return TransferFunction(num=_strip((g + 0.0,) + den[1:]), den=den)
 
 
 @dataclass(frozen=True)

@@ -145,14 +145,7 @@ def falsify_message(msg: NeighborMessage, spec: AttackSpec, t: float) -> Neighbo
     if spec.mode != "message-level" or not spec.active(t):
         return msg
     offset = attack_signal(spec, t)
-    changes = {}
-    if "position" in spec.message_fields:
-        changes["position"] = msg.position + offset
-    if "velocity" in spec.message_fields:
-        changes["velocity"] = msg.velocity + offset
-    if "acceleration" in spec.message_fields:
-        changes["acceleration"] = msg.acceleration + offset
-    return replace(msg, **changes) if changes else msg
+    return replace(msg, **{name: getattr(msg, name) + offset for name in spec.message_fields})
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,25 @@ def test_usage_errors_are_input_errors(capsys, argv):
     assert "usage: platoonsec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", DEFENDED, "--tol"],
+    ["game", "--tol"],
+    ["sweep", "--config", DEFENDED, "--eps-grid", "4", "--xi-grid", "1"],
+    ["sweep", "--config", DEFENDED, "--xi-grid", "1", "--eps-grid"],
+    ["string-check", "--den", "1", "1", "--num"],
+    ["string-check", "--num", "1", "--den", "1"],
+])
+def test_non_finite_flag_values_are_input_errors(tmp_path, capsys, argv, value):
+    """nan and inf parse as floats; as a tolerance, a grid value or a
+    coefficient they are an input error, not a run that ends in a verdict."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value, "--out", str(tmp_path / "out")])
+    assert exc.value.code == EXIT_INPUT
+    assert f"expected a finite number, got '{value}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_help_exits_ok(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--help"])

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from platoonsec.control import (ACC, CACC, AccGains, CaccGains,
-                                DEFAULT_ACC_GAINS, DEFAULT_CACC_GAINS, acc_accel,
-                                assemble_closed_loop, cacc_accel)
+from platoonsec.control import (ACC, CACC, LEADER, PREDECESSOR, RADAR, V2V,
+                                AccGains, CaccGains, DEFAULT_ACC_GAINS,
+                                DEFAULT_CACC_GAINS, LawTerm, assemble_closed_loop,
+                                law_accel, law_terms)
 from platoonsec.platoon import NeighborMessage, RadarMeasurement, VehicleState
 
 coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -24,8 +25,7 @@ def test_default_aggregate_gains():
     assert DEFAULT_CACC_GAINS.k1 == pytest.approx(-1.58)
     assert DEFAULT_CACC_GAINS.k2 == pytest.approx(-2.51)
     assert DEFAULT_CACC_GAINS.gamma_pred + DEFAULT_CACC_GAINS.gamma_lead == pytest.approx(1.0)
-    assert DEFAULT_ACC_GAINS.k3 == -0.25
-    assert DEFAULT_ACC_GAINS.k4 == -1.0
+    assert assemble_closed_loop(ACC, DEFAULT_ACC_GAINS)[1].tolist() == [-0.25, -1.0]
 
 
 def test_closed_loop_matrices_match_pinned_values():
@@ -44,7 +44,7 @@ def test_cacc_accel_equals_closed_loop_row(eps, deps, x_l, v_l, k1, k2, split,
                                      gamma_lead=gl)
     own = VehicleState(x_l - L + eps, v_l + deps)
     lead = NeighborMessage(x_l, v_l, 0.0, sender_id=1)
-    u = cacc_accel(2, own, lead, lead, gains, L)
+    u = law_accel(2, own, law_terms(CACC, gains), (lead, lead), L)
     row = assemble_closed_loop(CACC, gains)[1] @ np.array([eps, deps])
     assert u == pytest.approx(row, abs=1e-9 * max(1.0, abs(x_l), abs(v_l)))
 
@@ -54,7 +54,7 @@ def test_cacc_accel_equals_closed_loop_row(eps, deps, x_l, v_l, k1, k2, split,
 def test_acc_accel_equals_closed_loop_row(eps, deps, x_l, v_l, k3, k4, L):
     gains = AccGains(k3, k4)
     own = VehicleState(x_l - L + eps, v_l + deps)
-    u = acc_accel(2, own, RadarMeasurement(x_l, v_l), gains, L)
+    u = law_accel(2, own, law_terms(ACC, gains), (RadarMeasurement(x_l, v_l),), L)
     row = assemble_closed_loop(ACC, gains)[1] @ np.array([eps, deps])
     assert u == pytest.approx(row, abs=1e-9 * max(1.0, abs(x_l), abs(v_l)))
 
@@ -64,7 +64,7 @@ def test_follower_two_consumes_vehicle_one_twice():
     gains = DEFAULT_CACC_GAINS
     own = VehicleState(-9.0, 19.5)
     msg = NeighborMessage(0.0, 20.0, -1.0, sender_id=1)
-    u = cacc_accel(2, own, msg, msg, gains, 10.0)
+    u = law_accel(2, own, law_terms(CACC, gains), (msg, msg), 10.0)
     eps = own.position - msg.position + 10.0
     deps = own.velocity - msg.velocity
     expected = (gains.k1 * eps + gains.k2 * deps
@@ -75,7 +75,8 @@ def test_follower_two_consumes_vehicle_one_twice():
 def test_follower_index_validation():
     own = VehicleState(0.0, 20.0)
     with pytest.raises(ValueError):
-        acc_accel(1, own, RadarMeasurement(10.0, 20.0), DEFAULT_ACC_GAINS, 10.0)
+        law_accel(1, own, law_terms(ACC, DEFAULT_ACC_GAINS),
+                  (RadarMeasurement(10.0, 20.0),), 10.0)
 
 
 @given(k1=gain, k2=gain)
@@ -97,3 +98,21 @@ def test_validate_rejects_sign_flipped_gains():
 def test_assemble_closed_loop_rejects_unknown_mode():
     with pytest.raises(ValueError):
         assemble_closed_loop("cruise", DEFAULT_CACC_GAINS)
+
+
+def test_law_terms_is_the_table_of_both_laws():
+    g = DEFAULT_CACC_GAINS
+    assert law_terms(CACC, g) == (
+        LawTerm(PREDECESSOR, V2V, g.alpha_pred, g.beta_pred, g.gamma_pred),
+        LawTerm(LEADER, V2V, g.alpha_lead, g.beta_lead, g.gamma_lead))
+    # the radar law: the predecessor term read by radar, no feed-through
+    assert law_terms(ACC, DEFAULT_ACC_GAINS) == (LawTerm(PREDECESSOR, RADAR, -0.25, -1.0, 0.0),)
+
+
+def test_law_terms_rejects_wrong_gains_and_unknown_mode():
+    with pytest.raises(TypeError, match="CACC mode requires CaccGains"):
+        law_terms(CACC, DEFAULT_ACC_GAINS)
+    with pytest.raises(TypeError, match="ACC mode requires AccGains"):
+        law_terms(ACC, DEFAULT_CACC_GAINS)
+    with pytest.raises(ValueError, match="unknown control mode 'cruise'"):
+        law_terms("cruise", DEFAULT_CACC_GAINS)

@@ -427,8 +427,25 @@ def _zero_table_attack(mode):
                                           values=(0.0, -0.0, 0.0, -0.0, 0.0)))
 
 
+def _gains_under_message_attack(gains, kind, **switching):
+    """Followers 2 and 3 of four read forged V2V fields under ``gains``."""
+    attack = AttackSpec(targets={2, 3}, mode="message-level", xi_max=2.0,
+                        window=(0.25, 3.0),
+                        signal=AttackSignal(kind=kind, amplitude=1.5, frequency=0.4))
+    return ScenarioConfig(platoon=make_platoon(n=4), attack=attack, cacc_gains=gains,
+                          lyapunov=_P_BENIGN, step=0.05, duration=3.5,
+                          switching=SwitchingConfig(decision_period=0.25, **switching))
+
+
 @settings(max_examples=30, deadline=None)
 @given(oracle_scenarios())
+@example(_gains_under_message_attack(  # alpha_pred and beta_pred are -0.0
+    CaccGains.from_aggregate(-1.58, -2.51, split=0.0), "sinusoid"))
+@example(_gains_under_message_attack(  # alpha_lead and beta_lead are -0.0
+    CaccGains.from_aggregate(-1.58, -2.51, split=1.0), "constant", scope="platoon"))
+@example(_gains_under_message_attack(  # a negative leader feed-through
+    CaccGains.from_aggregate(-1.58, -2.51, gamma_pred=1.5, gamma_lead=-0.5), "sinusoid",
+    policy_override=(0.5, 0.5)))
 @example(ScenarioConfig(  # a collision mid-run
     platoon=make_platoon(n=3), attack=crash_attack(window=(0.3, math.inf)),
     switching=NO_SWITCH, step=0.05, duration=4.0, gap_offsets=(0.0, 2.0)))
@@ -521,9 +538,7 @@ def test_every_row_matches_the_message_object_oracle(config):
                 if latched[i]:
                     assert trace.modes[k, i] == 1, f"latched {i + 2} cooperative at row {k}"
             before = trace.modes[k].tolist()
-    # a platoon-scope decision may also cite the surface, for every follower
-    decided = {d.time for d in trace.decisions}
-    assert {(t, v) for t, v in safety if t not in decided} <= want_safety
+    assert safety <= want_safety
     assert release <= want_release
 
     gaps = trace.positions[:, :-1] - trace.positions[:, 1:]
@@ -599,6 +614,23 @@ def test_hysteresis_release_sequence():
     idx = int(round(release / config.step))
     assert abs(trace.spacing_errors[idx, 0]) <= 0.5 * 2.0 + 1e-9
     assert np.all(trace.modes[idx:, 0] == 0)
+
+
+def test_platoon_safety_decision_cites_the_surface_only_where_it_was_reached():
+    """Follower 2 starts beyond the surface and latches at t = 0; the
+    platoon decision at t = 0.5 s downgrades follower 3, which is far
+    inside the surface, so its mode event names the broadcast."""
+    config = ScenarioConfig(
+        platoon=make_platoon(n=3, eps_max=2.0), gap_offsets=(2.5, 0.0),
+        lyapunov=_P_BENIGN,
+        switching=SwitchingConfig(scope="platoon", decision_period=0.5),
+        step=0.05, duration=1.0)
+    trace = run_scenario(config)
+    assert [(e.time, e.vehicle, e.mode, e.cause) for e in trace.mode_events[2:4]] == [
+        (0.0, 2, ACC, "safety-surface"), (0.5, 3, ACC, "safety-broadcast")]
+    assert trace.spacing_errors[10, 1] == pytest.approx(-0.131, abs=1e-3)
+    assert [(d.time, d.unit, d.mode, d.cause) for d in trace.decisions] == [
+        (0.5, PLATOON_UNIT, ACC, "safety-surface")]
 
 
 # ----------------------------------------------------------- dwell behavior
