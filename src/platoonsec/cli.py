@@ -73,6 +73,15 @@ def finite(text: str) -> float:
     return value
 
 
+def tolerance(text: str) -> float:
+    """A ``--tol`` value: finite and not below 0, where every verdict
+    would read as failed."""
+    value = finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a tolerance >= 0, got {text!r}")
+    return value
+
+
 def _load(args: argparse.Namespace):
     if args.config is None:
         raise ConfigError("", "this subcommand needs --config <scenario.json>")
@@ -155,10 +164,10 @@ def cmd_stability(args: argparse.Namespace) -> int:
         print(f"  violated inequalities: {', '.join(failed)}")
     ok = report.passed and ineq.all_satisfied
     if ok:
-        dwell = min_dwell_time((eps_ref, 0.0), (eps_ref, 0.0), consts)
+        dwell = min_dwell_time((eps_ref, 0.0), consts)
         print(f"  envelope constants: a={_fmt(consts.a)} b={_fmt(consts.b)} "
               f"c={_fmt(consts.c)} rate={_fmt(consts.lam)}")
-        print(f"  min dwell at |z|={_fmt(eps_ref)}: {_fmt(dwell.enforced)} s")
+        print(f"  min dwell at |z|={_fmt(eps_ref)}: {_fmt(dwell)} s")
         print("verdict: certified")
         return EXIT_OK
     print("verdict: not certified")
@@ -294,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help=f"output directory (default ${_OUT_ENV} or .)")
         p.add_argument("--seed", type=int, help="override the scenario seed")
         if tol is not None:
-            p.add_argument("--tol", type=finite, default=tol,
+            p.add_argument("--tol", type=tolerance, default=tol,
                            help=f"verdict tolerance (default {tol:g})")
         return p
 

@@ -75,19 +75,18 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .control import (ACC, CACC, V2V, AccGains, CaccGains, DEFAULT_ACC_GAINS,
                       DEFAULT_CACC_GAINS, assemble_closed_loop, law_accel, law_terms)
-from .game import BehavioralStrategy, GameSpec, DEFAULT_GAME, equilibrium_strategy
+from .game import GameSpec, DEFAULT_GAME, equilibrium_strategy
 from .platoon import (NeighborMessage, PlatoonConfig, RadarMeasurement,
                       VehicleState, desired_distance)
 from .stability import (LyapunovCandidate, LyapunovConstants, check_common_lyapunov,
                         find_common_lyapunov, lyapunov_constants, min_dwell_time)
-from .threat import (AttackSpec, DetectorModel, attack_signal, detector_sample,
-                     falsify_message)
+from .threat import (REPORT_ATTACK, REPORT_NONE, AttackSpec, DetectorModel, attack_signal,
+                     detector_sample, falsify_message)
 
 __all__ = [
     "PLATOON_UNIT",
@@ -127,9 +126,10 @@ class SwitchingConfig:
 
     ``policy_override`` replaces the game equilibrium with fixed downgrade
     probabilities (given report, given no report) -- useful for ablations
-    such as "never switch" or "always radar".  ``enabled=False`` disables the
-    supervisor entirely (no safety surface, no game): the platoon stays in
-    ``initial_mode``.
+    such as "never switch" or "always radar".  Either way the policy is
+    fixed once a run, when the supervisor starts.  ``enabled=False``
+    disables the supervisor entirely (no safety surface, no game, so no
+    policy is needed): the platoon stays in ``initial_mode``.
     """
 
     enabled: bool = True
@@ -204,8 +204,10 @@ class ScenarioConfig:
 
 @dataclass
 class DwellState:
-    """Mutable supervisor state for one switching unit; one without the
-    certificate's ``constants`` (dwell not enforced) never holds."""
+    """Mutable supervisor state for one switching unit.  Entering the
+    cooperative mode at error state z holds it for ``min_dwell_time(z)``
+    under the certificate's ``constants``; a unit without them (dwell not
+    enforced) never holds."""
 
     mode: str
     entry_time: float = 0.0
@@ -216,7 +218,7 @@ class DwellState:
         self.mode = mode
         self.entry_time = now
         if mode == CACC and self.constants is not None and error_state is not None:
-            self.required = min_dwell_time(error_state, error_state, self.constants).enforced
+            self.required = min_dwell_time(error_state, self.constants)
         else:
             self.required = 0.0
 
@@ -297,33 +299,26 @@ class TraceMetrics:
     tol: float
 
 
-def switching_decision(spacing_error, report, equilibrium, dwell_state, config, rng,
-                       now: float = 0.0, error_rate: float = 0.0, entry_state=None):
+def switching_decision(spacing_error: float, p_downgrade: float, dwell_state: DwellState,
+                       eps_max: float, rng, now: float, error_rate: float, entry_state):
     """Mode for one switching unit at a decision instant, with its cause.
 
-    Priority: safety surface (|eps| >= epsilon_max forces radar-only), then
-    the dwell hold on an active cooperative interval, then a sample from the
-    downgrade policy conditioned on the report.  On a transition into the
+    Priority: safety surface (|eps| >= ``eps_max`` forces radar-only), then
+    the dwell hold on an active cooperative interval, then a draw from
+    ``rng`` that downgrades with probability ``p_downgrade``, the run's
+    policy for the unit's latest report.  On a transition into the
     cooperative mode the required dwell is recomputed from the current error
-    state -- (spacing_error, error_rate) unless the caller supplies a
-    platoon-level ``entry_state`` -- and the online bound estimates the next
-    switching state by the current one.  Returns (mode, cause) and updates
-    ``dwell_state``.
+    state: (spacing_error, error_rate), or the platoon-level
+    ``entry_state`` when the caller gives one (not None).  Returns (mode,
+    cause) and updates ``dwell_state``.
     """
-    eps_max = config.platoon.epsilon_max
-    sw = config.switching
     if abs(spacing_error) >= eps_max:
         if dwell_state.mode != ACC:
             dwell_state.enter(ACC, now)
         return ACC, _CAUSE_SAFETY
     if dwell_state.holding(now):
         return CACC, _CAUSE_DWELL
-    if sw.policy_override is not None:
-        p_acc = sw.policy_override[0] if report == "r" else sw.policy_override[1]
-    else:
-        p_acc = float(equilibrium.defender_p_downgrade_given_r if report == "r"
-                      else equilibrium.defender_p_downgrade_given_nr)
-    mode = ACC if rng.random() < p_acc else CACC
+    mode = ACC if rng.random() < p_downgrade else CACC
     if mode != dwell_state.mode:
         dwell_state.enter(mode, now, error_state=entry_state or (spacing_error, error_rate))
     return mode, _CAUSE_GAME
@@ -393,13 +388,13 @@ class CertificateError(ValueError):
     """Dwell enforcement needs a common Lyapunov certificate and has none."""
 
 
-def resolve_certificate(cacc: CaccGains, acc: AccGains, lyapunov=None):
+def resolve_certificate(cacc: CaccGains, acc: AccGains, lyapunov: LyapunovCandidate | None):
     """The two modes' closed-loop matrices, the certificate and its constants.
 
-    P is ``lyapunov`` when given, else the result of the certificate search
-    (None when the search finds nothing).  The constants are the worst case,
-    the smallest decay rate, over both modes; they are None unless P
-    certifies both.  Returns (A_list, P, constants).
+    P is ``lyapunov`` when not None, else the result of the certificate
+    search (None when the search finds nothing).  The constants are the
+    worst case, the smallest decay rate, over both modes; they are None
+    unless P certifies both.  Returns (A_list, P, constants).
     """
     A_list = [assemble_closed_loop(CACC, cacc), assemble_closed_loop(ACC, acc)]
     P = find_common_lyapunov(A_list) if lyapunov is None else lyapunov
@@ -430,16 +425,19 @@ class _Supervisor:
             raise CertificateError("no common Lyapunov certificate for the configured "
                                    "gains (none found, or the given one fails); supply "
                                    "one or disable dwell enforcement")
-        if sw.enabled and sw.policy_override is None:
-            self.equilibrium = equilibrium_strategy(config.game)
-        else:
-            self.equilibrium = BehavioralStrategy(None, Fraction(0), Fraction(0))
-        self.config = config
+        policy = sw.policy_override
+        if policy is None and sw.enabled:
+            eq = equilibrium_strategy(config.game)
+            policy = (eq.defender_p_downgrade_given_r, eq.defender_p_downgrade_given_nr)
+        # report -> downgrade probability; an unsupervised run decides nothing
+        self.p_downgrade = ({} if policy is None else
+                            {REPORT_ATTACK: float(policy[0]), REPORT_NONE: float(policy[1])})
         self.enabled = sw.enabled
         self.n = n
         self.h = config.step
         self.L = config.platoon.desired_gap
         self.eps_max = config.platoon.epsilon_max
+        self.release = sw.hysteresis_release * self.eps_max
         # an unsupervised run has no decision tick before its end
         self.dec_every = (_steps_per_period(sw.decision_period, self.h) if sw.enabled
                           else steps + 1)
@@ -475,8 +473,7 @@ class _Supervisor:
         latching a free follower or releasing a latched one?  It never acts
         on an unsupervised run."""
         e = np.abs(ahead[:, 1:] - ahead[:, :-1] + self.L)
-        release = self.config.switching.hysteresis_release * self.eps_max
-        return np.where(self.latched, e <= release, e >= self.eps_max) & self.enabled
+        return np.where(self.latched, e <= self.release, e >= self.eps_max) & self.enabled
 
     def act(self, k: int, x, flips: list[int]) -> tuple[np.ndarray, int]:
         """Supervise row k, state ``x``: the safety surface with hysteresis
@@ -517,8 +514,8 @@ class _Supervisor:
                 else:
                     col, entry = unit - 2, None
                 mode, cause = switching_decision(
-                    float(eps[col]), report, self.equilibrium, state, self.config,
-                    self.decision_rng, now=t, error_rate=float(deps[col]), entry_state=entry)
+                    float(eps[col]), self.p_downgrade[report], state, self.eps_max,
+                    self.decision_rng, t, float(deps[col]), entry)
                 self.decisions.append(DecisionEvent(t, unit, report, mode, cause))
                 for i in range(2, n + 1) if unit == PLATOON_UNIT else (unit,):
                     inside = cause == _CAUSE_SAFETY and abs(eps[i - 2]) < self.eps_max
@@ -871,14 +868,14 @@ def trace_metrics(trace: SimTrace, tol: float = 1e-6) -> TraceMetrics:
     )
 
 
-def cacc_entry_values(trace: SimTrace, P) -> list[tuple[float, np.ndarray]]:
+def cacc_entry_values(trace: SimTrace, P: LyapunovCandidate) -> list[tuple[float, np.ndarray]]:
     """Per-follower V(z) = z'Pz at each cooperative (re)activation instant.
 
     z is the follower's spacing-error state (eps, eps_rate) sampled on the
     stored grid at the event time.  Activation events are mode changes into
     the cooperative mode caused by the supervisor (not the initial mode).
     """
-    P = P.as_matrix() if isinstance(P, LyapunovCandidate) else np.asarray(P, float)
+    P = P.as_matrix()
     h = float(trace.times[1] - trace.times[0]) if trace.times.size > 1 else 1.0
     entry_times = sorted({
         e.time for e in trace.mode_events
@@ -964,10 +961,10 @@ def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None
                 f.write("".join([sep.join(r) + "\n" for r in cells[:, cols].tolist()]))
 
 
-def write_metrics_json(metrics: TraceMetrics, path, extra: dict | None = None):
+def write_metrics_json(metrics: TraceMetrics, path, extra: dict):
+    """Write the metrics and the ``extra`` entries as one JSON object, keys sorted."""
     payload = asdict(metrics)
-    if extra:
-        payload.update(extra)
+    payload.update(extra)
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -110,24 +110,16 @@ class GameSpec:
 
 @dataclass(frozen=True)
 class BehavioralStrategy:
-    """One probability per decision point: attack, downgrade|r, downgrade|nr.
+    """One probability per decision point: attack, downgrade|r, downgrade|nr."""
 
-    ``attacker_p_attack`` may be None when only the defender side is known
-    (e.g. straight after converting a defender mixture); operations that need
-    the full profile reject that case.
-    """
-
-    attacker_p_attack: Fraction | None
+    attacker_p_attack: Fraction
     defender_p_downgrade_given_r: Fraction
     defender_p_downgrade_given_nr: Fraction
 
     def __post_init__(self):
         for name in ("attacker_p_attack", "defender_p_downgrade_given_r",
                      "defender_p_downgrade_given_nr"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            v = _frac(v)
+            v = _frac(getattr(self, name))
             if not 0 <= v <= 1:
                 raise ValueError(f"{name} must be a probability, got {v}")
             object.__setattr__(self, name, v)
@@ -139,8 +131,6 @@ class BehavioralStrategy:
 
 def expected_utilities(spec: GameSpec, behavioral: BehavioralStrategy):
     """Chance-weighted expected utilities (attacker, defender) of a profile."""
-    if behavioral.attacker_p_attack is None:
-        raise ValueError("behavioral strategy lacks the attacker's probability")
     p_attack = behavioral.attacker_p_attack
     total_a = Fraction(0)
     total_d = Fraction(0)
@@ -340,8 +330,9 @@ def solve_nash(nf: NormalForm) -> list[Equilibrium]:
     return sorted(found.values(), key=lambda e: (e.attacker, e.defender))
 
 
-def to_behavioral(defender_mixed, attacker_p_attack=None) -> BehavioralStrategy:
-    """Collapse a mixture over defender pure strategies to per-report probabilities.
+def to_behavioral(defender_mixed, attacker_p_attack) -> BehavioralStrategy:
+    """Collapse a mixture over defender pure strategies to per-report
+    probabilities, completed by the attacker's P(attack).
 
     Pure strategies 0 and 1 play ``d`` at the report information set;
     0 and 2 play ``d`` at the no-report set.  Valid by perfect recall.
@@ -350,7 +341,7 @@ def to_behavioral(defender_mixed, attacker_p_attack=None) -> BehavioralStrategy:
     if len(y) != 4 or sum(y) != 1 or any(w < 0 for w in y):
         raise ValueError("defender mixture must be a distribution over 4 pure strategies")
     return BehavioralStrategy(
-        attacker_p_attack=None if attacker_p_attack is None else _frac(attacker_p_attack),
+        attacker_p_attack=attacker_p_attack,
         defender_p_downgrade_given_r=y[0] + y[1],
         defender_p_downgrade_given_nr=y[0] + y[2],
     )
@@ -401,8 +392,6 @@ def monte_carlo_play(spec: GameSpec, behavioral: BehavioralStrategy,
     means estimate expected_utilities, with standard errors for calibration
     checks.
     """
-    if behavioral.attacker_p_attack is None:
-        raise ValueError("behavioral strategy lacks the attacker's probability")
     p_attack = float(behavioral.attacker_p_attack)
     p_r_a = float(spec.p_report_given_attack)
     p_r_na = float(spec.p_report_given_benign)

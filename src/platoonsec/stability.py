@@ -12,9 +12,10 @@ zdot = A z with A = [[0, 1], [k_pos, k_vel]]:
   inequalities in the gains and the entries of P
   (``check_gues_inequalities``); the two forms agree exactly because for a
   2x2 symmetric S, S < 0 iff S[0][0] < 0 and det S > 0.
-* Dwell-time lower bounds for how long the string-stable (CACC) mode must
+* A dwell-time lower bound for how long the string-stable (CACC) mode must
   stay active after each activation so that switching cannot destroy the
-  exponential envelope (``lyapunov_constants``, ``min_dwell_time``).
+  exponential envelope: log|z| / lam from the state z at the activation
+  (``lyapunov_constants``, ``min_dwell_time``).
 * Frequency-domain string-stability checks on the hop-to-hop spacing-error
   transfer function: H-infinity norm <= 1 and a sign-definite impulse
   response (``spacing_error_tf``, ``hinf_norm``, ``impulse_response_nonneg``).
@@ -34,7 +35,6 @@ __all__ = [
     "LyapunovConstants",
     "CertificateReport",
     "GuesInequalities",
-    "DwellBounds",
     "TransferFunction",
     "HinfNorm",
     "check_bibo_lemma1",
@@ -79,8 +79,8 @@ class LyapunovCandidate:
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.p11, self.p12], [self.p12, self.p22]])
 
-    def is_positive_definite(self, tol: float = 0.0) -> bool:
-        return self.p11 > tol and self.p11 * self.p22 - _square(self.p12) > tol
+    def is_positive_definite(self) -> bool:
+        return self.p11 > 0.0 and self.p11 * self.p22 - _square(self.p12) > 0.0
 
 
 def _p_matrix(P) -> np.ndarray:
@@ -90,6 +90,11 @@ def _p_matrix(P) -> np.ndarray:
     if P.shape != (2, 2) or P[0, 1] != P[1, 0]:
         raise ValueError("P must be a symmetric 2x2 matrix")
     return P
+
+
+# A certificate's margin: P's smallest eigenvalue must exceed it, and each
+# residual's largest eigenvalue must lie below its negative.
+_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -113,11 +118,10 @@ class CertificateReport:
     p_definite: bool
     p_eigenvalues: tuple[float, float]
     residual_max_eigenvalues: tuple[float, ...]
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.p_definite and all(e < -self.tol for e in self.residual_max_eigenvalues)
+        return self.p_definite and all(e < -_MARGIN for e in self.residual_max_eigenvalues)
 
 
 def check_bibo_lemma1(k_pos: float, k_vel: float) -> dict:
@@ -146,24 +150,21 @@ def lmi_residual(A, P) -> np.ndarray:
     return A.T @ P + P @ A
 
 
-def check_common_lyapunov(P, A_list, tol: float = 1e-9) -> CertificateReport:
+def check_common_lyapunov(P, A_list) -> CertificateReport:
     """Check one quadratic V(z) = z'Pz against every matrix in A_list.
 
-    Passes iff P is positive definite and each residual A'P + PA has its
-    maximum eigenvalue below -tol.  Borderline candidates (within tol of
-    singularity) are reported as failures; eigenvalues are included for
-    diagnostics.
+    Passes iff P's smallest eigenvalue exceeds a margin of 1e-9 and each
+    residual A'P + PA has its maximum eigenvalue below -1e-9.  Borderline
+    candidates (within the margin of singularity) are reported as failures;
+    eigenvalues are included for diagnostics.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     P = _p_matrix(P)
     p_lo, p_hi = sym_eig_2x2(P)
     residual_eigs = tuple(sym_eig_2x2(lmi_residual(A, P))[1] for A in A_list)
     return CertificateReport(
-        p_definite=p_lo > tol,
+        p_definite=p_lo > _MARGIN,
         p_eigenvalues=(p_lo, p_hi),
         residual_max_eigenvalues=residual_eigs,
-        tol=tol,
     )
 
 
@@ -215,14 +216,10 @@ def _velocity_gain_bracket(k: float, m: float, p11: float, p12: float, p22: floa
     return m > lower, m < upper, False
 
 
-def check_gues_inequalities(k1: float, k2: float, k3: float, k4: float, P) -> GuesInequalities:
+def check_gues_inequalities(k1: float, k2: float, k3: float, k4: float,
+                            P: LyapunovCandidate) -> GuesInequalities:
     """Evaluate the scalar certificate conditions literally, one flag each."""
-    if isinstance(P, LyapunovCandidate):
-        p11, p12, p22 = P.p11, P.p12, P.p22
-    else:
-        P = _p_matrix(P)
-        p11, p12, p22 = P[0, 0], P[0, 1], P[1, 1]
-
+    p11, p12, p22 = P.p11, P.p12, P.p22
     det_ok = p11 > 0 and p22 > _square(p12) / p11
     k2_lo, k2_hi, ill_cacc = _velocity_gain_bracket(k1, k2, p11, p12, p22)
     k4_lo, k4_hi, ill_acc = _velocity_gain_bracket(k3, k4, p11, p12, p22)
@@ -245,21 +242,19 @@ def check_gues_inequalities(k1: float, k2: float, k3: float, k4: float, P) -> Gu
     )
 
 
-def find_common_lyapunov(A_list, grid: int = 28, rounds: int = 4,
-                         tol: float = 1e-9) -> LyapunovCandidate | None:
+def find_common_lyapunov(A_list) -> LyapunovCandidate | None:
     """Search for a common certificate by scanning P = [[1, p12],[p12, p22]].
 
     The scan normalizes p11 = 1 (certificates are scale invariant) and
-    explores the positive-definite wedge p12 > 0, p22 > p12^2 on a refining
+    explores the positive-definite wedge p12 > 0, p22 > p12^2 on a 28 x 28
     grid, scoring each candidate by its worst-case normalized decay margin
     min_A(-max_eig(A'P + PA)) / max_eig(P).  The candidate with the best
-    margin is refined locally for a few rounds.  Returns None when nothing
-    passes ``check_common_lyapunov`` at ``tol`` within the budget -- which is
-    absence of evidence, not a proof that no certificate exists.
+    margin is refined locally for four rounds.  Returns None when nothing
+    passes ``check_common_lyapunov`` within the budget -- which is absence
+    of evidence, not a proof that no certificate exists.
     """
+    grid = 28
     A_list = [np.asarray(A, dtype=float) for A in A_list]
-    if not A_list:
-        return LyapunovCandidate(1.0, 0.5, 1.0)
 
     def score(p12: float, p22: float) -> float:
         if p12 <= 0 or p22 <= p12 ** 2:
@@ -277,7 +272,7 @@ def find_common_lyapunov(A_list, grid: int = 28, rounds: int = 4,
 
     lo12, hi12, lo22, hi22 = 1e-3, 6.0, 1e-3, 36.0
     best = (-math.inf, None)
-    for _ in range(rounds):
+    for _ in range(4):
         for p12 in np.linspace(lo12, hi12, grid):
             for p22 in np.linspace(lo22, hi22, grid):
                 s = score(p12, p22)
@@ -291,10 +286,8 @@ def find_common_lyapunov(A_list, grid: int = 28, rounds: int = 4,
         lo12, hi12 = max(1e-6, c12 - span12), c12 + span12
         lo22, hi22 = max(1e-6, c22 - span22), c22 + span22
 
-    if best[1] is None:
-        return None
     cand = LyapunovCandidate(1.0, best[1][0], best[1][1])
-    if not check_common_lyapunov(cand, A_list, tol=tol).passed:
+    if not check_common_lyapunov(cand, A_list).passed:
         return None
     return cand
 
@@ -317,41 +310,18 @@ def lyapunov_constants(P, A) -> LyapunovConstants:
     return LyapunovConstants(a=a, b=b, c=neg_c, lam=neg_c / (2.0 * b))
 
 
-@dataclass(frozen=True)
-class DwellBounds:
-    """Lower bounds on how long the contracting mode must stay active.
-
-    ``tau_simplified`` = log|z(t_n)| / lam keeps the exponential envelope
-    below its previous peak; ``tau_tight`` keeps V at the *next* switching
-    instant strictly below its current value even after accounting for the
-    certificate's a/b gap.  Enforcement uses the larger of the two, floored
-    at zero (states already inside the unit ball need no hold).
-    """
-
-    tau_simplified: float
-    tau_tight: float
-
-    @property
-    def enforced(self) -> float:
-        return max(0.0, self.tau_simplified, self.tau_tight)
-
-
-def _norm(z) -> float:
-    return float(np.linalg.norm(np.atleast_1d(np.asarray(z, dtype=float))))
-
-
-def min_dwell_time(z_at_switch, z_next_estimate, constants: LyapunovConstants) -> DwellBounds:
-    """Dwell-time lower bounds from the state at (and expected after) a switch."""
-    zn = _norm(z_at_switch)
-    zn1 = _norm(z_next_estimate)
+def min_dwell_time(z, constants: LyapunovConstants) -> float:
+    """How long the contracting mode must stay active after a switch at
+    state ``z``: log|z| / lam keeps the exponential envelope below its
+    previous peak.  Floored at zero: a state inside the unit ball (or at
+    the origin) needs no hold."""
+    with np.errstate(over="ignore"):
+        zn = float(np.linalg.norm(np.asarray(z, dtype=float)))
+    if zn == math.inf:  # the squared norm left the floats; hypot squares nothing
+        zn = math.hypot(*z)
     if zn == 0.0:
-        return DwellBounds(-math.inf, -math.inf)
-    lam = constants.lam
-    tau_simplified = math.log(zn) / lam
-    tau_tight = math.log(
-        constants.a * zn ** 2 / (constants.b * (zn1 ** 2 + zn ** 2))
-    ) / (2.0 * lam)
-    return DwellBounds(tau_simplified, tau_tight)
+        return 0.0
+    return max(0.0, math.log(zn) / constants.lam)
 
 
 @dataclass(frozen=True)
@@ -418,20 +388,20 @@ class HinfNorm:
     omega: float
 
 
-def hinf_norm(H: TransferFunction, omega_max: float = 1e3,
-              grid_points: int = 4096) -> HinfNorm:
-    """sup over omega in [0, omega_max] of |H(j omega)|.
+def hinf_norm(H: TransferFunction) -> HinfNorm:
+    """sup over omega in [0, 1e3] of |H(j omega)|.
 
-    Coarse pass on a log-spaced grid (plus omega = 0), then golden-section
-    refinement of the bracket around the grid argmax.  Requires a stable H;
-    the norm is undefined otherwise.
+    Coarse pass on 4096 log-spaced frequencies (plus omega = 0), then
+    golden-section refinement of the bracket around the grid argmax.
+    Requires a stable H; the norm is undefined otherwise.
     """
     if not H.is_stable():
         raise ValueError("H-infinity norm undefined: denominator is not Hurwitz")
     if _strip(H.num) == ():
         return HinfNorm(0.0, 0.0)
 
-    omegas = np.concatenate(([0.0], np.logspace(-4, math.log10(omega_max), grid_points)))
+    omega_max = 1e3
+    omegas = np.concatenate(([0.0], np.logspace(-4, math.log10(omega_max), 4096)))
     mags = np.abs([H(1j * w) for w in omegas])
     k = int(np.argmax(mags))
     best_w, best_m = float(omegas[k]), float(mags[k])
@@ -459,15 +429,15 @@ def hinf_norm(H: TransferFunction, omega_max: float = 1e3,
     return HinfNorm(best_m, best_w)
 
 
-def impulse_response_nonneg(H: TransferFunction, horizon: float = 80.0,
-                            step: float = 1e-3, tol: float = 1e-9) -> bool:
-    """Whether the impulse response stays above -tol on (0, horizon].
+def impulse_response_nonneg(H: TransferFunction) -> bool:
+    """Whether the impulse response stays above -1e-9 on (0, 80] s.
 
     The transfer function is realized in controllable canonical form and the
-    response h(t) = C exp(At) B is integrated with a fixed-step fourth-order
+    response h(t) = C exp(At) B is integrated with a fixed 1 ms fourth-order
     update.  For a biproper H the impulsive direct-feedthrough term at t = 0
     is outside the sampled window and is ignored.
     """
+    horizon, step, tol = 80.0, 1e-3, 1e-9
     num = list(_strip(H.num))
     den = list(_strip(H.den))
     if not num:

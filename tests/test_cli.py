@@ -176,6 +176,19 @@ def test_non_finite_flag_values_are_input_errors(tmp_path, capsys, argv, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["-1", "-0.001"])
+@pytest.mark.parametrize("argv", [["simulate", "--config", DEFENDED], ["game"]],
+                         ids=["simulate", "game"])
+def test_negative_tolerance_is_input_error(tmp_path, capsys, argv, value):
+    """A tolerance below 0 reads every verdict as failed: an input error,
+    reported before anything is run or written."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", value, "--out", str(tmp_path / "out")])
+    assert exc.value.code == EXIT_INPUT
+    assert f"expected a tolerance >= 0, got '{value}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_help_exits_ok(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--help"])

@@ -204,9 +204,16 @@ def test_unstable_gain_family_needs_explicit_certificate():
                                     lyapunov=LyapunovCandidate(1.0, 0.0, 1.0)))
 
 
-def test_game_is_solved_for_the_simulated_detector(monkeypatch):
+@pytest.mark.parametrize("switching, solves", [
+    (SwitchingConfig(), 1),
+    (SwitchingConfig(policy_override=(0.5, 0.5)), 0),
+    (NO_SWITCH, 0),
+], ids=["game", "override", "unsupervised"])
+def test_game_is_solved_for_the_simulated_detector(monkeypatch, switching, solves):
+    """A game-driven run solves the game for its own detector once; a run
+    with a fixed policy, or with no supervisor, never solves it."""
     config = dataclasses.replace(
-        ScenarioConfig(platoon=make_platoon(), duration=2.0),
+        ScenarioConfig(platoon=make_platoon(), duration=2.0, switching=switching),
         detector=DetectorModel(0.95, 0.01))
     assert config.game.p_report_given_attack == Fraction(19, 20)
     assert config.game.p_report_given_benign == Fraction(1, 100)
@@ -214,7 +221,7 @@ def test_game_is_solved_for_the_simulated_detector(monkeypatch):
     monkeypatch.setattr(platoonsec.engine, "equilibrium_strategy",
                         lambda spec: solved.append(spec) or equilibrium_strategy(spec))
     run_scenario(config)
-    assert solved == [config.game]
+    assert solved == [config.game] * solves
 
 
 # ----------------------------------------------------------- basic dynamics
@@ -672,7 +679,7 @@ def test_dwell_state_mechanics():
     consts = lyapunov_constants(P_REF, A_CACC)
     state = DwellState(ACC, constants=consts)
     state.enter(CACC, now=5.0, error_state=(3.0, 0.0))
-    expected = min_dwell_time((3.0, 0.0), (3.0, 0.0), consts).enforced
+    expected = min_dwell_time((3.0, 0.0), consts)
     assert state.required == expected and expected > 0
     assert state.holding(5.0 + 0.5 * expected)
     assert not state.holding(5.0 + expected)
@@ -682,69 +689,58 @@ def test_dwell_state_mechanics():
 
 # --------------------------------------------------- decision-rule priority
 
-def supervisor_config(**over):
-    sw = SwitchingConfig(**over) if over else SwitchingConfig()
-    return ScenarioConfig(platoon=make_platoon(), switching=sw)
-
-
 def test_decision_safety_beats_override():
-    config = supervisor_config(policy_override=(0.0, 0.0))
     state = DwellState(CACC)
     rng = np.random.default_rng(0)
-    mode, cause = switching_decision(4.0, "nr", None, state, config, rng)
+    mode, cause = switching_decision(4.0, 0.0, state, 4.0, rng, 0.0, 0.0, None)
     assert (mode, cause) == (ACC, "safety-surface")
     assert state.mode == ACC
 
 
 def test_decision_dwell_beats_game():
-    config = supervisor_config(policy_override=(1.0, 1.0))
     state = DwellState(CACC, entry_time=0.0, required=5.0)
     rng = np.random.default_rng(0)
-    mode, cause = switching_decision(1.0, "r", None, state, config, rng,
-                                     now=2.0)
+    mode, cause = switching_decision(1.0, 1.0, state, 4.0, rng, 2.0, 0.0, None)
     assert (mode, cause) == (CACC, "dwell-hold")
-    # once the hold expires the override forces the downgrade
-    mode, cause = switching_decision(1.0, "r", None, state, config, rng,
-                                     now=6.0)
+    # once the hold expires the policy forces the downgrade
+    mode, cause = switching_decision(1.0, 1.0, state, 4.0, rng, 6.0, 0.0, None)
     assert (mode, cause) == (ACC, "game")
 
 
 def test_decision_override_extremes_are_deterministic():
-    config = supervisor_config(policy_override=(1.0, 0.0))
     rng = np.random.default_rng(0)
     for _ in range(20):
-        mode, _ = switching_decision(0.0, "r", None, DwellState(CACC),
-                                     config, rng)
+        mode, _ = switching_decision(0.0, 1.0, DwellState(CACC), 4.0, rng, 0.0, 0.0, None)
         assert mode == ACC
-        mode, _ = switching_decision(0.0, "nr", None, DwellState(ACC),
-                                     config, rng)
+        mode, _ = switching_decision(0.0, 0.0, DwellState(ACC), 4.0, rng, 0.0, 0.0, None)
         assert mode == CACC
 
 
-def test_decision_samples_equilibrium_policy():
-    config = supervisor_config()
-    eq = BehavioralStrategy(None, 1.0, 0.0)  # downgrade iff reported
-    rng = np.random.default_rng(0)
-    mode, _ = switching_decision(0.0, "r", eq, DwellState(CACC), config, rng)
-    assert mode == ACC
-    mode, _ = switching_decision(0.0, "nr", eq, DwellState(ACC), config, rng)
-    assert mode == CACC
+def test_decision_samples_equilibrium_policy(monkeypatch):
+    """Downgrade iff reported, as the equilibrium or as the override: every
+    game decision of the run reads the policy for its own report."""
+    monkeypatch.setattr(platoonsec.engine, "equilibrium_strategy",
+                        lambda spec: BehavioralStrategy(0, 1, 0))
+    for override in (None, (1.0, 0.0)):
+        trace = run_scenario(ScenarioConfig(
+            platoon=make_platoon(), switching=SwitchingConfig(policy_override=override),
+            duration=30.0))
+        game = [d for d in trace.decisions if d.cause == "game"]
+        assert {d.report for d in game} == {"r", "nr"}
+        assert all(d.mode == (ACC if d.report == "r" else CACC) for d in game)
 
 
 def test_decision_entry_into_cacc_restarts_dwell():
-    config = supervisor_config(policy_override=(0.0, 0.0))
     consts = lyapunov_constants(P_REF, A_CACC)
     state = DwellState(ACC, constants=consts)
     rng = np.random.default_rng(0)
-    mode, cause = switching_decision(3.0, "nr", None, state, config, rng,
-                                     now=10.0, error_rate=0.5)
+    mode, cause = switching_decision(3.0, 0.0, state, 4.0, rng, 10.0, 0.5, None)
     assert mode == CACC and cause == "game"
-    assert state.required == min_dwell_time((3.0, 0.5), (3.0, 0.5), consts).enforced
+    assert state.required == min_dwell_time((3.0, 0.5), consts)
     # platoon scope supplies the worst-vehicle entry norm explicitly
     state2 = DwellState(ACC, constants=consts)
-    switching_decision(1.0, "nr", None, state2, config, rng,
-                       now=10.0, entry_state=(4.0, 0.0))
-    assert state2.required == min_dwell_time((4.0, 0.0), (4.0, 0.0), consts).enforced
+    switching_decision(1.0, 0.0, state2, 4.0, rng, 10.0, 0.0, (4.0, 0.0))
+    assert state2.required == min_dwell_time((4.0, 0.0), consts)
 
 
 # ----------------------------------------------------- exponential envelope

@@ -232,28 +232,23 @@ def test_monte_carlo_matches_exact_expectation():
     assert est.samples == 10 ** 6
 
 
-def test_monte_carlo_needs_full_profile():
-    beh = to_behavioral((F(1), F(0), F(0), F(0)))
-    with pytest.raises(ValueError):
-        monte_carlo_play(DEFAULT_GAME, beh, 10, np.random.default_rng(0))
-
-
 # ------------------------------------------------------------- conversions
 
 def test_to_behavioral_marginalizes_pure_strategies():
-    beh = to_behavioral((F(1, 4), F(1, 4), F(1, 4), F(1, 4)))
+    beh = to_behavioral((F(1, 4), F(1, 4), F(1, 4), F(1, 4)), 0.3)
     assert beh.defender_p_downgrade_given_r == F(1, 2)
     assert beh.defender_p_downgrade_given_nr == F(1, 2)
-    assert beh.attacker_p_attack is None
+    assert beh.attacker_p_attack == F(3, 10)
 
 
 def test_to_behavioral_rejects_non_distributions():
     with pytest.raises(ValueError):
-        to_behavioral((F(1, 2), F(1, 2), F(1, 2), F(-1, 2)))
+        to_behavioral((F(1, 2), F(1, 2), F(1, 2), F(-1, 2)), F(1, 2))
     with pytest.raises(ValueError):
-        to_behavioral((F(1, 2), F(1, 4), F(1, 8), F(1, 16)))
+        to_behavioral((F(1, 2), F(1, 4), F(1, 8), F(1, 16)), F(1, 2))
 
 
-def test_expected_utilities_requires_attacker_probability():
-    with pytest.raises(ValueError):
-        expected_utilities(DEFAULT_GAME, to_behavioral((1, 0, 0, 0)))
+def test_a_profile_needs_the_attackers_probability():
+    """Every profile is a full one: no strategy is built without P(attack)."""
+    with pytest.raises(TypeError, match="NoneType"):
+        BehavioralStrategy(None, F(0), F(0))
