@@ -10,7 +10,7 @@ defender game that picks the switching policy.
 """
 
 from .control import (ACC, CACC, AccGains, CaccGains, DEFAULT_ACC_GAINS,
-                      DEFAULT_CACC_GAINS, assemble_closed_loop, law_accel, law_terms)
+                      DEFAULT_CACC_GAINS, assemble_closed_loop, law_terms)
 from .engine import (ScenarioConfig, SimTrace, SwitchingConfig, cacc_entry_values,
                      run_scenario, switching_decision, trace_metrics,
                      write_metrics_json, write_trace_csv)
@@ -18,33 +18,31 @@ from .config import ConfigError, load_scenario, scenario_from_dict
 from .game import (BehavioralStrategy, DEFAULT_GAME, GameSpec, best_response_gap,
                    equilibrium_strategy, monte_carlo_play, solve_nash,
                    to_normal_form)
-from .platoon import (LeaderProfile, NeighborMessage, PlatoonConfig, RadarMeasurement,
-                      VehicleState)
+from .platoon import LeaderProfile, PlatoonConfig
 from .stability import (LyapunovCandidate, check_bibo_lemma1, check_common_lyapunov,
                         check_gues_inequalities, find_common_lyapunov, hinf_norm,
                         impulse_response_nonneg, lyapunov_constants, min_dwell_time,
                         spacing_error_tf)
 from .threat import (AttackSignal, AttackSpec, DetectorModel, attack_signal,
-                     detector_sample, falsify_message)
+                     detector_sample)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ACC", "CACC", "AccGains", "CaccGains", "DEFAULT_ACC_GAINS",
-    "DEFAULT_CACC_GAINS", "assemble_closed_loop", "law_accel", "law_terms",
+    "DEFAULT_CACC_GAINS", "assemble_closed_loop", "law_terms",
     "ScenarioConfig", "SimTrace", "SwitchingConfig", "cacc_entry_values",
     "run_scenario", "switching_decision", "trace_metrics",
     "write_metrics_json", "write_trace_csv",
     "ConfigError", "load_scenario", "scenario_from_dict",
     "BehavioralStrategy", "DEFAULT_GAME", "GameSpec", "best_response_gap",
     "equilibrium_strategy", "monte_carlo_play", "solve_nash", "to_normal_form",
-    "LeaderProfile", "NeighborMessage", "PlatoonConfig",
-    "RadarMeasurement", "VehicleState",
+    "LeaderProfile", "PlatoonConfig",
     "LyapunovCandidate", "check_bibo_lemma1", "check_common_lyapunov",
     "check_gues_inequalities", "find_common_lyapunov", "hinf_norm",
     "impulse_response_nonneg", "lyapunov_constants", "min_dwell_time",
     "spacing_error_tf",
     "AttackSignal", "AttackSpec", "DetectorModel", "attack_signal",
-    "detector_sample", "falsify_message",
+    "detector_sample",
     "__version__",
 ]

@@ -29,9 +29,9 @@ from .control import (ACC, CACC, DEFAULT_ACC_GAINS, DEFAULT_CACC_GAINS,
 from .engine import (CertificateError, resolve_certificate, run_scenario, trace_metrics,
                      write_metrics_json, write_trace_csv)
 from .game import best_response_gap, solve_nash, to_behavioral, to_normal_form
-from .stability import (TransferFunction, check_bibo_lemma1, check_common_lyapunov,
-                        check_gues_inequalities, hinf_norm, impulse_response_nonneg,
-                        min_dwell_time, spacing_error_tf)
+from .stability import (TransferFunction, check_bibo_lemma1, check_gues_inequalities,
+                        hinf_norm, impulse_response_nonneg, min_dwell_time,
+                        spacing_error_tf)
 
 __all__ = ["main"]
 
@@ -140,12 +140,11 @@ def cmd_stability(args: argparse.Namespace) -> int:
             return EXIT_OUTCOME
 
     searched = P is None
-    A_list, P, consts = resolve_certificate(cacc, acc, P)
+    P, report, consts = resolve_certificate(cacc, acc, P)
     if P is None:
         print("no certificate found (search budget exhausted; not a disproof)")
         return EXIT_OUTCOME
 
-    report = check_common_lyapunov(P, A_list)
     ineq = check_gues_inequalities(k1, k2, k3, k4, P)
     source = "searched" if searched else "given"
     print(f"certificate P ({source}): p11={_fmt(P.p11)} p12={_fmt(P.p12)} "
@@ -259,7 +258,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("attack", "sweep varies the attack magnitude; the base "
                                     "scenario must define an attack")
     # the certificate depends on the gains alone: resolve it once for the grid
-    _, P, _ = resolve_certificate(base.cacc_gains, base.acc_gains, base.lyapunov)
+    P, _, _ = resolve_certificate(base.cacc_gains, base.acc_gains, base.lyapunov)
     base = dataclasses.replace(base, lyapunov=P)
     jobs = [(base, xi, eps, args.runs) for xi in args.xi_grid for eps in args.eps_grid]
     workers = min(len(jobs), args.jobs or os.cpu_count() or 1)

@@ -267,10 +267,13 @@ def scenario_from_dict(data: dict, path: str = "") -> ScenarioConfig:
     kwargs.update((f"{key}_gains", gains) for key, gains in kwargs.pop("gains", {}).items())
 
     step = kwargs.get("step", ScenarioConfig.step)
-    for name, owner in (("switching.decision_period", kwargs.get("switching", SwitchingConfig)),
-                        ("detector.sampling_period", kwargs.get("detector", DetectorModel))):
+    for name, period in (
+            ("switching.decision_period",
+             kwargs.get("switching", SwitchingConfig).decision_period),
+            ("detector.sampling_period", kwargs.get("detector", DetectorModel).sampling_period),
+            ("integration.duration", kwargs["duration"])):
         try:
-            _steps_per_period(getattr(owner, name.split(".")[1]), step)
+            _steps_per_period(period, step)
         except ValueError as exc:
             raise ConfigError(_join(path, name), str(exc)) from exc
 

@@ -32,7 +32,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .platoon import VehicleState, desired_distance
 
 __all__ = [
     "CACC",
@@ -45,7 +44,6 @@ __all__ = [
     "AccGains",
     "LawTerm",
     "law_terms",
-    "law_accel",
     "assemble_closed_loop",
     "DEFAULT_CACC_GAINS",
     "DEFAULT_ACC_GAINS",
@@ -152,22 +150,6 @@ def law_terms(mode: str, gains) -> tuple[LawTerm, ...]:
             raise TypeError("ACC mode requires AccGains")
         return (LawTerm(PREDECESSOR, RADAR, gains.alpha, gains.beta, 0.0),)
     raise ValueError(f"unknown control mode {mode!r}")
-
-
-def law_accel(i: int, own_state: VehicleState, terms, readings, L: float) -> float:
-    """Acceleration command for follower i from one reading per term: a
-    ``NeighborMessage`` from the sender of a V2V term, a ``RadarMeasurement``
-    (no acceleration to feed through) for a radar term."""
-    if i < 2:
-        raise ValueError("only followers (i >= 2) run a controller")
-    u = 0.0
-    for term, reading in zip(terms, readings, strict=True):
-        L_ij = desired_distance(i, term.sender(i), L)
-        u += term.alpha * (own_state.position - reading.position + L_ij)
-        u += term.beta * (own_state.velocity - reading.velocity)
-        if term.channel == V2V:
-            u += term.gamma * reading.acceleration
-    return u
 
 
 def assemble_closed_loop(mode: str, gains) -> np.ndarray:

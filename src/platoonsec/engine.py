@@ -79,14 +79,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .control import (ACC, CACC, V2V, AccGains, CaccGains, DEFAULT_ACC_GAINS,
-                      DEFAULT_CACC_GAINS, assemble_closed_loop, law_accel, law_terms)
+                      DEFAULT_CACC_GAINS, assemble_closed_loop, law_terms)
 from .game import GameSpec, DEFAULT_GAME, equilibrium_strategy
-from .platoon import (NeighborMessage, PlatoonConfig, RadarMeasurement,
-                      VehicleState, desired_distance)
+from .platoon import PlatoonConfig, desired_distance
 from .stability import (LyapunovCandidate, LyapunovConstants, check_common_lyapunov,
                         find_common_lyapunov, lyapunov_constants, min_dwell_time)
 from .threat import (REPORT_ATTACK, REPORT_NONE, AttackSpec, DetectorModel, attack_signal,
-                     detector_sample, falsify_message)
+                     detector_sample)
 
 __all__ = [
     "PLATOON_UNIT",
@@ -101,7 +100,6 @@ __all__ = [
     "TraceMetrics",
     "CertificateError",
     "switching_decision",
-    "commanded_accelerations",
     "resolve_certificate",
     "run_scenario",
     "trace_metrics",
@@ -180,14 +178,15 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError("integrator step must be positive")
+        if self.duration <= 0:
+            raise ValueError("duration must be positive")
         for name, period in (("switching.decision_period", self.switching.decision_period),
-                             ("detector.sampling_period", self.detector.sampling_period)):
+                             ("detector.sampling_period", self.detector.sampling_period),
+                             ("duration", self.duration)):
             try:
                 _steps_per_period(period, self.step)
             except ValueError as exc:
                 raise ValueError(f"{name} {exc}") from None
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
         if self.seed < 0:  # numpy's generators take no negative seed
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.gap_offsets and len(self.gap_offsets) != self.platoon.vehicle_count - 1:
@@ -333,8 +332,9 @@ _MAX_SEGMENT = 128
 def _steps_per_period(period: float, step: float) -> int:
     """``period`` as a whole number of integrator steps.
 
-    Detector samples and decisions fall on step ticks, so a period that is
-    not a whole multiple of the step would silently be rounded to one that is.
+    Detector samples, decisions and the run's end fall on step ticks, so a
+    period (or duration) that is not a whole multiple of the step would
+    silently be rounded to one that is.
     """
     ticks = round(period / step)
     if ticks < 1 or not math.isclose(period, ticks * step, rel_tol=1e-9):
@@ -389,19 +389,21 @@ class CertificateError(ValueError):
 
 
 def resolve_certificate(cacc: CaccGains, acc: AccGains, lyapunov: LyapunovCandidate | None):
-    """The two modes' closed-loop matrices, the certificate and its constants.
+    """The certificate of the two modes' closed loops, its check and its constants.
 
     P is ``lyapunov`` when not None, else the result of the certificate
-    search (None when the search finds nothing).  The constants are the
-    worst case, the smallest decay rate, over both modes; they are None
-    unless P certifies both.  Returns (A_list, P, constants).
+    search (None when the search finds nothing).  The report is P checked
+    against both modes' matrices A (None without a P).  The constants are
+    the worst case, the smallest decay rate, over both modes; they are None
+    unless P certifies both.  Returns (P, report, constants).
     """
     A_list = [assemble_closed_loop(CACC, cacc), assemble_closed_loop(ACC, acc)]
     P = find_common_lyapunov(A_list) if lyapunov is None else lyapunov
-    if P is None or not check_common_lyapunov(P, A_list).passed:
-        return A_list, P, None
+    report = None if P is None else check_common_lyapunov(P, A_list)
+    if report is None or not report.passed:
+        return P, report, None
     constants = min((lyapunov_constants(P, A) for A in A_list), key=lambda c: c.lam)
-    return A_list, P, constants
+    return P, report, constants
 
 
 def _unit_ids(config: ScenarioConfig) -> tuple[int, ...]:
@@ -419,12 +421,14 @@ class _Supervisor:
     def __init__(self, config: ScenarioConfig, steps: int):
         sw = config.switching
         n = config.platoon.vehicle_count
-        _, _, constants = resolve_certificate(config.cacc_gains, config.acc_gains,
-                                              config.lyapunov)
-        if constants is None and sw.enabled and sw.dwell_enforced:
-            raise CertificateError("no common Lyapunov certificate for the configured "
-                                   "gains (none found, or the given one fails); supply "
-                                   "one or disable dwell enforcement")
+        constants = None  # only a supervised run with the hold on needs them
+        if sw.enabled and sw.dwell_enforced:
+            _, _, constants = resolve_certificate(config.cacc_gains, config.acc_gains,
+                                                  config.lyapunov)
+            if constants is None:
+                raise CertificateError("no common Lyapunov certificate for the configured "
+                                       "gains (none found, or the given one fails); "
+                                       "supply one or disable dwell enforcement")
         policy = sw.policy_override
         if policy is None and sw.enabled:
             eq = equilibrium_strategy(config.game)
@@ -443,8 +447,7 @@ class _Supervisor:
                           else steps + 1)
         self.det_every = _steps_per_period(config.detector.sampling_period, self.h)
         self.unit_ids = _unit_ids(config)
-        self.units = [DwellState(sw.initial_mode,
-                                 constants=constants if sw.dwell_enforced else None)
+        self.units = [DwellState(sw.initial_mode, constants=constants)
                       for _ in self.unit_ids]
         self.latched = np.zeros(n - 1, dtype=bool)  # per-follower safety latch
         self.pattern = np.full(n - 1, sw.initial_mode == ACC).view(np.uint8)
@@ -777,7 +780,7 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     """
     config.cacc_gains.validate()
     config.acc_gains.validate()
-    steps = max(1, int(round(config.duration / config.step)))
+    steps = _steps_per_period(config.duration, config.step)
     supervisor = _Supervisor(config, steps)
     integrator = _Integrator(config, steps)
     k, collision, flips = integrator.check(0, 0, supervisor)
@@ -793,47 +796,6 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
         collision=collision,
         config=config,
     )
-
-
-def commanded_accelerations(config: ScenarioConfig, pos, vel, modes, t: float):
-    """Controller evaluation through the message-object interface.
-
-    Builds each follower's inbound traffic explicitly -- a message from the
-    sender of each V2V term (falsified when the attack targets the
-    receiver), a radar measurement for a radar term -- and chains
-    transmitted accelerations front to back.  ``run_scenario`` integrates an
-    algebraically identical affine form; this is the readable reference the
-    property tests hold it against.
-
-    ``modes`` is the follower mode row (0 cooperative, 1 radar-only).
-    Returns (commands, physical accelerations), leader entries included.
-    """
-    plat = config.platoon
-    n = plat.vehicle_count
-    attack = config.attack
-    lumped = attack is not None and attack.mode == "lumped-acceleration"
-    xi = attack_signal(attack, t) if attack is not None else 0.0
-    laws = (law_terms(CACC, config.cacc_gains), law_terms(ACC, config.acc_gains))
-    u = np.empty(n)
-    dv = np.empty(n)
-    u[0] = dv[0] = plat.leader_profile.acceleration(t)
-    for i in range(2, n + 1):
-        own = VehicleState(float(pos[i - 1]), float(vel[i - 1]))
-        targeted = attack is not None and i in attack.targets
-        terms = laws[modes[i - 2]]
-        readings = []
-        for term in terms:
-            j = term.sender(i) - 1
-            if term.channel == V2V:
-                msg = NeighborMessage(float(pos[j]), float(vel[j]), float(dv[j]), j + 1)
-                readings.append(falsify_message(msg, attack, t) if targeted else msg)
-            else:
-                readings.append(RadarMeasurement(float(pos[j]), float(vel[j])))
-        u[i - 1] = law_accel(i, own, terms, readings, plat.desired_gap)
-        disturbed = lumped and targeted and attack.active(t) and any(
-            term.channel == V2V for term in terms)
-        dv[i - 1] = u[i - 1] + (xi if disturbed else 0.0)
-    return u, dv
 
 
 def trace_metrics(trace: SimTrace, tol: float = 1e-6) -> TraceMetrics:

@@ -1,4 +1,4 @@
-"""Domain types of a longitudinal vehicle platoon.
+"""Static description of a longitudinal vehicle platoon.
 
 Vehicles are numbered 1..N with vehicle 1 the (human-driven) leader; followers
 hold a constant desired gap L behind their predecessor.  Under the
@@ -7,8 +7,8 @@ from vehicle 1 and vehicle i-1.  All coordinates are absolute 1-D road
 positions in meters.  Follower i's spacing error is x_i - x_{i-1} + L: zero
 at the desired gap, positive when the follower is too close.
 
-The message and measurement types here are what one follower's controller
-sees; the simulation engine integrates the whole platoon as one affine map
+This module holds the geometry, the safety threshold and the leader's
+profile; the simulation engine integrates the whole platoon as one affine map
 and holds its state itself.  Vehicle indices are 1-based.
 """
 
@@ -17,48 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 __all__ = [
-    "VehicleState",
-    "NeighborMessage",
-    "RadarMeasurement",
     "LeaderProfile",
     "PlatoonConfig",
     "desired_distance",
 ]
-
-
-@dataclass(frozen=True)
-class VehicleState:
-    """Longitudinal state of one vehicle: absolute position and velocity."""
-
-    position: float
-    velocity: float
-
-
-@dataclass(frozen=True)
-class NeighborMessage:
-    """Content of a V2V broadcast: the sender's kinematic triple.
-
-    ``sender_id`` is the 1-based index of the transmitting vehicle.  Under the
-    predecessor-leader topology a follower i only consumes messages with
-    sender_id in {1, i-1}.
-    """
-
-    position: float
-    velocity: float
-    acceleration: float
-    sender_id: int
-
-
-@dataclass(frozen=True)
-class RadarMeasurement:
-    """On-board ranging measurement of the predecessor.
-
-    Deliberately carries no acceleration field: radar-based control cannot be
-    influenced by transmitted (and therefore falsifiable) acceleration values.
-    """
-
-    position: float
-    velocity: float
 
 
 @dataclass(frozen=True)

@@ -388,10 +388,16 @@ class HinfNorm:
     omega: float
 
 
+# hinf_norm's coarse grid: omega = 0, then 4096 log-spaced frequencies
+_OMEGA_MAX = 1e3
+_HINF_GRID = np.concatenate(([0.0], np.logspace(-4, math.log10(_OMEGA_MAX), 4096)))
+
+
 def hinf_norm(H: TransferFunction) -> HinfNorm:
     """sup over omega in [0, 1e3] of |H(j omega)|.
 
-    Coarse pass on 4096 log-spaced frequencies (plus omega = 0), then
+    Coarse pass on ``_HINF_GRID``, evaluated as one polynomial pair over the
+    array, whose entries are bitwise the scalar H(j omega); then
     golden-section refinement of the bracket around the grid argmax.
     Requires a stable H; the norm is undefined otherwise.
     """
@@ -400,14 +406,13 @@ def hinf_norm(H: TransferFunction) -> HinfNorm:
     if _strip(H.num) == ():
         return HinfNorm(0.0, 0.0)
 
-    omega_max = 1e3
-    omegas = np.concatenate(([0.0], np.logspace(-4, math.log10(omega_max), 4096)))
-    mags = np.abs([H(1j * w) for w in omegas])
+    omegas = _HINF_GRID
+    mags = np.abs(H(1j * omegas))
     k = int(np.argmax(mags))
     best_w, best_m = float(omegas[k]), float(mags[k])
 
     lo = float(omegas[k - 1]) if k > 0 else 0.0
-    hi = float(omegas[k + 1]) if k + 1 < omegas.size else float(omega_max)
+    hi = float(omegas[k + 1]) if k + 1 < omegas.size else _OMEGA_MAX
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - phi * (hi - lo)
     x2 = lo + phi * (hi - lo)

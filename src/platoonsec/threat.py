@@ -10,9 +10,13 @@ perturbs what they receive.  Two equivalent views are supported:
   there).
 * ``message-level`` -- individual message fields (position, velocity,
   acceleration) are offset by the signal before the victim's controller sees
-  them.  Offsetting only the acceleration field by xi reproduces the lumped
+  them: the engine adds the offset to what each V2V term of the victim's law
+  reads.  Offsetting only the acceleration field by xi reproduces the lumped
   model exactly when the controller's acceleration feed-through gains sum
   to one.
+
+This module holds the attack's description and its signal; the engine
+applies it.
 
 The detector is a confusion-matrix abstraction: at each sampling instant it
 reports "attack" with one probability under attack and another (false-alarm)
@@ -24,9 +28,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
-
-from .platoon import NeighborMessage
+from dataclasses import dataclass, field
 
 __all__ = [
     "REPORT_ATTACK",
@@ -36,7 +38,6 @@ __all__ = [
     "AttackSpec",
     "DetectorModel",
     "attack_signal",
-    "falsify_message",
     "detector_sample",
 ]
 
@@ -132,20 +133,6 @@ def attack_signal(spec: AttackSpec, t: float) -> float:
         return 0.0
     raw = spec.signal.value(t - spec.window[0], t)
     return max(-spec.xi_max, min(spec.xi_max, raw))
-
-
-def falsify_message(msg: NeighborMessage, spec: AttackSpec, t: float) -> NeighborMessage:
-    """Forge a message bound for a victim by offsetting the selected fields.
-
-    The caller routes messages: only traffic inbound to a vehicle in
-    ``spec.targets`` should pass through here.  Outside the attack window (or
-    in lumped mode, which never touches message content) messages pass
-    unchanged.
-    """
-    if spec.mode != "message-level" or not spec.active(t):
-        return msg
-    offset = attack_signal(spec, t)
-    return replace(msg, **{name: getattr(msg, name) + offset for name in spec.message_fields})
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,129 @@
+"""The control law and the attack injection through message objects.
+
+The engine integrates the whole platoon as one affine map whose rows it
+reads term by term from ``control.law_terms``.  This module evaluates the
+same law one follower at a time, the readable way: it builds each
+follower's inbound traffic -- a ``NeighborMessage`` from the sender of each
+V2V term (forged by ``falsify_message`` when the attack targets the
+receiver), a ``RadarMeasurement`` for a radar term -- and applies the law's
+terms to those readings in ``law_accel``.  It reads the engine's table of
+terms and attack signal, but builds every message and reading itself, apart
+from the engine's affine map, so the tests hold that map against it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from platoonsec.control import ACC, CACC, V2V, law_terms
+from platoonsec.engine import ScenarioConfig
+from platoonsec.platoon import desired_distance
+from platoonsec.threat import AttackSpec, attack_signal
+
+
+@dataclass(frozen=True)
+class VehicleState:
+    """Longitudinal state of one vehicle: absolute position and velocity."""
+
+    position: float
+    velocity: float
+
+
+@dataclass(frozen=True)
+class NeighborMessage:
+    """Content of a V2V broadcast: the sender's kinematic triple.
+
+    ``sender_id`` is the 1-based index of the transmitting vehicle.  Under the
+    predecessor-leader topology a follower i only consumes messages with
+    sender_id in {1, i-1}.
+    """
+
+    position: float
+    velocity: float
+    acceleration: float
+    sender_id: int
+
+
+@dataclass(frozen=True)
+class RadarMeasurement:
+    """On-board ranging measurement of the predecessor.
+
+    Deliberately carries no acceleration field: radar-based control cannot be
+    influenced by transmitted (and therefore falsifiable) acceleration values.
+    """
+
+    position: float
+    velocity: float
+
+
+def law_accel(i: int, own_state: VehicleState, terms, readings, L: float) -> float:
+    """Acceleration command for follower i from one reading per term: a
+    ``NeighborMessage`` from the sender of a V2V term, a ``RadarMeasurement``
+    (no acceleration to feed through) for a radar term."""
+    if i < 2:
+        raise ValueError("only followers (i >= 2) run a controller")
+    u = 0.0
+    for term, reading in zip(terms, readings, strict=True):
+        L_ij = desired_distance(i, term.sender(i), L)
+        u += term.alpha * (own_state.position - reading.position + L_ij)
+        u += term.beta * (own_state.velocity - reading.velocity)
+        if term.channel == V2V:
+            u += term.gamma * reading.acceleration
+    return u
+
+
+def falsify_message(msg: NeighborMessage, spec: AttackSpec, t: float) -> NeighborMessage:
+    """Forge a message bound for a victim by offsetting the selected fields.
+
+    The caller routes messages: only traffic inbound to a vehicle in
+    ``spec.targets`` should pass through here.  Outside the attack window (or
+    in lumped mode, which never touches message content) messages pass
+    unchanged.
+    """
+    if spec.mode != "message-level" or not spec.active(t):
+        return msg
+    offset = attack_signal(spec, t)
+    return replace(msg, **{name: getattr(msg, name) + offset for name in spec.message_fields})
+
+
+def commanded_accelerations(config: ScenarioConfig, pos, vel, modes, t: float):
+    """Controller evaluation through the message-object interface.
+
+    Builds each follower's inbound traffic explicitly -- a message from the
+    sender of each V2V term (falsified when the attack targets the
+    receiver), a radar measurement for a radar term -- and chains
+    transmitted accelerations front to back.  ``run_scenario`` integrates an
+    algebraically identical affine form; this is the readable reference the
+    property tests hold it against.
+
+    ``modes`` is the follower mode row (0 cooperative, 1 radar-only).
+    Returns (commands, physical accelerations), leader entries included.
+    """
+    plat = config.platoon
+    n = plat.vehicle_count
+    attack = config.attack
+    lumped = attack is not None and attack.mode == "lumped-acceleration"
+    xi = attack_signal(attack, t) if attack is not None else 0.0
+    laws = (law_terms(CACC, config.cacc_gains), law_terms(ACC, config.acc_gains))
+    u = np.empty(n)
+    dv = np.empty(n)
+    u[0] = dv[0] = plat.leader_profile.acceleration(t)
+    for i in range(2, n + 1):
+        own = VehicleState(float(pos[i - 1]), float(vel[i - 1]))
+        targeted = attack is not None and i in attack.targets
+        terms = laws[modes[i - 2]]
+        readings = []
+        for term in terms:
+            j = term.sender(i) - 1
+            if term.channel == V2V:
+                msg = NeighborMessage(float(pos[j]), float(vel[j]), float(dv[j]), j + 1)
+                readings.append(falsify_message(msg, attack, t) if targeted else msg)
+            else:
+                readings.append(RadarMeasurement(float(pos[j]), float(vel[j])))
+        u[i - 1] = law_accel(i, own, terms, readings, plat.desired_gap)
+        disturbed = lumped and targeted and attack.active(t) and any(
+            term.channel == V2V for term in terms)
+        dv[i - 1] = u[i - 1] + (xi if disturbed else 0.0)
+    return u, dv

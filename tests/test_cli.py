@@ -11,6 +11,9 @@ from pathlib import Path
 
 import pytest
 
+import platoonsec.cli
+import platoonsec.engine
+import platoonsec.stability
 from platoonsec.cli import EXIT_INPUT, EXIT_OK, EXIT_OUTCOME, main
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -118,6 +121,14 @@ def test_semantic_error_carries_dotted_path(tmp_path, capsys):
     config = write_config(tmp_path, switching={"scope": "galaxy"})
     assert main(["simulate", "--config", config]) == EXIT_INPUT
     assert "switching" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("duration", [1.005, 0.015, 0.004])
+def test_duration_off_the_step_is_input_error(tmp_path, capsys, duration):
+    config = write_config(tmp_path, integration={"step": 0.01, "duration": duration})
+    assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: integration.duration: ")
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_non_finite_input_is_input_error(tmp_path, capsys):
@@ -253,6 +264,23 @@ def test_stability_with_pinned_certificate(tmp_path, capsys):
     assert "certificate P (given): p11=1 p12=0.154297 p22=1.57813" in stdout
     assert "residual max eigenvalues: -0.0216706119, -0.00552818003" in stdout
     assert "min dwell at |z|=4:" in stdout
+
+
+@pytest.mark.parametrize("argv", [["stability"], ["stability", "--config", DEFENDED]])
+def test_stability_checks_the_certificate_once(monkeypatch, capsys, argv):
+    """The report printed is the one ``resolve_certificate`` made."""
+    checks = []
+    check = platoonsec.stability.check_common_lyapunov
+
+    def counting(P, A_list):
+        checks.append(P)
+        return check(P, A_list)
+
+    for module in (platoonsec.engine, platoonsec.cli):
+        monkeypatch.setattr(module, "check_common_lyapunov", counting, raising=False)
+    assert main(argv) == EXIT_OK
+    assert "residual max eigenvalues: " in capsys.readouterr().out
+    assert len(checks) == 1
 
 
 def test_stability_rejects_destabilizing_gains(tmp_path, capsys):

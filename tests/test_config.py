@@ -158,6 +158,10 @@ def test_unknown_top_level_key():
     (lambda d: d.update(detector={"sampling_period": 0.015}), "detector.sampling_period"),
     (lambda d: d.update(detector={"sampling_period": 0.005}), "detector.sampling_period"),
     (lambda d: d.update(switching={"decision_period": 0.025}), "switching.decision_period"),
+    # and so must the duration: each of these would run to another end
+    (lambda d: d["integration"].update(duration=1.005), "integration.duration"),
+    (lambda d: d["integration"].update(duration=0.015), "integration.duration"),
+    (lambda d: d["integration"].update(duration=0.004), "integration.duration"),
     (lambda d: d["platoon"].update(leader={"pulses": [[2.0, 2.0, -1.0]]}),
      "platoon.leader.pulses[0]"),
     (lambda d: d.update(attack={"window": [-1.0, 5.0]}), "attack.window[0]"),

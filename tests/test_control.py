@@ -1,9 +1,11 @@
 """Controller laws and their closed-loop matrices.
 
 The core contract: the matrix A assembled for the certificate checks is the
-message-based law itself, applied to vehicle 2 behind a leader cruising at
-zero acceleration, whose spacing-error state z = (eps, eps') then follows
-zdot = A z.  So anything proven about A holds for the code that actually runs.
+message-based law itself (``oracle.law_accel``), applied to vehicle 2 behind
+a leader cruising at zero acceleration, whose spacing-error state
+z = (eps, eps') then follows zdot = A z.  The engine's rows are held against
+that law in ``test_engine``, so anything proven about A holds for the code
+that actually runs.
 """
 
 import numpy as np
@@ -13,8 +15,9 @@ from hypothesis import given, strategies as st
 from platoonsec.control import (ACC, CACC, LEADER, PREDECESSOR, RADAR, V2V,
                                 AccGains, CaccGains, DEFAULT_ACC_GAINS,
                                 DEFAULT_CACC_GAINS, LawTerm, assemble_closed_loop,
-                                law_accel, law_terms)
-from platoonsec.platoon import NeighborMessage, RadarMeasurement, VehicleState
+                                law_terms)
+
+from oracle import NeighborMessage, RadarMeasurement, VehicleState, law_accel
 
 coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 gain = st.floats(-5.0, -0.05, allow_nan=False, allow_infinity=False)

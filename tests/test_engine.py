@@ -16,15 +16,16 @@ from platoonsec.control import ACC, CACC, AccGains, CaccGains
 from platoonsec.config import load_scenario
 from platoonsec.engine import (PLATOON_UNIT, CertificateError, CollisionInfo, DwellState,
                                ReportEvent, ScenarioConfig, SwitchingConfig,
-                               cacc_entry_values, commanded_accelerations,
-                               run_scenario, switching_decision, trace_metrics,
-                               write_metrics_json, write_trace_csv)
+                               cacc_entry_values, run_scenario, switching_decision,
+                               trace_metrics, write_metrics_json, write_trace_csv)
 from platoonsec.game import BehavioralStrategy, equilibrium_strategy
 from platoonsec.platoon import LeaderProfile, PlatoonConfig
 from platoonsec.stability import (LyapunovCandidate, lyapunov_constants,
                                   min_dwell_time)
 from platoonsec.threat import (AttackSignal, AttackSpec, DetectorModel, attack_signal,
                               detector_sample)
+
+from oracle import commanded_accelerations
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 P_REF = LyapunovCandidate(1.0, 0.154297, 1.57813)
@@ -112,6 +113,25 @@ def test_run_looks_up_the_traced_engine_names_at_call_time(monkeypatch):
     assert all(calls.values()), calls
 
 
+def test_a_run_that_holds_no_dwell_resolves_no_certificate(monkeypatch):
+    """Only the dwell hold of a supervised run reads the certificate, so a
+    run without one does not search for it."""
+    def no_search(A_list):
+        raise AssertionError("certificate search on a run that holds no dwell")
+
+    monkeypatch.setattr(platoonsec.engine, "find_common_lyapunov", no_search)
+    baseline = load_scenario(CONFIGS / "crash_baseline.json")  # unsupervised
+    defended = load_scenario(CONFIGS / "crash_defended.json")
+    assert baseline.lyapunov is None and defended.lyapunov is None
+    no_hold = dataclasses.replace(
+        defended, duration=20.0,
+        switching=dataclasses.replace(defended.switching, dwell_enforced=False))
+    assert run_scenario(baseline).collision is not None
+    assert run_scenario(no_hold).decisions
+    with pytest.raises(AssertionError, match="certificate search"):
+        run_scenario(dataclasses.replace(defended, duration=1.0))
+
+
 def test_engine_rejects_bad_step_and_divergence():
     with pytest.raises(ValueError):
         ScenarioConfig(platoon=make_platoon(), step=0.0)
@@ -168,6 +188,10 @@ def test_scenario_validation():
                        switching=SwitchingConfig(decision_period=0.025))
     with pytest.raises(ValueError, match="sampling_period"):
         ScenarioConfig(platoon=plat, step=0.2)  # the default 0.1 s is half a step
+    # so is the duration: 1.005 s would end at 1.00 s, 0.004 s after a full step
+    for duration in (1.005, 0.015, 0.004):
+        with pytest.raises(ValueError, match="^duration "):
+            ScenarioConfig(platoon=plat, step=0.01, duration=duration)
     # float quotients such as 0.3 / 0.1 = 2.9999999999999996 still fit
     ScenarioConfig(platoon=plat, step=0.1, detector=DetectorModel(sampling_period=0.3))
 

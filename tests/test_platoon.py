@@ -86,5 +86,5 @@ def test_platoon_config_rejects_inconsistent_geometry(kwargs):
 
 
 def test_radar_measurement_has_no_acceleration_field():
-    from platoonsec.platoon import RadarMeasurement
+    from oracle import RadarMeasurement
     assert not hasattr(RadarMeasurement(0.0, 0.0), "acceleration")

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from platoonsec.control import (ACC, CACC, AccGains, CaccGains,
                                 DEFAULT_ACC_GAINS, DEFAULT_CACC_GAINS)
+from platoonsec import stability
 from platoonsec.stability import (LyapunovCandidate, LyapunovConstants,
                                   TransferFunction, check_bibo_lemma1,
                                   check_common_lyapunov,
@@ -299,6 +300,27 @@ def test_impulse_check_handles_biproper():
     assert impulse_response_nonneg(TransferFunction((1.0, 2.0), (1.0, 1.0)))
     # (s - 2)/(s + 1) = 1 - 3/(s+1): negative tail
     assert not impulse_response_nonneg(TransferFunction((1.0, -2.0), (1.0, 1.0)))
+
+
+_radar_tfs = st.builds(lambda k3, k4: spacing_error_tf(ACC, AccGains(k3, k4)),
+                       st.floats(-4.0, -0.05), st.floats(-5.0, -0.05))
+# (n2 s^2 + n1 s + n0) / ((s + a)(s + b)): equal degrees, stable poles
+_biproper_tfs = st.builds(
+    lambda num, a, b: TransferFunction(num, (1.0, a + b, a * b)),
+    st.tuples(st.floats(-10.0, 10.0).filter(lambda c: c != 0.0),
+              st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    st.floats(0.01, 10.0), st.floats(0.01, 10.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_radar_tfs, _biproper_tfs))
+@example(TransferFunction((-1.0, -0.25), (1.0, 1.0, 0.25)))  # acceptance criterion 3
+def test_hinf_grid_response_is_bitwise_the_scalar_response(H):
+    """``hinf_norm`` evaluates H over its whole grid in one call; each entry
+    must hold the bytes of H at that one frequency."""
+    grid = stability._HINF_GRID
+    scalar = np.array([H(1j * w) for w in grid])
+    assert H(1j * grid).tobytes() == scalar.tobytes()
 
 
 @given(k3=st.floats(-4.0, -0.05), k4=st.floats(-5.0, -0.05))

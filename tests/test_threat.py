@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from platoonsec.platoon import NeighborMessage
 from platoonsec.threat import (MESSAGE_FIELDS, REPORT_ATTACK, REPORT_NONE,
                                AttackSignal, AttackSpec, DetectorModel,
-                               attack_signal, detector_sample, falsify_message)
+                               attack_signal, detector_sample)
+
+from oracle import NeighborMessage, falsify_message
 
 MSG = NeighborMessage(position=120.0, velocity=20.0, acceleration=0.3,
                       sender_id=2)
