@@ -15,11 +15,18 @@ difference went.
 
 The output holds, per workload and end-to-end metric, each side's median and
 quartiles (``statistics.quantiles``, inclusive method), the change's wins out
-of the pairs in the metric's better direction (ties count for neither), and
-every run's value; then both sides' traced per-layer metrics, the seeds, each
-side's manifest (machine and versions, as ``bench/run.py`` reports it) and the
-commits.  A checkout without ``.git`` reports its commit as unknown; name it
-with ``--commits PARENT CHANGE``.
+of the pairs in the metric's better direction (ties count for neither), every
+run's value and a verdict; then both sides' traced per-layer metrics, the
+seeds, each side's manifest (machine and versions, as ``bench/run.py``
+reports it) and the commits.  A checkout without ``.git`` reports its commit
+as unknown; name it with ``--commits PARENT CHANGE``.
+
+The verdict is ``gain`` when the change wins at least nine tenths of the
+pairs and its median is better than the parent's by more than the parent's
+interquartile range; ``worse`` when its median is worse than the parent's by
+more than the metric's ``bound`` in ``BENCHMARK.json``, a fraction of the
+parent's median; else ``unresolved``.  Each verdict is also printed to
+stderr, one line a workload and metric.
 """
 
 from __future__ import annotations
@@ -51,18 +58,32 @@ def summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare(runs: dict, better: dict) -> dict:
-    """Per end-to-end metric: both sides' summaries, wins and values."""
+def verdict(parent: dict, change: dict, wins: int, pairs: int, sign: int,
+            bound: float) -> str:
+    """``gain``, ``worse`` or ``unresolved`` (see the module docstring);
+    ``sign`` is 1 where lower is better, -1 where higher is."""
+    lead = sign * (parent["median"] - change["median"])  # > 0: the change is better
+    if 10 * wins >= 9 * pairs and lead > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -lead > bound * abs(parent["median"]):
+        return "worse"
+    return "unresolved"
+
+
+def compare(runs: dict, metrics: list) -> dict:
+    """Per end-to-end metric: both sides' summaries, wins, values and verdict."""
     out = {}
-    for name, direction in better.items():
+    for metric in metrics:
+        name, direction = metric["name"], metric["better"]
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
         sign = 1 if direction == "lower" else -1
         wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+        sides = {side: {**summary(values[side]), "values": values[side]} for side in SIDES}
+        pairs = len(values["parent"])
         out[name] = {"unit": runs["change"][0]["metrics"][name]["unit"],
-                     "better": direction,
-                     **{side: {**summary(values[side]), "values": values[side]}
-                        for side in SIDES},
-                     "change_wins": wins, "pairs": len(values["parent"])}
+                     "better": direction, **sides, "change_wins": wins, "pairs": pairs,
+                     "verdict": verdict(sides["parent"], sides["change"], wins, pairs, sign,
+                                        metric["bound"])}
     return out
 
 
@@ -76,7 +97,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
     seconds = spec["run_seconds"]
     seeds = list(range(args.first_seed, args.first_seed + PAIRS))
@@ -95,9 +115,16 @@ def main(argv=None) -> int:
                       f"{result['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
         traced = {side: bench(checkouts[side], workload, seeds[0], seconds, 1)[1]
                   for side in SIDES}
+        end_to_end = compare(runs, spec["end_to_end"])
+        for name, m in end_to_end.items():
+            print(f"{workload} {name}: {m['verdict']} (median {m['parent']['median']:.6g} "
+                  f"[{m['parent']['q1']:.6g}, {m['parent']['q3']:.6g}] -> "
+                  f"{m['change']['median']:.6g} [{m['change']['q1']:.6g}, "
+                  f"{m['change']['q3']:.6g}] {m['unit']}, change better in "
+                  f"{m['change_wins']} of {m['pairs']} pairs)", file=sys.stderr)
         report["workloads"][workload] = {
             "all_correct": all(r["correct"] for side in SIDES for r in runs[side]),
-            "end_to_end": compare(runs, better),
+            "end_to_end": end_to_end,
             "traced_per_layer": {side: {name: m["value"] for name, m in
                                         traced[side]["metrics"].items()} for side in SIDES},
         }

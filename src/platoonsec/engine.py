@@ -40,30 +40,39 @@ signal); between those events the closed loop is one affine map
 x' = Phi x + c.  So the supervisor acts once at a segment's first row
 (latching and releasing followers, then deciding on a decision tick) and
 returns the mode pattern; the integrator builds Phi and c once a run for
-each set of frozen inputs and steps the segment to the next decision tick
-or input edge with one matrix-vector product per step, for the state alone.
+each set of frozen inputs and steps the segment with one matrix-vector
+product per step, for the state alone, to the first decision tick whose
+decision changes a mode, the next input edge, or ``_MAX_SEGMENT`` steps.
 (A ramp or sinusoid attack has a new value every step; its segments rebuild
-c for each step, as a per-step loop would.)  The per-row checks (a
-non-finite state, a collision, a safety-surface crossing) then act on the
-segment's rows at once, as on the initial row before the first segment.  A
-quiet block passes a test of the whole block that is exact for floats: its
-last row is finite (a non-finite entry stays non-finite under the step),
-its smallest gap exceeds the vehicle length, the spacing errors of its two
-extreme gaps lie inside epsilon_max (fl(L - gap) is monotone in the gap),
-and no follower is latched.  Any other block is scanned row by row and cut
-at the first row a check acts on, which the supervisor handles as the next
-segment's first.  No step reads the recorded command u = R x + g, so the
-commands are computed after the run, one stacked matmul over each span of
-rows that shares a map: numpy runs the same BLAS matrix-vector kernel on
-each row as ``np.dot(R, x)``, where a matrix-matrix product over the rows
-would round differently.  A detector report depends on time alone (the
-attack window, the targets and the detector's own generator), never on the
-state, so every sampling tick's reports are drawn before the run, in (tick,
-unit) order, in one batch from that generator; a decision reads the latest
-one by index, and the trace builds its report records on first read.
-Every row is therefore computed by the same floating-point operations, on
-the same values and in the same order, as when the supervisor ran on every
-step: the trace and its outputs are bit-identical to per-step supervision.
+c for each step, as a per-step loop would.)  The supervisor decides the
+ticks inside a segment ahead, with the same rule on the pre-drawn reports
+and decision draws and without the state: a tick that keeps every mode
+needs none, because a dwell hold depends only on its entry time and the
+checks below prove every row before a cut inside epsilon_max.  No follower
+may be latched while it looks ahead (a latched unit's rule reads the
+state), and the decisions it made at or after the row where the checks cut
+the segment are undone, with their draws, before that row is supervised.
+The per-row checks (a non-finite state, a collision, a safety-surface
+crossing) act on the segment's rows at once, as on the initial row before
+the first segment.  A quiet block passes a test of the whole block that is
+exact for floats: its last row is finite (a non-finite entry stays
+non-finite under the step), its smallest gap exceeds the vehicle length,
+the spacing errors of its two extreme gaps lie inside epsilon_max
+(fl(L - gap) is monotone in the gap), and no follower is latched.  Any
+other block is scanned row by row and cut at the first row a check acts on,
+which the supervisor handles as the next segment's first.  No step reads
+the recorded command u = R x + g, so the trace keeps each span of rows that
+shares a map and builds the commands on first read, one stacked matmul a
+span: numpy runs the same BLAS matrix-vector kernel on each row as
+``np.dot(R, x)``, where a matrix-matrix product over the rows would round
+differently.  A detector report depends on time alone (the attack window,
+the targets and the detector's own generator), never on the state, so
+every sampling tick's reports are drawn before the run, in (tick, unit)
+order, in one batch from that generator; a decision reads the latest one by
+index, and the trace builds its report records on first read.  Every row is
+therefore computed by the same floating-point operations, on the same
+values and in the same order, as when the supervisor ran on every step: the
+trace and its outputs are bit-identical to per-step supervision.
 """
 
 from __future__ import annotations
@@ -258,12 +267,17 @@ class CollisionInfo:
 
 @dataclass
 class SimTrace:
-    """Time-indexed record of one run; all series share the time grid."""
+    """Time-indexed record of one run; all series share the time grid.
+
+    The commanded accelerations and the report records are built on first
+    read, from ``command_spans`` and ``drawn_reports``, so a run that never
+    reads them does not pay for them.  A trace built from arrays has no
+    spans; assigning ``commands`` sets them directly.
+    """
 
     times: np.ndarray
     positions: np.ndarray
     velocities: np.ndarray
-    commands: np.ndarray
     modes: np.ndarray  # follower columns, "CACC"/"ACC" codes 0/1
     spacing_errors: np.ndarray
     attack_xi: np.ndarray
@@ -272,6 +286,31 @@ class SimTrace:
     mode_events: tuple[ModeEvent, ...]
     collision: CollisionInfo | None
     config: ScenarioConfig
+    # (first row, end row, R, g, disturbed) of each span of rows that shares
+    # one command law u = R x + g; g is one row's, or one a row
+    command_spans: tuple
+
+    @functools.cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # as in run_scenario
+    def commands(self) -> np.ndarray:
+        """Each row's commanded accelerations, one column a vehicle.
+
+        One matrix-vector product a row: stacked matmul runs the gemv kernel
+        of ``dot`` on each row (a GEMM over the rows would not round the same
+        way); then the frozen inputs.  A follower in ``disturbed`` feels a
+        lumped disturbance, which acts on the vehicle, not on its command.
+        """
+        states = np.hstack((self.positions, self.velocities))
+        commands = np.empty(self.positions.shape)
+        for start, stop, R, g, disturbed in self.command_spans:
+            kept = commands[start:stop]
+            np.matmul(R, states[start:stop, :, None], out=kept[:, :, None])
+            kept += g
+            if disturbed:
+                # a zero is taken as +0.0, whose subtraction changes no float
+                xi = self.attack_xi[start:stop]
+                kept[:, disturbed] -= np.where(xi != 0.0, xi, 0.0)[:, None]
+        return commands
 
     @functools.cached_property
     def reports(self) -> tuple[ReportEvent, ...]:
@@ -412,11 +451,28 @@ def _unit_ids(config: ScenarioConfig) -> tuple[int, ...]:
     return tuple(range(2, n + 1)) if config.switching.scope == "per-vehicle" else (PLATOON_UNIT,)
 
 
+class _Draws:
+    """The decision stream's values, drawn before the run, one per (decision
+    tick, unit), which bounds the draws a run makes.  ``random`` reads the
+    next one: a batch holds the values of successive single draws."""
+
+    def __init__(self, rng, size: int):
+        self.values = rng.random(size).tolist()
+        self.index = 0
+
+    def random(self) -> float:
+        value = self.values[self.index]
+        self.index += 1
+        return value
+
+
 class _Supervisor:
     """The switching signal of one run: the safety latches, the dwell units,
     the game decisions on the pre-drawn detector reports, and the events
-    they emit.  ``act`` supervises a segment's first row; ``quiet`` and
-    ``surface_flags`` give the integrator's checks the safety surface."""
+    they emit.  ``act`` supervises a segment's first row and decides the
+    ticks after it ahead; ``retract`` undoes the ones a cut leaves unreached.
+    ``quiet`` and ``surface_flags`` give the integrator's checks the safety
+    surface."""
 
     def __init__(self, config: ScenarioConfig, steps: int):
         sw = config.switching
@@ -442,21 +498,26 @@ class _Supervisor:
         self.L = config.platoon.desired_gap
         self.eps_max = config.platoon.epsilon_max
         self.release = sw.hysteresis_release * self.eps_max
-        # an unsupervised run has no decision tick before its end
-        self.dec_every = (_steps_per_period(sw.decision_period, self.h) if sw.enabled
-                          else steps + 1)
+        self.dec_every = _steps_per_period(sw.decision_period, self.h)
         self.det_every = _steps_per_period(config.detector.sampling_period, self.h)
         self.unit_ids = _unit_ids(config)
         self.units = [DwellState(sw.initial_mode, constants=constants)
                       for _ in self.unit_ids]
         self.latched = np.zeros(n - 1, dtype=bool)  # per-follower safety latch
+        self.latched_count = 0
         self.pattern = np.full(n - 1, sw.initial_mode == ACC).view(np.uint8)
         self.decisions: list[DecisionEvent] = []
         self.mode_events = [ModeEvent(0.0, i, sw.initial_mode, _CAUSE_INITIAL)
                             for i in range(2, n + 1)]
+        # (tick, decisions before it, draw index before it) of each tick
+        # decided ahead by the last ``act``
+        self.ahead: list[tuple[int, int, int]] = []
 
         seq = np.random.SeedSequence(config.seed)
-        detector_rng, self.decision_rng = [np.random.default_rng(s) for s in seq.spawn(2)]
+        detector_rng, decision_rng = [np.random.default_rng(s) for s in seq.spawn(2)]
+        # decision ticks are the rows 1..steps-1 that are whole periods
+        ticks = (steps - 1) // self.dec_every if sw.enabled else 0
+        self.draws = _Draws(decision_rng, ticks * len(self.unit_ids))
         # unit u's report at tick j * det_every is drawn[j * len(unit_ids) + u]
         attack = config.attack
         report_ticks = range(0, steps, self.det_every) if sw.enabled else range(0)
@@ -468,7 +529,7 @@ class _Supervisor:
     def quiet(self, low: float, high: float) -> bool:
         """Does the safety surface act on no row whose gaps all lie in
         [low, high]?  Exact for floats: fl(L - gap) is monotone in the gap."""
-        return not self.enabled or (not self.latched.any() and max(
+        return not self.enabled or (not self.latched_count and max(
             abs(self.L - low), abs(self.L - high)) < self.eps_max)
 
     def surface_flags(self, ahead) -> np.ndarray:
@@ -478,14 +539,27 @@ class _Supervisor:
         e = np.abs(ahead[:, 1:] - ahead[:, :-1] + self.L)
         return np.where(self.latched, e <= self.release, e >= self.eps_max) & self.enabled
 
-    def act(self, k: int, x, flips: list[int]) -> tuple[np.ndarray, int]:
+    def retract(self, k: int):
+        """Undo the decisions made ahead at rows k and later, which the run
+        has not reached: drop them and give their draws back."""
+        for tick, kept, index in self.ahead:
+            if tick >= k:
+                del self.decisions[kept:]
+                self.draws.index = index
+                break
+        self.ahead.clear()
+
+    def act(self, k: int, x, flips: list[int], horizon: int) -> tuple[np.ndarray, int]:
         """Supervise row k, state ``x``: the safety surface with hysteresis
         on the followers in ``flips`` (those the integrator's checks found
         acting on row k), then, on a decision tick, every unit's dwell or
         game decision on its latest report.  Returns the effective mode
         pattern (uint8 per follower column, 1 = radar-only) the segment from
-        row k runs under, and the next decision tick, where it ends."""
-        decide = k > 0 and k % self.dec_every == 0
+        row k runs under, and the row where it ends: the first decision tick
+        before ``horizon`` whose decision changes a mode, else ``horizon``.
+        The decisions of the ticks before that one are made here, ahead."""
+        self.retract(k)
+        decide = self.enabled and k > 0 and k % self.dec_every == 0
         if flips or decide:
             t = k * self.h
             n = self.n
@@ -496,6 +570,7 @@ class _Supervisor:
             for col in flips:
                 if self.latched[col]:
                     self.latched[col] = False
+                    self.latched_count -= 1
                     causes[col + 2] = _CAUSE_RELEASE
                     unit = self.units[min(col, len(self.units) - 1)]  # own, or the platoon's
                     if unit.mode == CACC:
@@ -503,6 +578,7 @@ class _Supervisor:
                         unit.enter(CACC, t, error_state=(eps[col], deps[col]))
                 else:
                     self.latched[col] = True
+                    self.latched_count += 1
                     causes[col + 2] = _CAUSE_SAFETY
             self._emit(t, causes)
         if decide:
@@ -511,21 +587,59 @@ class _Supervisor:
             causes = {}
             for u, (unit, state) in enumerate(zip(self.unit_ids, self.units)):
                 report = self.drawn[at + u]
-                if unit == PLATOON_UNIT:  # the worst follower, and the largest entry norm
+                entry = None
+                if unit == PLATOON_UNIT:  # the worst follower
                     col = int(abs(eps).argmax())
-                    entry = (float(np.hypot(eps, deps).max()), 0.0)
+                    if state.mode == ACC:  # only a move into CACC reads the entry norm
+                        entry = (float(np.hypot(eps, deps).max()), 0.0)
                 else:
-                    col, entry = unit - 2, None
+                    col = unit - 2
                 mode, cause = switching_decision(
                     float(eps[col]), self.p_downgrade[report], state, self.eps_max,
-                    self.decision_rng, t, float(deps[col]), entry)
+                    self.draws, t, float(deps[col]), entry)
                 self.decisions.append(DecisionEvent(t, unit, report, mode, cause))
                 for i in range(2, n + 1) if unit == PLATOON_UNIT else (unit,):
                     inside = cause == _CAUSE_SAFETY and abs(eps[i - 2]) < self.eps_max
                     causes[i] = _CAUSE_BROADCAST if inside else cause
             if [unit.mode for unit in self.units] != before:
                 self._emit(t, causes)
-        return self.pattern, (k // self.dec_every + 1) * self.dec_every
+        return self.pattern, self._decide_ahead(k, horizon)
+
+    def _decide_ahead(self, k: int, horizon: int) -> int:
+        """Decide the ticks after row k and before ``horizon`` until one
+        would change a unit's mode, and return that tick, else ``horizon``.
+
+        Each tick's decisions are those its own row would make, unless the
+        run is cut before it: a row the checks let stand is inside
+        epsilon_max, so the surface rule does not fire, and no mode changes
+        before the tick, so each unit's hold and draw are as they will be.
+        A copy of each unit without the certificate's constants takes the
+        decision, so a change computes no dwell; the change is decided
+        again, from the state, at its own row.  A latched follower's rule
+        reads the state, so nothing is decided ahead while one is latched.
+        """
+        if not self.enabled:  # an unsupervised run has no decision tick
+            return horizon
+        tick = (k // self.dec_every + 1) * self.dec_every
+        if self.latched_count:
+            return min(tick, horizon)
+        probes = [DwellState(unit.mode, unit.entry_time, unit.required) for unit in self.units]
+        for tick in range(tick, horizon, self.dec_every):
+            t = tick * self.h
+            kept, index = len(self.decisions), self.draws.index
+            at = (tick // self.det_every) * len(self.unit_ids)
+            for u, (unit, probe) in enumerate(zip(self.unit_ids, probes)):
+                report = self.drawn[at + u]
+                # 0.0 for the state: every row before a cut is inside the surface
+                mode, cause = switching_decision(0.0, self.p_downgrade[report], probe,
+                                                 self.eps_max, self.draws, t, 0.0, None)
+                if mode != self.units[u].mode:
+                    del self.decisions[kept:]
+                    self.draws.index = index
+                    return tick
+                self.decisions.append(DecisionEvent(t, unit, report, mode, cause))
+            self.ahead.append((tick, kept, index))
+        return horizon
 
     def _emit(self, t: float, causes: dict):
         """A mode event for each follower whose effective mode changed."""
@@ -705,12 +819,15 @@ class _Integrator:
                                       gap=float(gaps[cut, worst])), []
         return row, None, surface[cut].nonzero()[0].tolist()
 
-    def advance(self, k: int, until: int, pattern, supervisor: _Supervisor):
-        """Step from row k under ``pattern`` and row k's inputs to row
-        ``until`` or the next input edge, keep the rows ``check`` lets
-        stand, and return its (row, collision, flips): the next segment
-        starts there."""
-        end = min(k + _MAX_SEGMENT, until, self.edges[bisect.bisect_right(self.edges, k)])
+    def horizon(self, k: int) -> int:
+        """The last row a segment from row k may reach: the next input edge,
+        at most ``_MAX_SEGMENT`` steps on."""
+        return min(k + _MAX_SEGMENT, self.edges[bisect.bisect_right(self.edges, k)])
+
+    def advance(self, k: int, end: int, pattern, supervisor: _Supervisor):
+        """Step from row k to row ``end`` under ``pattern`` and row k's
+        inputs, keep the rows ``check`` lets stand, and return its (row,
+        collision, flips): the next segment starts there."""
         R, phi, psi_g, g, c, disturbed, lead_acc, xi, active = self._segment_map(pattern, k)
         per_row = k in self.varying
         if per_row:
@@ -737,33 +854,23 @@ class _Integrator:
 
     def record(self, last: int, pattern) -> dict:
         """Keep the final row under ``pattern``, then return the trace's
-        series over rows 0..last.
-
-        The commands are one matrix-vector product a row: stacked matmul
-        runs the gemv kernel of ``dot`` on each row (a GEMM over the rows
-        would not round the same way); then the frozen inputs.
-        """
+        series over rows 0..last and its command law on each span of them
+        (``SimTrace.commands`` builds the commands from it)."""
         R, _, _, g, _, disturbed, _, xi, _ = self._segment_map(pattern, last)
         self.spans.append([last, last + 1, R, g, xi, disturbed, pattern])
         states = self.states[:last + 1]
-        commands = np.empty((last + 1, self.n))
         modes = np.empty((last + 1, self.n - 1), dtype=np.uint8)
         xis = np.empty(last + 1)
-        for start, stop, R, g, xi, disturbed, pattern in self.spans:
-            kept = commands[start:stop]
-            np.matmul(R, states[start:stop, :, None], out=kept[:, :, None])
-            kept += g
+        for start, stop, _, _, xi, _, pattern in self.spans:
             modes[start:stop] = pattern
             xis[start:stop] = xi
-            if disturbed:
-                # the disturbance acts on the vehicle, not on its command; a
-                # zero is taken as +0.0, whose subtraction changes no float
-                kept[:, disturbed] -= np.where(xi != 0.0, xi, 0.0)[..., None]
         positions = states[:, :self.n]
         return dict(times=np.arange(last + 1) * self.h, positions=positions,
-                    velocities=states[:, self.n:], commands=commands, modes=modes,
+                    velocities=states[:, self.n:], modes=modes,
                     spacing_errors=positions[:, 1:] - positions[:, :-1] + self.L,
-                    attack_xi=xis)
+                    attack_xi=xis,
+                    command_spans=tuple((start, stop, R, g, disturbed)
+                                        for start, stop, R, g, _, disturbed, _ in self.spans))
 
 
 # a diverging run is reported once, by the non-finite check on its rows,
@@ -785,9 +892,10 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     integrator = _Integrator(config, steps)
     k, collision, flips = integrator.check(0, 0, supervisor)
     while k < steps and collision is None:
-        pattern, until = supervisor.act(k, integrator.states[k], flips)
-        k, collision, flips = integrator.advance(k, until, pattern, supervisor)
-    # the final row is recorded before supervision
+        pattern, end = supervisor.act(k, integrator.states[k], flips, integrator.horizon(k))
+        k, collision, flips = integrator.advance(k, end, pattern, supervisor)
+    # the final row is recorded before supervision, and decides nothing
+    supervisor.retract(k)
     return SimTrace(
         **integrator.record(k, supervisor.pattern),
         drawn_reports=supervisor.drawn,

@@ -15,9 +15,10 @@ import platoonsec.engine
 from platoonsec.control import ACC, CACC, AccGains, CaccGains
 from platoonsec.config import load_scenario
 from platoonsec.engine import (PLATOON_UNIT, CertificateError, CollisionInfo, DwellState,
-                               ReportEvent, ScenarioConfig, SwitchingConfig,
-                               cacc_entry_values, run_scenario, switching_decision,
-                               trace_metrics, write_metrics_json, write_trace_csv)
+                               ReportEvent, ScenarioConfig, SwitchingConfig, _Draws,
+                               _Supervisor, cacc_entry_values, run_scenario,
+                               switching_decision, trace_metrics, write_metrics_json,
+                               write_trace_csv)
 from platoonsec.game import BehavioralStrategy, equilibrium_strategy
 from platoonsec.platoon import LeaderProfile, PlatoonConfig
 from platoonsec.stability import (LyapunovCandidate, lyapunov_constants,
@@ -850,6 +851,74 @@ def test_reports_match_one_draw_at_a_time(config):
     assert trace.reports == _reports_one_draw_at_a_time(config, trace.times.size - 1)
     if trace.collision is not None:
         assert all(r.time < trace.collision.time for r in trace.reports)
+
+
+def _outcome(config):
+    """Everything a run records, by bytes, or the message of its error."""
+    try:
+        trace = run_scenario(config)
+    except FloatingPointError as exc:
+        return str(exc)
+    arrays = [(a.dtype, a.shape, a.tobytes()) for a in (
+        trace.times, trace.positions, trace.velocities, trace.commands, trace.modes,
+        trace.spacing_errors, trace.attack_xi)]
+    return (arrays, trace.drawn_reports, trace.decisions, trace.mode_events,
+            trace.collision)
+
+
+_DEFENDED = load_scenario(CONFIGS / "crash_defended.json")
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_scenarios())
+@example(dataclasses.replace(_DEFENDED, seed=1, duration=40.0))  # latches at 36.44 s
+@example(dataclasses.replace(_DEFENDED, seed=5, duration=40.0))  # latches and releases
+@example(dataclasses.replace(load_scenario(CONFIGS / "benign_switching.json"), seed=3))
+@example(dataclasses.replace(  # a tick every row: the surface acts on a tick decided ahead
+    _DEFENDED, seed=1, duration=40.0,
+    switching=dataclasses.replace(_DEFENDED.switching, decision_period=0.01)))
+@example(ScenarioConfig(  # a tick every row, and a collision on the row after an edge,
+    # with no latch before it: the ticks decided ahead of it are never reached
+    platoon=make_platoon(n=3, v0=100.0, pulses=[(2.0, 3.0, -1500.0)]), lyapunov=_P_BENIGN,
+    switching=SwitchingConfig(decision_period=0.1, initial_mode=ACC, dwell_enforced=False,
+                              policy_override=(1.0, 1.0)),
+    step=0.1, duration=4.0))
+def test_segment_boundaries_change_nothing(config):
+    """A run whose segments are one row each, where every tick is decided
+    on its own row from the state (per-row supervision), records the same
+    bytes, reports, decisions, mode events and collision as a run whose
+    supervisor decides the ticks inside a segment ahead."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(platoonsec.engine, "_MAX_SEGMENT", 1)
+        per_row = _outcome(config)
+    assert _outcome(config) == per_row
+
+
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 300))
+@example(seed=0, size=0)
+def test_decision_draws_equal_successive_single_draws(seed, size):
+    """The decision buffer's values, read in order, are the generator's
+    successive ``random()`` values, bit for bit."""
+    draws = _Draws(np.random.default_rng(seed), size)
+    single = np.random.default_rng(seed)
+    assert [draws.random() for _ in range(size)] == [single.random() for _ in range(size)]
+    with pytest.raises(IndexError):
+        draws.random()
+
+
+@pytest.mark.parametrize("scope", ["per-vehicle", "platoon"])
+def test_decision_buffer_holds_one_draw_per_tick_and_unit(scope):
+    """With no hold and no surface every decision draws once: a run reads
+    the whole buffer, and the last decision tick is the last row before
+    the final one on the decision grid."""
+    config = ScenarioConfig(platoon=make_platoon(n=4), lyapunov=_P_BENIGN,  # at rest
+                            switching=SwitchingConfig(scope=scope, dwell_enforced=False,
+                                                      decision_period=0.25),
+                            step=0.05, duration=3.0)
+    trace = run_scenario(config)
+    assert len(trace.decisions) == len(_Supervisor(config, 60).draws.values) == \
+        (59 // 5) * (3 if scope == "per-vehicle" else 1)
+    assert trace.decisions[-1].time == 55 * 0.05
 
 
 def test_per_vehicle_scope_gives_each_follower_a_unit():

@@ -111,12 +111,15 @@ def traces(draw):
             cols.append(np.repeat(pool[picks], run)[:rows])
         return np.column_stack(cols).reshape(shape)
 
-    return SimTrace(times=series(rows), positions=series(rows, n),
-                    velocities=series(rows, n), commands=series(rows, n),
-                    modes=rng.integers(2, size=(rows, n - 1)).astype(np.uint8),
-                    spacing_errors=series(rows, n - 1), attack_xi=series(rows),
-                    drawn_reports=[], decisions=(), mode_events=(), collision=None,
-                    config=None)
+    times, positions, velocities, commands = (series(rows), series(rows, n),
+                                              series(rows, n), series(rows, n))
+    trace = SimTrace(times=times, positions=positions, velocities=velocities,
+                     modes=rng.integers(2, size=(rows, n - 1)).astype(np.uint8),
+                     spacing_errors=series(rows, n - 1), attack_xi=series(rows),
+                     drawn_reports=[], decisions=(), mode_events=(), collision=None,
+                     config=None, command_spans=())
+    trace.commands = commands
+    return trace
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,10 +141,11 @@ def test_edge_values_survive_formatting(tmp_path):
     rows, n = EDGES.size, 3
     grid = np.tile(EDGES[:, None], (1, n))
     trace = SimTrace(times=EDGES.copy(), positions=grid, velocities=grid[:, ::-1].copy(),
-                     commands=grid, modes=np.zeros((rows, n - 1), np.uint8),
+                     modes=np.zeros((rows, n - 1), np.uint8),
                      spacing_errors=grid[:, 1:], attack_xi=EDGES[::-1].copy(),
                      drawn_reports=[], decisions=(), mode_events=(), collision=None,
-                     config=None)
+                     config=None, command_spans=())
+    trace.commands = grid
     write_trace_csv(trace, tmp_path / "trace.csv")
     assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
     times = [line.split(",")[0] for line in (tmp_path / "trace.csv").read_text().splitlines()[1:]]
