@@ -5,7 +5,7 @@ Runs ``platoonsec simulate`` on every ``configs/*.json`` at seeds 0-3 and the
 benchmark's sweep grid (crash_defended, ``--xi-grid 1 2.5 4 --eps-grid 2 4
 --runs 4 --seed 0 --jobs 1``) into a temporary directory, then prints each
 output file's sha256 in ``sha256sum`` format and then the sha256 of that
-whole listing.  Run it on two trees and compare the last three lines; equal
+whole listing.  Run it on two trees and compare the last four lines; equal
 listing digests mean equal bytes in all 65 files.
 
 A second line, ``trace sha256``, digests the in-memory traces of
@@ -14,6 +14,12 @@ shape, dtype and bytes, then the reports, decisions, mode events and
 collision by their ``repr``.  The files above hold no reports or decisions,
 so this line is what pins them, over an ensemble as large as the
 benchmark's.
+
+A third line, ``varying sha256``, digests the same way the in-memory traces
+of crash_defended at seeds 0-3 under a ramp and under a sinusoid attack,
+each in message-level and in lumped-acceleration mode.  Those signals take a
+new value every row, so their segments build the map's constant part a row
+at a time, which no shipped config does.
 
 A last line, ``cli sha256``, digests the exit code, stdout and stderr of
 ``stability``, ``game``, ``string-check --mode ACC`` and ``string-check
@@ -37,7 +43,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from platoonsec import cli, load_scenario, run_scenario
+from platoonsec import AttackSignal, cli, load_scenario, run_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SEEDS = range(4)
@@ -45,6 +51,10 @@ RUN_FILES = ("trace.csv", "metrics.json", "spacing.dat", "velocity.dat")
 SWEEP = ["--config", str(CONFIGS / "crash_defended.json"), "--xi-grid", "1", "2.5", "4",
          "--eps-grid", "2", "4", "--runs", "4", "--seed", "0", "--jobs", "1"]
 TRACE_RUNS = (("benign_switching", range(50)), ("crash_defended", range(8)))
+VARYING_SEEDS = range(4)
+VARYING_SIGNALS = (AttackSignal(kind="ramp", rate=0.3),
+                   AttackSignal(kind="sinusoid", amplitude=2.5, frequency=0.15, phase=0.4))
+VARYING_MODES = ("message-level", "lumped-acceleration")
 TRACE_ARRAYS = ("times", "positions", "velocities", "commands", "modes",
                 "spacing_errors", "attack_xi")
 CLI_COMMANDS = (["stability"], ["game"], ["string-check", "--mode", "ACC"],
@@ -69,20 +79,34 @@ def listing(root: Path) -> list[str]:
             for p in files]
 
 
-def trace_digest() -> str:
-    """sha256 over the traces of TRACE_RUNS, run in-process in that order."""
+def traces_digest(configs) -> str:
+    """sha256 over the traces of ``configs``, run in-process in that order."""
     digest = hashlib.sha256()
-    for stem, seeds in TRACE_RUNS:
-        base = load_scenario(CONFIGS / f"{stem}.json")
-        for seed in seeds:
-            trace = run_scenario(dataclasses.replace(base, seed=seed))
-            for name in TRACE_ARRAYS:
-                array = getattr(trace, name)
-                digest.update(f"{name} {array.shape} {array.dtype}".encode())
-                digest.update(array.tobytes())
-            digest.update(repr((trace.reports, trace.decisions, trace.mode_events,
-                                trace.collision)).encode())
+    for config in configs:
+        trace = run_scenario(config)
+        for name in TRACE_ARRAYS:
+            array = getattr(trace, name)
+            digest.update(f"{name} {array.shape} {array.dtype}".encode())
+            digest.update(array.tobytes())
+        digest.update(repr((trace.reports, trace.decisions, trace.mode_events,
+                            trace.collision)).encode())
     return digest.hexdigest()
+
+
+def trace_digest() -> str:
+    """sha256 over the traces of TRACE_RUNS."""
+    return traces_digest(dataclasses.replace(load_scenario(CONFIGS / f"{stem}.json"), seed=seed)
+                         for stem, seeds in TRACE_RUNS for seed in seeds)
+
+
+def varying_digest() -> str:
+    """sha256 over the traces of crash_defended under each of VARYING_SIGNALS
+    in each of VARYING_MODES, at VARYING_SEEDS."""
+    base = load_scenario(CONFIGS / "crash_defended.json")
+    return traces_digest(
+        dataclasses.replace(base, seed=seed,
+                            attack=dataclasses.replace(base.attack, signal=signal, mode=mode))
+        for signal in VARYING_SIGNALS for mode in VARYING_MODES for seed in VARYING_SEEDS)
 
 
 def cli_digest() -> str:
@@ -115,6 +139,7 @@ def main() -> None:
     sys.stdout.write(text)
     print(f"listing sha256 {hashlib.sha256(text.encode()).hexdigest()}")
     print(f"trace sha256 {trace_digest()}")
+    print(f"varying sha256 {varying_digest()}")
     print(f"cli sha256 {cli_digest()}")
 
 

@@ -34,17 +34,20 @@ immune by construction.
 
 The run advances in segments, split between a supervisor, the switching
 signal, and an integrator, the closed loop the signal selects.  A mode can
-change only at a decision tick or at a safety-surface crossing, and an input
-only at an edge (a leader pulse, the attack window, a step of a table
+change only at a decision tick or at a safety-surface crossing, and an
+input only at an edge (a leader pulse, the attack window, a step of a table
 signal); between those events the closed loop is one affine map
 x' = Phi x + c.  So the supervisor acts once at a segment's first row
 (latching and releasing followers, then deciding on a decision tick) and
-returns the mode pattern; the integrator builds Phi and c once a run for
-each set of frozen inputs and steps the segment with one matrix-vector
-product per step, for the state alone, to the first decision tick whose
-decision changes a mode, the next input edge, or ``_MAX_SEGMENT`` steps.
-(A ramp or sinusoid attack has a new value every step; its segments rebuild
-c for each step, as a per-step loop would.)  The supervisor decides the
+returns the mode pattern; the integrator builds Phi and c once a run for each mode pattern
+and each interval between input edges, and steps the segment with one
+matrix-vector product per step, for the state alone, to the first decision
+tick whose decision changes a mode, the next input edge, or
+``_MAX_SEGMENT`` steps.  (A ramp or sinusoid attack has a new value every
+step, and c with it; a segment builds c for all its rows in one array pass,
+entry by entry the operations a per-step loop does on each.)  The supervisor
+reads a row's state as a handful of Python floats, and keeps each decision
+and mode event as the tuple of its fields.  The supervisor decides the
 ticks inside a segment ahead, with the same rule on the pre-drawn reports
 and decision draws and without the state: a tick that keeps every mode
 needs none, because a dwell hold depends only on its entry time and the
@@ -57,22 +60,24 @@ crossing) act on the segment's rows at once, as on the initial row before
 the first segment.  A quiet block passes a test of the whole block that is
 exact for floats: its last row is finite (a non-finite entry stays
 non-finite under the step), its smallest gap exceeds the vehicle length,
-the spacing errors of its two extreme gaps lie inside epsilon_max
-(fl(L - gap) is monotone in the gap), and no follower is latched.  Any
-other block is scanned row by row and cut at the first row a check acts on,
-which the supervisor handles as the next segment's first.  No step reads
-the recorded command u = R x + g, so the trace keeps each span of rows that
-shares a map and builds the commands on first read, one stacked matmul a
-span: numpy runs the same BLAS matrix-vector kernel on each row as
-``np.dot(R, x)``, where a matrix-matrix product over the rows would round
-differently.  A detector report depends on time alone (the attack window,
-the targets and the detector's own generator), never on the state, so
-every sampling tick's reports are drawn before the run, in (tick, unit)
-order, in one batch from that generator; a decision reads the latest one by
-index, and the trace builds its report records on first read.  Every row is
-therefore computed by the same floating-point operations, on the same
-values and in the same order, as when the supervisor ran on every step: the
-trace and its outputs are bit-identical to per-step supervision.
+the spacing errors at each follower's two extreme gaps lie inside
+epsilon_max or, for a latched follower, beyond the release level and on one
+side of zero (fl(L - gap) is monotone in the gap).  Any other block is
+scanned row by row and cut at the first row a check acts on, which the
+supervisor handles as the next segment's first.  No step reads the recorded
+command u = R x + g, so the trace keeps each span of rows that shares a map
+and builds the commands on first read, one stacked matmul a span: numpy
+runs the same BLAS matrix-vector kernel on each row as ``np.dot(R, x)``,
+where a matrix-matrix product over the rows would round differently.  A
+detector report depends on time alone (the attack window, the targets and
+the detector's own generator), never on the state, so every sampling tick's
+reports are drawn before the run, in (tick, unit) order, in one batch from
+that generator; a decision reads the latest one by index, and the trace
+builds its report, decision and mode-event records on first read, as it
+does its commands.  Every row is therefore computed by the same
+floating-point operations, on the same values and in the same order, as
+when the supervisor ran on every step: the trace and its outputs are
+bit-identical to per-step supervision.
 """
 
 from __future__ import annotations
@@ -269,10 +274,11 @@ class CollisionInfo:
 class SimTrace:
     """Time-indexed record of one run; all series share the time grid.
 
-    The commanded accelerations and the report records are built on first
-    read, from ``command_spans`` and ``drawn_reports``, so a run that never
-    reads them does not pay for them.  A trace built from arrays has no
-    spans; assigning ``commands`` sets them directly.
+    The commanded accelerations, the report records, the decisions and the
+    mode events are built on first read, from ``command_spans``,
+    ``drawn_reports``, ``decision_records`` and ``mode_records``, so a run
+    that never reads them does not pay for them.  A trace built from arrays
+    has no spans; assigning ``commands`` sets them directly.
     """
 
     times: np.ndarray
@@ -282,8 +288,9 @@ class SimTrace:
     spacing_errors: np.ndarray
     attack_xi: np.ndarray
     drawn_reports: list[str]  # every sampling tick's, in (tick, unit) order
-    decisions: tuple[DecisionEvent, ...]
-    mode_events: tuple[ModeEvent, ...]
+    # each event's fields, as a tuple, in the order of the event's
+    decision_records: tuple[tuple, ...]
+    mode_records: tuple[tuple, ...]
     collision: CollisionInfo | None
     config: ScenarioConfig
     # (first row, end row, R, g, disturbed) of each span of rows that shares
@@ -311,6 +318,16 @@ class SimTrace:
                 xi = self.attack_xi[start:stop]
                 kept[:, disturbed] -= np.where(xi != 0.0, xi, 0.0)[:, None]
         return commands
+
+    @functools.cached_property
+    def decisions(self) -> tuple[DecisionEvent, ...]:
+        """Every supervisor decision, in order, with its report and cause."""
+        return tuple(DecisionEvent(*record) for record in self.decision_records)
+
+    @functools.cached_property
+    def mode_events(self) -> tuple[ModeEvent, ...]:
+        """Every follower's initial mode, then every mode change, with its cause."""
+        return tuple(ModeEvent(*record) for record in self.mode_records)
 
     @functools.cached_property
     def reports(self) -> tuple[ReportEvent, ...]:
@@ -472,7 +489,9 @@ class _Supervisor:
     they emit.  ``act`` supervises a segment's first row and decides the
     ticks after it ahead; ``retract`` undoes the ones a cut leaves unreached.
     ``quiet`` and ``surface_flags`` give the integrator's checks the safety
-    surface."""
+    surface.  The state it reads at a row is a handful of floats, so it
+    works on Python lists and tuples, and records each event as the tuple
+    of its fields."""
 
     def __init__(self, config: ScenarioConfig, steps: int):
         sw = config.switching
@@ -503,12 +522,18 @@ class _Supervisor:
         self.unit_ids = _unit_ids(config)
         self.units = [DwellState(sw.initial_mode, constants=constants)
                       for _ in self.unit_ids]
-        self.latched = np.zeros(n - 1, dtype=bool)  # per-follower safety latch
+        # the unit that sets each follower column's mode: its own, or the platoon's
+        self.column_units = [self.units[min(col, len(self.units) - 1)] for col in range(n - 1)]
+        # copies of the units, without the constants, for deciding ahead
+        self.probes = [DwellState(sw.initial_mode) for _ in self.unit_ids]
+        self.latched = [False] * (n - 1)  # per-follower safety latch
         self.latched_count = 0
-        self.pattern = np.full(n - 1, sw.initial_mode == ACC).view(np.uint8)
-        self.decisions: list[DecisionEvent] = []
-        self.mode_events = [ModeEvent(0.0, i, sw.initial_mode, _CAUSE_INITIAL)
-                            for i in range(2, n + 1)]
+        # the effective mode code of each follower column, 1 = radar-only
+        self.pattern = (int(sw.initial_mode == ACC),) * (n - 1)
+        # (time, unit, report, mode, cause) of each decision and (time,
+        # follower, mode, cause) of each mode event
+        self.decision_records: list[tuple] = []
+        self.mode_records = [(0.0, i, sw.initial_mode, _CAUSE_INITIAL) for i in range(2, n + 1)]
         # (tick, decisions before it, draw index before it) of each tick
         # decided ahead by the last ``act``
         self.ahead: list[tuple[int, int, int]] = []
@@ -518,19 +543,41 @@ class _Supervisor:
         # decision ticks are the rows 1..steps-1 that are whole periods
         ticks = (steps - 1) // self.dec_every if sw.enabled else 0
         self.draws = _Draws(decision_rng, ticks * len(self.unit_ids))
-        # unit u's report at tick j * det_every is drawn[j * len(unit_ids) + u]
+        # unit u's report at tick j * det_every is drawn[j * len(unit_ids) + u]:
+        # an attack flag per (tick, unit), set while the attack's window is
+        # open at the tick's time (the products j * h) and reaches the unit
         attack = config.attack
-        report_ticks = range(0, steps, self.det_every) if sw.enabled else range(0)
-        reached = [attack is not None and (unit == PLATOON_UNIT or unit in attack.targets)
-                   for unit in self.unit_ids]  # by the attack, while its window is open
-        attacked = [hit and attack.active(j * self.h) for j in report_ticks for hit in reached]
-        self.drawn = detector_sample(attacked, config.detector, detector_rng) if attacked else []
+        times = np.arange(0, steps if sw.enabled else 0, self.det_every) * self.h
+        if attack is None:
+            attacked = np.zeros(times.size * len(self.unit_ids), dtype=bool)
+        else:
+            reached = [unit == PLATOON_UNIT or unit in attack.targets for unit in self.unit_ids]
+            open_ = (attack.window[0] <= times) & (times < attack.window[1])
+            attacked = np.logical_and.outer(open_, reached).ravel()
+        self.drawn = (detector_sample(attacked, config.detector, detector_rng)
+                      if attacked.size else [])
 
-    def quiet(self, low: float, high: float) -> bool:
-        """Does the safety surface act on no row whose gaps all lie in
-        [low, high]?  Exact for floats: fl(L - gap) is monotone in the gap."""
-        return not self.enabled or (not self.latched_count and max(
-            abs(self.L - low), abs(self.L - high)) < self.eps_max)
+    def quiet(self, gaps: np.ndarray) -> bool:
+        """Does the safety surface act on no row of ``gaps`` (a block of rows,
+        a column a follower)?  Exact for floats: fl(L - gap) is monotone in
+        the gap, so over a column whose gaps lie in [low, high] the error
+        |fl(L - gap)| is at most its value at an end, and, unless fl(L - gap)
+        changes sign, at least its value at the other.  A free follower
+        latches where it reaches epsilon_max; a latched one releases where
+        it falls to the release level, so its column is tested on its own."""
+        if not self.enabled:
+            return True
+        L = self.L
+        if not self.latched_count:
+            return max(abs(L - gaps.min()), abs(L - gaps.max())) < self.eps_max
+        lows, highs = gaps.min(axis=0).tolist(), gaps.max(axis=0).tolist()
+        for latched, low, high in zip(self.latched, lows, highs):
+            if latched:
+                if not (L - high > self.release or L - low < -self.release):
+                    return False
+            elif max(abs(L - low), abs(L - high)) >= self.eps_max:
+                return False
+        return True
 
     def surface_flags(self, ahead) -> np.ndarray:
         """Per row of positions and follower: does the safety surface act,
@@ -544,27 +591,32 @@ class _Supervisor:
         has not reached: drop them and give their draws back."""
         for tick, kept, index in self.ahead:
             if tick >= k:
-                del self.decisions[kept:]
+                del self.decision_records[kept:]
                 self.draws.index = index
                 break
         self.ahead.clear()
 
-    def act(self, k: int, x, flips: list[int], horizon: int) -> tuple[np.ndarray, int]:
+    def act(self, k: int, x, flips: list[int], horizon: int) -> tuple[tuple, int]:
         """Supervise row k, state ``x``: the safety surface with hysteresis
         on the followers in ``flips`` (those the integrator's checks found
         acting on row k), then, on a decision tick, every unit's dwell or
         game decision on its latest report.  Returns the effective mode
-        pattern (uint8 per follower column, 1 = radar-only) the segment from
-        row k runs under, and the row where it ends: the first decision tick
-        before ``horizon`` whose decision changes a mode, else ``horizon``.
-        The decisions of the ticks before that one are made here, ahead."""
+        pattern (a code per follower column, 1 = radar-only) the segment
+        from row k runs under, and the row where it ends: the first decision
+        tick before ``horizon`` whose decision changes a mode, else
+        ``horizon``.  The decisions of the ticks before that one are made
+        here, ahead."""
         self.retract(k)
         decide = self.enabled and k > 0 and k % self.dec_every == 0
         if flips or decide:
             t = k * self.h
-            n = self.n
-            eps = x[1:n] - x[:n - 1] + self.L
-            deps = x[n + 1:] - x[n:-1]
+            n, L = self.n, self.L
+            row = x.tolist()
+            pos, vel = row[:n], row[n:]
+            # each entry as the arrays x[1:n] - x[:n - 1] + L and
+            # x[n + 1:] - x[n:-1] compute it
+            eps = [b - a + L for a, b in zip(pos, pos[1:])]
+            deps = [b - a for a, b in zip(vel, vel[1:])]
         if flips:
             causes = {}
             for col in flips:
@@ -572,7 +624,7 @@ class _Supervisor:
                     self.latched[col] = False
                     self.latched_count -= 1
                     causes[col + 2] = _CAUSE_RELEASE
-                    unit = self.units[min(col, len(self.units) - 1)]  # own, or the platoon's
+                    unit = self.column_units[col]
                     if unit.mode == CACC:
                         # re-entering the cooperative mode: restart its dwell
                         unit.enter(CACC, t, error_state=(eps[col], deps[col]))
@@ -583,25 +635,28 @@ class _Supervisor:
             self._emit(t, causes)
         if decide:
             at = (k // self.det_every) * len(self.unit_ids)  # the latest reports
-            before = [unit.mode for unit in self.units]
+            changed = False
             causes = {}
             for u, (unit, state) in enumerate(zip(self.unit_ids, self.units)):
                 report = self.drawn[at + u]
+                before = state.mode
                 entry = None
-                if unit == PLATOON_UNIT:  # the worst follower
-                    col = int(abs(eps).argmax())
+                if unit == PLATOON_UNIT:  # the worst follower, the first of equals
+                    sizes = [abs(e) for e in eps]
+                    col = sizes.index(max(sizes))
                     if state.mode == ACC:  # only a move into CACC reads the entry norm
                         entry = (float(np.hypot(eps, deps).max()), 0.0)
                 else:
                     col = unit - 2
                 mode, cause = switching_decision(
-                    float(eps[col]), self.p_downgrade[report], state, self.eps_max,
-                    self.draws, t, float(deps[col]), entry)
-                self.decisions.append(DecisionEvent(t, unit, report, mode, cause))
+                    eps[col], self.p_downgrade[report], state, self.eps_max,
+                    self.draws, t, deps[col], entry)
+                self.decision_records.append((t, unit, report, mode, cause))
+                changed = changed or mode != before
                 for i in range(2, n + 1) if unit == PLATOON_UNIT else (unit,):
                     inside = cause == _CAUSE_SAFETY and abs(eps[i - 2]) < self.eps_max
                     causes[i] = _CAUSE_BROADCAST if inside else cause
-            if [unit.mode for unit in self.units] != before:
+            if changed:
                 self._emit(t, causes)
         return self.pattern, self._decide_ahead(k, horizon)
 
@@ -623,31 +678,34 @@ class _Supervisor:
         tick = (k // self.dec_every + 1) * self.dec_every
         if self.latched_count:
             return min(tick, horizon)
-        probes = [DwellState(unit.mode, unit.entry_time, unit.required) for unit in self.units]
+        for probe, unit in zip(self.probes, self.units):
+            probe.mode, probe.entry_time, probe.required = unit.mode, unit.entry_time, unit.required
         for tick in range(tick, horizon, self.dec_every):
             t = tick * self.h
-            kept, index = len(self.decisions), self.draws.index
+            kept, index = len(self.decision_records), self.draws.index
             at = (tick // self.det_every) * len(self.unit_ids)
-            for u, (unit, probe) in enumerate(zip(self.unit_ids, probes)):
+            for u, (unit, probe) in enumerate(zip(self.unit_ids, self.probes)):
                 report = self.drawn[at + u]
+                before = probe.mode
                 # 0.0 for the state: every row before a cut is inside the surface
                 mode, cause = switching_decision(0.0, self.p_downgrade[report], probe,
                                                  self.eps_max, self.draws, t, 0.0, None)
-                if mode != self.units[u].mode:
-                    del self.decisions[kept:]
+                if mode != before:
+                    del self.decision_records[kept:]
                     self.draws.index = index
                     return tick
-                self.decisions.append(DecisionEvent(t, unit, report, mode, cause))
+                self.decision_records.append((t, unit, report, mode, cause))
             self.ahead.append((tick, kept, index))
         return horizon
 
     def _emit(self, t: float, causes: dict):
         """A mode event for each follower whose effective mode changed."""
-        radar = np.array([unit.mode == ACC for unit in self.units])
-        pattern = (self.latched | radar).view(np.uint8)  # one platoon unit broadcasts
-        for idx in (pattern != self.pattern).nonzero()[0].tolist():
-            self.mode_events.append(ModeEvent(t, idx + 2, ACC if pattern[idx] else CACC,
-                                              causes.get(idx + 2, _CAUSE_GAME)))
+        pattern = tuple([int(latched or unit.mode == ACC)
+                         for latched, unit in zip(self.latched, self.column_units)])
+        for col, (old, new) in enumerate(zip(self.pattern, pattern)):
+            if old != new:
+                self.mode_records.append((t, col + 2, ACC if new else CACC,
+                                         causes.get(col + 2, _CAUSE_GAME)))
         self.pattern = pattern
 
 
@@ -684,7 +742,7 @@ class _Integrator:
         fields = (attack.message_fields
                   if attack is not None and attack.mode == "message-level" else ())
         self.offsets = tuple(f in fields for f in ("position", "velocity", "acceleration"))
-        self.step_maps: dict[bytes, tuple] = {}
+        self.step_maps: dict[tuple, tuple] = {}
         self.segment_maps: dict[tuple, tuple] = {}
         # Kept rows, as [first row, end row, R, g, xi, disturbed, pattern]
         # with g and xi the span's constants or arrays of one a row
@@ -721,8 +779,7 @@ class _Integrator:
         return R
 
     def _step_map(self, pattern):
-        key = pattern.tobytes()
-        cached = self.step_maps.get(key)
+        cached = self.step_maps.get(pattern)
         if cached is None:
             n, h = self.n, self.h
             ident = np.eye(2 * n)
@@ -739,7 +796,7 @@ class _Integrator:
                        + (h ** 3 / 24.0) * M3)
             # b is zero on the position block, so only Psi's velocity columns act
             cached = (R, phi, np.ascontiguousarray(psi[:, n:]))
-            self.step_maps[key] = cached
+            self.step_maps[pattern] = cached
         return cached
 
     def _accel_consts(self, pattern, lead_acc, xi, active) -> np.ndarray:
@@ -749,11 +806,14 @@ class _Integrator:
         a victim's V2V readings; a lumped-disturbance attack adds it to the
         acceleration of a victim whose law reads V2V.  A radar term is immune.
         Each sum starts from its first product, in the law's term order.
+        ``xi`` is one attack value, or an array of one a row: then each
+        operation acts on the rows at once, entry by entry, and the result
+        has a row of constants per value.
         """
         L = self.L
         forged = tuple(xi if on else 0.0 for on in self.offsets)
         g = [float(lead_acc)]  # floats round as the array's float64 entries do
-        for i, code in enumerate(pattern.tolist(), start=1):
+        for i, code in enumerate(pattern, start=1):
             terms, _ = self.laws[code]
             hit = active and self.targeted[i]
             u = None
@@ -765,30 +825,51 @@ class _Integrator:
                 u -= term.beta * ov
                 u += term.gamma * (g[j] + oa)
             g.append(u + xi if self.lumped and hit and self.exposed[code] else u)
-        return np.array(g)
+        if np.ndim(xi) == 0:
+            return np.array(g)
+        consts = np.empty((len(xi), len(g)))  # a row per attack value
+        for i, column in enumerate(g):
+            consts[:, i] = column
+        return consts
 
-    def _segment_map(self, pattern, k: int):
+    def _segment_map(self, pattern, k: int, interval: int):
         """(R, Phi, Psi_g, g, Psi_g g, disturbed, lead_acc, xi, active) for
-        the inputs at row k, which hold over its segment; built once per run
-        for each set of them.  ``disturbed`` lists the followers whose
-        recorded command excludes a nonzero lumped disturbance.  The key
-        tells 0.0 from -0.0, which can round a sum differently."""
-        t = k * self.h
-        attack = self.attack
-        lead_acc = self.leader.acceleration(t)
-        xi = attack_signal(attack, t) if attack is not None else 0.0
-        active = attack is not None and attack.active(t)
-        key = (pattern.tobytes(), lead_acc, math.copysign(1.0, lead_acc),
-               xi, math.copysign(1.0, xi), active)
+        the inputs of row k, which hold from the input edge before it to the
+        next (``interval`` counts the edges at or before row k); built once
+        per run for each pattern and interval.  ``disturbed`` lists the
+        followers whose recorded command excludes a nonzero lumped
+        disturbance.  Where a ramp or sinusoid takes a new value every row,
+        g, Psi_g g and xi are None: ``_varying_consts`` builds them a segment
+        at a time."""
+        key = (pattern, interval)
         cached = self.segment_maps.get(key)
         if cached is None:
+            t = k * self.h
+            attack = self.attack
+            lead_acc = self.leader.acceleration(t)
+            active = attack is not None and attack.active(t)
             R, phi, psi_g = self._step_map(pattern)
-            g = self._accel_consts(pattern, lead_acc, xi, active)
             disturbed = [i for i in range(1, self.n) if self.lumped and active
                          and self.targeted[i] and self.exposed[pattern[i - 1]]]
-            cached = (R, phi, psi_g, g, psi_g @ g, disturbed, lead_acc, xi, active)
+            g = c = xi = None
+            if k not in self.varying:
+                xi = attack_signal(attack, t) if attack is not None else 0.0
+                g = self._accel_consts(pattern, lead_acc, xi, active)
+                c = psi_g @ g
+            cached = (R, phi, psi_g, g, c, disturbed, lead_acc, xi, active)
             self.segment_maps[key] = cached
         return cached
+
+    def _varying_consts(self, pattern, rows: range, psi_g, lead_acc, active):
+        """(g, Psi_g g, xi) of each of ``rows``, where a ramp or sinusoid
+        takes a new value every row: the attack values one row at a time
+        (``math.sin`` is not ``np.sin``), the constants of all rows in one
+        pass of ``_accel_consts``, and Psi_g g as one stacked matmul, which
+        runs the matrix-vector kernel of ``Psi_g @ g`` on each row (see
+        ``SimTrace.commands``)."""
+        xi = np.array([attack_signal(self.attack, j * self.h) for j in rows])
+        g = self._accel_consts(pattern, lead_acc, xi, active)
+        return g, np.matmul(psi_g, g[:, :, None])[:, :, 0], xi
 
     def check(self, first: int, last: int, supervisor: _Supervisor):
         """The per-row checks on rows first..last: finiteness, collision,
@@ -799,9 +880,10 @@ class _Integrator:
         block = self.states[first:last + 1]
         ahead = block[:, :self.n]
         gaps = ahead[:, :-1] - ahead[:, 1:]
-        low = float(gaps.min())
-        if (low > self.vehicle_length and math.isfinite(block[-1].sum())
-                and supervisor.quiet(low, float(gaps.max()))):
+        # a sum of the last row's entries that overflows only sends a finite
+        # block to the row-by-row scan, which decides the same
+        if (gaps.min() > self.vehicle_length and supervisor.quiet(gaps)
+                and math.isfinite(sum(block[-1].tolist()))):
             return last, None, []
         surface = supervisor.surface_flags(ahead)
         flags = (~np.isfinite(block).all(axis=1), (gaps <= self.vehicle_length).any(axis=1),
@@ -819,23 +901,23 @@ class _Integrator:
                                       gap=float(gaps[cut, worst])), []
         return row, None, surface[cut].nonzero()[0].tolist()
 
-    def horizon(self, k: int) -> int:
-        """The last row a segment from row k may reach: the next input edge,
-        at most ``_MAX_SEGMENT`` steps on."""
-        return min(k + _MAX_SEGMENT, self.edges[bisect.bisect_right(self.edges, k)])
+    def horizon(self, k: int) -> tuple[int, int]:
+        """The input interval of row k (the count of input edges at or
+        before it) and the last row a segment from row k may reach: the
+        next input edge, at most ``_MAX_SEGMENT`` steps on."""
+        interval = bisect.bisect_right(self.edges, k)
+        return interval, min(k + _MAX_SEGMENT, self.edges[interval])
 
-    def advance(self, k: int, end: int, pattern, supervisor: _Supervisor):
+    def advance(self, k: int, end: int, pattern, interval: int, supervisor: _Supervisor):
         """Step from row k to row ``end`` under ``pattern`` and row k's
-        inputs, keep the rows ``check`` lets stand, and return its (row,
-        collision, flips): the next segment starts there."""
-        R, phi, psi_g, g, c, disturbed, lead_acc, xi, active = self._segment_map(pattern, k)
-        per_row = k in self.varying
+        inputs, in input interval ``interval``, keep the rows ``check`` lets
+        stand, and return its (row, collision, flips): the next segment
+        starts there."""
+        R, phi, psi_g, g, c, disturbed, lead_acc, xi, active = self._segment_map(
+            pattern, k, interval)
+        per_row = g is None
         if per_row:
-            # a ramp or sinusoid takes a new value every step, and the
-            # constant part of the map with it
-            xis = [xi] + [attack_signal(self.attack, j * self.h) for j in range(k + 1, end)]
-            gs = [g] + [self._accel_consts(pattern, lead_acc, v, active) for v in xis[1:]]
-            consts = [c] + [psi_g @ g_j for g_j in gs[1:]]
+            g, consts, xi = self._varying_consts(pattern, range(k, end), psi_g, lead_acc, active)
         else:
             consts = itertools.repeat(c, end - k)
         x = self.states[k]
@@ -845,7 +927,7 @@ class _Integrator:
             x = x_next
         cut, collision, flips = self.check(k + 1, end, supervisor)
         if per_row:
-            g, xi = np.array(gs[:cut - k]), np.array(xis[:cut - k])
+            g, xi = g[:cut - k], xi[:cut - k]
         if self.spans and self.spans[-1][3] is g:  # the same constant inputs go on
             self.spans[-1][1] = cut
         else:
@@ -856,7 +938,11 @@ class _Integrator:
         """Keep the final row under ``pattern``, then return the trace's
         series over rows 0..last and its command law on each span of them
         (``SimTrace.commands`` builds the commands from it)."""
-        R, _, _, g, _, disturbed, _, xi, _ = self._segment_map(pattern, last)
+        R, _, psi_g, g, _, disturbed, lead_acc, xi, active = self._segment_map(
+            pattern, last, bisect.bisect_right(self.edges, last))
+        if g is None:
+            g, _, xi = self._varying_consts(pattern, range(last, last + 1), psi_g,
+                                            lead_acc, active)
         self.spans.append([last, last + 1, R, g, xi, disturbed, pattern])
         states = self.states[:last + 1]
         modes = np.empty((last + 1, self.n - 1), dtype=np.uint8)
@@ -892,15 +978,16 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     integrator = _Integrator(config, steps)
     k, collision, flips = integrator.check(0, 0, supervisor)
     while k < steps and collision is None:
-        pattern, end = supervisor.act(k, integrator.states[k], flips, integrator.horizon(k))
-        k, collision, flips = integrator.advance(k, end, pattern, supervisor)
+        interval, horizon = integrator.horizon(k)
+        pattern, end = supervisor.act(k, integrator.states[k], flips, horizon)
+        k, collision, flips = integrator.advance(k, end, pattern, interval, supervisor)
     # the final row is recorded before supervision, and decides nothing
     supervisor.retract(k)
     return SimTrace(
         **integrator.record(k, supervisor.pattern),
         drawn_reports=supervisor.drawn,
-        decisions=tuple(supervisor.decisions),
-        mode_events=tuple(supervisor.mode_events),
+        decision_records=tuple(supervisor.decision_records),
+        mode_records=tuple(supervisor.mode_records),
         collision=collision,
         config=config,
     )
@@ -915,15 +1002,17 @@ def trace_metrics(trace: SimTrace, tol: float = 1e-6) -> TraceMetrics:
     """
     if trace.times.size == 0:
         raise ValueError("empty trace")
-    gaps = trace.positions[:, :-1] - trace.positions[:, 1:]
-    sups = tuple(float(s) for s in np.max(np.abs(trace.spacing_errors), axis=0))
-    occupancy = tuple(
-        {
-            CACC: float(np.mean(trace.modes[:, i] == 0)),
-            ACC: float(np.mean(trace.modes[:, i] == 1)),
-        }
-        for i in range(trace.modes.shape[1])
-    )
+    # Each reduction runs over the columns as rows of a C-ordered transpose:
+    # one long loop a column, where a reduction over axis 0 runs a short
+    # loop a row.  A minimum, a maximum or a count does not depend on order.
+    positions = trace.positions.T
+    gaps = np.subtract(positions[:-1], positions[1:], order="C")
+    sups = tuple(np.abs(trace.spacing_errors.T, order="C").max(axis=1).tolist())
+    # a share is a count of mode codes 1 (radar-only) or 0 over the rows,
+    # as exact as the mean of 0s and 1s it equals
+    rows = trace.modes.shape[0]
+    radar = [int(np.count_nonzero(column)) for column in trace.modes.T]
+    occupancy = tuple({CACC: (rows - r) / rows, ACC: r / rows} for r in radar)
     vacuous = all(s <= tol for s in sups)
     stable = vacuous or all(sups[i] <= sups[i - 1] + tol for i in range(1, len(sups)))
     return TraceMetrics(
@@ -948,20 +1037,17 @@ def cacc_entry_values(trace: SimTrace, P: LyapunovCandidate) -> list[tuple[float
     P = P.as_matrix()
     h = float(trace.times[1] - trace.times[0]) if trace.times.size > 1 else 1.0
     entry_times = sorted({
-        e.time for e in trace.mode_events
-        if e.mode == CACC and e.cause in (_CAUSE_GAME, _CAUSE_RELEASE)
+        t for t, _, mode, cause in trace.mode_records
+        if mode == CACC and cause in (_CAUSE_GAME, _CAUSE_RELEASE)
     })
-    out = []
-    for t in entry_times:
-        idx = int(round(t / h))
-        if idx >= trace.times.size:
-            continue
-        eps = trace.spacing_errors[idx]
-        deps = trace.velocities[idx, 1:] - trace.velocities[idx, :-1]
-        v = (P[0, 0] * eps * eps + 2.0 * P[0, 1] * eps * deps
-             + P[1, 1] * deps * deps)
-        out.append((float(trace.times[idx]), v))
-    return out
+    rows = [idx for idx in (int(round(t / h)) for t in entry_times) if idx < trace.times.size]
+    # every entry row at once, each entry by the same operations in the same order
+    eps = trace.spacing_errors[rows]
+    vel = trace.velocities[rows]
+    deps = vel[:, 1:] - vel[:, :-1]
+    v = (P[0, 0] * eps * eps + 2.0 * P[0, 1] * eps * deps
+         + P[1, 1] * deps * deps)
+    return list(zip(trace.times[rows].tolist(), v))
 
 
 # Rows formatted at a time, so the writer's buffers stay near 40 KB a file.

@@ -242,6 +242,43 @@ def check_gues_inequalities(k1: float, k2: float, k3: float, k4: float,
     )
 
 
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``math.hypot`` entry by entry of two 1-d arrays: ``np.hypot`` rounds
+    some entries differently, and the search's scores must be bitwise the
+    scalar ones."""
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, x.size)
+
+
+def _eig_max(s11, s12, s22) -> np.ndarray:
+    """``sym_eig_2x2``'s larger eigenvalue of each symmetric 2x2 matrix
+    [[s11, s12], [s12, s22]] given entry by entry, by its operations."""
+    return 0.5 * (s11 + s22) + _hypot(0.5 * (s11 - s22), s12)
+
+
+def _grid_scores(p12s: np.ndarray, p22s: np.ndarray, gains) -> np.ndarray:
+    """The margin of each P = [[1, p12], [p12, p22]] on the grid p12s x p22s
+    (rows p12, columns p22): min over the modes' (k, m) of
+    -max_eig(A'P + PA), over max_eig(P); -inf outside the wedge
+    p12 > 0, p22 > p12^2, where nothing is evaluated.  Entry by entry the
+    operations of a scalar score, in its order; the minimum keeps the
+    earlier value on a tie or a NaN, as ``min`` does."""
+    P12, P22 = np.meshgrid(p12s, p22s, indexing="ij")
+    # the wedge's bound squares each p12 as a scalar: an array's ** 2 is a
+    # multiplication, which rounds some squares differently from pow
+    bound = np.array([p12 ** 2 for p12 in p12s])
+    inside = ~((P12 <= 0) | (P22 <= bound[:, None]))
+    p12, p22 = P12[inside], P22[inside]
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = _eig_max(1.0, p12, p22)
+        worst = np.full(p12.shape, math.inf)
+        for k, m in gains:
+            margin = -_eig_max(2.0 * k * p12, k * p22 + 1.0 + m * p12, 2.0 * (p12 + m * p22))
+            worst = np.where(margin < worst, margin, worst)
+        scores = np.full(P12.shape, -math.inf)
+        scores[inside] = worst / b
+    return scores
+
+
 def find_common_lyapunov(A_list) -> LyapunovCandidate | None:
     """Search for a common certificate by scanning P = [[1, p12],[p12, p22]].
 
@@ -249,35 +286,28 @@ def find_common_lyapunov(A_list) -> LyapunovCandidate | None:
     explores the positive-definite wedge p12 > 0, p22 > p12^2 on a 28 x 28
     grid, scoring each candidate by its worst-case normalized decay margin
     min_A(-max_eig(A'P + PA)) / max_eig(P).  The candidate with the best
-    margin is refined locally for four rounds.  Returns None when nothing
-    passes ``check_common_lyapunov`` within the budget -- which is absence
-    of evidence, not a proof that no certificate exists.
+    margin is refined locally for four rounds.  Each round's grid is scored
+    as one array (``_grid_scores``), and its best is the first candidate in
+    row-major order (p12 outer, p22 inner) whose score beats every earlier
+    one, strictly: the pick of scanning the candidates one at a time.
+    Returns None when nothing passes ``check_common_lyapunov`` within the
+    budget -- which is absence of evidence, not a proof that no certificate
+    exists.
     """
     grid = 28
     A_list = [np.asarray(A, dtype=float) for A in A_list]
-
-    def score(p12: float, p22: float) -> float:
-        if p12 <= 0 or p22 <= p12 ** 2:
-            return -math.inf
-        P = ((1.0, p12), (p12, p22))
-        b = sym_eig_2x2(P)[1]
-        worst = math.inf
-        for A in A_list:
-            k, m = A[1, 0], A[1, 1]
-            s11 = 2.0 * k * p12
-            s12 = k * p22 + 1.0 + m * p12
-            s22 = 2.0 * (p12 + m * p22)
-            worst = min(worst, -sym_eig_2x2(((s11, s12), (s12, s22)))[1])
-        return worst / b
+    gains = [(A[1, 0], A[1, 1]) for A in A_list]
 
     lo12, hi12, lo22, hi22 = 1e-3, 6.0, 1e-3, 36.0
     best = (-math.inf, None)
     for _ in range(4):
-        for p12 in np.linspace(lo12, hi12, grid):
-            for p22 in np.linspace(lo22, hi22, grid):
-                s = score(p12, p22)
-                if s > best[0]:
-                    best = (s, (float(p12), float(p22)))
+        p12s = np.linspace(lo12, hi12, grid)
+        p22s = np.linspace(lo22, hi22, grid)
+        scores = _grid_scores(p12s, p22s, gains)
+        beats = np.where(scores > best[0], scores, -math.inf)
+        i = int(beats.argmax())  # the first of the largest
+        if beats.flat[i] > best[0]:
+            best = (scores.flat[i], (float(p12s[i // grid]), float(p22s[i % grid])))
         if best[1] is None:
             return None
         c12, c22 = best[1]

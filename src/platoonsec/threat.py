@@ -30,6 +30,8 @@ import bisect
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "REPORT_ATTACK",
     "REPORT_NONE",
@@ -43,6 +45,7 @@ __all__ = [
 
 REPORT_ATTACK = "r"
 REPORT_NONE = "nr"
+_REPORTS = np.array([REPORT_NONE, REPORT_ATTACK], dtype=object)  # by "reported?"
 
 MESSAGE_FIELDS = ("position", "velocity", "acceleration")
 SIGNAL_KINDS = ("constant", "ramp", "sinusoid", "table")
@@ -152,16 +155,17 @@ class DetectorModel:
             raise ValueError("sampling_period must be positive")
 
 
-def detector_sample(attacked: list[bool], model: DetectorModel, rng) -> list[str]:
+def detector_sample(attacked, model: DetectorModel, rng) -> list[str]:
     """Draw one report, REPORT_ATTACK or REPORT_NONE, per attack flag in
-    ``attacked`` from the confusion matrix with the caller's generator.
+    ``attacked`` (a sequence or array of bools) from the confusion matrix
+    with the caller's generator.
 
     The draws are one ``rng.random(len(attacked))`` call, which yields the
     same doubles as that many successive single draws, so a batch gives the
-    reports of drawing one flag at a time, in order.
+    reports of drawing one flag at a time, in order: each draw is compared
+    with its flag's probability, as the scalar ``draw < p`` would be.
     """
-    p_attack = model.p_report_given_attack
-    p_benign = model.p_report_given_benign
-    draws = rng.random(len(attacked)).tolist()
-    return [REPORT_ATTACK if d < (p_attack if a else p_benign) else REPORT_NONE
-            for d, a in zip(draws, attacked)]
+    attacked = np.asarray(attacked, dtype=bool)
+    p = np.where(attacked, model.p_report_given_attack, model.p_report_given_benign)
+    reported = rng.random(attacked.size) < p
+    return _REPORTS[reported.view(np.uint8)].tolist()

@@ -1,6 +1,7 @@
-"""The control law and the attack injection through message objects.
+"""Readable references the package's fast paths are held against.
 
-The engine integrates the whole platoon as one affine map whose rows it
+The control law and the attack injection through message objects.  The
+engine integrates the whole platoon as one affine map whose rows it
 reads term by term from ``control.law_terms``.  This module evaluates the
 same law one follower at a time, the readable way: it builds each
 follower's inbound traffic -- a ``NeighborMessage`` from the sender of each
@@ -9,10 +10,16 @@ receiver), a ``RadarMeasurement`` for a radar term -- and applies the law's
 terms to those readings in ``law_accel``.  It reads the engine's table of
 terms and attack signal, but builds every message and reading itself, apart
 from the engine's affine map, so the tests hold that map against it.
+
+The certificate search, one candidate at a time
+(``scalar_common_lyapunov``, scoring with ``scalar_score``).
+``stability.find_common_lyapunov`` scores each refinement round's grid as
+one array; each score must be bitwise this one's, and the pick this scan's.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +27,7 @@ import numpy as np
 from platoonsec.control import ACC, CACC, V2V, law_terms
 from platoonsec.engine import ScenarioConfig
 from platoonsec.platoon import desired_distance
+from platoonsec.stability import LyapunovCandidate, check_common_lyapunov, sym_eig_2x2
 from platoonsec.threat import AttackSpec, attack_signal
 
 
@@ -127,3 +135,59 @@ def commanded_accelerations(config: ScenarioConfig, pos, vel, modes, t: float):
             term.channel == V2V for term in terms)
         dv[i - 1] = u[i - 1] + (xi if disturbed else 0.0)
     return u, dv
+
+
+def scalar_score(A_list, p12: float, p22: float) -> float:
+    """One candidate's worst-case normalized decay margin, as the scalar
+    search scores it: -inf outside the wedge p12 > 0, p22 > p12^2."""
+    if p12 <= 0 or p22 <= p12 ** 2:
+        return -math.inf
+    P = ((1.0, p12), (p12, p22))
+    b = sym_eig_2x2(P)[1]
+    worst = math.inf
+    for A in A_list:
+        k, m = A[1, 0], A[1, 1]
+        s11 = 2.0 * k * p12
+        s12 = k * p22 + 1.0 + m * p12
+        s22 = 2.0 * (p12 + m * p22)
+        worst = min(worst, -sym_eig_2x2(((s11, s12), (s12, s22)))[1])
+    return worst / b
+
+
+def scalar_common_lyapunov(A_list) -> LyapunovCandidate | None:
+    """Search for a common certificate by scanning P = [[1, p12],[p12, p22]].
+
+    The scan normalizes p11 = 1 (certificates are scale invariant) and
+    explores the positive-definite wedge p12 > 0, p22 > p12^2 on a 28 x 28
+    grid, scoring each candidate by its worst-case normalized decay margin
+    min_A(-max_eig(A'P + PA)) / max_eig(P).  The candidate with the best
+    margin is refined locally for four rounds.  Returns None when nothing
+    passes ``check_common_lyapunov`` within the budget -- which is absence
+    of evidence, not a proof that no certificate exists.
+    """
+    grid = 28
+    A_list = [np.asarray(A, dtype=float) for A in A_list]
+
+    def score(p12: float, p22: float) -> float:
+        return scalar_score(A_list, p12, p22)
+
+    lo12, hi12, lo22, hi22 = 1e-3, 6.0, 1e-3, 36.0
+    best = (-math.inf, None)
+    for _ in range(4):
+        for p12 in np.linspace(lo12, hi12, grid):
+            for p22 in np.linspace(lo22, hi22, grid):
+                s = score(p12, p22)
+                if s > best[0]:
+                    best = (s, (float(p12), float(p22)))
+        if best[1] is None:
+            return None
+        c12, c22 = best[1]
+        span12 = (hi12 - lo12) / grid
+        span22 = (hi22 - lo22) / grid
+        lo12, hi12 = max(1e-6, c12 - span12), c12 + span12
+        lo22, hi22 = max(1e-6, c22 - span22), c22 + span22
+
+    cand = LyapunovCandidate(1.0, best[1][0], best[1][1])
+    if not check_common_lyapunov(cand, A_list).passed:
+        return None
+    return cand

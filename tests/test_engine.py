@@ -498,6 +498,17 @@ def _gains_under_message_attack(gains, kind, **switching):
     switching=SwitchingConfig(policy_override=(0.0, 0.0), decision_period=0.5,
                               hysteresis_release=0.53335823356025),
     step=0.05, duration=4.0))
+@example(ScenarioConfig(  # the same fall to exactly the release level on row 77, now
+    # the last row of a block (a tick every 7 rows): the block's extreme row
+    platoon=make_platoon(n=3, eps_max=2.0), gap_offsets=(2.5, 0.0), lyapunov=_P_BENIGN,
+    switching=SwitchingConfig(policy_override=(0.0, 0.0), decision_period=0.35,
+                              hysteresis_release=0.53335823356025),
+    step=0.05, duration=4.0))
+@example(ScenarioConfig(  # as above, from a gap too wide: a negative error released
+    platoon=make_platoon(n=3, eps_max=2.0), gap_offsets=(-2.5, 0.0), lyapunov=_P_BENIGN,
+    switching=SwitchingConfig(policy_override=(0.0, 0.0), decision_period=0.35,
+                              hysteresis_release=0.53335823356052),
+    step=0.05, duration=4.0))
 @example(ScenarioConfig(  # diverges: the velocities leave the floats on row 47
     # (t = 4.7 s), the positions a row later; the pulse ends a segment there
     platoon=make_platoon(n=2, pulses=[(4.7, 5.0, -1.0)]), acc_gains=AccGains(-1e3, -1e3),
@@ -894,6 +905,40 @@ def test_segment_boundaries_change_nothing(config):
     assert _outcome(config) == per_row
 
 
+def _per_row_varying_consts(integrator, pattern, rows, psi_g, lead_acc, active):
+    """A varying segment's constants one row at a time: ``_accel_consts`` on
+    the row's own attack value, a float, then one ``psi_g @ g`` a row."""
+    xi = [attack_signal(integrator.attack, j * integrator.h) for j in rows]
+    g = [integrator._accel_consts(pattern, lead_acc, value, active) for value in xi]
+    return np.array(g), np.array([psi_g @ g_row for g_row in g]), np.array(xi)
+
+
+@pytest.mark.parametrize("mode", ["message-level", "lumped-acceleration"])
+@pytest.mark.parametrize("signal", [
+    AttackSignal(kind="ramp", rate=0.3),
+    AttackSignal(kind="sinusoid", amplitude=2.5, frequency=0.15, phase=0.4),
+], ids=["ramp", "sinusoid"])
+def test_varying_attack_rows_equal_their_per_row_construction(signal, mode):
+    """A ramp or sinusoid takes a new value every row, and the constant part
+    of the step map with it.  A segment builds its rows' constants in one
+    array pass and their Psi_g g in one stacked matmul; every trace array,
+    and every event, must hold what building each row's on its own gives."""
+    attack = dataclasses.replace(_DEFENDED.attack, signal=signal, mode=mode)
+    lengths = []
+
+    def per_row(integrator, pattern, rows, *args):
+        lengths.append(len(rows))
+        return _per_row_varying_consts(integrator, pattern, rows, *args)
+
+    for seed in range(4):
+        config = dataclasses.replace(_DEFENDED, duration=45.0, attack=attack, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(platoonsec.engine._Integrator, "_varying_consts", per_row)
+            reference = _outcome(config)
+        assert _outcome(config) == reference, f"seed {seed}"
+    assert max(lengths) > 1  # segments of many rows inside the attack window
+
+
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 300))
 @example(seed=0, size=0)
 def test_decision_draws_equal_successive_single_draws(seed, size):
@@ -965,6 +1010,30 @@ def test_metrics_radar_chain_amplifies():
     sups = m.sup_spacing_errors
     assert all(sups[i] > sups[i - 1] for i in range(1, len(sups)))
     assert m.mode_occupancy[0][ACC] == 1.0
+
+
+def test_metrics_and_entry_values_equal_their_per_column_and_per_row_forms():
+    """``trace_metrics`` counts each follower's mode codes and
+    ``cacc_entry_values`` evaluates V at every entry row at once; both
+    must give, bit for bit and as the same types, what one column's mean
+    and one entry row at a time give."""
+    P = LyapunovCandidate(1.0, 0.7593734335839599, 0.9585116102515634)
+    trace = run_scenario(benign_switching_config(seed=3))
+    modes = trace.modes
+    assert 0 < modes.sum() < modes.size  # both modes occur
+    assert repr(trace_metrics(trace).mode_occupancy) == repr(tuple(
+        {CACC: float(np.mean(modes[:, i] == 0)), ACC: float(np.mean(modes[:, i] == 1))}
+        for i in range(modes.shape[1])))
+    h = float(trace.times[1] - trace.times[0])
+    entries = cacc_entry_values(trace, P)
+    assert entries
+    for t, v in entries:
+        k = int(round(t / h))
+        eps = trace.spacing_errors[k]
+        deps = trace.velocities[k, 1:] - trace.velocities[k, :-1]
+        row = P.p11 * eps * eps + 2.0 * P.p12 * eps * deps + P.p22 * deps * deps
+        assert type(t) is float and t == float(trace.times[k])
+        assert v.tobytes() == row.tobytes()
 
 
 # ---------------------------------------------------------------- outputs

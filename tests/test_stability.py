@@ -7,12 +7,14 @@ itself never calls the dense eigensolver on these paths.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from platoonsec.control import (ACC, CACC, AccGains, CaccGains,
+from platoonsec.config import load_scenario
+from platoonsec.control import (ACC, CACC, AccGains, CaccGains, assemble_closed_loop,
                                 DEFAULT_ACC_GAINS, DEFAULT_CACC_GAINS)
 from platoonsec import stability
 from platoonsec.stability import (LyapunovCandidate, LyapunovConstants,
@@ -22,6 +24,10 @@ from platoonsec.stability import (LyapunovCandidate, LyapunovConstants,
                                   hinf_norm, impulse_response_nonneg, lmi_residual,
                                   lyapunov_constants, min_dwell_time,
                                   spacing_error_tf, sym_eig_2x2)
+
+from oracle import scalar_common_lyapunov, scalar_score
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 A_CACC = np.array([[0.0, 1.0], [-1.58, -2.51]])
 A_ACC = np.array([[0.0, 1.0], [-0.25, -1.0]])
@@ -168,6 +174,41 @@ def test_search_returns_none_for_unstable_family():
 def test_search_empty_family_returns_any_definite_p():
     P = find_common_lyapunov([])
     assert P.is_positive_definite()
+
+
+def _mode(k, m):
+    return np.array([[0.0, 1.0], [k, m]])
+
+
+_hurwitz_mode = st.builds(_mode, st.floats(-30.0, -1e-3), st.floats(-30.0, -1e-3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.lists(_hurwitz_mode, max_size=3))
+@example(family=[A_CACC, A_ACC])
+@example(family=[A_ACC, A_ACC])  # one mode twice
+@example(family=[_mode(-30.0, -1e-3), _mode(-1e-3, -30.0)])  # no certificate on the grid
+@example(family=[A_CACC, _mode(0.5, 0.1)])  # an unstable mode: None
+@example(family=[])  # every candidate scores inf: the first of a tie, every round
+def test_array_search_picks_the_scalar_search_candidate(family):
+    """Each round's grid scored as one array picks the candidate that
+    scoring one candidate at a time, row-major, picks (ties to the first),
+    over families of Hurwitz modes, where a certificate may or may not
+    exist, and over the empty and an unstable family.  The first round's
+    scores are bitwise the scalar ones."""
+    assert find_common_lyapunov(family) == scalar_common_lyapunov(family)
+    p12s, p22s = np.linspace(1e-3, 6.0, 28), np.linspace(1e-3, 36.0, 28)
+    scores = stability._grid_scores(p12s, p22s, [(A[1, 0], A[1, 1]) for A in family])
+    expected = [[scalar_score(family, p12, p22) for p22 in p22s] for p12 in p12s]
+    assert scores.tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_array_search_matches_the_scalar_search_on_every_config(path):
+    config = load_scenario(path)
+    A_list = [assemble_closed_loop(CACC, config.cacc_gains),
+              assemble_closed_loop(ACC, config.acc_gains)]
+    assert find_common_lyapunov(A_list) == scalar_common_lyapunov(A_list)
 
 
 # ----------------------------------------------------------- constants/dwell

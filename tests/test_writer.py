@@ -116,7 +116,7 @@ def traces(draw):
     trace = SimTrace(times=times, positions=positions, velocities=velocities,
                      modes=rng.integers(2, size=(rows, n - 1)).astype(np.uint8),
                      spacing_errors=series(rows, n - 1), attack_xi=series(rows),
-                     drawn_reports=[], decisions=(), mode_events=(), collision=None,
+                     drawn_reports=[], decision_records=(), mode_records=(), collision=None,
                      config=None, command_spans=())
     trace.commands = commands
     return trace
@@ -143,7 +143,7 @@ def test_edge_values_survive_formatting(tmp_path):
     trace = SimTrace(times=EDGES.copy(), positions=grid, velocities=grid[:, ::-1].copy(),
                      modes=np.zeros((rows, n - 1), np.uint8),
                      spacing_errors=grid[:, 1:], attack_xi=EDGES[::-1].copy(),
-                     drawn_reports=[], decisions=(), mode_events=(), collision=None,
+                     drawn_reports=[], decision_records=(), mode_records=(), collision=None,
                      config=None, command_spans=())
     trace.commands = grid
     write_trace_csv(trace, tmp_path / "trace.csv")
