@@ -34,20 +34,19 @@ immune by construction.
 
 The run advances in segments, split between a supervisor, the switching
 signal, and an integrator, the closed loop the signal selects.  A mode can
-change only at a decision tick or at a safety-surface crossing, and an
-input only at an edge (a leader pulse, the attack window, a step of a table
+change only at a decision tick or at a safety-surface crossing, and an input
+only at an edge (a leader pulse, the attack window, a step of a table
 signal); between those events the closed loop is one affine map
 x' = Phi x + c.  So the supervisor acts once at a segment's first row
 (latching and releasing followers, then deciding on a decision tick) and
-returns the mode pattern; the integrator builds Phi and c once a run for each mode pattern
-and each interval between input edges, and steps the segment with one
-matrix-vector product per step, for the state alone, to the first decision
-tick whose decision changes a mode, the next input edge, or
-``_MAX_SEGMENT`` steps.  (A ramp or sinusoid attack has a new value every
-step, and c with it; a segment builds c for all its rows in one array pass,
-entry by entry the operations a per-step loop does on each.)  The supervisor
-reads a row's state as a handful of Python floats, and keeps each decision
-and mode event as the tuple of its fields.  The supervisor decides the
+returns the mode pattern; the integrator builds Phi and c once a run for
+each mode pattern and each interval between input edges, and steps the
+segment with one matrix-vector product per step, for the state alone, to
+the first decision tick whose decision changes a mode, the next input edge,
+or ``_MAX_SEGMENT`` steps.  (A ramp or sinusoid attack has a new value every
+step; its segments rebuild c for each step, as a per-step loop would.)  The
+supervisor reads a row's state as a handful of Python floats, and keeps
+each decision and mode event as the tuple of its fields.  It decides the
 ticks inside a segment ahead, with the same rule on the pre-drawn reports
 and decision draws and without the state: a tick that keeps every mode
 needs none, because a dwell hold depends only on its entry time and the
@@ -60,24 +59,23 @@ crossing) act on the segment's rows at once, as on the initial row before
 the first segment.  A quiet block passes a test of the whole block that is
 exact for floats: its last row is finite (a non-finite entry stays
 non-finite under the step), its smallest gap exceeds the vehicle length,
-the spacing errors at each follower's two extreme gaps lie inside
-epsilon_max or, for a latched follower, beyond the release level and on one
-side of zero (fl(L - gap) is monotone in the gap).  Any other block is
-scanned row by row and cut at the first row a check acts on, which the
-supervisor handles as the next segment's first.  No step reads the recorded
-command u = R x + g, so the trace keeps each span of rows that shares a map
-and builds the commands on first read, one stacked matmul a span: numpy
-runs the same BLAS matrix-vector kernel on each row as ``np.dot(R, x)``,
-where a matrix-matrix product over the rows would round differently.  A
-detector report depends on time alone (the attack window, the targets and
-the detector's own generator), never on the state, so every sampling tick's
-reports are drawn before the run, in (tick, unit) order, in one batch from
-that generator; a decision reads the latest one by index, and the trace
-builds its report, decision and mode-event records on first read, as it
-does its commands.  Every row is therefore computed by the same
-floating-point operations, on the same values and in the same order, as
-when the supervisor ran on every step: the trace and its outputs are
-bit-identical to per-step supervision.
+the spacing errors of its two extreme gaps lie inside epsilon_max
+(fl(L - gap) is monotone in the gap), and no follower is latched.  Any
+other block is scanned row by row and cut at the first row a check acts on,
+which the supervisor handles as the next segment's first.  No step reads
+the recorded command u = R x + g, so the trace keeps each span of rows that
+shares a map and builds the commands on first read, one stacked matmul a
+span: numpy runs the same BLAS matrix-vector kernel on each row as
+``np.dot(R, x)``, where a matrix-matrix product over the rows would round
+differently.  A detector report depends on time alone (the attack window,
+the targets and the detector's own generator), never on the state, so
+every sampling tick's reports are drawn before the run, in (tick, unit)
+order, in one batch from that generator; a decision reads the latest one by
+index, and the trace builds its report, decision and mode-event records on
+first read, as it does its commands.  Every row is
+therefore computed by the same floating-point operations, on the same
+values and in the same order, as when the supervisor ran on every step: the
+trace and its outputs are bit-identical to per-step supervision.
 """
 
 from __future__ import annotations
@@ -288,7 +286,8 @@ class SimTrace:
     spacing_errors: np.ndarray
     attack_xi: np.ndarray
     drawn_reports: list[str]  # every sampling tick's, in (tick, unit) order
-    # each event's fields, as a tuple, in the order of the event's
+    # each decision's and mode event's fields, as a tuple, in the order
+    # of the DecisionEvent and ModeEvent fields
     decision_records: tuple[tuple, ...]
     mode_records: tuple[tuple, ...]
     collision: CollisionInfo | None
@@ -552,32 +551,15 @@ class _Supervisor:
             attacked = np.zeros(times.size * len(self.unit_ids), dtype=bool)
         else:
             reached = [unit == PLATOON_UNIT or unit in attack.targets for unit in self.unit_ids]
-            open_ = (attack.window[0] <= times) & (times < attack.window[1])
-            attacked = np.logical_and.outer(open_, reached).ravel()
+            attacked = np.logical_and.outer(attack.active(times), reached).ravel()
         self.drawn = (detector_sample(attacked, config.detector, detector_rng)
                       if attacked.size else [])
 
-    def quiet(self, gaps: np.ndarray) -> bool:
-        """Does the safety surface act on no row of ``gaps`` (a block of rows,
-        a column a follower)?  Exact for floats: fl(L - gap) is monotone in
-        the gap, so over a column whose gaps lie in [low, high] the error
-        |fl(L - gap)| is at most its value at an end, and, unless fl(L - gap)
-        changes sign, at least its value at the other.  A free follower
-        latches where it reaches epsilon_max; a latched one releases where
-        it falls to the release level, so its column is tested on its own."""
-        if not self.enabled:
-            return True
-        L = self.L
-        if not self.latched_count:
-            return max(abs(L - gaps.min()), abs(L - gaps.max())) < self.eps_max
-        lows, highs = gaps.min(axis=0).tolist(), gaps.max(axis=0).tolist()
-        for latched, low, high in zip(self.latched, lows, highs):
-            if latched:
-                if not (L - high > self.release or L - low < -self.release):
-                    return False
-            elif max(abs(L - low), abs(L - high)) >= self.eps_max:
-                return False
-        return True
+    def quiet(self, low: float, high: float) -> bool:
+        """Does the safety surface act on no row whose gaps all lie in
+        [low, high]?  Exact for floats: fl(L - gap) is monotone in the gap."""
+        return not self.enabled or (not self.latched_count and max(
+            abs(self.L - low), abs(self.L - high)) < self.eps_max)
 
     def surface_flags(self, ahead) -> np.ndarray:
         """Per row of positions and follower: does the safety surface act,
@@ -806,9 +788,6 @@ class _Integrator:
         a victim's V2V readings; a lumped-disturbance attack adds it to the
         acceleration of a victim whose law reads V2V.  A radar term is immune.
         Each sum starts from its first product, in the law's term order.
-        ``xi`` is one attack value, or an array of one a row: then each
-        operation acts on the rows at once, entry by entry, and the result
-        has a row of constants per value.
         """
         L = self.L
         forged = tuple(xi if on else 0.0 for on in self.offsets)
@@ -825,12 +804,7 @@ class _Integrator:
                 u -= term.beta * ov
                 u += term.gamma * (g[j] + oa)
             g.append(u + xi if self.lumped and hit and self.exposed[code] else u)
-        if np.ndim(xi) == 0:
-            return np.array(g)
-        consts = np.empty((len(xi), len(g)))  # a row per attack value
-        for i, column in enumerate(g):
-            consts[:, i] = column
-        return consts
+        return np.array(g)
 
     def _segment_map(self, pattern, k: int, interval: int):
         """(R, Phi, Psi_g, g, Psi_g g, disturbed, lead_acc, xi, active) for
@@ -839,8 +813,7 @@ class _Integrator:
         per run for each pattern and interval.  ``disturbed`` lists the
         followers whose recorded command excludes a nonzero lumped
         disturbance.  Where a ramp or sinusoid takes a new value every row,
-        g, Psi_g g and xi are None: ``_varying_consts`` builds them a segment
-        at a time."""
+        g, Psi_g g and xi are None: each row builds its own."""
         key = (pattern, interval)
         cached = self.segment_maps.get(key)
         if cached is None:
@@ -860,17 +833,6 @@ class _Integrator:
             self.segment_maps[key] = cached
         return cached
 
-    def _varying_consts(self, pattern, rows: range, psi_g, lead_acc, active):
-        """(g, Psi_g g, xi) of each of ``rows``, where a ramp or sinusoid
-        takes a new value every row: the attack values one row at a time
-        (``math.sin`` is not ``np.sin``), the constants of all rows in one
-        pass of ``_accel_consts``, and Psi_g g as one stacked matmul, which
-        runs the matrix-vector kernel of ``Psi_g @ g`` on each row (see
-        ``SimTrace.commands``)."""
-        xi = np.array([attack_signal(self.attack, j * self.h) for j in rows])
-        g = self._accel_consts(pattern, lead_acc, xi, active)
-        return g, np.matmul(psi_g, g[:, :, None])[:, :, 0], xi
-
     def check(self, first: int, last: int, supervisor: _Supervisor):
         """The per-row checks on rows first..last: finiteness, collision,
         then the safety surface, in this order on each row (see the module
@@ -882,7 +844,8 @@ class _Integrator:
         gaps = ahead[:, :-1] - ahead[:, 1:]
         # a sum of the last row's entries that overflows only sends a finite
         # block to the row-by-row scan, which decides the same
-        if (gaps.min() > self.vehicle_length and supervisor.quiet(gaps)
+        low = float(gaps.min())
+        if (low > self.vehicle_length and supervisor.quiet(low, float(gaps.max()))
                 and math.isfinite(sum(block[-1].tolist()))):
             return last, None, []
         surface = supervisor.surface_flags(ahead)
@@ -917,7 +880,11 @@ class _Integrator:
             pattern, k, interval)
         per_row = g is None
         if per_row:
-            g, consts, xi = self._varying_consts(pattern, range(k, end), psi_g, lead_acc, active)
+            # a ramp or sinusoid takes a new value every step, and the
+            # constant part of the map with it
+            xis = [attack_signal(self.attack, j * self.h) for j in range(k, end)]
+            gs = [self._accel_consts(pattern, lead_acc, v, active) for v in xis]
+            consts = [psi_g @ g_j for g_j in gs]
         else:
             consts = itertools.repeat(c, end - k)
         x = self.states[k]
@@ -927,7 +894,7 @@ class _Integrator:
             x = x_next
         cut, collision, flips = self.check(k + 1, end, supervisor)
         if per_row:
-            g, xi = g[:cut - k], xi[:cut - k]
+            g, xi = np.array(gs[:cut - k]), np.array(xis[:cut - k])
         if self.spans and self.spans[-1][3] is g:  # the same constant inputs go on
             self.spans[-1][1] = cut
         else:
@@ -938,11 +905,11 @@ class _Integrator:
         """Keep the final row under ``pattern``, then return the trace's
         series over rows 0..last and its command law on each span of them
         (``SimTrace.commands`` builds the commands from it)."""
-        R, _, psi_g, g, _, disturbed, lead_acc, xi, active = self._segment_map(
+        R, _, _, g, _, disturbed, lead_acc, xi, active = self._segment_map(
             pattern, last, bisect.bisect_right(self.edges, last))
-        if g is None:
-            g, _, xi = self._varying_consts(pattern, range(last, last + 1), psi_g,
-                                            lead_acc, active)
+        if g is None:  # a ramp or sinusoid: the final row's own value
+            xi = attack_signal(self.attack, last * self.h)
+            g = self._accel_consts(pattern, lead_acc, xi, active)
         self.spans.append([last, last + 1, R, g, xi, disturbed, pattern])
         states = self.states[:last + 1]
         modes = np.empty((last + 1, self.n - 1), dtype=np.uint8)

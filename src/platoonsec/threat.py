@@ -126,8 +126,9 @@ class AttackSpec:
         if unknown:
             raise ValueError(f"unknown message fields {sorted(unknown)}")
 
-    def active(self, t: float) -> bool:
-        return self.window[0] <= t < self.window[1]
+    def active(self, t):
+        """Is the window open at time ``t``, a float or an array of them?"""
+        return (self.window[0] <= t) & (t < self.window[1])
 
 
 def attack_signal(spec: AttackSpec, t: float) -> float:

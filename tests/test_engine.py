@@ -905,40 +905,6 @@ def test_segment_boundaries_change_nothing(config):
     assert _outcome(config) == per_row
 
 
-def _per_row_varying_consts(integrator, pattern, rows, psi_g, lead_acc, active):
-    """A varying segment's constants one row at a time: ``_accel_consts`` on
-    the row's own attack value, a float, then one ``psi_g @ g`` a row."""
-    xi = [attack_signal(integrator.attack, j * integrator.h) for j in rows]
-    g = [integrator._accel_consts(pattern, lead_acc, value, active) for value in xi]
-    return np.array(g), np.array([psi_g @ g_row for g_row in g]), np.array(xi)
-
-
-@pytest.mark.parametrize("mode", ["message-level", "lumped-acceleration"])
-@pytest.mark.parametrize("signal", [
-    AttackSignal(kind="ramp", rate=0.3),
-    AttackSignal(kind="sinusoid", amplitude=2.5, frequency=0.15, phase=0.4),
-], ids=["ramp", "sinusoid"])
-def test_varying_attack_rows_equal_their_per_row_construction(signal, mode):
-    """A ramp or sinusoid takes a new value every row, and the constant part
-    of the step map with it.  A segment builds its rows' constants in one
-    array pass and their Psi_g g in one stacked matmul; every trace array,
-    and every event, must hold what building each row's on its own gives."""
-    attack = dataclasses.replace(_DEFENDED.attack, signal=signal, mode=mode)
-    lengths = []
-
-    def per_row(integrator, pattern, rows, *args):
-        lengths.append(len(rows))
-        return _per_row_varying_consts(integrator, pattern, rows, *args)
-
-    for seed in range(4):
-        config = dataclasses.replace(_DEFENDED, duration=45.0, attack=attack, seed=seed)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(platoonsec.engine._Integrator, "_varying_consts", per_row)
-            reference = _outcome(config)
-        assert _outcome(config) == reference, f"seed {seed}"
-    assert max(lengths) > 1  # segments of many rows inside the attack window
-
-
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 300))
 @example(seed=0, size=0)
 def test_decision_draws_equal_successive_single_draws(seed, size):
