@@ -12,8 +12,7 @@ defender game that picks the switching policy.
 from .control import (ACC, CACC, AccGains, CaccGains, DEFAULT_ACC_GAINS,
                       DEFAULT_CACC_GAINS, assemble_closed_loop, law_terms)
 from .engine import (ScenarioConfig, SimTrace, SwitchingConfig, cacc_entry_values,
-                     run_scenario, switching_decision, trace_metrics,
-                     write_metrics_json, write_trace_csv)
+                     run_scenario, trace_metrics, write_metrics_json, write_trace_csv)
 from .config import ConfigError, load_scenario, scenario_from_dict
 from .game import (BehavioralStrategy, DEFAULT_GAME, GameSpec, best_response_gap,
                    equilibrium_strategy, monte_carlo_play, solve_nash,
@@ -32,8 +31,7 @@ __all__ = [
     "ACC", "CACC", "AccGains", "CaccGains", "DEFAULT_ACC_GAINS",
     "DEFAULT_CACC_GAINS", "assemble_closed_loop", "law_terms",
     "ScenarioConfig", "SimTrace", "SwitchingConfig", "cacc_entry_values",
-    "run_scenario", "switching_decision", "trace_metrics",
-    "write_metrics_json", "write_trace_csv",
+    "run_scenario", "trace_metrics", "write_metrics_json", "write_trace_csv",
     "ConfigError", "load_scenario", "scenario_from_dict",
     "BehavioralStrategy", "DEFAULT_GAME", "GameSpec", "best_response_gap",
     "equilibrium_strategy", "monte_carlo_play", "solve_nash", "to_normal_form",

@@ -160,16 +160,18 @@ def _section(make, parsers: dict, required=()):
     return lambda obj, path: _build(make, path, **_fields(obj, path, parsers, required))
 
 
-_PULSE_FIELDS = _list((_NONNEGATIVE, _number(open_end=True), _REAL), item="{}.{}")
+def _interval(parse, what: str):
+    """``parse`` for a list that starts with an interval's start and end,
+    which must come after the start."""
+    def read(value, path):
+        entries = parse(value, path)
+        if entries[1] <= entries[0]:
+            raise ConfigError(path, f"{what} must end after it starts, got {value!r}")
+        return entries
+    return read
 
 
-def _pulse(value, path: str) -> tuple:
-    start, end, _ = pulse = _PULSE_FIELDS(value, path)
-    if end <= start:
-        raise ConfigError(path, f"pulse must end after it starts, got {value!r}")
-    return pulse
-
-
+_pulse = _interval(_list((_NONNEGATIVE, _number(open_end=True), _REAL), item="{}.{}"), "pulse")
 _leader = _section(LeaderProfile, {"initial_velocity": _REAL, "pulses": _list(_pulse)})
 
 _PLATOON = {"vehicle_count": _integer(2), "desired_gap": _POSITIVE,
@@ -223,7 +225,7 @@ def _signal(obj, path: str) -> AttackSignal:
 _attack = _section(AttackSpec, {
     "targets": _list(_integer(2), nonempty=True),
     "mode": lambda value, path: value,  # AttackSpec judges it
-    "window": _list((_NONNEGATIVE, _number(open_end=True))),
+    "window": _interval(_list((_NONNEGATIVE, _number(open_end=True))), "attack window"),
     "message_fields": _list(_one_of(*MESSAGE_FIELDS), nonempty=True),
     "signal": _signal,
     "xi_max": _POSITIVE,
@@ -233,7 +235,7 @@ _switching = _section(SwitchingConfig, {
     "policy_override": _or_none(_list((_FRACTION, _FRACTION))),
     "enabled": _is(bool), "scope": _is(str), "dwell_enforced": _is(bool),
     "initial_mode": _is(str), "decision_period": _POSITIVE,
-    "hysteresis_release": _NONNEGATIVE,
+    "hysteresis_release": _FRACTION,
 })
 
 # the game's leaf utilities; its report probabilities are the detector's

@@ -46,14 +46,17 @@ the first decision tick whose decision changes a mode, the next input edge,
 or ``_MAX_SEGMENT`` steps.  (A ramp or sinusoid attack has a new value every
 step; its segments rebuild c for each step, as a per-step loop would.)  The
 supervisor reads a row's state as a handful of Python floats, and keeps
-each decision and mode event as the tuple of its fields.  It decides the
-ticks inside a segment ahead, with the same rule on the pre-drawn reports
-and decision draws and without the state: a tick that keeps every mode
-needs none, because a dwell hold depends only on its entry time and the
-checks below prove every row before a cut inside epsilon_max.  No follower
-may be latched while it looks ahead (a latched unit's rule reads the
-state), and the decisions it made at or after the row where the checks cut
-the segment are undone, with their draws, before that row is supervised.
+each decision and mode event as the tuple of its fields.  The decision rule
+is pure: it judges a unit's dwell state and its next decision draw and
+changes neither, so the supervisor decides the ticks inside a segment
+ahead, with the same rule on the pre-drawn reports and decision draws and
+without the state: a tick that keeps every mode needs none, because a
+dwell hold depends only on its entry time and the checks below prove every
+row before a cut inside epsilon_max.  No follower may be latched while it
+looks ahead (a latched unit's rule reads the state).  The decisions made
+ahead are recorded, with their draws, only once the run reaches their
+rows; those at or after the row where the checks cut the segment are
+dropped unrecorded, and that row is supervised afresh.
 The per-row checks (a non-finite state, a collision, a safety-surface
 crossing) act on the segment's rows at once, as on the initial row before
 the first segment.  A quiet block passes a test of the whole block that is
@@ -354,28 +357,21 @@ class TraceMetrics:
 
 
 def switching_decision(spacing_error: float, p_downgrade: float, dwell_state: DwellState,
-                       eps_max: float, rng, now: float, error_rate: float, entry_state):
+                       eps_max: float, draw: float, now: float):
     """Mode for one switching unit at a decision instant, with its cause.
 
     Priority: safety surface (|eps| >= ``eps_max`` forces radar-only), then
-    the dwell hold on an active cooperative interval, then a draw from
-    ``rng`` that downgrades with probability ``p_downgrade``, the run's
-    policy for the unit's latest report.  On a transition into the
-    cooperative mode the required dwell is recomputed from the current error
-    state: (spacing_error, error_rate), or the platoon-level
-    ``entry_state`` when the caller gives one (not None).  Returns (mode,
-    cause) and updates ``dwell_state``.
+    the dwell hold on an active cooperative interval, then the game, which
+    downgrades when ``draw``, the unit's next decision draw, falls below
+    ``p_downgrade``, the run's policy for the unit's latest report.  Only
+    the game consumes the draw.  A pure rule: returns (mode, cause) and
+    changes nothing; entering a changed mode is the caller's.
     """
     if abs(spacing_error) >= eps_max:
-        if dwell_state.mode != ACC:
-            dwell_state.enter(ACC, now)
         return ACC, _CAUSE_SAFETY
     if dwell_state.holding(now):
         return CACC, _CAUSE_DWELL
-    mode = ACC if rng.random() < p_downgrade else CACC
-    if mode != dwell_state.mode:
-        dwell_state.enter(mode, now, error_state=entry_state or (spacing_error, error_rate))
-    return mode, _CAUSE_GAME
+    return (ACC if draw < p_downgrade else CACC), _CAUSE_GAME
 
 
 # Steps in one segment at most.  A collision or a non-finite state is found
@@ -467,26 +463,11 @@ def _unit_ids(config: ScenarioConfig) -> tuple[int, ...]:
     return tuple(range(2, n + 1)) if config.switching.scope == "per-vehicle" else (PLATOON_UNIT,)
 
 
-class _Draws:
-    """The decision stream's values, drawn before the run, one per (decision
-    tick, unit), which bounds the draws a run makes.  ``random`` reads the
-    next one: a batch holds the values of successive single draws."""
-
-    def __init__(self, rng, size: int):
-        self.values = rng.random(size).tolist()
-        self.index = 0
-
-    def random(self) -> float:
-        value = self.values[self.index]
-        self.index += 1
-        return value
-
-
 class _Supervisor:
     """The switching signal of one run: the safety latches, the dwell units,
     the game decisions on the pre-drawn detector reports, and the events
     they emit.  ``act`` supervises a segment's first row and decides the
-    ticks after it ahead; ``retract`` undoes the ones a cut leaves unreached.
+    ticks after it ahead; ``reach`` records those the run has reached.
     ``quiet`` and ``surface_flags`` give the integrator's checks the safety
     surface.  The state it reads at a row is a handful of floats, so it
     works on Python lists and tuples, and records each event as the tuple
@@ -523,25 +504,25 @@ class _Supervisor:
                       for _ in self.unit_ids]
         # the unit that sets each follower column's mode: its own, or the platoon's
         self.column_units = [self.units[min(col, len(self.units) - 1)] for col in range(n - 1)]
-        # copies of the units, without the constants, for deciding ahead
-        self.probes = [DwellState(sw.initial_mode) for _ in self.unit_ids]
         self.latched = [False] * (n - 1)  # per-follower safety latch
-        self.latched_count = 0
         # the effective mode code of each follower column, 1 = radar-only
         self.pattern = (int(sw.initial_mode == ACC),) * (n - 1)
         # (time, unit, report, mode, cause) of each decision and (time,
         # follower, mode, cause) of each mode event
         self.decision_records: list[tuple] = []
         self.mode_records = [(0.0, i, sw.initial_mode, _CAUSE_INITIAL) for i in range(2, n + 1)]
-        # (tick, decisions before it, draw index before it) of each tick
+        # (tick, its decision records, draws used after it) of each tick
         # decided ahead by the last ``act``
-        self.ahead: list[tuple[int, int, int]] = []
+        self.ahead: list[tuple[int, list, int]] = []
 
         seq = np.random.SeedSequence(config.seed)
         detector_rng, decision_rng = [np.random.default_rng(s) for s in seq.spawn(2)]
         # decision ticks are the rows 1..steps-1 that are whole periods
         ticks = (steps - 1) // self.dec_every if sw.enabled else 0
-        self.draws = _Draws(decision_rng, ticks * len(self.unit_ids))
+        # one decision draw per (decision tick, unit) bounds the draws a
+        # run makes; ``used`` counts those the recorded decisions consumed
+        self.draws = decision_rng.random(ticks * len(self.unit_ids)).tolist()
+        self.used = 0
         # unit u's report at tick j * det_every is drawn[j * len(unit_ids) + u]:
         # an attack flag per (tick, unit), set while the attack's window is
         # open at the tick's time (the products j * h) and reaches the unit
@@ -558,7 +539,7 @@ class _Supervisor:
     def quiet(self, low: float, high: float) -> bool:
         """Does the safety surface act on no row whose gaps all lie in
         [low, high]?  Exact for floats: fl(L - gap) is monotone in the gap."""
-        return not self.enabled or (not self.latched_count and max(
+        return not self.enabled or (not any(self.latched) and max(
             abs(self.L - low), abs(self.L - high)) < self.eps_max)
 
     def surface_flags(self, ahead) -> np.ndarray:
@@ -568,14 +549,14 @@ class _Supervisor:
         e = np.abs(ahead[:, 1:] - ahead[:, :-1] + self.L)
         return np.where(self.latched, e <= self.release, e >= self.eps_max) & self.enabled
 
-    def retract(self, k: int):
-        """Undo the decisions made ahead at rows k and later, which the run
-        has not reached: drop them and give their draws back."""
-        for tick, kept, index in self.ahead:
+    def reach(self, k: int):
+        """Record the decisions made ahead at the ticks before row k, which
+        the run has reached, with their draws; the rest are never recorded."""
+        for tick, records, used in self.ahead:
             if tick >= k:
-                del self.decision_records[kept:]
-                self.draws.index = index
                 break
+            self.decision_records += records
+            self.used = used
         self.ahead.clear()
 
     def act(self, k: int, x, flips: list[int], horizon: int) -> tuple[tuple, int]:
@@ -588,7 +569,7 @@ class _Supervisor:
         tick before ``horizon`` whose decision changes a mode, else
         ``horizon``.  The decisions of the ticks before that one are made
         here, ahead."""
-        self.retract(k)
+        self.reach(k)
         decide = self.enabled and k > 0 and k % self.dec_every == 0
         if flips or decide:
             t = k * self.h
@@ -604,7 +585,6 @@ class _Supervisor:
             for col in flips:
                 if self.latched[col]:
                     self.latched[col] = False
-                    self.latched_count -= 1
                     causes[col + 2] = _CAUSE_RELEASE
                     unit = self.column_units[col]
                     if unit.mode == CACC:
@@ -612,7 +592,6 @@ class _Supervisor:
                         unit.enter(CACC, t, error_state=(eps[col], deps[col]))
                 else:
                     self.latched[col] = True
-                    self.latched_count += 1
                     causes[col + 2] = _CAUSE_SAFETY
             self._emit(t, causes)
         if decide:
@@ -621,20 +600,23 @@ class _Supervisor:
             causes = {}
             for u, (unit, state) in enumerate(zip(self.unit_ids, self.units)):
                 report = self.drawn[at + u]
-                before = state.mode
-                entry = None
                 if unit == PLATOON_UNIT:  # the worst follower, the first of equals
                     sizes = [abs(e) for e in eps]
                     col = sizes.index(max(sizes))
-                    if state.mode == ACC:  # only a move into CACC reads the entry norm
-                        entry = (float(np.hypot(eps, deps).max()), 0.0)
                 else:
                     col = unit - 2
-                mode, cause = switching_decision(
-                    eps[col], self.p_downgrade[report], state, self.eps_max,
-                    self.draws, t, deps[col], entry)
+                mode, cause = switching_decision(eps[col], self.p_downgrade[report], state,
+                                                 self.eps_max, self.draws[self.used], t)
+                if cause == _CAUSE_GAME:
+                    self.used += 1
                 self.decision_records.append((t, unit, report, mode, cause))
-                changed = changed or mode != before
+                if mode != state.mode:
+                    changed = True
+                    # a move into CACC holds it from the unit's error state;
+                    # the platoon's is the largest of its followers' norms
+                    entry = ((float(np.hypot(eps, deps).max()), 0.0)
+                             if mode == CACC and unit == PLATOON_UNIT else (eps[col], deps[col]))
+                    state.enter(mode, t, error_state=entry)
                 for i in range(2, n + 1) if unit == PLATOON_UNIT else (unit,):
                     inside = cause == _CAUSE_SAFETY and abs(eps[i - 2]) < self.eps_max
                     causes[i] = _CAUSE_BROADCAST if inside else cause
@@ -650,34 +632,33 @@ class _Supervisor:
         run is cut before it: a row the checks let stand is inside
         epsilon_max, so the surface rule does not fire, and no mode changes
         before the tick, so each unit's hold and draw are as they will be.
-        A copy of each unit without the certificate's constants takes the
-        decision, so a change computes no dwell; the change is decided
-        again, from the state, at its own row.  A latched follower's rule
+        The rule changes nothing, so it judges the units themselves.  The
+        tick that would change a mode is judged only to end the segment
+        there, and decided, from the state, at its own row.  The ticks
+        before it wait in ``ahead`` for ``reach``.  A latched follower's rule
         reads the state, so nothing is decided ahead while one is latched.
         """
         if not self.enabled:  # an unsupervised run has no decision tick
             return horizon
         tick = (k // self.dec_every + 1) * self.dec_every
-        if self.latched_count:
+        if any(self.latched):
             return min(tick, horizon)
-        for probe, unit in zip(self.probes, self.units):
-            probe.mode, probe.entry_time, probe.required = unit.mode, unit.entry_time, unit.required
+        used = self.used
         for tick in range(tick, horizon, self.dec_every):
             t = tick * self.h
-            kept, index = len(self.decision_records), self.draws.index
             at = (tick // self.det_every) * len(self.unit_ids)
-            for u, (unit, probe) in enumerate(zip(self.unit_ids, self.probes)):
+            records = []
+            for u, (unit, state) in enumerate(zip(self.unit_ids, self.units)):
                 report = self.drawn[at + u]
-                before = probe.mode
                 # 0.0 for the state: every row before a cut is inside the surface
-                mode, cause = switching_decision(0.0, self.p_downgrade[report], probe,
-                                                 self.eps_max, self.draws, t, 0.0, None)
-                if mode != before:
-                    del self.decision_records[kept:]
-                    self.draws.index = index
+                mode, cause = switching_decision(0.0, self.p_downgrade[report], state,
+                                                 self.eps_max, self.draws[used], t)
+                if mode != state.mode:
                     return tick
-                self.decision_records.append((t, unit, report, mode, cause))
-            self.ahead.append((tick, kept, index))
+                if cause == _CAUSE_GAME:
+                    used += 1
+                records.append((t, unit, report, mode, cause))
+            self.ahead.append((tick, records, used))
         return horizon
 
     def _emit(self, t: float, causes: dict):
@@ -949,7 +930,7 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
         pattern, end = supervisor.act(k, integrator.states[k], flips, horizon)
         k, collision, flips = integrator.advance(k, end, pattern, interval, supervisor)
     # the final row is recorded before supervision, and decides nothing
-    supervisor.retract(k)
+    supervisor.reach(k)
     return SimTrace(
         **integrator.record(k, supervisor.pattern),
         drawn_reports=supervisor.drawn,

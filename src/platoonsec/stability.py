@@ -345,10 +345,7 @@ def min_dwell_time(z, constants: LyapunovConstants) -> float:
     state ``z``: log|z| / lam keeps the exponential envelope below its
     previous peak.  Floored at zero: a state inside the unit ball (or at
     the origin) needs no hold."""
-    with np.errstate(over="ignore"):
-        zn = float(np.linalg.norm(np.asarray(z, dtype=float)))
-    if zn == math.inf:  # the squared norm left the floats; hypot squares nothing
-        zn = math.hypot(*z)
+    zn = math.hypot(*z)  # squares nothing, so a finite z has a finite norm
     if zn == 0.0:
         return 0.0
     return max(0.0, math.log(zn) / constants.lam)

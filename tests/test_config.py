@@ -171,6 +171,9 @@ def test_unknown_top_level_key():
      "gains.cacc.split"),
     (lambda d: d.update(switching={"hysteresis_release": -0.1}),
      "switching.hysteresis_release"),
+    pytest.param(lambda d: d.update(switching={"hysteresis_release": 1.5}),
+                 "switching.hysteresis_release", id="<lambda>-hysteresis_release-above-1"),
+    (lambda d: d.update(attack={"window": [5.0, 5.0]}), "attack.window"),
     (lambda d: d.update(attack={"targets": "3"}), "attack.targets"),
     (lambda d: d.update(attack={"message_fields": []}), "attack.message_fields"),
 ])

@@ -15,10 +15,9 @@ import platoonsec.engine
 from platoonsec.control import ACC, CACC, AccGains, CaccGains
 from platoonsec.config import load_scenario
 from platoonsec.engine import (PLATOON_UNIT, CertificateError, CollisionInfo, DwellState,
-                               ReportEvent, ScenarioConfig, SwitchingConfig, _Draws,
-                               _Supervisor, cacc_entry_values, run_scenario,
-                               switching_decision, trace_metrics, write_metrics_json,
-                               write_trace_csv)
+                               ReportEvent, ScenarioConfig, SwitchingConfig, _Supervisor,
+                               cacc_entry_values, run_scenario, switching_decision,
+                               trace_metrics, write_metrics_json, write_trace_csv)
 from platoonsec.game import BehavioralStrategy, equilibrium_strategy
 from platoonsec.platoon import LeaderProfile, PlatoonConfig
 from platoonsec.stability import (LyapunovCandidate, lyapunov_constants,
@@ -725,31 +724,36 @@ def test_dwell_state_mechanics():
 
 # --------------------------------------------------- decision-rule priority
 
+def _judged(spacing_error, p_downgrade, state, draw, now):
+    """``switching_decision`` with epsilon_max 4, asserting that it leaves
+    ``state`` as it found it."""
+    before = dataclasses.replace(state)
+    decision = switching_decision(spacing_error, p_downgrade, state, 4.0, draw, now)
+    assert state == before
+    return decision
+
+
 def test_decision_safety_beats_override():
-    state = DwellState(CACC)
-    rng = np.random.default_rng(0)
-    mode, cause = switching_decision(4.0, 0.0, state, 4.0, rng, 0.0, 0.0, None)
-    assert (mode, cause) == (ACC, "safety-surface")
-    assert state.mode == ACC
+    for mode in (CACC, ACC):
+        state = DwellState(mode, entry_time=0.0, required=5.0)
+        assert _judged(4.0, 0.0, state, 0.5, 1.0) == (ACC, "safety-surface")
+        assert _judged(-4.5, 0.0, state, 0.5, 1.0) == (ACC, "safety-surface")
 
 
 def test_decision_dwell_beats_game():
     state = DwellState(CACC, entry_time=0.0, required=5.0)
-    rng = np.random.default_rng(0)
-    mode, cause = switching_decision(1.0, 1.0, state, 4.0, rng, 2.0, 0.0, None)
-    assert (mode, cause) == (CACC, "dwell-hold")
+    assert _judged(1.0, 1.0, state, 0.5, 2.0) == (CACC, "dwell-hold")
     # once the hold expires the policy forces the downgrade
-    mode, cause = switching_decision(1.0, 1.0, state, 4.0, rng, 6.0, 0.0, None)
-    assert (mode, cause) == (ACC, "game")
+    assert _judged(1.0, 1.0, state, 0.5, 6.0) == (ACC, "game")
 
 
 def test_decision_override_extremes_are_deterministic():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        mode, _ = switching_decision(0.0, 1.0, DwellState(CACC), 4.0, rng, 0.0, 0.0, None)
-        assert mode == ACC
-        mode, _ = switching_decision(0.0, 0.0, DwellState(ACC), 4.0, rng, 0.0, 0.0, None)
-        assert mode == CACC
+    for draw in np.random.default_rng(0).random(20).tolist() + [0.0]:
+        assert _judged(0.0, 1.0, DwellState(CACC), draw, 0.0) == (ACC, "game")
+        assert _judged(0.0, 0.0, DwellState(ACC), draw, 0.0) == (CACC, "game")
+    # in between, a draw downgrades exactly when it falls below the probability
+    assert _judged(0.0, 0.25, DwellState(CACC), 0.2499, 0.0) == (ACC, "game")
+    assert _judged(0.0, 0.25, DwellState(ACC), 0.25, 0.0) == (CACC, "game")
 
 
 def test_decision_samples_equilibrium_policy(monkeypatch):
@@ -767,16 +771,24 @@ def test_decision_samples_equilibrium_policy(monkeypatch):
 
 
 def test_decision_entry_into_cacc_restarts_dwell():
-    consts = lyapunov_constants(P_REF, A_CACC)
-    state = DwellState(ACC, constants=consts)
-    rng = np.random.default_rng(0)
-    mode, cause = switching_decision(3.0, 0.0, state, 4.0, rng, 10.0, 0.5, None)
-    assert mode == CACC and cause == "game"
-    assert state.required == min_dwell_time((3.0, 0.5), consts)
-    # platoon scope supplies the worst-vehicle entry norm explicitly
-    state2 = DwellState(ACC, constants=consts)
-    switching_decision(1.0, 0.0, state2, 4.0, rng, 10.0, 0.0, (4.0, 0.0))
-    assert state2.required == min_dwell_time((4.0, 0.0), consts)
+    """A game decision into CACC holds it from the unit's error state: a
+    follower's own (eps, deps), or for the platoon the largest follower
+    norm |(eps, deps)| with a zero rate.  Here the follower with the largest
+    |eps| (vehicle 2) is not the one with the largest norm (vehicle 3)."""
+    # eps = (3, -1, 1.5) and deps = (0.5, -4, 0.25), all exact
+    x = np.array([0.0, -7.0, -18.0, -26.5, 20.0, 20.5, 16.5, 16.75])
+    for scope, states in (("per-vehicle", [(3.0, 0.5), (-1.0, -4.0), (1.5, 0.25)]),
+                          ("platoon", [(math.hypot(-1.0, -4.0), 0.0)])):
+        config = ScenarioConfig(platoon=make_platoon(n=4), lyapunov=_P_BENIGN,
+                                switching=SwitchingConfig(scope=scope, initial_mode=ACC,
+                                                          policy_override=(0.0, 0.0)))
+        supervisor = _Supervisor(config, 6000)
+        assert supervisor.act(100, x, [], 101) == ((0, 0, 0), 101)
+        consts = supervisor.units[0].constants
+        for unit, z in zip(supervisor.units, states, strict=True):
+            assert (unit.mode, unit.entry_time) == (CACC, 1.0)
+            assert unit.required == min_dwell_time(z, consts) > 0
+        assert supervisor.mode_records[3:] == [(1.0, i, CACC, "game") for i in (2, 3, 4)]
 
 
 # ----------------------------------------------------- exponential envelope
@@ -813,6 +825,9 @@ def test_reports_and_decisions_land_on_their_grids():
     for e in trace.mode_events:
         assert e.time / config.step == pytest.approx(round(e.time / config.step),
                                                      abs=1e-6)
+
+
+_DEFENDED = load_scenario(CONFIGS / "crash_defended.json")
 
 
 def _reports_one_draw_at_a_time(config, rows):
@@ -854,14 +869,24 @@ def _reports_one_draw_at_a_time(config, rows):
 @example(ScenarioConfig(  # no supervisor, no reports
     platoon=make_platoon(n=3), attack=crash_attack(window=(0.33, 1.27)),
     switching=NO_SWITCH, step=0.05, duration=3.0))
+@example(dataclasses.replace(  # a tick every row: the surface acts on a tick decided ahead
+    _DEFENDED, seed=1, duration=40.0,
+    switching=dataclasses.replace(_DEFENDED.switching, decision_period=0.01)))
 def test_reports_match_one_draw_at_a_time(config):
     """A run's reports are those of drawing each (tick, unit) report on its
     own, in order, from the detector's stream, for every tick before the
-    final row: a report depends on time alone, never on the state."""
+    final row: a report depends on time alone, never on the state.  So do
+    the decisions' times: one a unit at each decision tick before the
+    final row."""
     trace = run_scenario(config)
-    assert trace.reports == _reports_one_draw_at_a_time(config, trace.times.size - 1)
+    rows = trace.times.size - 1
+    assert trace.reports == _reports_one_draw_at_a_time(config, rows)
     if trace.collision is not None:
         assert all(r.time < trace.collision.time for r in trace.reports)
+    every = round(config.switching.decision_period / config.step)
+    units = sorted({r.unit for r in trace.reports})
+    assert [(d.time, d.unit) for d in trace.decisions] == [
+        (k * config.step, unit) for k in range(every, rows, every) for unit in units]
 
 
 def _outcome(config):
@@ -875,9 +900,6 @@ def _outcome(config):
         trace.spacing_errors, trace.attack_xi)]
     return (arrays, trace.drawn_reports, trace.decisions, trace.mode_events,
             trace.collision)
-
-
-_DEFENDED = load_scenario(CONFIGS / "crash_defended.json")
 
 
 @settings(max_examples=40, deadline=None)
@@ -905,16 +927,19 @@ def test_segment_boundaries_change_nothing(config):
     assert _outcome(config) == per_row
 
 
-@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 300))
-@example(seed=0, size=0)
-def test_decision_draws_equal_successive_single_draws(seed, size):
-    """The decision buffer's values, read in order, are the generator's
-    successive ``random()`` values, bit for bit."""
-    draws = _Draws(np.random.default_rng(seed), size)
-    single = np.random.default_rng(seed)
-    assert [draws.random() for _ in range(size)] == [single.random() for _ in range(size)]
-    with pytest.raises(IndexError):
-        draws.random()
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 100),
+       scope=st.sampled_from(["per-vehicle", "platoon"]))
+@example(seed=0, steps=1, scope="platoon")
+def test_decision_draws_equal_successive_single_draws(seed, steps, scope):
+    """The supervisor's decision draws, drawn in one batch, are the decision
+    stream's successive ``random()`` values, bit for bit: one a (decision
+    tick, unit), for the ticks on rows 1..steps-1."""
+    config = ScenarioConfig(platoon=make_platoon(n=4), lyapunov=_P_BENIGN, seed=seed,
+                            switching=SwitchingConfig(scope=scope, decision_period=0.1),
+                            step=0.1, duration=steps * 0.1)
+    single = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+    size = (steps - 1) * (3 if scope == "per-vehicle" else 1)
+    assert _Supervisor(config, steps).draws == [single.random() for _ in range(size)]
 
 
 @pytest.mark.parametrize("scope", ["per-vehicle", "platoon"])
@@ -927,7 +952,7 @@ def test_decision_buffer_holds_one_draw_per_tick_and_unit(scope):
                                                       decision_period=0.25),
                             step=0.05, duration=3.0)
     trace = run_scenario(config)
-    assert len(trace.decisions) == len(_Supervisor(config, 60).draws.values) == \
+    assert len(trace.decisions) == len(_Supervisor(config, 60).draws) == \
         (59 // 5) * (3 if scope == "per-vehicle" else 1)
     assert trace.decisions[-1].time == 55 * 0.05
 

@@ -237,16 +237,15 @@ def test_dwell_bound_example():
        lam=st.floats(0.01, 2.0), ratio=st.floats(1.0, 10.0))
 @example(z=(0.0, 1.3407807929942597e154), lam=1.0, ratio=1.0)
 def test_dwell_bound_is_the_envelope_bound(z, lam, ratio):
-    """The hold is log|z| / lam floored at zero, a float, and zero at the
-    origin, for every state, including those whose squared norm
-    overflows.  (numpy's |z| = sqrt(z.z) may be 1.5 ulp off hypot's,
-    which moves log|z| by less than 4e-16.)"""
+    """The hold is log|z| / lam floored at zero, with |z| as ``math.hypot``
+    gives it, a float, and zero at the origin, for every state, including
+    those whose squared norm overflows."""
     consts = LyapunovConstants(a=1.0, b=ratio, c=2.0 * lam * ratio, lam=lam)
     zn = math.hypot(*z)
     expected = 0.0 if zn == 0.0 else max(0.0, math.log(zn) / lam)
     tau = min_dwell_time(z, consts)
     assert type(tau) is float
-    assert tau == pytest.approx(expected, rel=1e-15, abs=4e-16 / lam)
+    assert tau == expected
 
 
 def test_dwell_zero_state_needs_no_hold():
