@@ -18,8 +18,8 @@ benchmark's.
 A third line, ``varying sha256``, digests the same way the in-memory traces
 of crash_defended at seeds 0-3 under a ramp and under a sinusoid attack,
 each in message-level and in lumped-acceleration mode.  Those signals take a
-new value every row, so their segments build the map's constant part a row
-at a time, which no shipped config does.
+new value every row, so every row inside their window is an input edge and
+runs as a segment of its own, which no shipped config does.
 
 A last line, ``cli sha256``, digests the exit code, stdout and stderr of
 ``stability``, ``game``, ``string-check --mode ACC`` and ``string-check

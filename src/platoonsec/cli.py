@@ -233,19 +233,26 @@ def cmd_string_check(args: argparse.Namespace) -> int:
 
 
 def _sweep_cell(payload) -> tuple:
-    """One grid cell in a worker process: returns (xi, eps, runs, collisions)."""
-    base, xi, eps, runs = payload
-    attack = dataclasses.replace(base.attack, xi_max=xi,
-                                 signal=dataclasses.replace(base.attack.signal,
-                                                            amplitude=xi))
-    platoon = dataclasses.replace(base.platoon, epsilon_max=eps)
+    """One grid cell's scenario and run count, in a worker process: returns
+    (xi, eps, runs, collisions)."""
+    cell, runs = payload
     collisions = 0
     for j in range(runs):
-        config = dataclasses.replace(base, attack=attack, platoon=platoon,
-                                     seed=base.seed + j)
-        if run_scenario(config).collision is not None:
+        if run_scenario(dataclasses.replace(cell, seed=cell.seed + j)).collision is not None:
             collisions += 1
-    return xi, eps, runs, collisions
+    return cell.attack.xi_max, cell.platoon.epsilon_max, runs, collisions
+
+
+def _grid(flag: str, values, build) -> list:
+    """``build`` of each of ``values``; a value it rejects is an input error
+    that names its flag."""
+    built = []
+    for value in values:
+        try:
+            built.append(build(value))
+        except ValueError as exc:
+            raise ValueError(f"{flag} {value!r}: {exc}") from None
+    return built
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -257,10 +264,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if base.attack is None:
         raise ConfigError("attack", "sweep varies the attack magnitude; the base "
                                     "scenario must define an attack")
+    # every cell's attack and platoon are built before any cell runs
+    attacks = _grid("--xi-grid", args.xi_grid, lambda xi: dataclasses.replace(
+        base.attack, xi_max=xi, signal=dataclasses.replace(base.attack.signal, amplitude=xi)))
+    platoons = _grid("--eps-grid", args.eps_grid,
+                     lambda eps: dataclasses.replace(base.platoon, epsilon_max=eps))
     # the certificate depends on the gains alone: resolve it once for the grid
     P, _, _ = resolve_certificate(base.cacc_gains, base.acc_gains, base.lyapunov)
-    base = dataclasses.replace(base, lyapunov=P)
-    jobs = [(base, xi, eps, args.runs) for xi in args.xi_grid for eps in args.eps_grid]
+    jobs = [(dataclasses.replace(base, lyapunov=P, attack=attack, platoon=platoon), args.runs)
+            for attack in attacks for platoon in platoons]
     workers = min(len(jobs), args.jobs or os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -36,27 +36,26 @@ The run advances in segments, split between a supervisor, the switching
 signal, and an integrator, the closed loop the signal selects.  A mode can
 change only at a decision tick or at a safety-surface crossing, and an input
 only at an edge (a leader pulse, the attack window, a step of a table
-signal); between those events the closed loop is one affine map
-x' = Phi x + c.  So the supervisor acts once at a segment's first row
+signal, and every tick inside the window of a ramp or sinusoid, which takes
+a new value every step); between those events the closed loop is one affine
+map x' = Phi x + c.  So the supervisor acts once at a segment's first row
 (latching and releasing followers, then deciding on a decision tick) and
 returns the mode pattern; the integrator builds Phi and c once a run for
 each mode pattern and each interval between input edges, and steps the
 segment with one matrix-vector product per step, for the state alone, to
 the first decision tick whose decision changes a mode, the next input edge,
-or ``_MAX_SEGMENT`` steps.  (A ramp or sinusoid attack has a new value every
-step; its segments rebuild c for each step, as a per-step loop would.)  The
-supervisor reads a row's state as a handful of Python floats, and keeps
-each decision and mode event as the tuple of its fields.  The decision rule
-is pure: it judges a unit's dwell state and its next decision draw and
-changes neither, so the supervisor decides the ticks inside a segment
-ahead, with the same rule on the pre-drawn reports and decision draws and
-without the state: a tick that keeps every mode needs none, because a
-dwell hold depends only on its entry time and the checks below prove every
-row before a cut inside epsilon_max.  No follower may be latched while it
-looks ahead (a latched unit's rule reads the state).  The decisions made
-ahead are recorded, with their draws, only once the run reaches their
-rows; those at or after the row where the checks cut the segment are
-dropped unrecorded, and that row is supervised afresh.
+or ``_MAX_SEGMENT`` steps.  The supervisor reads a row's state as a handful
+of Python floats, and keeps each decision and mode event as the tuple of
+its fields.  The decision rule is pure: it judges a unit's dwell state and
+its next decision draw and changes neither, so the supervisor decides the
+ticks inside a segment ahead, with the same rule on the pre-drawn reports
+and decision draws and without the state: a tick that keeps every mode
+needs none, because a dwell hold depends only on its entry time and the
+checks below prove every row before a cut inside epsilon_max.  No follower
+may be latched while it looks ahead (a latched unit's rule reads the
+state).  The decisions made ahead are recorded, with their draws, only once
+the run reaches their rows; those at or after the row where the checks cut
+the segment are dropped unrecorded, and that row is supervised afresh.
 The per-row checks (a non-finite state, a collision, a safety-surface
 crossing) act on the segment's rows at once, as on the initial row before
 the first segment.  A quiet block passes a test of the whole block that is
@@ -296,7 +295,7 @@ class SimTrace:
     collision: CollisionInfo | None
     config: ScenarioConfig
     # (first row, end row, R, g, disturbed) of each span of rows that shares
-    # one command law u = R x + g; g is one row's, or one a row
+    # one command law u = R x + g
     command_spans: tuple
 
     @functools.cached_property
@@ -411,28 +410,27 @@ def _first_tick(t: float, h: float) -> int:
     return k
 
 
-def _input_edges(config: ScenarioConfig, steps: int) -> tuple[list[int], range]:
-    """Where the exogenous inputs may change value.
-
-    Returns the sorted step ticks in 1..steps at which the leader
-    acceleration, the attack window's activity or a table signal's value can
-    change, ending with ``steps`` itself, and the range of ticks inside the
-    attack window at which a ramp or sinusoid takes a new value every step.
-    """
+def _input_edges(config: ScenarioConfig, steps: int) -> list[int]:
+    """Where the exogenous inputs may change value: the sorted step ticks in
+    1..steps at which the leader acceleration, the attack window's activity
+    or a table signal's value can change, and every tick inside the attack
+    window of a ramp or sinusoid, which takes a new value every step; the
+    last is ``steps`` itself."""
     def tick(t: float) -> int:  # steps + 1 for an edge after the run's end
         return _first_tick(t, config.step) if t <= steps * config.step else steps + 1
 
     times = [edge for start, end, _ in config.platoon.leader_profile.pulses
              for edge in (start, end)]
-    varying = range(0)
+    ticks = set()
     attack = config.attack
     if attack is not None:
         times += attack.window
         if attack.signal.kind == "table":
             times += attack.signal.times
         elif attack.signal.kind in ("ramp", "sinusoid"):
-            varying = range(tick(attack.window[0]), tick(attack.window[1]))
-    return sorted({tick(t) for t in times} - {0, steps + 1} | {steps}), varying
+            ticks.update(range(tick(attack.window[0]), tick(attack.window[1])))
+    ticks.update(tick(t) for t in times)
+    return sorted(ticks - {0, steps + 1} | {steps})
 
 
 class CertificateError(ValueError):
@@ -589,7 +587,7 @@ class _Supervisor:
                     unit = self.column_units[col]
                     if unit.mode == CACC:
                         # re-entering the cooperative mode: restart its dwell
-                        unit.enter(CACC, t, error_state=(eps[col], deps[col]))
+                        unit.enter(CACC, t, error_state=self._cacc_entry(col, eps, deps))
                 else:
                     self.latched[col] = True
                     causes[col + 2] = _CAUSE_SAFETY
@@ -612,17 +610,22 @@ class _Supervisor:
                 self.decision_records.append((t, unit, report, mode, cause))
                 if mode != state.mode:
                     changed = True
-                    # a move into CACC holds it from the unit's error state;
-                    # the platoon's is the largest of its followers' norms
-                    entry = ((float(np.hypot(eps, deps).max()), 0.0)
-                             if mode == CACC and unit == PLATOON_UNIT else (eps[col], deps[col]))
-                    state.enter(mode, t, error_state=entry)
+                    state.enter(mode, t, error_state=(self._cacc_entry(col, eps, deps)
+                                                      if mode == CACC else None))
                 for i in range(2, n + 1) if unit == PLATOON_UNIT else (unit,):
                     inside = cause == _CAUSE_SAFETY and abs(eps[i - 2]) < self.eps_max
                     causes[i] = _CAUSE_BROADCAST if inside else cause
             if changed:
                 self._emit(t, causes)
         return self.pattern, self._decide_ahead(k, horizon)
+
+    def _cacc_entry(self, col: int, eps, deps) -> tuple[float, float]:
+        """The error state a unit's move into CACC holds it from: follower
+        column ``col``'s own (eps, deps), or for the platoon unit the largest
+        of its followers' norms |(eps, deps)| with a zero rate."""
+        if self.unit_ids[0] == PLATOON_UNIT:
+            return float(np.hypot(eps, deps).max()), 0.0
+        return eps[col], deps[col]
 
     def _decide_ahead(self, k: int, horizon: int) -> int:
         """Decide the ticks after row k and before ``horizon`` until one
@@ -699,7 +702,7 @@ class _Integrator:
                      for mode, gains in ((CACC, config.cacc_gains), (ACC, config.acc_gains))]
         self.exposed = [any(term.channel == V2V for term in terms) for terms, _ in self.laws]
         self.attack = attack
-        self.edges, self.varying = _input_edges(config, steps)
+        self.edges = _input_edges(config, steps)
         self.targeted = [attack is not None and i + 1 in attack.targets for i in range(n)]
         self.lumped = attack is not None and attack.mode == "lumped-acceleration"
         fields = (attack.message_fields
@@ -708,7 +711,6 @@ class _Integrator:
         self.step_maps: dict[tuple, tuple] = {}
         self.segment_maps: dict[tuple, tuple] = {}
         # Kept rows, as [first row, end row, R, g, xi, disturbed, pattern]
-        # with g and xi the span's constants or arrays of one a row
         self.spans: list[list] = []
 
         # row k of ``states`` is (positions, velocities) at t = k*h; column i
@@ -788,29 +790,23 @@ class _Integrator:
         return np.array(g)
 
     def _segment_map(self, pattern, k: int, interval: int):
-        """(R, Phi, Psi_g, g, Psi_g g, disturbed, lead_acc, xi, active) for
-        the inputs of row k, which hold from the input edge before it to the
-        next (``interval`` counts the edges at or before row k); built once
-        per run for each pattern and interval.  ``disturbed`` lists the
-        followers whose recorded command excludes a nonzero lumped
-        disturbance.  Where a ramp or sinusoid takes a new value every row,
-        g, Psi_g g and xi are None: each row builds its own."""
+        """(R, Phi, g, Psi_g g, disturbed, xi) for the inputs of row k, which
+        hold from the input edge before it to the next (``interval`` counts
+        the edges at or before row k); built once per run for each pattern
+        and interval.  ``disturbed`` lists the followers whose recorded
+        command excludes a nonzero lumped disturbance."""
         key = (pattern, interval)
         cached = self.segment_maps.get(key)
         if cached is None:
             t = k * self.h
             attack = self.attack
-            lead_acc = self.leader.acceleration(t)
             active = attack is not None and attack.active(t)
             R, phi, psi_g = self._step_map(pattern)
             disturbed = [i for i in range(1, self.n) if self.lumped and active
                          and self.targeted[i] and self.exposed[pattern[i - 1]]]
-            g = c = xi = None
-            if k not in self.varying:
-                xi = attack_signal(attack, t) if attack is not None else 0.0
-                g = self._accel_consts(pattern, lead_acc, xi, active)
-                c = psi_g @ g
-            cached = (R, phi, psi_g, g, c, disturbed, lead_acc, xi, active)
+            xi = attack_signal(attack, t) if attack is not None else 0.0
+            g = self._accel_consts(pattern, self.leader.acceleration(t), xi, active)
+            cached = (R, phi, g, psi_g @ g, disturbed, xi)
             self.segment_maps[key] = cached
         return cached
 
@@ -857,25 +853,13 @@ class _Integrator:
         inputs, in input interval ``interval``, keep the rows ``check`` lets
         stand, and return its (row, collision, flips): the next segment
         starts there."""
-        R, phi, psi_g, g, c, disturbed, lead_acc, xi, active = self._segment_map(
-            pattern, k, interval)
-        per_row = g is None
-        if per_row:
-            # a ramp or sinusoid takes a new value every step, and the
-            # constant part of the map with it
-            xis = [attack_signal(self.attack, j * self.h) for j in range(k, end)]
-            gs = [self._accel_consts(pattern, lead_acc, v, active) for v in xis]
-            consts = [psi_g @ g_j for g_j in gs]
-        else:
-            consts = itertools.repeat(c, end - k)
+        R, phi, g, c, disturbed, xi = self._segment_map(pattern, k, interval)
         x = self.states[k]
-        for x_next, c_j in zip(self.states[k + 1:end + 1], consts):  # row views
+        for x_next in self.states[k + 1:end + 1]:  # row views
             phi.dot(x, out=x_next)
-            x_next += c_j
+            x_next += c
             x = x_next
         cut, collision, flips = self.check(k + 1, end, supervisor)
-        if per_row:
-            g, xi = np.array(gs[:cut - k]), np.array(xis[:cut - k])
         if self.spans and self.spans[-1][3] is g:  # the same constant inputs go on
             self.spans[-1][1] = cut
         else:
@@ -886,11 +870,8 @@ class _Integrator:
         """Keep the final row under ``pattern``, then return the trace's
         series over rows 0..last and its command law on each span of them
         (``SimTrace.commands`` builds the commands from it)."""
-        R, _, _, g, _, disturbed, lead_acc, xi, active = self._segment_map(
+        R, _, g, _, disturbed, xi = self._segment_map(
             pattern, last, bisect.bisect_right(self.edges, last))
-        if g is None:  # a ramp or sinusoid: the final row's own value
-            xi = attack_signal(self.attack, last * self.h)
-            g = self._accel_consts(pattern, lead_acc, xi, active)
         self.spans.append([last, last + 1, R, g, xi, disturbed, pattern])
         states = self.states[:last + 1]
         modes = np.empty((last + 1, self.n - 1), dtype=np.uint8)

@@ -401,3 +401,34 @@ def test_sweep_rejects_counts_below_one(tmp_path, capsys, flag, value):
     assert captured.err == f"error: {flag} must be at least 1, got {value}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eps-grid", "9.0", "epsilon_max must lie in (0, desired_gap - vehicle_length) so a "
+                          "triggered safety surface still precedes physical contact"),
+    ("--eps-grid", "0", "epsilon_max must lie in (0, desired_gap - vehicle_length) so a "
+                        "triggered safety surface still precedes physical contact"),
+    ("--xi-grid", "-1", "xi_max must be nonnegative"),
+])
+def test_sweep_grid_value_errors_name_their_flag(tmp_path, capsys, monkeypatch, jobs,
+                                                 flag, value, message):
+    """A grid value the scenario rejects is an input error on one line that
+    names its flag and the value, raised in the command, before any cell
+    runs or file is written, whatever the worker count."""
+    def no_run(config):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(platoonsec.cli, "run_scenario", no_run)
+    config = write_config(tmp_path, attack={"targets": [3]})
+    out = tmp_path / "sweep-out"
+    grids = {"--xi-grid": ["1.0"], "--eps-grid": ["2.0", "4.0"]}
+    grids[flag].append(value)
+    argv = ["sweep", "--config", config, "--out", str(out), "--runs", "1", "--jobs", jobs]
+    for name, values in grids.items():
+        argv += [name, *values]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} {float(value)!r}: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()

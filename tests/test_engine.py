@@ -16,7 +16,7 @@ from platoonsec.control import ACC, CACC, AccGains, CaccGains
 from platoonsec.config import load_scenario
 from platoonsec.engine import (PLATOON_UNIT, CertificateError, CollisionInfo, DwellState,
                                ReportEvent, ScenarioConfig, SwitchingConfig, _Supervisor,
-                               cacc_entry_values, run_scenario, switching_decision,
+                               _input_edges, cacc_entry_values, run_scenario, switching_decision,
                                trace_metrics, write_metrics_json, write_trace_csv)
 from platoonsec.game import BehavioralStrategy, equilibrium_strategy
 from platoonsec.platoon import LeaderProfile, PlatoonConfig
@@ -791,6 +791,34 @@ def test_decision_entry_into_cacc_restarts_dwell():
         assert supervisor.mode_records[3:] == [(1.0, i, CACC, "game") for i in (2, 3, 4)]
 
 
+def test_platoon_release_restarts_dwell_from_platoon_entry_state():
+    """A follower's safety release re-enters the platoon unit's CACC hold
+    from the platoon's entry state, as a game move into CACC does: the
+    largest follower norm |(eps, deps)| with a zero rate, not the released
+    follower's own (eps, deps)."""
+    config = ScenarioConfig(platoon=make_platoon(n=4), lyapunov=_P_BENIGN,
+                            switching=SwitchingConfig(scope="platoon", initial_mode=ACC,
+                                                      policy_override=(0.0, 0.0)))
+    supervisor = _Supervisor(config, 6000)
+    (unit,) = supervisor.units
+    consts = unit.constants
+    # eps = (3.5, 0, 0) at rest: the game moves the platoon into CACC at 1 s
+    entered = np.array([0.0, -6.5, -16.5, -26.5, 20.0, 20.0, 20.0, 20.0])
+    assert supervisor.act(100, entered, [], 101) == ((0, 0, 0), 101)
+    assert unit.entry_time + unit.required == \
+        pytest.approx(1.0 + min_dwell_time((3.5, 0.0), consts)) == pytest.approx(12.48, abs=0.01)
+    # follower 2 reaches the surface (eps 4.5), then releases at row 150
+    # with eps = (0.5, 3.0, 0.0) and deps = (0.1, 0, 0)
+    assert supervisor.act(120, entered + [0, 1, 1, 1, 0, 0, 0, 0], [0], 121)[0] == (1, 0, 0)
+    released = np.array([0.0, -9.5, -16.5, -26.5, 20.0, 20.1, 20.1, 20.1])
+    assert supervisor.act(150, released, [0], 151) == ((0, 0, 0), 151)
+    assert (unit.mode, unit.entry_time) == (CACC, 1.5)
+    assert unit.required == min_dwell_time((3.0, 0.0), consts)
+    assert unit.entry_time + unit.required == pytest.approx(11.56, abs=0.01)
+    assert supervisor.mode_records[-2:] == [(1.2, 2, ACC, "safety-surface"),
+                                            (1.5, 2, CACC, "safety-release")]
+
+
 # ----------------------------------------------------- exponential envelope
 
 def test_gues_envelope_bounds_leading_hop():
@@ -825,6 +853,27 @@ def test_reports_and_decisions_land_on_their_grids():
     for e in trace.mode_events:
         assert e.time / config.step == pytest.approx(round(e.time / config.step),
                                                      abs=1e-6)
+
+
+
+@pytest.mark.parametrize("signal", [AttackSignal(kind="ramp", rate=0.3),
+                                    AttackSignal(kind="sinusoid", amplitude=2.5)])
+@pytest.mark.parametrize("window, edges", [
+    ((0.5, 1.25), [2, 3, 4, 5, 8]),   # inside the run: every tick in it, its end, steps
+    ((1.25, math.inf), [5, 6, 7, 8]),  # open-ended: clipped to steps
+    ((1.25, 3.0), [5, 6, 7, 8]),       # ends after the run: clipped to steps
+    ((0.0, 0.75), [1, 2, 3, 8]),       # opens at tick 0, which is never an edge
+])
+def test_input_edges_split_varying_attacks_into_rows(signal, window, edges):
+    """A ramp or sinusoid takes a new value every step, so each tick inside
+    its window is an input edge, and every segment runs under constant
+    inputs; the run's last tick ends the list."""
+    config = ScenarioConfig(platoon=make_platoon(),
+                            attack=AttackSpec(signal=signal, window=window),
+                            detector=DetectorModel(sampling_period=0.25),
+                            switching=SwitchingConfig(decision_period=0.25),
+                            step=0.25, duration=2.0)
+    assert _input_edges(config, 8) == edges
 
 
 _DEFENDED = load_scenario(CONFIGS / "crash_defended.json")

@@ -1,9 +1,12 @@
 """The experiment scripts that README documents run end to end.
 
 Each runs in its own process, as a user runs it, with the package on its
-path; a test checks the exit code and one line the script prints.
+path; a test checks the exit code and one line the script prints.  The rule
+that ``bench_pairs.py`` gives each ``BENCH_*.json`` verdict by is tested
+in-process, on hand-made runs.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -33,3 +36,68 @@ def test_crash_pair_runs(tmp_path):
     assert any(line.startswith("crash_baseline: COLLISION at t=12.71 s") for line in lines)
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         "crash_baseline.csv", "crash_defended.csv"]
+
+
+# ----------------------------------------------- bench_pairs' verdict rule
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _bench_pairs()
+
+
+def _compared(parent, change, better="lower", bound=0.25):
+    """``compare`` on one metric whose runs take the values given, pair by pair."""
+    runs = {side: [{"metrics": {"m": {"value": v, "unit": "s"}}} for v in values]
+            for side, values in (("parent", parent), ("change", change))}
+    return bench_pairs.compare(runs, [{"name": "m", "better": better, "bound": bound}])["m"]
+
+
+def test_bench_pairs_gain_needs_nine_of_ten_wins():
+    gain = _compared([1.0] * 10, [0.9] * 9 + [1.1])
+    assert (gain["change_wins"], gain["pairs"], gain["verdict"]) == (9, 10, "gain")
+    eight = _compared([1.0] * 10, [0.9] * 8 + [1.1] * 2)
+    assert (eight["change_wins"], eight["verdict"]) == (8, "unresolved")
+
+
+def test_bench_pairs_gain_needs_a_lead_past_the_parents_iqr():
+    parent = [1.0, 1.2] * 5  # quartiles 1.0 and 1.2
+    assert _compared(parent, [v - 0.15 for v in parent])["verdict"] == "unresolved"
+    assert _compared(parent, [v - 0.25 for v in parent])["verdict"] == "gain"
+
+
+def test_bench_pairs_ties_count_for_neither_side():
+    ties = _compared([1.0] * 10, [1.0] * 10)
+    assert (ties["change_wins"], ties["verdict"]) == (0, "unresolved")
+    # the tied pair is no win: nine wins need nine strictly better pairs
+    assert _compared([1.0] * 10, [0.9] * 9 + [1.0])["change_wins"] == 9
+    assert _compared([1.0] * 10, [0.9] * 8 + [1.0] * 2)["verdict"] == "unresolved"
+
+
+def test_bench_pairs_worse_past_the_bound():
+    assert _compared([1.0] * 10, [1.3] * 10)["verdict"] == "worse"
+    assert _compared([1.0] * 10, [1.2] * 10)["verdict"] == "unresolved"
+    assert _compared([1.0] * 10, [1.2] * 10, bound=0.1)["verdict"] == "worse"
+
+
+def test_bench_pairs_higher_is_better():
+    gain = _compared([10.0] * 10, [11.0] * 9 + [9.0], better="higher")
+    assert (gain["change_wins"], gain["verdict"]) == (9, "gain")
+    lower = _compared([10.0] * 10, [9.0] * 10, better="higher")
+    assert (lower["change_wins"], lower["verdict"]) == (0, "unresolved")
+    assert _compared([10.0] * 10, [7.0] * 10, better="higher")["verdict"] == "worse"
+
+
+def test_bench_pairs_verdict_rule():
+    parent = {"median": 1.0, "q1": 0.9, "q3": 1.1}
+    better = {"median": 0.75, "q1": 0.7, "q3": 0.8}
+    assert bench_pairs.verdict(parent, better, 9, 10, 1, 0.25) == "gain"
+    assert bench_pairs.verdict(parent, better, 8, 10, 1, 0.25) == "unresolved"
+    # the same medians where higher is better: the change is 25% worse
+    assert bench_pairs.verdict(parent, better, 10, 10, -1, 0.3) == "unresolved"
+    assert bench_pairs.verdict(parent, better, 10, 10, -1, 0.2) == "worse"
