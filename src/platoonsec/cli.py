@@ -153,10 +153,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
           f"{_fmt(report.p_eigenvalues[1])}")
     print("  residual max eigenvalues: "
           + ", ".join(_fmt(e) for e in report.residual_max_eigenvalues))
-    failed = [name for name in ("p11_positive", "p12_positive", "p_det_positive",
-                                "k1_negative", "k3_negative", "k2_above_lower",
-                                "k2_below_upper", "k4_above_lower", "k4_below_upper")
-              if not getattr(ineq, name)]
+    failed = ineq.violated
     if ineq.ill_posed:
         print(f"  ill-posed inequality brackets: {', '.join(sorted(ineq.ill_posed))}")
     if failed:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 from .control import AccGains, CaccGains
 from .engine import ScenarioConfig, SwitchingConfig, _steps_per_period
@@ -68,12 +69,14 @@ _POSITIVE = _number(0.0, exclusive_min=True)
 _FRACTION = _number(0.0, 1.0)
 
 
-def _integer(minimum=None):
+def _integer(minimum=None, maximum=None):
     def parse(value, path):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(path, f"expected an integer, got {value!r}")
         if minimum is not None and value < minimum:
             raise ConfigError(path, f"expected an integer >= {minimum}, got {value!r}")
+        if maximum is not None and value > maximum:
+            raise ConfigError(path, f"expected an integer <= {maximum}, got {value!r}")
         return value
     return parse
 
@@ -174,7 +177,8 @@ def _interval(parse, what: str):
 _pulse = _interval(_list((_NONNEGATIVE, _number(open_end=True), _REAL), item="{}.{}"), "pulse")
 _leader = _section(LeaderProfile, {"initial_velocity": _REAL, "pulses": _list(_pulse)})
 
-_PLATOON = {"vehicle_count": _integer(2), "desired_gap": _POSITIVE,
+# a count beyond the platform's index range could size no array
+_PLATOON = {"vehicle_count": _integer(2, sys.maxsize), "desired_gap": _POSITIVE,
             "vehicle_length": _POSITIVE, "epsilon_max": _POSITIVE}
 
 

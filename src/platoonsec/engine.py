@@ -46,16 +46,17 @@ segment with one matrix-vector product per step, for the state alone, to
 the first decision tick whose decision changes a mode, the next input edge,
 or ``_MAX_SEGMENT`` steps.  The supervisor reads a row's state as a handful
 of Python floats, and keeps each decision and mode event as the tuple of
-its fields.  The decision rule is pure: it judges a unit's dwell state and
-its next decision draw and changes neither, so the supervisor decides the
-ticks inside a segment ahead, with the same rule on the pre-drawn reports
-and decision draws and without the state: a tick that keeps every mode
-needs none, because a dwell hold depends only on its entry time and the
-checks below prove every row before a cut inside epsilon_max.  No follower
-may be latched while it looks ahead (a latched unit's rule reads the
-state).  The decisions made ahead are recorded, with their draws, only once
-the run reaches their rows; those at or after the row where the checks cut
-the segment are dropped unrecorded, and that row is supervised afresh.
+its row and its fields.  The decision rule is pure: it judges a unit's
+dwell state and its next decision draw and changes neither, so the
+supervisor decides the ticks inside a segment ahead, with the judge that
+decides a row, on the pre-drawn reports and decision draws and on zero
+spacing errors for the state: a tick that keeps every mode needs no state,
+because a dwell hold depends only on its entry time and the checks below
+prove every row before a cut inside epsilon_max.  No follower may be
+latched while it looks ahead (a latched unit's rule reads the state).  The
+decisions made ahead are recorded, with their draws, only once the run
+reaches their rows; those at or after the row where the checks cut the
+segment are dropped unrecorded, and that row is supervised afresh.
 The per-row checks (a non-finite state, a collision, a safety-surface
 crossing) act on the segment's rows at once, as on the initial row before
 the first segment.  A quiet block passes a test of the whole block that is
@@ -88,6 +89,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -272,7 +274,8 @@ class CollisionInfo:
 
 @dataclass
 class SimTrace:
-    """Time-indexed record of one run; all series share the time grid.
+    """Row-indexed record of one run; all series share the time grid, row k
+    at time k * step.
 
     The commanded accelerations, the report records, the decisions and the
     mode events are built on first read, from ``command_spans``,
@@ -288,8 +291,8 @@ class SimTrace:
     spacing_errors: np.ndarray
     attack_xi: np.ndarray
     drawn_reports: list[str]  # every sampling tick's, in (tick, unit) order
-    # each decision's and mode event's fields, as a tuple, in the order
-    # of the DecisionEvent and ModeEvent fields
+    # each decision's and mode event's row k, whose time is k * step, then
+    # its other fields, as a tuple in the DecisionEvent and ModeEvent order
     decision_records: tuple[tuple, ...]
     mode_records: tuple[tuple, ...]
     collision: CollisionInfo | None
@@ -323,12 +326,14 @@ class SimTrace:
     @functools.cached_property
     def decisions(self) -> tuple[DecisionEvent, ...]:
         """Every supervisor decision, in order, with its report and cause."""
-        return tuple(DecisionEvent(*record) for record in self.decision_records)
+        h = self.config.step
+        return tuple(DecisionEvent(k * h, *fields) for k, *fields in self.decision_records)
 
     @functools.cached_property
     def mode_events(self) -> tuple[ModeEvent, ...]:
         """Every follower's initial mode, then every mode change, with its cause."""
-        return tuple(ModeEvent(*record) for record in self.mode_records)
+        h = self.config.step
+        return tuple(ModeEvent(k * h, *fields) for k, *fields in self.mode_records)
 
     @functools.cached_property
     def reports(self) -> tuple[ReportEvent, ...]:
@@ -384,8 +389,11 @@ def _steps_per_period(period: float, step: float) -> int:
 
     Detector samples, decisions and the run's end fall on step ticks, so a
     period (or duration) that is not a whole multiple of the step would
-    silently be rounded to one that is.
+    silently be rounded to one that is; and one of more steps than an index
+    can count (an overflowing ratio among them) could size no run.
     """
+    if not period / step < sys.maxsize:
+        raise ValueError(f"{period!r} spans more steps of {step!r} than a run can index")
     ticks = round(period / step)
     if ticks < 1 or not math.isclose(period, ticks * step, rel_tol=1e-9):
         raise ValueError(f"{period!r} is not a whole multiple of the integrator "
@@ -469,7 +477,7 @@ class _Supervisor:
     ``quiet`` and ``surface_flags`` give the integrator's checks the safety
     surface.  The state it reads at a row is a handful of floats, so it
     works on Python lists and tuples, and records each event as the tuple
-    of its fields."""
+    of its row and its fields."""
 
     def __init__(self, config: ScenarioConfig, steps: int):
         sw = config.switching
@@ -505,13 +513,13 @@ class _Supervisor:
         self.latched = [False] * (n - 1)  # per-follower safety latch
         # the effective mode code of each follower column, 1 = radar-only
         self.pattern = (int(sw.initial_mode == ACC),) * (n - 1)
-        # (time, unit, report, mode, cause) of each decision and (time,
+        # (row, unit, report, mode, cause) of each decision and (row,
         # follower, mode, cause) of each mode event
         self.decision_records: list[tuple] = []
-        self.mode_records = [(0.0, i, sw.initial_mode, _CAUSE_INITIAL) for i in range(2, n + 1)]
-        # (tick, its decision records, draws used after it) of each tick
-        # decided ahead by the last ``act``
-        self.ahead: list[tuple[int, list, int]] = []
+        self.mode_records = [(0, i, sw.initial_mode, _CAUSE_INITIAL) for i in range(2, n + 1)]
+        # (decision records, draws used after them) of each tick decided
+        # ahead by the last ``act``
+        self.ahead: list[tuple[list, int]] = []
 
         seq = np.random.SeedSequence(config.seed)
         detector_rng, decision_rng = [np.random.default_rng(s) for s in seq.spawn(2)]
@@ -550,8 +558,8 @@ class _Supervisor:
     def reach(self, k: int):
         """Record the decisions made ahead at the ticks before row k, which
         the run has reached, with their draws; the rest are never recorded."""
-        for tick, records, used in self.ahead:
-            if tick >= k:
+        for records, used in self.ahead:
+            if records[0][0] >= k:
                 break
             self.decision_records += records
             self.used = used
@@ -591,33 +599,38 @@ class _Supervisor:
                 else:
                     self.latched[col] = True
                     causes[col + 2] = _CAUSE_SAFETY
-            self._emit(t, causes)
+            self._emit(k, causes)
         if decide:
-            at = (k // self.det_every) * len(self.unit_ids)  # the latest reports
-            changed = False
+            # each follower's error, or the platoon's worst, the first of equals
+            errors = [max(eps, key=abs)] if self.unit_ids[0] == PLATOON_UNIT else eps
+            records, self.used = self._judge(k, errors, self.used)
+            self.decision_records += records
             causes = {}
-            for u, (unit, state) in enumerate(zip(self.unit_ids, self.units)):
-                report = self.drawn[at + u]
-                if unit == PLATOON_UNIT:  # the worst follower, the first of equals
-                    sizes = [abs(e) for e in eps]
-                    col = sizes.index(max(sizes))
-                else:
-                    col = unit - 2
-                mode, cause = switching_decision(eps[col], self.p_downgrade[report], state,
-                                                 self.eps_max, self.draws[self.used], t)
-                if cause == _CAUSE_GAME:
-                    self.used += 1
-                self.decision_records.append((t, unit, report, mode, cause))
-                if mode != state.mode:
-                    changed = True
-                    state.enter(mode, t, error_state=(self._cacc_entry(col, eps, deps)
+            for (_, unit, _, mode, cause), state in zip(records, self.units):
+                if mode != state.mode:  # the platoon's entry state reads no column
+                    state.enter(mode, t, error_state=(self._cacc_entry(unit - 2, eps, deps)
                                                       if mode == CACC else None))
                 for i in range(2, n + 1) if unit == PLATOON_UNIT else (unit,):
                     inside = cause == _CAUSE_SAFETY and abs(eps[i - 2]) < self.eps_max
                     causes[i] = _CAUSE_BROADCAST if inside else cause
-            if changed:
-                self._emit(t, causes)
+            self._emit(k, causes)
         return self.pattern, self._decide_ahead(k, horizon)
+
+    def _judge(self, k: int, errors, used: int) -> tuple[list, int]:
+        """Every unit's decision record at decision tick k, on its spacing
+        error in ``errors``, its latest report and its draw after the
+        ``used`` ones; and the draws used after them.  Changes no unit."""
+        t = k * self.h
+        at = (k // self.det_every) * len(self.unit_ids)  # the latest reports
+        records = []
+        for u, (unit, state, error) in enumerate(zip(self.unit_ids, self.units, errors)):
+            report = self.drawn[at + u]
+            mode, cause = switching_decision(error, self.p_downgrade[report], state,
+                                             self.eps_max, self.draws[used], t)
+            if cause == _CAUSE_GAME:
+                used += 1
+            records.append((k, unit, report, mode, cause))
+        return records, used
 
     def _cacc_entry(self, col: int, eps, deps) -> tuple[float, float]:
         """The error state a unit's move into CACC holds it from: follower
@@ -635,7 +648,7 @@ class _Supervisor:
         run is cut before it: a row the checks let stand is inside
         epsilon_max, so the surface rule does not fire, and no mode changes
         before the tick, so each unit's hold and draw are as they will be.
-        The rule changes nothing, so it judges the units themselves.  The
+        ``_judge`` changes nothing, so it judges the units themselves.  The
         tick that would change a mode is judged only to end the segment
         there, and decided, from the state, at its own row.  The ticks
         before it wait in ``ahead`` for ``reach``.  A latched follower's rule
@@ -646,31 +659,22 @@ class _Supervisor:
         tick = (k // self.dec_every + 1) * self.dec_every
         if any(self.latched):
             return min(tick, horizon)
-        used = self.used
+        used, modes = self.used, [state.mode for state in self.units]
+        zeros = [0.0] * len(modes)  # every row before a cut is inside the surface
         for tick in range(tick, horizon, self.dec_every):
-            t = tick * self.h
-            at = (tick // self.det_every) * len(self.unit_ids)
-            records = []
-            for u, (unit, state) in enumerate(zip(self.unit_ids, self.units)):
-                report = self.drawn[at + u]
-                # 0.0 for the state: every row before a cut is inside the surface
-                mode, cause = switching_decision(0.0, self.p_downgrade[report], state,
-                                                 self.eps_max, self.draws[used], t)
-                if mode != state.mode:
-                    return tick
-                if cause == _CAUSE_GAME:
-                    used += 1
-                records.append((t, unit, report, mode, cause))
-            self.ahead.append((tick, records, used))
+            records, used = self._judge(tick, zeros, used)
+            if [r[3] for r in records] != modes:
+                return tick
+            self.ahead.append((records, used))
         return horizon
 
-    def _emit(self, t: float, causes: dict):
+    def _emit(self, k: int, causes: dict):
         """A mode event for each follower whose effective mode changed."""
         pattern = tuple([int(latched or unit.mode == ACC)
                          for latched, unit in zip(self.latched, self.column_units)])
         for col, (old, new) in enumerate(zip(self.pattern, pattern)):
             if old != new:
-                self.mode_records.append((t, col + 2, ACC if new else CACC,
+                self.mode_records.append((k, col + 2, ACC if new else CACC,
                                          causes.get(col + 2, _CAUSE_GAME)))
         self.pattern = pattern
 
@@ -959,17 +963,13 @@ def trace_metrics(trace: SimTrace, tol: float = 1e-6) -> TraceMetrics:
 def cacc_entry_values(trace: SimTrace, P: LyapunovCandidate) -> list[tuple[float, np.ndarray]]:
     """Per-follower V(z) = z'Pz at each cooperative (re)activation instant.
 
-    z is the follower's spacing-error state (eps, eps_rate) sampled on the
-    stored grid at the event time.  Activation events are mode changes into
-    the cooperative mode caused by the supervisor (not the initial mode).
+    z is the follower's spacing-error state (eps, eps_rate) at the event's
+    row.  Activation events are mode changes into the cooperative mode
+    caused by the supervisor (not the initial mode).
     """
     P = P.as_matrix()
-    h = float(trace.times[1] - trace.times[0]) if trace.times.size > 1 else 1.0
-    entry_times = sorted({
-        t for t, _, mode, cause in trace.mode_records
-        if mode == CACC and cause in (_CAUSE_GAME, _CAUSE_RELEASE)
-    })
-    rows = [idx for idx in (int(round(t / h)) for t in entry_times) if idx < trace.times.size]
+    rows = sorted({k for k, _, mode, cause in trace.mode_records
+                   if mode == CACC and cause in (_CAUSE_GAME, _CAUSE_RELEASE)})
     # every entry row at once, each entry by the same operations in the same order
     eps = trace.spacing_errors[rows]
     vel = trace.velocities[rows]

@@ -4,12 +4,18 @@ All tests drive ``main(argv)`` in-process so stdout/stderr and the exit code
 can be asserted without spawning interpreters.
 """
 
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import platoonsec.cli
 import platoonsec.engine
@@ -142,6 +148,63 @@ def test_lyapunov_overflow_is_input_error(tmp_path, capsys):
     config = write_config(tmp_path, lyapunov={"p11": 1, "p12": 1e300, "p22": 1})
     assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: lyapunov: ")
+
+
+def test_period_overflowing_the_step_count_is_one_error_line(tmp_path, capsys):
+    data = json.loads(Path(DEFENDED).read_text())
+    data["switching"]["decision_period"] = 1e308
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(data))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == ("error: switching.decision_period: 1e+308 spans "
+                                       "more steps of 0.01 than a run can index\n")
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def _entries(value, path=()):
+    """The path of every entry in a parsed JSON value, containers included."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield path + (key,)
+        yield from _entries(item, path + (key,))
+
+
+_SHIPPED = {p.name: json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))}
+_ENTRIES = [(name, path) for name, data in _SHIPPED.items() for path in _entries(data)]
+# nothing here makes a small step or a large count that a run would accept
+_POOL = [None, True, False, "x", [], {}, 0, -1, 2, 0.5, 1e308, -1e308, 1e-300, 10 ** 400]
+_SUBCOMMANDS = [["stability"], ["game"], ["string-check"], ["simulate"],
+                ["sweep", "--xi-grid", "1", "--eps-grid", "2", "--runs", "1", "--jobs", "1"]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(entry=st.sampled_from(_ENTRIES), value=st.sampled_from(_POOL))
+@example(entry=("crash_defended.json", ("switching", "decision_period")), value=1e308)
+@example(entry=("crash_defended.json", ("platoon", "vehicle_count")), value=10 ** 400)
+@example(entry=("benign_switching.json", ("lyapunov", "p22")), value=1e308)  # A'P overflows
+def test_every_subcommand_keeps_the_exit_code_contract(entry, value):
+    """Any one entry of a shipped config replaced by an odd value: every
+    subcommand returns 0, 1 or 2, and says nothing on stderr, or one
+    ``error:`` line, and warns nothing."""
+    name, path = entry
+    data = copy.deepcopy(_SHIPPED[name])
+    data["integration"]["duration"] = 2.0  # a short run, unless the entry is it
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], data)
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "scenario.json"
+        config.write_text(json.dumps(data))
+        for argv in _SUBCOMMANDS:
+            err = io.StringIO()
+            with (warnings.catch_warnings(record=True) as caught,
+                  contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+                warnings.simplefilter("always")
+                code = main([*argv, "--config", str(config), "--out", str(Path(tmp) / "out")])
+            assert code in (EXIT_OK, EXIT_INPUT, EXIT_OUTCOME), argv
+            assert [str(w.message) for w in caught] == [], argv
+            lines = err.getvalue().splitlines()
+            assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")), argv
 
 
 @pytest.mark.parametrize("extra", [

@@ -176,6 +176,15 @@ def test_unknown_top_level_key():
     (lambda d: d.update(attack={"window": [5.0, 5.0]}), "attack.window"),
     (lambda d: d.update(attack={"targets": "3"}), "attack.targets"),
     (lambda d: d.update(attack={"message_fields": []}), "attack.message_fields"),
+    # a period whose count of steps overflows, and a count no array can index
+    pytest.param(lambda d: d.update(switching={"decision_period": 1e308}),
+                 "switching.decision_period", id="<lambda>-decision_period-overflows"),
+    pytest.param(lambda d: d.update(detector={"sampling_period": 1e308}),
+                 "detector.sampling_period", id="<lambda>-sampling_period-overflows"),
+    pytest.param(lambda d: d["integration"].update(duration=1e308),
+                 "integration.duration", id="<lambda>-duration-overflows"),
+    pytest.param(lambda d: d["platoon"].update(vehicle_count=10 ** 400),
+                 "platoon.vehicle_count", id="<lambda>-vehicle_count-beyond-maxsize"),
 ])
 def test_dotted_paths_name_the_bad_entry(mutate, path):
     data = base_scenario()

@@ -1,5 +1,6 @@
 """End-to-end behavior of the switched-platoon simulation engine."""
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -788,7 +789,7 @@ def test_decision_entry_into_cacc_restarts_dwell():
         for unit, z in zip(supervisor.units, states, strict=True):
             assert (unit.mode, unit.entry_time) == (CACC, 1.0)
             assert unit.required == min_dwell_time(z, consts) > 0
-        assert supervisor.mode_records[3:] == [(1.0, i, CACC, "game") for i in (2, 3, 4)]
+        assert supervisor.mode_records[3:] == [(100, i, CACC, "game") for i in (2, 3, 4)]
 
 
 def test_platoon_release_restarts_dwell_from_platoon_entry_state():
@@ -815,8 +816,26 @@ def test_platoon_release_restarts_dwell_from_platoon_entry_state():
     assert (unit.mode, unit.entry_time) == (CACC, 1.5)
     assert unit.required == min_dwell_time((3.0, 0.0), consts)
     assert unit.entry_time + unit.required == pytest.approx(11.56, abs=0.01)
-    assert supervisor.mode_records[-2:] == [(1.2, 2, ACC, "safety-surface"),
-                                            (1.5, 2, CACC, "safety-release")]
+    assert supervisor.mode_records[-2:] == [(120, 2, ACC, "safety-surface"),
+                                            (150, 2, CACC, "safety-release")]
+
+
+def test_platoon_decision_judges_its_worst_follower():
+    """The platoon unit decides on its worst follower's spacing error, here
+    vehicle 3's beyond the surface, not on the first follower's: a safety
+    decision, which vehicle 3 cites and vehicles 2 and 4 get as a broadcast."""
+    config = ScenarioConfig(platoon=make_platoon(n=4), lyapunov=_P_BENIGN,
+                            switching=SwitchingConfig(scope="platoon",
+                                                      policy_override=(0.0, 0.0)))
+    supervisor = _Supervisor(config, 6000)
+    # eps = (0.5, -4.5, 0) at rest, all exact: only vehicle 3 is beyond 4 m
+    x = np.array([0.0, -9.5, -24.0, -34.0, 20.0, 20.0, 20.0, 20.0])
+    assert supervisor.act(100, x, [], 101) == ((1, 1, 1), 101)
+    assert [(k, unit, mode, cause) for k, unit, _, mode, cause
+            in supervisor.decision_records] == [(100, PLATOON_UNIT, ACC, "safety-surface")]
+    assert supervisor.mode_records[3:] == [(100, 2, ACC, "safety-broadcast"),
+                                           (100, 3, ACC, "safety-surface"),
+                                           (100, 4, ACC, "safety-broadcast")]
 
 
 # ----------------------------------------------------- exponential envelope
@@ -974,6 +993,41 @@ def test_segment_boundaries_change_nothing(config):
         patch.setattr(platoonsec.engine, "_MAX_SEGMENT", 1)
         per_row = _outcome(config)
     assert _outcome(config) == per_row
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_scenarios())
+@example(dataclasses.replace(_DEFENDED, seed=5, duration=40.0))  # latches and releases
+@example(dataclasses.replace(  # at row 1699 follower 3 is released, then downgraded
+    _DEFENDED, seed=3, duration=20.0, switching=dataclasses.replace(
+        _DEFENDED.switching, decision_period=0.01, dwell_enforced=False,
+        policy_override=(0.5, 0.5))))
+def test_mode_records_match_the_modes_array(config):
+    """Each follower's column of the modes array, prefixed with its initial
+    mode, is the replay of its mode records: each record changes the mode
+    its previous one set, from its row on.  So the column changes at the
+    rows of its non-initial records, to the recorded mode, except at a row
+    that holds two (a release, then a game move back to radar-only).  Each
+    event's time is its row times the step, bit for bit, as on the trace's
+    time grid."""
+    trace = run_scenario(config)
+    code = {CACC: 0, ACC: 1}
+    for col, column in enumerate(trace.modes.T):
+        records = [(k, code[mode], cause) for k, vehicle, mode, cause in trace.mode_records
+                   if vehicle == col + 2]
+        assert records[0][0::2] == (0, "initial")
+        assert all(a[1] != b[1] for a, b in zip(records, records[1:]))
+        replay = np.full(column.size + 1, records[0][1], dtype=column.dtype)
+        for k, mode, _ in records[1:]:
+            replay[k + 1:] = mode  # row k is entry k + 1
+        assert np.array_equal(replay[1:], column)
+        rows = collections.Counter(k for k, _, _ in records[1:])
+        changes = np.flatnonzero(replay[1:] != replay[:-1]).tolist()
+        assert changes == sorted(k for k, count in rows.items() if count == 1)
+        assert all(count <= 2 for count in rows.values())
+    times = [event.time.hex() for event in trace.mode_events]
+    assert times == [(k * config.step).hex() for k, *_ in trace.mode_records]
+    assert times == [float(trace.times[k]).hex() for k, *_ in trace.mode_records]
 
 
 @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 100),
