@@ -5,7 +5,7 @@ Runs ``platoonsec simulate`` on every ``configs/*.json`` at seeds 0-3 and the
 benchmark's sweep grid (crash_defended, ``--xi-grid 1 2.5 4 --eps-grid 2 4
 --runs 4 --seed 0 --jobs 1``) into a temporary directory, then prints each
 output file's sha256 in ``sha256sum`` format and then the sha256 of that
-whole listing.  Run it on two trees and compare the last four lines; equal
+whole listing.  Run it on two trees and compare the last five lines; equal
 listing digests mean equal bytes in all 65 files.
 
 A second line, ``trace sha256``, digests the in-memory traces of
@@ -20,6 +20,13 @@ of crash_defended at seeds 0-3 under a ramp and under a sinusoid attack,
 each in message-level and in lumped-acceleration mode.  Those signals take a
 new value every row, so every row inside their window is an input edge and
 runs as a segment of its own, which no shipped config does.
+
+A fourth line, ``events sha256``, digests what rounding cannot move, over
+every run above: the simulate runs' and the traces' reports, decision
+records and mode records (by row), and their collision's row and follower
+(not its gap), then the bytes of ``sweep.csv``.  A change that moves the
+floats in their last bits changes the first three lines; this one must
+hold.
 
 A last line, ``cli sha256``, digests the exit code, stdout and stderr of
 ``stability``, ``game``, ``string-check --mode ACC`` and ``string-check
@@ -79,8 +86,18 @@ def listing(root: Path) -> list[str]:
             for p in files]
 
 
-def traces_digest(configs) -> str:
-    """sha256 over the traces of ``configs``, run in-process in that order."""
+def event_bytes(trace) -> bytes:
+    """A run's records that rounding cannot move: its reports, decision
+    records and mode records, and its collision's row and follower."""
+    collision = (None if trace.collision is None
+                 else (trace.times.size - 1, trace.collision.follower))
+    return repr((trace.reports, trace.decision_records, trace.mode_records,
+                 collision)).encode()
+
+
+def traces_digest(configs, events) -> str:
+    """sha256 over the traces of ``configs``, run in-process in that order;
+    each run's event bytes go to ``events``."""
     digest = hashlib.sha256()
     for config in configs:
         trace = run_scenario(config)
@@ -90,23 +107,25 @@ def traces_digest(configs) -> str:
             digest.update(array.tobytes())
         digest.update(repr((trace.reports, trace.decisions, trace.mode_events,
                             trace.collision)).encode())
+        events.update(event_bytes(trace))
     return digest.hexdigest()
 
 
-def trace_digest() -> str:
+def trace_digest(events) -> str:
     """sha256 over the traces of TRACE_RUNS."""
-    return traces_digest(dataclasses.replace(load_scenario(CONFIGS / f"{stem}.json"), seed=seed)
-                         for stem, seeds in TRACE_RUNS for seed in seeds)
+    return traces_digest((dataclasses.replace(load_scenario(CONFIGS / f"{stem}.json"), seed=seed)
+                          for stem, seeds in TRACE_RUNS for seed in seeds), events)
 
 
-def varying_digest() -> str:
+def varying_digest(events) -> str:
     """sha256 over the traces of crash_defended under each of VARYING_SIGNALS
     in each of VARYING_MODES, at VARYING_SEEDS."""
     base = load_scenario(CONFIGS / "crash_defended.json")
     return traces_digest(
-        dataclasses.replace(base, seed=seed,
-                            attack=dataclasses.replace(base.attack, signal=signal, mode=mode))
-        for signal in VARYING_SIGNALS for mode in VARYING_MODES for seed in VARYING_SEEDS)
+        (dataclasses.replace(base, seed=seed,
+                             attack=dataclasses.replace(base.attack, signal=signal, mode=mode))
+         for signal in VARYING_SIGNALS for mode in VARYING_MODES for seed in VARYING_SEEDS),
+        events)
 
 
 def cli_digest() -> str:
@@ -127,19 +146,33 @@ def cli_digest() -> str:
 
 
 def main() -> None:
+    events = hashlib.sha256()
+    simulate = cli.run_scenario
+
+    def recorded(config):  # each simulate run's events, from the trace it writes
+        trace = simulate(config)
+        events.update(event_bytes(trace))
+        return trace
+
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for config in sorted(CONFIGS.glob("*.json")):
-            for seed in SEEDS:
-                run(["simulate", "--config", str(config), "--seed", str(seed),
-                     "--out", str(root / f"{config.stem}-{seed}")])
+        cli.run_scenario = recorded
+        try:
+            for config in sorted(CONFIGS.glob("*.json")):
+                for seed in SEEDS:
+                    run(["simulate", "--config", str(config), "--seed", str(seed),
+                         "--out", str(root / f"{config.stem}-{seed}")])
+        finally:
+            cli.run_scenario = simulate
         run(["sweep", *SWEEP, "--out", str(root / "sweep")])
         lines = listing(root)
+        events.update((root / "sweep" / "sweep.csv").read_bytes())
     text = "".join(line + "\n" for line in lines)
     sys.stdout.write(text)
     print(f"listing sha256 {hashlib.sha256(text.encode()).hexdigest()}")
-    print(f"trace sha256 {trace_digest()}")
-    print(f"varying sha256 {varying_digest()}")
+    print(f"trace sha256 {trace_digest(events)}")
+    print(f"varying sha256 {varying_digest(events)}")
+    print(f"events sha256 {events.hexdigest()}")
     print(f"cli sha256 {cli_digest()}")
 
 

@@ -252,6 +252,15 @@ def _grid(flag: str, values, build) -> list:
     return built
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (a container or ``taskset`` may allow fewer than the host has),
+    else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     for flag in ("runs", "jobs"):
         value = getattr(args, flag)
@@ -270,7 +279,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     P, _, _ = resolve_certificate(base.cacc_gains, base.acc_gains, base.lyapunov)
     jobs = [(dataclasses.replace(base, lyapunov=P, attack=attack, platoon=platoon), args.runs)
             for attack in attacks for platoon in platoons]
-    workers = min(len(jobs), args.jobs or os.cpu_count() or 1)
+    workers = min(len(jobs), args.jobs or _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, jobs))

@@ -34,51 +34,73 @@ immune by construction.
 
 The run advances in segments, split between a supervisor, the switching
 signal, and an integrator, the closed loop the signal selects.  A mode can
-change only at a decision tick or at a safety-surface crossing, and an input
-only at an edge (a leader pulse, the attack window, a step of a table
+change only at a decision tick or at a safety-surface crossing, and an
+input only at an edge (a leader pulse, the attack window, a step of a table
 signal, and every tick inside the window of a ramp or sinusoid, which takes
 a new value every step); between those events the closed loop is one affine
 map x' = Phi x + c.  So the supervisor acts once at a segment's first row
 (latching and releasing followers, then deciding on a decision tick) and
-returns the mode pattern; the integrator builds Phi and c once a run for
-each mode pattern and each interval between input edges, and steps the
-segment with one matrix-vector product per step, for the state alone, to
-the first decision tick whose decision changes a mode, the next input edge,
-or ``_MAX_SEGMENT`` steps.  The supervisor reads a row's state as a handful
-of Python floats, and keeps each decision and mode event as the tuple of
-its row and its fields.  The decision rule is pure: it judges a unit's
-dwell state and its next decision draw and changes neither, so the
-supervisor decides the ticks inside a segment ahead, with the judge that
-decides a row, on the pre-drawn reports and decision draws and on zero
-spacing errors for the state: a tick that keeps every mode needs no state,
-because a dwell hold depends only on its entry time and the checks below
-prove every row before a cut inside epsilon_max.  No follower may be
-latched while it looks ahead (a latched unit's rule reads the state).  The
-decisions made ahead are recorded, with their draws, only once the run
-reaches their rows; those at or after the row where the checks cut the
-segment are dropped unrecorded, and that row is supervised afresh.
+returns the mode pattern, and the segment runs to the first decision tick
+whose decision changes a mode, to the next input edge, or to the tick after
+the last of ``_MAX_AHEAD`` ticks decided ahead.  The supervisor reads a
+row's state as a handful of Python floats, and keeps each decision and mode
+event as the tuple of its row and its fields.  The decision rule is pure:
+it judges a unit's dwell state and its next decision draw and changes
+neither, so the supervisor decides the ticks inside a segment ahead, with
+the judge that decides a row, on the pre-drawn reports and decision draws
+and on zero spacing errors for the state: a tick that keeps every mode
+needs no state, because a dwell hold depends only on its entry time and the
+checks below prove every row before a cut inside epsilon_max.  No follower
+may be latched while it looks ahead (a latched unit's rule reads the
+state).  The decisions made ahead are recorded, with their draws, only once
+the run reaches their rows; those at or after the row where the checks cut
+the segment are dropped unrecorded, and that row is supervised afresh.
+
+The integrator steps a segment a block of rows at a time, each row from an
+anchor rather than from the row before it.  With c = Psi_g g, a run of rows
+under one map (one mode pattern and one input interval), from its first
+row s0, has the rows x_q = Phi^j x_s + C_j, where j = q - s and
+C_j = sum_{i<j} Phi^i c = S_j g, from the anchor
+s = max(s0, B * floor((q - 1) / B)), B the capacity of the pattern's power
+table: ``_BLOCK`` items, fewer for a large platoon (and a row past the
+table's last finite item, on a loop unstable enough to leave the floats
+within a block, is anchored that many rows back).  Item j of the table is
+T_j = [Phi^j | S_j], so a row is T_j (x_s, g), one matrix-vector product.
+A table is built by doubling, a level of items at a time as rows first
+need them, and kept for the process.  A block, the rows up to the next
+multiple of B, is one stacked matmul of the items on its anchor's (x_s, g),
+which numpy runs as one BLAS matrix-vector product an item.  The rows
+differ in their last bits from stepping each row from the one before
+(``tests/oracle.py`` keeps that recursion as the reference the rows are
+held to).
+
 The per-row checks (a non-finite state, a collision, a safety-surface
-crossing) act on the segment's rows at once, as on the initial row before
-the first segment.  A quiet block passes a test of the whole block that is
-exact for floats: its last row is finite (a non-finite entry stays
-non-finite under the step), its smallest gap exceeds the vehicle length,
-the spacing errors of its two extreme gaps lie inside epsilon_max
-(fl(L - gap) is monotone in the gap), and no follower is latched.  Any
-other block is scanned row by row and cut at the first row a check acts on,
-which the supervisor handles as the next segment's first.  No step reads
-the recorded command u = R x + g, so the trace keeps each span of rows that
-shares a map and builds the commands on first read, one stacked matmul a
-span: numpy runs the same BLAS matrix-vector kernel on each row as
-``np.dot(R, x)``, where a matrix-matrix product over the rows would round
-differently.  A detector report depends on time alone (the attack window,
-the targets and the detector's own generator), never on the state, so
-every sampling tick's reports are drawn before the run, in (tick, unit)
-order, in one batch from that generator; a decision reads the latest one by
-index, and the trace builds its report, decision and mode-event records on
-first read, as it does its commands.  Every row is
-therefore computed by the same floating-point operations, on the same
-values and in the same order, as when the supervisor ran on every step: the
-trace and its outputs are bit-identical to per-step supervision.
+crossing) act on a block's rows at once, as on the initial row before the
+first segment.  A quiet block passes a test of the whole block that is
+exact for floats: the sum of its entries is finite (a block whose finite
+entries overflow their sum is only sent to the row scan, which decides the
+same), its smallest gap exceeds the vehicle length, the spacing errors of
+its two extreme gaps lie inside epsilon_max (fl(L - gap) is monotone in
+the gap), and no follower is latched.  Any other block is scanned row by
+row and cut at the first row a check acts on, which the supervisor handles
+as the next segment's first; the rows computed past a cut are at most a
+block.  No step reads the recorded command u = R x + g, so the trace keeps
+each span of rows that shares a map and builds the commands on first read,
+one stacked matmul a span: numpy runs the same BLAS matrix-vector kernel on
+each row as ``np.dot(R, x)``, where a matrix-matrix product over the rows
+would round differently.  A detector report depends on time alone (the
+attack window, the targets and the detector's own generator), never on the
+state, so every sampling tick's reports are drawn before the run, in (tick,
+unit) order, in one batch from that generator; a decision reads the latest
+one by index, and the trace builds its report, decision and mode-event
+records on first read, as it does its commands.
+
+A row's anchor, and so its bits, depend on the run's maps alone, not on
+where the supervisor cuts the run into segments, and a stacked item rounds
+as its own matrix-vector product whatever the batch.  So every row is
+computed by the same floating-point operations, on the same values and in
+the same order, as when the supervisor ran on every row: the trace and its
+outputs are bit-identical to per-row supervision.
 """
 
 from __future__ import annotations
@@ -378,10 +400,23 @@ def switching_decision(spacing_error: float, p_downgrade: float, dwell_state: Dw
     return (ACC if draw < p_downgrade else CACC), _CAUSE_GAME
 
 
-# Steps in one segment at most.  A collision or a non-finite state is found
-# only after the segment is stepped, so this bounds the steps computed past
-# one on a run whose inputs rarely change (an unsupervised one, say).
-_MAX_SEGMENT = 128
+# Rows stepped from one anchor at most: the length of a full power table.
+# A collision or a non-finite state is found only after a block is stepped,
+# so this also bounds the rows computed past one.
+_BLOCK = 128
+
+# Decision ticks the supervisor decides ahead of a segment at most.  A check
+# that cuts the segment drops those past the cut, so on a run whose every
+# row is a tick this bounds the ticks judged in vain.
+_MAX_AHEAD = 128
+
+# Bytes of power tables a process keeps, every pattern's together.  One
+# table takes at most 1/128 of it (fewer items for a platoon of more than
+# six vehicles), unless one item alone is larger: then the table is that
+# one item.  So the process keeps about the 128 latest tables, about
+# what one run of a 16-vehicle per-vehicle platoon visits, and a table
+# costs less to build the larger its platoon.
+_TABLE_BYTES = 32 << 20
 
 
 def _steps_per_period(period: float, step: float) -> int:
@@ -641,8 +676,10 @@ class _Supervisor:
         return eps[col], deps[col]
 
     def _decide_ahead(self, k: int, horizon: int) -> int:
-        """Decide the ticks after row k and before ``horizon`` until one
-        would change a unit's mode, and return that tick, else ``horizon``.
+        """Decide the ticks after row k and before ``horizon``, at most
+        ``_MAX_AHEAD`` of them, until one would change a unit's mode, and
+        return that tick, else the tick after the last decided or
+        ``horizon``, whichever comes first.
 
         Each tick's decisions are those its own row would make, unless the
         run is cut before it: a row the checks let stand is inside
@@ -659,6 +696,7 @@ class _Supervisor:
         tick = (k // self.dec_every + 1) * self.dec_every
         if any(self.latched):
             return min(tick, horizon)
+        horizon = min(horizon, tick + _MAX_AHEAD * self.dec_every)
         used, modes = self.used, [state.mode for state in self.units]
         zeros = [0.0] * len(modes)  # every row before a cut is inside the surface
         for tick in range(tick, horizon, self.dec_every):
@@ -679,16 +717,117 @@ class _Supervisor:
         self.pattern = pattern
 
 
+def _accel_rows(laws, n: int, pattern) -> np.ndarray:
+    """Linear part of the physical-acceleration chain, front to back.
+
+    Row i gives follower i+1's acceleration as a functional of the full
+    state; a term's feed-forward chains through its neighbour's row,
+    whatever that vehicle's own mode is (the leader's row is zero).
+    ``laws`` holds each mode code's terms and its A's bottom row.
+    """
+    R = np.zeros((n, 2 * n))
+    for i in range(1, n):
+        row = R[i]
+        terms, bottom = laws[pattern[i - 1]]
+        row[[i, n + i]] = bottom  # A's own sums of alphas and of betas
+        for term in terms:
+            j = term.sender(i + 1) - 1
+            row[j] -= term.alpha
+            row[n + j] -= term.beta
+            row += term.gamma * R[j]
+    return R
+
+
+class _PowerTable:
+    """The powers of one mode pattern's step map, grown as runs need them.
+
+    The fourth-order step on the affine field xdot = M x + b collapses to
+    x' = Phi x + Psi b; b is zero on the position block, so only Psi's
+    velocity columns Psi_g act.  Item j - 1 of ``items`` is
+    T_j = [Phi^j | S_j], S_j = sum_{i<j} Phi^i Psi_g, so the state j steps
+    after x is T_j (x, g), for the constant accelerations g of a segment.
+    ``reach`` builds the items by doubling, one stacked matmul a level,
+    T_(m+j) = Phi^m T_j + [0 | S_m] for j = 1..m: an item is computed the
+    same way however far the table has grown.  The table holds ``_BLOCK``
+    items, or fewer where so many would pass a table's share of
+    ``_TABLE_BYTES``, and grows no further past an item with an entry that
+    is not finite; ``finite`` counts the items before it (T_1 is always
+    used).  ``R`` is the chain's linear part.
+    """
+
+    def __init__(self, laws, n: int, h: float, pattern):
+        ident = np.eye(2 * n)
+        self.R = _accel_rows(laws, n, pattern)
+        M = np.zeros((2 * n, 2 * n))
+        M[:n, n:] = np.eye(n)
+        M[n:, :] = self.R
+        M2 = M @ M
+        M3 = M2 @ M
+        M4 = M3 @ M
+        phi = (ident + h * M + (h * h / 2.0) * M2
+               + (h ** 3 / 6.0) * M3 + (h ** 4 / 24.0) * M4)
+        psi = h * (ident + (h / 2.0) * M + (h * h / 6.0) * M2
+                   + (h ** 3 / 24.0) * M3)
+        item = 8 * 2 * n * 3 * n
+        self.items = np.empty((max(1, min(_BLOCK, _TABLE_BYTES // 128 // item)), 2 * n, 3 * n))
+        self.items[0, :, :2 * n] = phi
+        self.items[0, :, 2 * n:] = psi[:, n:]
+        self.built = self.finite = 1
+        self.nbytes = self.items.nbytes + self.R.nbytes
+
+    def reach(self, j: int) -> int:
+        """Build the items up to j, a whole level at a time, and return how
+        many of the first j are finite."""
+        items = self.items
+        cols = items.shape[1]  # Phi's, then S's
+        while self.finite == self.built < min(j, len(items)):
+            m = self.built
+            top = min(2 * m, len(items))
+            level = items[m:top]
+            np.matmul(items[m - 1, :, :cols], items[:top - m], out=level)
+            level[:, :, cols:] += items[m - 1, :, cols:]
+            finite = np.isfinite(level).all(axis=(1, 2))
+            self.built = top
+            self.finite = top if finite.all() else m + int(finite.argmin())
+        return min(j, self.finite)
+
+
+class _TableMemo:
+    """Power tables kept for the process, by (gains, step, vehicle count,
+    mode pattern).  An item of a table is a function of its key alone, so
+    which run built it changes no bit.  Once the tables may hold more than
+    ``limit`` bytes, counting every item a table can grow to, the oldest
+    built go first; the newest always stays."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.tables: dict[tuple, _PowerTable] = {}  # oldest first
+        self.nbytes = 0
+
+    def get(self, key: tuple, build) -> _PowerTable:
+        table = self.tables.get(key)
+        if table is None:
+            table = self.tables[key] = build()
+            self.nbytes += table.nbytes
+            while self.nbytes > self.limit and len(self.tables) > 1:
+                self.nbytes -= self.tables.pop(next(iter(self.tables))).nbytes
+        return table
+
+
+_TABLES = _TableMemo(_TABLE_BYTES)
+
+
 class _Integrator:
-    """The closed loop a mode pattern selects, stepped a segment at a time.
+    """The closed loop a mode pattern selects, stepped a block of rows at a
+    time.
 
     Within one step every gated quantity (modes, attack value, leader
     acceleration) is frozen, so the closed loop is affine: xdot = M x + b
     with x = (positions, velocities).  Each follower's rows of M and b are
     its mode's law, read term by term from ``control.law_terms``, the table
     the certificate's A and H(s) come from.  The fourth-order step on an
-    affine field collapses to x' = Phi x + Psi b (``_step_map``), one cached
-    matrix-vector product per step.
+    affine field collapses to x' = Phi x + Psi b, and a row is a power of
+    that map applied to its anchor (see the module docstring).
     """
 
     def __init__(self, config: ScenarioConfig, steps: int):
@@ -705,6 +844,8 @@ class _Integrator:
         self.laws = [(law_terms(mode, gains), assemble_closed_loop(mode, gains)[1])
                      for mode, gains in ((CACC, config.cacc_gains), (ACC, config.acc_gains))]
         self.exposed = [any(term.channel == V2V for term in terms) for terms, _ in self.laws]
+        # repr tells apart the signed zeros and the ints that == would not
+        self.table_key = (repr(config.cacc_gains), repr(config.acc_gains), self.h, n)
         self.attack = attack
         self.edges = _input_edges(config, steps)
         self.targeted = [attack is not None and i + 1 in attack.targets for i in range(n)]
@@ -712,7 +853,6 @@ class _Integrator:
         fields = (attack.message_fields
                   if attack is not None and attack.mode == "message-level" else ())
         self.offsets = tuple(f in fields for f in ("position", "velocity", "acceleration"))
-        self.step_maps: dict[tuple, tuple] = {}
         self.segment_maps: dict[tuple, tuple] = {}
         # Kept rows, as [first row, end row, R, g, xi, disturbed, pattern]
         self.spans: list[list] = []
@@ -726,47 +866,6 @@ class _Integrator:
         for i in range(1, n):
             pos[i] = pos[i - 1] - self.L + offsets[i - 1]
         self.states[0, n:] = self.leader.initial_velocity
-
-    def _accel_rows(self, pattern) -> np.ndarray:
-        """Linear part of the physical-acceleration chain, front to back.
-
-        Row i gives follower i+1's acceleration as a functional of the full
-        state; a term's feed-forward chains through its neighbour's row,
-        whatever that vehicle's own mode is (the leader's row is zero).
-        """
-        n = self.n
-        R = np.zeros((n, 2 * n))
-        for i in range(1, n):
-            row = R[i]
-            terms, bottom = self.laws[pattern[i - 1]]
-            row[[i, n + i]] = bottom  # A's own sums of alphas and of betas
-            for term in terms:
-                j = term.sender(i + 1) - 1
-                row[j] -= term.alpha
-                row[n + j] -= term.beta
-                row += term.gamma * R[j]
-        return R
-
-    def _step_map(self, pattern):
-        cached = self.step_maps.get(pattern)
-        if cached is None:
-            n, h = self.n, self.h
-            ident = np.eye(2 * n)
-            R = self._accel_rows(pattern)
-            M = np.zeros((2 * n, 2 * n))
-            M[:n, n:] = np.eye(n)
-            M[n:, :] = R
-            M2 = M @ M
-            M3 = M2 @ M
-            M4 = M3 @ M
-            phi = (ident + h * M + (h * h / 2.0) * M2
-                   + (h ** 3 / 6.0) * M3 + (h ** 4 / 24.0) * M4)
-            psi = h * (ident + (h / 2.0) * M + (h * h / 6.0) * M2
-                       + (h ** 3 / 24.0) * M3)
-            # b is zero on the position block, so only Psi's velocity columns act
-            cached = (R, phi, np.ascontiguousarray(psi[:, n:]))
-            self.step_maps[pattern] = cached
-        return cached
 
     def _accel_consts(self, pattern, lead_acc, xi, active) -> np.ndarray:
         """Constant part of the chain for the segment's frozen inputs.
@@ -793,24 +892,30 @@ class _Integrator:
             g.append(u + xi if self.lumped and hit and self.exposed[code] else u)
         return np.array(g)
 
+    def _table(self, pattern) -> _PowerTable:
+        """The pattern's power table, from the process's tables.  A run
+        looks it up a segment at a time and keeps no table: a run through
+        many patterns would otherwise hold every table it used."""
+        return _TABLES.get((*self.table_key, pattern),
+                           lambda: _PowerTable(self.laws, self.n, self.h, pattern))
+
     def _segment_map(self, pattern, k: int, interval: int):
-        """(R, Phi, g, Psi_g g, disturbed, xi) for the inputs of row k, which
-        hold from the input edge before it to the next (``interval`` counts
-        the edges at or before row k); built once per run for each pattern
-        and interval.  ``disturbed`` lists the followers whose recorded
-        command excludes a nonzero lumped disturbance."""
+        """(R, g, disturbed, xi) for the inputs of row k, which hold from
+        the input edge before it to the next (``interval`` counts the edges
+        at or before row k); built once per run for each pattern and
+        interval.  ``disturbed`` lists the followers whose recorded command
+        excludes a nonzero lumped disturbance."""
         key = (pattern, interval)
         cached = self.segment_maps.get(key)
         if cached is None:
             t = k * self.h
             attack = self.attack
             active = attack is not None and attack.active(t)
-            R, phi, psi_g = self._step_map(pattern)
             disturbed = [i for i in range(1, self.n) if self.lumped and active
                          and self.targeted[i] and self.exposed[pattern[i - 1]]]
             xi = attack_signal(attack, t) if attack is not None else 0.0
             g = self._accel_consts(pattern, self.leader.acceleration(t), xi, active)
-            cached = (R, phi, g, psi_g @ g, disturbed, xi)
+            cached = (self._table(pattern).R, g, disturbed, xi)
             self.segment_maps[key] = cached
         return cached
 
@@ -823,11 +928,12 @@ class _Integrator:
         block = self.states[first:last + 1]
         ahead = block[:, :self.n]
         gaps = ahead[:, :-1] - ahead[:, 1:]
-        # a sum of the last row's entries that overflows only sends a finite
-        # block to the row-by-row scan, which decides the same
+        # a row from an anchor may leave the floats while later rows do not,
+        # so the whole block is summed; a finite block whose sum overflows
+        # only goes to the row scan, which decides the same
         low = float(gaps.min())
         if (low > self.vehicle_length and supervisor.quiet(low, float(gaps.max()))
-                and math.isfinite(sum(block[-1].tolist()))):
+                and math.isfinite(block.sum())):
             return last, None, []
         surface = supervisor.surface_flags(ahead)
         flags = (~np.isfinite(block).all(axis=1), (gaps <= self.vehicle_length).any(axis=1),
@@ -848,33 +954,53 @@ class _Integrator:
     def horizon(self, k: int) -> tuple[int, int]:
         """The input interval of row k (the count of input edges at or
         before it) and the last row a segment from row k may reach: the
-        next input edge, at most ``_MAX_SEGMENT`` steps on."""
+        next input edge."""
         interval = bisect.bisect_right(self.edges, k)
-        return interval, min(k + _MAX_SEGMENT, self.edges[interval])
+        return interval, self.edges[interval]
 
     def advance(self, k: int, end: int, pattern, interval: int, supervisor: _Supervisor):
-        """Step from row k to row ``end`` under ``pattern`` and row k's
-        inputs, in input interval ``interval``, keep the rows ``check`` lets
-        stand, and return its (row, collision, flips): the next segment
-        starts there."""
-        R, phi, g, c, disturbed, xi = self._segment_map(pattern, k, interval)
-        x = self.states[k]
-        for x_next in self.states[k + 1:end + 1]:  # row views
-            phi.dot(x, out=x_next)
-            x_next += c
-            x = x_next
-        cut, collision, flips = self.check(k + 1, end, supervisor)
-        if self.spans and self.spans[-1][3] is g:  # the same constant inputs go on
-            self.spans[-1][1] = cut
-        else:
+        """Step from row k toward row ``end`` under ``pattern`` and row k's
+        inputs, in input interval ``interval``, a block at a time, keep the
+        rows ``check`` lets stand, and return its (row, collision, flips):
+        the next segment starts there.  A block runs to the next multiple of
+        the table's length, each row from its anchor: that multiple before
+        it, or the first row of the run of rows under this map if later.
+        Past a table's last finite item, a row's anchor is as many rows
+        back as the table has finite items, so each is a block of its own.
+        """
+        R, g, disturbed, xi = self._segment_map(pattern, k, interval)
+        span = self.spans[-1] if self.spans and self.spans[-1][3] is g else None
+        first = k if span is None else span[0]  # the same constant inputs go on
+        table = self._table(pattern)
+        items = table.items
+        block = len(items)
+        reach = table.reach(min(block, end - first))
+        row = k
+        while True:
+            base = row - row % block
+            anchor = max(first, base, row + 1 - reach)
+            stop = min(end, base + block, anchor + reach)
+            z = np.concatenate((self.states[anchor], g))
+            rows = self.states[row + 1:stop + 1]
+            if stop == row + 1:  # one row: the matrix-vector product a stacked item is
+                items[row - anchor].dot(z, out=rows[0])
+            else:
+                np.matmul(items[row - anchor:stop - anchor], z, out=rows)
+            cut, collision, flips = self.check(row + 1, stop, supervisor)
+            if cut < stop or collision is not None or flips or stop == end:
+                break
+            row = stop
+        if span is None:
             self.spans.append([k, cut, R, g, xi, disturbed, pattern])
+        else:
+            span[1] = cut
         return cut, collision, flips
 
     def record(self, last: int, pattern) -> dict:
         """Keep the final row under ``pattern``, then return the trace's
         series over rows 0..last and its command law on each span of them
         (``SimTrace.commands`` builds the commands from it)."""
-        R, _, g, _, disturbed, xi = self._segment_map(
+        R, g, disturbed, xi = self._segment_map(
             pattern, last, bisect.bisect_right(self.edges, last))
         self.spans.append([last, last + 1, R, g, xi, disturbed, pattern])
         states = self.states[:last + 1]

@@ -11,6 +11,13 @@ terms to those readings in ``law_accel``.  It reads the engine's table of
 terms and attack signal, but builds every message and reading itself, apart
 from the engine's affine map, so the tests hold that map against it.
 
+The engine's step, one row at a time (``run_row_by_row``).  The engine
+computes each row from an anchor, as a power of the step map; this steps
+each row from the row before it, x_{k+1} = Phi x_k + c, with the engine's
+own Phi and c, so only the order of the arithmetic differs.  The tests hold
+the anchored rows within a set tolerance of it, and its decisions and mode
+events equal.
+
 The certificate search, one candidate at a time
 (``scalar_common_lyapunov``, scoring with ``scalar_score``).
 ``stability.find_common_lyapunov`` scores each refinement round's grid as
@@ -23,9 +30,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import pytest
 
 from platoonsec.control import ACC, CACC, V2V, law_terms
-from platoonsec.engine import ScenarioConfig
+from platoonsec.engine import ScenarioConfig, _Integrator, run_scenario
 from platoonsec.platoon import desired_distance
 from platoonsec.stability import LyapunovCandidate, check_common_lyapunov, sym_eig_2x2
 from platoonsec.threat import AttackSpec, attack_signal
@@ -135,6 +143,35 @@ def commanded_accelerations(config: ScenarioConfig, pos, vel, modes, t: float):
             term.channel == V2V for term in terms)
         dv[i - 1] = u[i - 1] + (xi if disturbed else 0.0)
     return u, dv
+
+
+def _advance_row_by_row(self, k, end, pattern, interval, supervisor):
+    """``_Integrator.advance`` stepping each row from the one before it:
+    x_{k+1} = Phi x_k + c, from the first item [Phi | Psi_g] of the
+    pattern's table and c = Psi_g g, over the whole segment, then the checks
+    on its rows."""
+    R, g, disturbed, xi = self._segment_map(pattern, k, interval)
+    step = self._table(pattern).items[0]
+    phi, psi_g = step[:, :step.shape[0]], step[:, step.shape[0]:]
+    c = psi_g @ g
+    x = self.states[k]
+    for x_next in self.states[k + 1:end + 1]:  # row views
+        phi.dot(x, out=x_next)
+        x_next += c
+        x = x_next
+    cut, collision, flips = self.check(k + 1, end, supervisor)
+    if self.spans and self.spans[-1][3] is g:  # the same constant inputs go on
+        self.spans[-1][1] = cut
+    else:
+        self.spans.append([k, cut, R, g, xi, disturbed, pattern])
+    return cut, collision, flips
+
+
+def run_row_by_row(config: ScenarioConfig):
+    """``run_scenario`` with every row stepped from the row before it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Integrator, "advance", _advance_row_by_row)
+        return run_scenario(config)
 
 
 def scalar_score(A_list, p12: float, p22: float) -> float:

@@ -441,6 +441,23 @@ def test_sweep_grid(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_sweep_default_workers_count_the_cpus_it_may_use(tmp_path, monkeypatch):
+    """Without --jobs a sweep sizes its pool by the CPUs its process may run
+    on, not by the host's count: on one allowed CPU of 64, no pool starts."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(platoonsec.cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(platoonsec.cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(platoonsec.cli.os, "cpu_count", lambda: 64)
+    config = write_config(tmp_path, integration={"step": 0.1, "duration": 2.0},
+                          attack={"targets": [3]}, switching={"enabled": False})
+    out = tmp_path / "sweep-out"
+    assert main(["sweep", "--config", config, "--out", str(out), "--xi-grid", "1.0", "2.0",
+                 "--eps-grid", "4.0", "--runs", "1"]) == EXIT_OK
+    assert len((out / "sweep.csv").read_text().splitlines()) == 3
+
+
 def test_sweep_requires_attack(tmp_path, capsys):
     config = write_config(tmp_path)
     code = main(["sweep", "--config", config, "--xi-grid", "1.0",

@@ -26,7 +26,7 @@ from platoonsec.stability import (LyapunovCandidate, lyapunov_constants,
 from platoonsec.threat import (AttackSignal, AttackSpec, DetectorModel, attack_signal,
                               detector_sample)
 
-from oracle import commanded_accelerations
+from oracle import commanded_accelerations, run_row_by_row
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 P_REF = LyapunovCandidate(1.0, 0.154297, 1.57813)
@@ -163,6 +163,127 @@ def test_stacked_matmul_rounds_like_per_row_dot(n):
         np.matmul(R, block[:, :, None], out=commands[1:1 + rows, :, None])
         stacked = np.stack([np.dot(R, x) for x in block])
         assert commands[1:1 + rows].tobytes() == stacked.tobytes(), rows
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@np.errstate(over="ignore", invalid="ignore")  # as in run_scenario
+def test_stacked_powers_round_like_per_row_dot(n):
+    """A block's rows are one stacked matmul of the table's items on its
+    anchor's state and the segment's constants.  Each item must hold the
+    bytes of its own ``np.dot``, whatever the batch: else a row's bits would
+    depend on how many rows its block holds, and so on where a segment is
+    cut."""
+    rng = np.random.default_rng(n)
+    scale = 10.0 ** rng.integers(-3, 4, size=(128, 1, 1))
+    items = rng.normal(size=(128, 2 * n, 3 * n)) * scale
+    items[7, 1, 2] = np.nan
+    z = rng.normal(scale=50.0, size=3 * n)
+    z[n] = np.inf
+    states = np.zeros((130, 2 * n))  # the engine's layout: rows of a longer array
+    for anchor in (z, rng.normal(size=3 * n)):
+        for a, b in ((0, 1), (0, 128), (5, 77), (76, 77), (127, 128)):
+            rows = states[2:2 + b - a]
+            np.matmul(items[a:b], anchor, out=rows)
+            assert rows.tobytes() == np.stack([np.dot(t, anchor) for t in items[a:b]]).tobytes()
+
+
+def _table(config, pattern):
+    """A fresh power table of ``config``'s gains, step and size."""
+    integrator = platoonsec.engine._Integrator(config, 1)
+    return platoonsec.engine._PowerTable(integrator.laws, integrator.n, integrator.h, pattern)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as in run_scenario
+def test_power_table_ends_at_its_last_finite_power():
+    """A pattern's table grows no further past its first item that leaves
+    the floats, so a diverging run still names the first row that does:
+    row 47 here, as in the oracle test's example; a step map that is not
+    finite itself is used, and the run stops on its first row.  An item
+    does not depend on how far the table grew before it was read."""
+    diverging = ScenarioConfig(
+        platoon=make_platoon(n=2, pulses=[(4.7, 5.0, -1.0)]), acc_gains=AccGains(-1e3, -1e3),
+        gap_offsets=(1.0,), switching=SwitchingConfig(enabled=False, initial_mode=ACC),
+        step=0.1, duration=30.0)
+    table = _table(diverging, (1,))
+    assert table.reach(10) == 10 and table.built == 16
+    early = table.items[:16].copy()
+    finite = table.reach(platoonsec.engine._BLOCK)
+    assert finite == table.finite and 16 < finite < table.built <= platoonsec.engine._BLOCK
+    assert np.isfinite(table.items[:finite]).all()
+    assert not np.isfinite(table.items[finite]).all()
+    assert table.items[:16].tobytes() == early.tobytes()
+    assert table.reach(platoonsec.engine._BLOCK) == finite
+    with pytest.raises(FloatingPointError, match=r"non-finite state at t=4.7 s"):
+        run_scenario(diverging)
+    stiff = dataclasses.replace(diverging, acc_gains=AccGains(-1e160, -1e160))
+    table = _table(stiff, (1,))
+    assert table.reach(platoonsec.engine._BLOCK) == 1 and not np.isfinite(table.items[0]).all()
+    with pytest.raises(FloatingPointError, match=r"non-finite state at t=0.1 s"):
+        run_scenario(stiff)
+
+
+def test_a_quiet_block_is_finite_in_every_row(monkeypatch):
+    """The quiet test sums the whole block: a row computed from an anchor
+    can leave the floats while the rows after it are finite again, so the
+    last row alone proves nothing.  A finite block whose sum overflows is
+    sent to the row scan, which finds nothing to act on."""
+    config = ScenarioConfig(platoon=make_platoon(n=3), switching=NO_SWITCH, step=0.1,
+                            duration=1.0)
+    supervisor = _Supervisor(config, 10)
+    integrator = platoonsec.engine._Integrator(config, 10)
+    integrator.states[:] = integrator.states[0]  # at rest, every row quiet
+    scans = []
+    flags = supervisor.surface_flags
+    monkeypatch.setattr(supervisor, "surface_flags", lambda ahead: scans.append(1) or flags(ahead))
+    assert integrator.check(1, 10, supervisor) == (10, None, []) and not scans
+    integrator.states[4, 4] = np.inf
+    with pytest.raises(FloatingPointError, match=r"non-finite state at t=0.4 s"):
+        integrator.check(1, 10, supervisor)
+    integrator.states[4, 4] = integrator.states[0, 4]
+    integrator.states[5:7, 3:] = 1e308
+    with np.errstate(over="ignore"):
+        assert integrator.check(1, 10, supervisor) == (10, None, [])
+    assert len(scans) == 2
+
+
+def test_power_tables_stay_within_their_bound(monkeypatch):
+    """The process keeps at most ``_TABLE_BYTES`` of power tables, counting
+    every item a table can grow to: a large per-vehicle platoon, whose
+    followers switch into many patterns, each table of fewer than
+    ``_BLOCK`` items, passes the bound only by evicting the oldest."""
+    memo = platoonsec.engine._TableMemo(platoonsec.engine._TABLE_BYTES)
+    monkeypatch.setattr(platoonsec.engine, "_TABLES", memo)
+    peaks = []
+    get = memo.get
+
+    def measured(key, build):
+        table = get(key, build)
+        peaks.append(memo.nbytes)
+        return table
+
+    monkeypatch.setattr(memo, "get", measured)
+    config = ScenarioConfig(
+        platoon=make_platoon(n=40), lyapunov=_P_BENIGN, step=0.01, duration=2.0,
+        switching=SwitchingConfig(decision_period=0.01, dwell_enforced=False,
+                                  policy_override=(0.5, 0.5)))
+    trace = run_scenario(config)
+    patterns = len(np.unique(trace.modes, axis=0))
+    assert len(memo.tables) < patterns
+    assert max(peaks) <= platoonsec.engine._TABLE_BYTES
+    assert all(len(table.items) < platoonsec.engine._BLOCK for table in memo.tables.values())
+
+
+def test_a_run_does_not_depend_on_the_tables_built_before_it(monkeypatch):
+    """Power tables outlive runs, grown only as far as some run's rows have
+    needed them.  An item is computed the same way however far its table
+    has grown, so a run records the same bytes from fresh tables as from
+    tables other runs built."""
+    config = dataclasses.replace(_DEFENDED, duration=30.0)
+    monkeypatch.setattr(platoonsec.engine, "_TABLES",
+                        platoonsec.engine._TableMemo(platoonsec.engine._TABLE_BYTES))
+    fresh = _outcome(config)
+    run_scenario(dataclasses.replace(config, seed=7, duration=60.0))
+    assert _outcome(config) == fresh
 
 
 # --------------------------------------------------------------- validation
@@ -594,6 +715,31 @@ def test_every_row_matches_the_message_object_oracle(config):
         assert trace.collision.time == trace.times[last]
 
 
+@pytest.mark.parametrize("stem", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_anchored_rows_stay_near_the_row_by_row_recursion(stem):
+    """Rows from anchors against rows stepped each from the one before
+    (``oracle.run_row_by_row``), on full-length runs of each shipped config
+    at seeds 0-2: the states, spacing errors and commands agree within
+    rtol 1e-12 and atol 1e-9 (on crash_defended seeds 0-7 the largest
+    deviations are 3.5e-10 m in position, 4.8e-11 m/s in velocity and
+    8.1e-11 m in spacing error), and the reports, decision records, mode
+    records and collision row and follower are equal."""
+    for seed in range(3):
+        config = dataclasses.replace(load_scenario(CONFIGS / f"{stem}.json"), seed=seed)
+        trace, ref = run_scenario(config), run_row_by_row(config)
+        assert trace.times.tobytes() == ref.times.tobytes()
+        assert trace.drawn_reports == ref.drawn_reports
+        assert trace.decision_records == ref.decision_records
+        assert trace.mode_records == ref.mode_records
+        assert trace.modes.tobytes() == ref.modes.tobytes()
+        assert (trace.collision is None) == (ref.collision is None)
+        if trace.collision is not None:
+            assert trace.collision.follower == ref.collision.follower
+        for name in ("positions", "velocities", "spacing_errors", "commands"):
+            np.testing.assert_allclose(getattr(trace, name), getattr(ref, name),
+                                       rtol=1e-12, atol=1e-9, err_msg=f"{name}, seed {seed}")
+
+
 # -------------------------------------------------------- crash / defense
 
 def test_forged_kinematics_collide_without_switching():
@@ -984,15 +1130,54 @@ def _outcome(config):
     switching=SwitchingConfig(decision_period=0.1, initial_mode=ACC, dwell_enforced=False,
                               policy_override=(1.0, 1.0)),
     step=0.1, duration=4.0))
+@example(ScenarioConfig(  # an input interval from row 150, mid-block, across rows 256 and 384
+    platoon=make_platoon(n=3, pulses=[(0.5, 1.5, -2.0)]), gap_offsets=(1.0, -0.5),
+    lyapunov=_P_BENIGN, switching=SwitchingConfig(policy_override=(0.0, 0.0)),
+    step=0.01, duration=4.5))
+@example(ScenarioConfig(  # follower 2, already radar-only, latches on row 177, mid-block:
+    # the segment is cut there and the same map goes on (follower 3 latches on row 263)
+    platoon=make_platoon(n=3, eps_max=1.0, pulses=[(0.5, 1.5, -2.0)]), lyapunov=_P_BENIGN,
+    switching=SwitchingConfig(initial_mode=ACC, policy_override=(1.0, 1.0),
+                              decision_period=2.0),
+    step=0.01, duration=6.0))
+@example(ScenarioConfig(  # 600 rows, more than four blocks, under one map: no mode changes
+    platoon=make_platoon(n=3), gap_offsets=(1.0, -0.5), lyapunov=_P_BENIGN,
+    switching=SwitchingConfig(policy_override=(0.0, 0.0)), step=0.01, duration=6.0))
 def test_segment_boundaries_change_nothing(config):
     """A run whose segments are one row each, where every tick is decided
     on its own row from the state (per-row supervision), records the same
     bytes, reports, decisions, mode events and collision as a run whose
-    supervisor decides the ticks inside a segment ahead."""
+    segments run to the next input edge or mode change, and whose
+    supervisor decides the ticks inside a segment ahead: a row's anchor
+    depends on the run's maps, not on where its segments are cut."""
+    horizon = platoonsec.engine._Integrator.horizon
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(platoonsec.engine, "_MAX_SEGMENT", 1)
+        patch.setattr(platoonsec.engine._Integrator, "horizon",
+                      lambda self, k: (horizon(self, k)[0], k + 1))
         per_row = _outcome(config)
     assert _outcome(config) == per_row
+
+
+def test_the_look_ahead_judges_few_ticks_in_vain(monkeypatch):
+    """A segment decides at most ``_MAX_AHEAD`` ticks ahead, and a check
+    that cuts it drops those past the cut.  On crash_defended with a tick
+    every row and a policy that never downgrades, the safety latches cut
+    often: a look-ahead to the next input edge judged 19,923 ticks for the
+    run's 11,999; the bound keeps the ticks judged in vain under a tenth."""
+    judge = _Supervisor._judge
+    judged = []
+
+    def counted(self, k, errors, used):
+        judged.append(k)
+        return judge(self, k, errors, used)
+
+    monkeypatch.setattr(_Supervisor, "_judge", counted)
+    config = dataclasses.replace(_DEFENDED, switching=dataclasses.replace(
+        _DEFENDED.switching, decision_period=0.01, policy_override=(0.0, 0.0)))
+    trace = run_scenario(config)
+    ticks = trace.times.size - 2  # rows 1 .. last - 1
+    assert len(set(judged)) == ticks
+    assert len(judged) < 1.1 * ticks
 
 
 @settings(max_examples=40, deadline=None)
