@@ -5,7 +5,7 @@ Runs ``platoonsec simulate`` on every ``configs/*.json`` at seeds 0-3 and the
 benchmark's sweep grid (crash_defended, ``--xi-grid 1 2.5 4 --eps-grid 2 4
 --runs 4 --seed 0 --jobs 1``) into a temporary directory, then prints each
 output file's sha256 in ``sha256sum`` format and then the sha256 of that
-whole listing.  Run it on two trees and compare the last five lines; equal
+whole listing.  Run it on two trees and compare the last six lines; equal
 listing digests mean equal bytes in all 65 files.
 
 A second line, ``trace sha256``, digests the in-memory traces of
@@ -27,6 +27,12 @@ records and mode records (by row), and their collision's row and follower
 (not its gap), then the bytes of ``sweep.csv``.  A change that moves the
 floats in their last bits changes the first three lines; this one must
 hold.
+
+A fifth line, ``odd events sha256``, digests the same records of
+crash_defended with 5 vehicles at seeds 0-3.  Every run above has an even
+vehicle count, and a power table's items and the state rows of an odd one
+are padded (see ``engine._padded``), so only this line sees the rows an odd
+platoon computes.
 
 A last line, ``cli sha256``, digests the exit code, stdout and stderr of
 ``stability``, ``game``, ``string-check --mode ACC`` and ``string-check
@@ -62,6 +68,7 @@ VARYING_SEEDS = range(4)
 VARYING_SIGNALS = (AttackSignal(kind="ramp", rate=0.3),
                    AttackSignal(kind="sinusoid", amplitude=2.5, frequency=0.15, phase=0.4))
 VARYING_MODES = ("message-level", "lumped-acceleration")
+ODD_VEHICLES = 5
 TRACE_ARRAYS = ("times", "positions", "velocities", "commands", "modes",
                 "spacing_errors", "attack_xi")
 CLI_COMMANDS = (["stability"], ["game"], ["string-check", "--mode", "ACC"],
@@ -128,6 +135,18 @@ def varying_digest(events) -> str:
         events)
 
 
+def odd_events_digest() -> str:
+    """sha256 over the event bytes of crash_defended with ODD_VEHICLES
+    vehicles at SEEDS."""
+    base = load_scenario(CONFIGS / "crash_defended.json")
+    base = dataclasses.replace(
+        base, platoon=dataclasses.replace(base.platoon, vehicle_count=ODD_VEHICLES))
+    digest = hashlib.sha256()
+    for seed in SEEDS:
+        digest.update(event_bytes(run_scenario(dataclasses.replace(base, seed=seed))))
+    return digest.hexdigest()
+
+
 def cli_digest() -> str:
     """sha256 over the exit code, stdout and stderr of CLI_COMMANDS with no
     config and with each config, then of CLI_FIXTURE, run in-process.  A
@@ -173,6 +192,7 @@ def main() -> None:
     print(f"trace sha256 {trace_digest(events)}")
     print(f"varying sha256 {varying_digest(events)}")
     print(f"events sha256 {events.hexdigest()}")
+    print(f"odd events sha256 {odd_events_digest()}")
     print(f"cli sha256 {cli_digest()}")
 
 

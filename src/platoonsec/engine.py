@@ -68,39 +68,47 @@ within a block, is anchored that many rows back).  Item j of the table is
 T_j = [Phi^j | S_j], so a row is T_j (x_s, g), one matrix-vector product.
 A table is built by doubling, a level of items at a time as rows first
 need them, and kept for the process.  A block, the rows up to the next
-multiple of B, is one stacked matmul of the items on its anchor's (x_s, g),
-which numpy runs as one BLAS matrix-vector product an item.  The rows
-differ in their last bits from stepping each row from the one before
-(``tests/oracle.py`` keeps that recursion as the reference the rows are
-held to).
+multiple of B, is one BLAS matrix-vector product: the block's items, read
+as one matrix of stacked rows, on its anchor's (x_s, g), written in place
+into the rows of the state buffer.  BLAS computes the rows of that product
+in groups of four, so each item is padded with zero rows to a multiple of
+four rows (as is each row of the state buffer, whose state columns are the
+trace's): then no group straddles two items, and each item rounds as its
+own product whatever the block.  The rows differ in their last bits from
+stepping each row from the one before (``tests/oracle.py`` keeps that
+recursion as the reference the rows are held to).
 
 The per-row checks (a non-finite state, a collision, a safety-surface
-crossing) act on a block's rows at once, as on the initial row before the
-first segment.  A quiet block passes a test of the whole block that is
-exact for floats: the sum of its entries is finite (a block whose finite
-entries overflow their sum is only sent to the row scan, which decides the
-same), its smallest gap exceeds the vehicle length, the spacing errors of
-its two extreme gaps lie inside epsilon_max (fl(L - gap) is monotone in
-the gap), and no follower is latched.  Any other block is scanned row by
-row and cut at the first row a check acts on, which the supervisor handles
-as the next segment's first; the rows computed past a cut are at most a
-block.  No step reads the recorded command u = R x + g, so the trace keeps
-each span of rows that shares a map and builds the commands on first read,
-one stacked matmul a span: numpy runs the same BLAS matrix-vector kernel on
-each row as ``np.dot(R, x)``, where a matrix-matrix product over the rows
-would round differently.  A detector report depends on time alone (the
-attack window, the targets and the detector's own generator), never on the
-state, so every sampling tick's reports are drawn before the run, in (tick,
-unit) order, in one batch from that generator; a decision reads the latest
-one by index, and the trace builds its report, decision and mode-event
+crossing) act on a check span of rows at once, as on the initial row
+before the first segment: every row stepped since they last ran, once the
+segment ends, or sooner, before a block could take the span past
+``_SPAN`` rows (four blocks).  A quiet span passes a test of the whole
+span that is exact for floats: the sum of its entries is finite (a span
+whose finite entries overflow their sum is only sent to the row scan,
+which decides the same), its smallest gap exceeds the vehicle length, the
+spacing errors of its two extreme gaps lie inside epsilon_max
+(fl(L - gap) is monotone in the gap), and no follower is latched.  Any
+other span is scanned row by row and cut at the first row a check acts
+on, which the supervisor handles as the next segment's first; the rows
+computed past a cut are fewer than ``_SPAN``.  No step reads the recorded
+command u = R x + g, so the trace keeps each command span, the rows that
+share a map, and builds the commands on first read, one stacked matmul a
+command span: numpy runs the same BLAS matrix-vector kernel on each row as
+``np.dot(R, x)``, where a matrix-matrix product over the rows would round
+differently.  A detector report depends on time alone (the attack window,
+the targets and the detector's own generator), never on the state, so
+every sampling tick's reports are drawn before the run, in (tick, unit)
+order, in one batch from that generator; a decision reads the latest one
+by index, and the trace builds its report, decision and mode-event
 records on first read, as it does its commands.
 
 A row's anchor, and so its bits, depend on the run's maps alone, not on
-where the supervisor cuts the run into segments, and a stacked item rounds
-as its own matrix-vector product whatever the batch.  So every row is
-computed by the same floating-point operations, on the same values and in
-the same order, as when the supervisor ran on every row: the trace and its
-outputs are bit-identical to per-row supervision.
+where the supervisor cuts the run into segments or the checks into check
+spans, and a padded item rounds as its own matrix-vector product whatever
+the block.  So every row is computed by the same floating-point
+operations, on the same values and in the same order, as when the
+supervisor ran on every row: the trace and its outputs are bit-identical
+to per-row supervision.
 """
 
 from __future__ import annotations
@@ -401,9 +409,12 @@ def switching_decision(spacing_error: float, p_downgrade: float, dwell_state: Dw
 
 
 # Rows stepped from one anchor at most: the length of a full power table.
-# A collision or a non-finite state is found only after a block is stepped,
-# so this also bounds the rows computed past one.
 _BLOCK = 128
+
+# Rows stepped before the checks run on them at most, a whole number of
+# blocks.  A collision or a non-finite state is found only when they run,
+# so this also bounds the rows computed past one.
+_SPAN = 4 * _BLOCK
 
 # Decision ticks the supervisor decides ahead of a segment at most.  A check
 # that cuts the segment drops those past the cut, so on a run whose every
@@ -417,6 +428,15 @@ _MAX_AHEAD = 128
 # what one run of a 16-vehicle per-vehicle platoon visits, and a table
 # costs less to build the larger its platoon.
 _TABLE_BYTES = 32 << 20
+
+
+def _padded(n: int) -> int:
+    """The rows of a power table's item and of the integrator's state buffer
+    for n vehicles: the 2n state rows, then zero rows up to a multiple of
+    four.  OpenBLAS's matrix-vector kernel computes the rows of a product in
+    groups of four, so only then does no group straddle two items, and each
+    item of a block rounds as its own product whatever the block."""
+    return -(-2 * n // 4) * 4
 
 
 def _steps_per_period(period: float, step: float) -> int:
@@ -743,16 +763,20 @@ class _PowerTable:
 
     The fourth-order step on the affine field xdot = M x + b collapses to
     x' = Phi x + Psi b; b is zero on the position block, so only Psi's
-    velocity columns Psi_g act.  Item j - 1 of ``items`` is
-    T_j = [Phi^j | S_j], S_j = sum_{i<j} Phi^i Psi_g, so the state j steps
-    after x is T_j (x, g), for the constant accelerations g of a segment.
-    ``reach`` builds the items by doubling, one stacked matmul a level,
+    velocity columns Psi_g act.  Item j - 1 of ``items`` holds
+    T_j = [Phi^j | S_j], S_j = sum_{i<j} Phi^i Psi_g, in its 2n state rows,
+    so the state j steps after x is T_j (x, g), for the constant
+    accelerations g of a segment.  Zero rows pad each item to
+    ``_padded(n)`` rows: a block of rows is then one matrix-vector product
+    of the block's items, read as one matrix, on the anchor's (x, g), and
+    each item rounds in it as its own product.  ``reach`` builds the items
+    by doubling, on their state rows, one stacked matmul a level,
     T_(m+j) = Phi^m T_j + [0 | S_m] for j = 1..m: an item is computed the
     same way however far the table has grown.  The table holds ``_BLOCK``
     items, or fewer where so many would pass a table's share of
-    ``_TABLE_BYTES``, and grows no further past an item with an entry that
-    is not finite; ``finite`` counts the items before it (T_1 is always
-    used).  ``R`` is the chain's linear part.
+    ``_TABLE_BYTES`` (padding counted), and grows no further past an item
+    with an entry that is not finite; ``finite`` counts the items before it
+    (T_1 is always used).  ``R`` is the chain's linear part.
     """
 
     def __init__(self, laws, n: int, h: float, pattern):
@@ -768,18 +792,19 @@ class _PowerTable:
                + (h ** 3 / 6.0) * M3 + (h ** 4 / 24.0) * M4)
         psi = h * (ident + (h / 2.0) * M + (h * h / 6.0) * M2
                    + (h ** 3 / 24.0) * M3)
-        item = 8 * 2 * n * 3 * n
-        self.items = np.empty((max(1, min(_BLOCK, _TABLE_BYTES // 128 // item)), 2 * n, 3 * n))
-        self.items[0, :, :2 * n] = phi
-        self.items[0, :, 2 * n:] = psi[:, n:]
+        item = 8 * _padded(n) * 3 * n
+        self.items = np.zeros((max(1, min(_BLOCK, _TABLE_BYTES // 128 // item)),
+                               _padded(n), 3 * n))
+        self.items[0, :2 * n, :2 * n] = phi
+        self.items[0, :2 * n, 2 * n:] = psi[:, n:]
         self.built = self.finite = 1
         self.nbytes = self.items.nbytes + self.R.nbytes
 
     def reach(self, j: int) -> int:
         """Build the items up to j, a whole level at a time, and return how
         many of the first j are finite."""
-        items = self.items
-        cols = items.shape[1]  # Phi's, then S's
+        cols = self.R.shape[1]  # 2n: Phi's columns, then S's; the state rows
+        items = self.items[:, :cols]
         while self.finite == self.built < min(j, len(items)):
             m = self.built
             top = min(2 * m, len(items))
@@ -858,8 +883,11 @@ class _Integrator:
         self.spans: list[list] = []
 
         # row k of ``states`` is (positions, velocities) at t = k*h; column i
-        # of each half is vehicle i+1
-        self.states = np.empty((steps + 1, 2 * n))
+        # of each half is vehicle i+1.  It is the state columns of
+        # ``buffer``, whose rows are as long as a power table's items, so a
+        # block's product writes its rows there in place.
+        self.buffer = np.empty((steps + 1, _padded(n)))
+        self.states = self.buffer[:, :2 * n]
         pos = self.states[0, :n]
         pos[0] = 0.0
         offsets = config.gap_offsets or (0.0,) * (n - 1)
@@ -967,6 +995,9 @@ class _Integrator:
         it, or the first row of the run of rows under this map if later.
         Past a table's last finite item, a row's anchor is as many rows
         back as the table has finite items, so each is a block of its own.
+        The checks run once on all the rows stepped since they last ran:
+        at ``end``, or before the next block could take those rows past
+        ``_SPAN``.
         """
         R, g, disturbed, xi = self._segment_map(pattern, k, interval)
         span = self.spans[-1] if self.spans and self.spans[-1][3] is g else None
@@ -975,21 +1006,20 @@ class _Integrator:
         items = table.items
         block = len(items)
         reach = table.reach(min(block, end - first))
-        row = k
+        row = checked = k
         while True:
             base = row - row % block
             anchor = max(first, base, row + 1 - reach)
             stop = min(end, base + block, anchor + reach)
             z = np.concatenate((self.states[anchor], g))
-            rows = self.states[row + 1:stop + 1]
-            if stop == row + 1:  # one row: the matrix-vector product a stacked item is
-                items[row - anchor].dot(z, out=rows[0])
-            else:
-                np.matmul(items[row - anchor:stop - anchor], z, out=rows)
-            cut, collision, flips = self.check(row + 1, stop, supervisor)
-            if cut < stop or collision is not None or flips or stop == end:
-                break
+            np.dot(items[row - anchor:stop - anchor].reshape(-1, z.size), z,
+                   out=self.buffer[row + 1:stop + 1].reshape(-1))
             row = stop
+            if row == end or row + block - checked > _SPAN:
+                cut, collision, flips = self.check(checked + 1, row, supervisor)
+                if cut < row or collision is not None or flips or row == end:
+                    break
+                checked = row
         if span is None:
             self.spans.append([k, cut, R, g, xi, disturbed, pattern])
         else:

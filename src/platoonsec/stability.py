@@ -51,11 +51,23 @@ __all__ = [
 
 
 def sym_eig_2x2(S) -> tuple[float, float]:
-    """Eigenvalues (min, max) of a symmetric 2x2 matrix, closed form."""
+    """Eigenvalues (min, max) of a symmetric 2x2 matrix, closed form.
+
+    mean -/+ radius gives the eigenvalue of larger magnitude to the last
+    bits, but the other cancels: P = (1, 0.759, 1e308) would have 0 for 1.
+    So where the determinant is finite, the eigenvalue nearer zero is the
+    determinant over the other one."""
     s11, s12, s22 = float(S[0][0]), float(S[0][1]), float(S[1][1])
     mean = 0.5 * (s11 + s22)
     radius = math.hypot(0.5 * (s11 - s22), s12)
-    return mean - radius, mean + radius
+    lo, hi = mean - radius, mean + radius
+    det = s11 * s22 - s12 * s12
+    if math.isfinite(det):
+        if mean >= 0.0 and hi != 0.0:
+            lo = det / hi
+        elif mean < 0.0:
+            hi = det / lo
+    return lo, hi
 
 
 def _square(x: float) -> float:
@@ -258,7 +270,10 @@ def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _eig_max(s11, s12, s22) -> np.ndarray:
     """``sym_eig_2x2``'s larger eigenvalue of each symmetric 2x2 matrix
     [[s11, s12], [s12, s22]] given entry by entry, by its operations."""
-    return 0.5 * (s11 + s22) + _hypot(0.5 * (s11 - s22), s12)
+    mean = 0.5 * (s11 + s22)
+    radius = _hypot(0.5 * (s11 - s22), s12)
+    det = s11 * s22 - s12 * s12
+    return np.where(np.isfinite(det) & (mean < 0.0), det / (mean - radius), mean + radius)
 
 
 def _grid_scores(p12s: np.ndarray, p22s: np.ndarray, gains) -> np.ndarray:

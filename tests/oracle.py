@@ -151,7 +151,7 @@ def _advance_row_by_row(self, k, end, pattern, interval, supervisor):
     pattern's table and c = Psi_g g, over the whole segment, then the checks
     on its rows."""
     R, g, disturbed, xi = self._segment_map(pattern, k, interval)
-    step = self._table(pattern).items[0]
+    step = self._table(pattern).items[0, :2 * self.n]  # its state rows
     phi, psi_g = step[:, :step.shape[0]], step[:, step.shape[0]:]
     c = psi_g @ g
     x = self.states[k]

@@ -329,6 +329,18 @@ def test_stability_with_pinned_certificate(tmp_path, capsys):
     assert "min dwell at |z|=4:" in stdout
 
 
+def test_stability_states_a_badly_scaled_certificate_exactly(tmp_path, capsys):
+    """P = (1, 0.759, 1e308) is positive definite, and its smaller
+    eigenvalue is 1 to double precision (mean - radius would cancel to 0).
+    Its residuals overflow, so it certifies nothing."""
+    config = write_config(tmp_path, lyapunov={"p11": 1, "p12": 0.759, "p22": 1e308})
+    assert main(["stability", "--config", config]) == EXIT_OUTCOME
+    stdout = capsys.readouterr().out
+    assert "  P eigenvalues: 1, 1e+308\n" in stdout
+    assert "  residual max eigenvalues: nan, nan\n" in stdout
+    assert stdout.endswith("verdict: not certified\n")
+
+
 @pytest.mark.parametrize("argv", [["stability"], ["stability", "--config", DEFENDED]])
 def test_stability_checks_the_certificate_once(monkeypatch, capsys, argv):
     """The report printed is the one ``resolve_certificate`` made."""

@@ -165,26 +165,32 @@ def test_stacked_matmul_rounds_like_per_row_dot(n):
         assert commands[1:1 + rows].tobytes() == stacked.tobytes(), rows
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 17))
 @np.errstate(over="ignore", invalid="ignore")  # as in run_scenario
 def test_stacked_powers_round_like_per_row_dot(n):
-    """A block's rows are one stacked matmul of the table's items on its
-    anchor's state and the segment's constants.  Each item must hold the
-    bytes of its own ``np.dot``, whatever the batch: else a row's bits would
-    depend on how many rows its block holds, and so on where a segment is
-    cut."""
+    """A block's rows are one matrix-vector product of the table's items,
+    read as one matrix, on its anchor's state and the segment's constants,
+    written in place into rows of the padded state buffer.  Each item must
+    hold the bytes of its own ``np.dot``, whatever the block's first item
+    and length: else a row's bits would depend on where a segment is cut.
+    BLAS computes the rows in groups of four, so this holds for an odd
+    vehicle count only because the items are padded."""
+    rows = platoonsec.engine._padded(n)
+    assert rows % 4 == 0 and 0 <= rows - 2 * n < 4
     rng = np.random.default_rng(n)
     scale = 10.0 ** rng.integers(-3, 4, size=(128, 1, 1))
-    items = rng.normal(size=(128, 2 * n, 3 * n)) * scale
+    items = np.zeros((128, rows, 3 * n))
+    items[:, :2 * n] = rng.normal(size=(128, 2 * n, 3 * n)) * scale
     items[7, 1, 2] = np.nan
     z = rng.normal(scale=50.0, size=3 * n)
     z[n] = np.inf
-    states = np.zeros((130, 2 * n))  # the engine's layout: rows of a longer array
+    states = np.zeros((130, rows))  # the engine's layout: rows of a longer array
     for anchor in (z, rng.normal(size=3 * n)):
         for a, b in ((0, 1), (0, 128), (5, 77), (76, 77), (127, 128)):
-            rows = states[2:2 + b - a]
-            np.matmul(items[a:b], anchor, out=rows)
-            assert rows.tobytes() == np.stack([np.dot(t, anchor) for t in items[a:b]]).tobytes()
+            block = states[2:2 + b - a]
+            np.dot(items[a:b].reshape(-1, 3 * n), anchor, out=block.reshape(-1))
+            own = np.stack([np.dot(item, anchor) for item in items[a:b]])
+            assert block.tobytes() == own.tobytes(), (a, b)
 
 
 def _table(config, pattern):
@@ -715,17 +721,25 @@ def test_every_row_matches_the_message_object_oracle(config):
         assert trace.collision.time == trace.times[last]
 
 
-@pytest.mark.parametrize("stem", sorted(p.stem for p in CONFIGS.glob("*.json")))
-def test_anchored_rows_stay_near_the_row_by_row_recursion(stem):
+@pytest.mark.parametrize("stem, vehicles", [
+    *(pytest.param(p.stem, None, id=p.stem) for p in sorted(CONFIGS.glob("*.json"))),
+    # an odd count: the padded items and state rows
+    pytest.param("crash_defended", 5, id="crash_defended-5-vehicles")])
+def test_anchored_rows_stay_near_the_row_by_row_recursion(stem, vehicles):
     """Rows from anchors against rows stepped each from the one before
     (``oracle.run_row_by_row``), on full-length runs of each shipped config
-    at seeds 0-2: the states, spacing errors and commands agree within
-    rtol 1e-12 and atol 1e-9 (on crash_defended seeds 0-7 the largest
-    deviations are 3.5e-10 m in position, 4.8e-11 m/s in velocity and
-    8.1e-11 m in spacing error), and the reports, decision records, mode
-    records and collision row and follower are equal."""
+    at seeds 0-2, and of per-vehicle crash_defended with 5 vehicles: the
+    states, spacing errors and commands agree within rtol 1e-12 and atol
+    1e-9 (on crash_defended seeds 0-7 the largest deviations are 3.5e-10 m
+    in position, 4.8e-11 m/s in velocity and 8.1e-11 m in spacing error),
+    and the reports, decision records, mode records and collision row and
+    follower are equal."""
+    base = load_scenario(CONFIGS / f"{stem}.json")
+    if vehicles is not None:
+        base = dataclasses.replace(
+            base, platoon=dataclasses.replace(base.platoon, vehicle_count=vehicles))
     for seed in range(3):
-        config = dataclasses.replace(load_scenario(CONFIGS / f"{stem}.json"), seed=seed)
+        config = dataclasses.replace(base, seed=seed)
         trace, ref = run_scenario(config), run_row_by_row(config)
         assert trace.times.tobytes() == ref.times.tobytes()
         assert trace.drawn_reports == ref.drawn_reports
@@ -1143,6 +1157,10 @@ def _outcome(config):
 @example(ScenarioConfig(  # 600 rows, more than four blocks, under one map: no mode changes
     platoon=make_platoon(n=3), gap_offsets=(1.0, -0.5), lyapunov=_P_BENIGN,
     switching=SwitchingConfig(policy_override=(0.0, 0.0)), step=0.01, duration=6.0))
+@example(ScenarioConfig(  # one segment of 600 rows collides on row 310, in its third
+    # block: the checks of the span of rows 1-512 must reach it
+    platoon=make_platoon(n=3, pulses=[(0.0, 10.0, -3.0)]),
+    switching=SwitchingConfig(enabled=False, initial_mode=ACC), step=0.01, duration=6.0))
 def test_segment_boundaries_change_nothing(config):
     """A run whose segments are one row each, where every tick is decided
     on its own row from the state (per-row supervision), records the same
