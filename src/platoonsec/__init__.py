@@ -22,8 +22,7 @@ from .stability import (LyapunovCandidate, check_bibo_lemma1, check_common_lyapu
                         check_gues_inequalities, find_common_lyapunov, hinf_norm,
                         impulse_response_nonneg, lyapunov_constants, min_dwell_time,
                         spacing_error_tf)
-from .threat import (AttackSignal, AttackSpec, DetectorModel, attack_signal,
-                     detector_sample)
+from .threat import AttackSignal, AttackSpec, attack_signal, detector_sample
 
 __version__ = "0.1.0"
 
@@ -40,7 +39,6 @@ __all__ = [
     "check_gues_inequalities", "find_common_lyapunov", "hinf_norm",
     "impulse_response_nonneg", "lyapunov_constants", "min_dwell_time",
     "spacing_error_tf",
-    "AttackSignal", "AttackSpec", "DetectorModel", "attack_signal",
-    "detector_sample",
+    "AttackSignal", "AttackSpec", "attack_signal", "detector_sample",
     "__version__",
 ]

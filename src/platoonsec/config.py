@@ -2,7 +2,7 @@
 
 A scenario file is a single JSON object.  Required sections are ``platoon``
 and ``integration``; everything else falls back to the package defaults
-(certified gains, the default detector and game, per-vehicle switching).
+(certified gains, the default game and its detector, per-vehicle switching).
 
 This module holds no defaults: an entry the file omits is not passed on, so
 the dataclass default applies.  It checks what the dataclasses cannot see --
@@ -14,6 +14,7 @@ findable without bisecting it.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -22,8 +23,7 @@ from .control import AccGains, CaccGains
 from .engine import ScenarioConfig, SwitchingConfig, _steps_per_period
 from .platoon import LeaderProfile, PlatoonConfig
 from .stability import LyapunovCandidate
-from .threat import (AttackSignal, AttackSpec, DetectorModel, MESSAGE_FIELDS,
-                     SIGNAL_KINDS)
+from .threat import AttackSignal, AttackSpec, MESSAGE_FIELDS, SIGNAL_KINDS
 
 __all__ = ["ConfigError", "load_scenario", "scenario_from_dict"]
 
@@ -242,7 +242,7 @@ _switching = _section(SwitchingConfig, {
     "hysteresis_release": _FRACTION,
 })
 
-# the game's leaf utilities; its report probabilities are the detector's
+# the game's leaf utilities; its report probabilities are in ``detector``
 _game = _section(dict, {"leaf_utilities": _list(_list((_REAL, _REAL), item="{}.{}"), length=8)},
                  required=("leaf_utilities",))
 
@@ -253,9 +253,9 @@ _SCENARIO = {
                                              required=("alpha", "beta"))}),
     "integration": _section(dict, {"step": _POSITIVE, "duration": _POSITIVE},
                             required=("duration",)),
-    "detector": _section(DetectorModel, {"p_report_given_attack": _FRACTION,
-                                         "p_report_given_benign": _FRACTION,
-                                         "sampling_period": _POSITIVE}),
+    "detector": _section(dict, {"p_report_given_attack": _FRACTION,
+                                "p_report_given_benign": _FRACTION,
+                                "sampling_period": _POSITIVE}),
     "switching": _switching,
     "gap_offsets": _list(_REAL),
     "lyapunov": _or_none(_lyapunov, "auto"),
@@ -268,15 +268,20 @@ _SCENARIO = {
 def scenario_from_dict(data: dict, path: str = "") -> ScenarioConfig:
     """Validate a parsed scenario object and build the runnable config."""
     kwargs = _fields(data, path, _SCENARIO, required=("platoon", "integration"))
-    for section in ("integration", "game"):  # their entries are ScenarioConfig fields
-        kwargs.update(kwargs.pop(section, {}))
+    kwargs.update(kwargs.pop("integration"))  # its entries are ScenarioConfig fields
     kwargs.update((f"{key}_gains", gains) for key, gains in kwargs.pop("gains", {}).items())
+    # the detector's report probabilities and the leaf utilities make one game
+    game = {**kwargs.pop("detector", {}), **kwargs.pop("game", {})}
+    if "sampling_period" in game:
+        kwargs["sampling_period"] = game.pop("sampling_period")
+    kwargs["game"] = dataclasses.replace(ScenarioConfig.game, **game)
 
     step = kwargs.get("step", ScenarioConfig.step)
     for name, period in (
             ("switching.decision_period",
              kwargs.get("switching", SwitchingConfig).decision_period),
-            ("detector.sampling_period", kwargs.get("detector", DetectorModel).sampling_period),
+            ("detector.sampling_period",
+             kwargs.get("sampling_period", ScenarioConfig.sampling_period)),
             ("integration.duration", kwargs["duration"])):
         try:
             _steps_per_period(period, step)

@@ -130,8 +130,7 @@ from .game import GameSpec, DEFAULT_GAME, equilibrium_strategy
 from .platoon import PlatoonConfig, desired_distance
 from .stability import (LyapunovCandidate, LyapunovConstants, check_common_lyapunov,
                         find_common_lyapunov, lyapunov_constants, min_dwell_time)
-from .threat import (REPORT_ATTACK, REPORT_NONE, AttackSpec, DetectorModel, attack_signal,
-                     detector_sample)
+from .threat import REPORT_ATTACK, REPORT_NONE, AttackSpec, attack_signal, detector_sample
 
 __all__ = [
     "PLATOON_UNIT",
@@ -203,9 +202,10 @@ class SwitchingConfig:
 class ScenarioConfig:
     """Everything one deterministic run needs.
 
-    The security game is not stored: ``game`` pairs ``leaf_utilities`` with
-    the report probabilities of ``detector``, so the policy is always solved
-    for the detector that is simulated.
+    ``game`` is the security game the policy is solved for, and its report
+    probabilities are the simulated detector's confusion matrix, so the run
+    samples the game it solves.  The detector reports every
+    ``sampling_period`` seconds.
     """
 
     platoon: PlatoonConfig
@@ -213,8 +213,8 @@ class ScenarioConfig:
     acc_gains: AccGains = DEFAULT_ACC_GAINS
     lyapunov: LyapunovCandidate | None = None  # None: search for a certificate
     attack: AttackSpec | None = None
-    detector: DetectorModel = field(default_factory=DetectorModel)
-    leaf_utilities: tuple = DEFAULT_GAME.leaf_utilities
+    game: GameSpec = DEFAULT_GAME
+    sampling_period: float = 0.1
     switching: SwitchingConfig = field(default_factory=SwitchingConfig)
     step: float = 0.01
     duration: float = 60.0
@@ -226,8 +226,10 @@ class ScenarioConfig:
             raise ValueError("integrator step must be positive")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
+        if not self.sampling_period > 0:
+            raise ValueError(f"sampling_period must be positive, got {self.sampling_period}")
         for name, period in (("switching.decision_period", self.switching.decision_period),
-                             ("detector.sampling_period", self.detector.sampling_period),
+                             ("sampling_period", self.sampling_period),
                              ("duration", self.duration)):
             try:
                 _steps_per_period(period, self.step)
@@ -241,10 +243,6 @@ class ScenarioConfig:
             bad = [i for i in self.attack.targets if i > self.platoon.vehicle_count]
             if bad:
                 raise ValueError(f"attack targets {bad} exceed the platoon size")
-
-    @property
-    def game(self) -> GameSpec:
-        return GameSpec.with_detector(self.leaf_utilities, self.detector)
 
 
 @dataclass
@@ -370,7 +368,7 @@ class SimTrace:
         """Each switching unit's detector report at each sampling tick
         before the final row, built from ``drawn_reports`` on first read."""
         h = self.config.step
-        every = _steps_per_period(self.config.detector.sampling_period, h)
+        every = _steps_per_period(self.config.sampling_period, h)
         keys = itertools.product(range(0, self.times.size - 1, every), _unit_ids(self.config))
         return tuple(ReportEvent(j * h, unit, value)
                      for (j, unit), value in zip(keys, self.drawn_reports))
@@ -559,7 +557,7 @@ class _Supervisor:
         self.eps_max = config.platoon.epsilon_max
         self.release = sw.hysteresis_release * self.eps_max
         self.dec_every = _steps_per_period(sw.decision_period, self.h)
-        self.det_every = _steps_per_period(config.detector.sampling_period, self.h)
+        self.det_every = _steps_per_period(config.sampling_period, self.h)
         self.unit_ids = _unit_ids(config)
         self.units = [DwellState(sw.initial_mode, constants=constants)
                       for _ in self.unit_ids]
@@ -594,7 +592,7 @@ class _Supervisor:
         else:
             reached = [unit == PLATOON_UNIT or unit in attack.targets for unit in self.unit_ids]
             attacked = np.logical_and.outer(attack.active(times), reached).ravel()
-        self.drawn = (detector_sample(attacked, config.detector, detector_rng)
+        self.drawn = (detector_sample(attacked, config.game, detector_rng)
                       if attacked.size else [])
 
     def quiet(self, low: float, high: float) -> bool:
@@ -641,33 +639,33 @@ class _Supervisor:
             # x[n + 1:] - x[n:-1] compute it
             eps = [b - a + L for a, b in zip(pos, pos[1:])]
             deps = [b - a for a, b in zip(vel, vel[1:])]
-        if flips:
-            causes = {}
-            for col in flips:
-                if self.latched[col]:
-                    self.latched[col] = False
-                    causes[col + 2] = _CAUSE_RELEASE
-                    unit = self.column_units[col]
-                    if unit.mode == CACC:
-                        # re-entering the cooperative mode: restart its dwell
-                        unit.enter(CACC, t, error_state=self._cacc_entry(col, eps, deps))
-                else:
-                    self.latched[col] = True
-                    causes[col + 2] = _CAUSE_SAFETY
-            self._emit(k, causes)
+        causes = {}  # follower -> the cause of the last move of its mode here
+        for col in flips:
+            if self.latched[col]:
+                self.latched[col] = False
+                causes[col + 2] = _CAUSE_RELEASE
+                unit = self.column_units[col]
+                if unit.mode == CACC:
+                    # re-entering the cooperative mode: restart its dwell
+                    unit.enter(CACC, t, error_state=self._cacc_entry(col, eps, deps))
+            else:
+                self.latched[col] = True
+                causes[col + 2] = _CAUSE_SAFETY
         if decide:
             # each follower's error, or the platoon's worst, the first of equals
             errors = [max(eps, key=abs)] if self.unit_ids[0] == PLATOON_UNIT else eps
             records, self.used = self._judge(k, errors, self.used)
             self.decision_records += records
-            causes = {}
             for (_, unit, _, mode, cause), state in zip(records, self.units):
-                if mode != state.mode:  # the platoon's entry state reads no column
-                    state.enter(mode, t, error_state=(self._cacc_entry(unit - 2, eps, deps)
-                                                      if mode == CACC else None))
+                if mode == state.mode:
+                    continue
+                # the platoon's entry state reads no column
+                state.enter(mode, t, error_state=(self._cacc_entry(unit - 2, eps, deps)
+                                                  if mode == CACC else None))
                 for i in range(2, n + 1) if unit == PLATOON_UNIT else (unit,):
                     inside = cause == _CAUSE_SAFETY and abs(eps[i - 2]) < self.eps_max
                     causes[i] = _CAUSE_BROADCAST if inside else cause
+        if causes:  # one record a follower whose mode the row changed
             self._emit(k, causes)
         return self.pattern, self._decide_ahead(k, horizon)
 
@@ -727,13 +725,14 @@ class _Supervisor:
         return horizon
 
     def _emit(self, k: int, causes: dict):
-        """A mode event for each follower whose effective mode changed."""
+        """A mode record for each follower whose effective mode changed on
+        row k, with its cause from ``causes``: only a latch, a release or a
+        unit's move changes a follower's mode, and each writes its cause."""
         pattern = tuple([int(latched or unit.mode == ACC)
                          for latched, unit in zip(self.latched, self.column_units)])
         for col, (old, new) in enumerate(zip(self.pattern, pattern)):
             if old != new:
-                self.mode_records.append((k, col + 2, ACC if new else CACC,
-                                         causes.get(col + 2, _CAUSE_GAME)))
+                self.mode_records.append((k, col + 2, ACC if new else CACC, causes[col + 2]))
         self.pattern = pattern
 
 
@@ -895,13 +894,14 @@ class _Integrator:
             pos[i] = pos[i - 1] - self.L + offsets[i - 1]
         self.states[0, n:] = self.leader.initial_velocity
 
-    def _accel_consts(self, pattern, lead_acc, xi, active) -> np.ndarray:
+    def _accel_consts(self, pattern, lead_acc, xi, active, disturbed) -> np.ndarray:
         """Constant part of the chain for the segment's frozen inputs.
 
         Message falsification adds the attack value to the selected fields of
         a victim's V2V readings; a lumped-disturbance attack adds it to the
-        acceleration of a victim whose law reads V2V.  A radar term is immune.
-        Each sum starts from its first product, in the law's term order.
+        acceleration of each follower in ``disturbed``.  A radar term is
+        immune.  Each sum starts from its first product, in the law's term
+        order.
         """
         L = self.L
         forged = tuple(xi if on else 0.0 for on in self.offsets)
@@ -917,7 +917,7 @@ class _Integrator:
                 u = part if u is None else u + part
                 u -= term.beta * ov
                 u += term.gamma * (g[j] + oa)
-            g.append(u + xi if self.lumped and hit and self.exposed[code] else u)
+            g.append(u + xi if i in disturbed else u)
         return np.array(g)
 
     def _table(self, pattern) -> _PowerTable:
@@ -939,10 +939,12 @@ class _Integrator:
             t = k * self.h
             attack = self.attack
             active = attack is not None and attack.active(t)
+            # a lumped attack acts on a targeted follower whose law reads V2V
             disturbed = [i for i in range(1, self.n) if self.lumped and active
                          and self.targeted[i] and self.exposed[pattern[i - 1]]]
             xi = attack_signal(attack, t) if attack is not None else 0.0
-            g = self._accel_consts(pattern, self.leader.acceleration(t), xi, active)
+            g = self._accel_consts(pattern, self.leader.acceleration(t), xi, active,
+                                   disturbed)
             cached = (self._table(pattern).R, g, disturbed, xi)
             self.segment_maps[key] = cached
         return cached

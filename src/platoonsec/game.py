@@ -26,8 +26,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .threat import DetectorModel
-
 __all__ = [
     "LEAF_ORDER",
     "DEFENDER_PURE_STRATEGIES",
@@ -79,14 +77,17 @@ def _leaf_index(attack: bool, reported: bool, downgrade: bool) -> int:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Leaf utilities plus the detector confusion probabilities.
+    """Leaf utilities plus the detector's confusion probabilities.
 
     ``leaf_utilities`` holds eight (attacker, defender) pairs in LEAF_ORDER.
+    The two report probabilities are the chance node's, and the only copy of
+    them: a run's simulated detector (``threat.detector_sample``) samples
+    the game its policy is solved for.
     """
 
     leaf_utilities: tuple
-    p_report_given_attack: Fraction = _frac(DetectorModel.p_report_given_attack)
-    p_report_given_benign: Fraction = _frac(DetectorModel.p_report_given_benign)
+    p_report_given_attack: Fraction = Fraction(7, 10)
+    p_report_given_benign: Fraction = Fraction(1, 10)
 
     def __post_init__(self):
         leaves = tuple((_frac(ua), _frac(ud)) for ua, ud in self.leaf_utilities)
@@ -98,11 +99,6 @@ class GameSpec:
             if not 0 <= p <= 1:
                 raise ValueError(f"{name} must be a probability, got {p}")
             object.__setattr__(self, name, p)
-
-    @classmethod
-    def with_detector(cls, leaf_utilities, detector: DetectorModel) -> "GameSpec":
-        return cls(leaf_utilities, detector.p_report_given_attack,
-                   detector.p_report_given_benign)
 
     def report_probability(self, attack: bool) -> Fraction:
         return self.p_report_given_attack if attack else self.p_report_given_benign

@@ -18,10 +18,12 @@ perturbs what they receive.  Two equivalent views are supported:
 This module holds the attack's description and its signal; the engine
 applies it.
 
-The detector is a confusion-matrix abstraction: at each sampling instant it
-reports "attack" with one probability under attack and another (false-alarm)
-probability under benign traffic.  It is the chance player of the security
-game, realized with a seeded generator for reproducibility.
+The detector is the chance player of the security game: at each sampling
+instant it reports "attack" with one probability under attack and another
+(false-alarm) probability under benign traffic.  That confusion matrix is
+the game's own (``game.GameSpec``), so the policy is solved for the detector
+that is simulated; this module samples it, with a seeded generator for
+reproducibility.
 """
 
 from __future__ import annotations
@@ -29,8 +31,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .game import GameSpec
 
 __all__ = [
     "REPORT_ATTACK",
@@ -38,7 +44,6 @@ __all__ = [
     "MESSAGE_FIELDS",
     "AttackSignal",
     "AttackSpec",
-    "DetectorModel",
     "attack_signal",
     "detector_sample",
 ]
@@ -139,27 +144,12 @@ def attack_signal(spec: AttackSpec, t: float) -> float:
     return max(-spec.xi_max, min(spec.xi_max, raw))
 
 
-@dataclass(frozen=True)
-class DetectorModel:
-    """Confusion-matrix detector: report probabilities under each ground truth."""
-
-    p_report_given_attack: float = 0.7
-    p_report_given_benign: float = 0.1
-    sampling_period: float = 0.1
-
-    def __post_init__(self):
-        for name in ("p_report_given_attack", "p_report_given_benign"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {p}")
-        if not self.sampling_period > 0:
-            raise ValueError("sampling_period must be positive")
-
-
-def detector_sample(attacked, model: DetectorModel, rng) -> list[str]:
+def detector_sample(attacked, spec: GameSpec, rng) -> list[str]:
     """Draw one report, REPORT_ATTACK or REPORT_NONE, per attack flag in
-    ``attacked`` (a sequence or array of bools) from the confusion matrix
-    with the caller's generator.
+    ``attacked`` (a sequence or array of bools) from the confusion matrix of
+    the game ``spec`` with the caller's generator.  Each exact probability
+    is drawn against as its nearest double, which for one read from a float
+    is that float.
 
     The draws are one ``rng.random(len(attacked))`` call, which yields the
     same doubles as that many successive single draws, so a batch gives the
@@ -167,6 +157,7 @@ def detector_sample(attacked, model: DetectorModel, rng) -> list[str]:
     with its flag's probability, as the scalar ``draw < p`` would be.
     """
     attacked = np.asarray(attacked, dtype=bool)
-    p = np.where(attacked, model.p_report_given_attack, model.p_report_given_benign)
+    p = np.where(attacked, float(spec.p_report_given_attack),
+                 float(spec.p_report_given_benign))
     reported = rng.random(attacked.size) < p
     return _REPORTS[reported.view(np.uint8)].tolist()

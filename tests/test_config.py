@@ -11,7 +11,7 @@ import pytest
 from platoonsec.config import ConfigError, load_scenario, scenario_from_dict
 from platoonsec.control import DEFAULT_ACC_GAINS, DEFAULT_CACC_GAINS
 from platoonsec.engine import ScenarioConfig, run_scenario
-from platoonsec.game import DEFAULT_GAME
+from platoonsec.game import DEFAULT_GAME, GameSpec
 from platoonsec.platoon import PlatoonConfig
 from platoonsec.stability import LyapunovCandidate
 
@@ -76,9 +76,11 @@ def test_full_scenario_round_trip():
     assert config.lyapunov == LyapunovCandidate(1.0, 0.154297, 1.57813)
     assert config.attack.targets == frozenset({3})
     assert config.attack.window == (10.0, 40.0)
-    assert config.detector.p_report_given_attack == 0.8
-    # detector probabilities feed the game's chance node
+    # detector probabilities are the game's chance node, read as decimal literals
     assert config.game.p_report_given_attack == Fraction(4, 5)
+    assert config.game.p_report_given_benign == Fraction(1, 5)
+    assert config.game.leaf_utilities == DEFAULT_GAME.leaf_utilities
+    assert config.sampling_period == 0.05
     assert config.switching.scope == "platoon"
     assert config.switching.initial_mode == "ACC"
     assert config.seed == 17
@@ -109,6 +111,17 @@ def test_custom_game_utilities():
     config = scenario_from_dict(with_patch(game={"leaf_utilities": leaves}))
     assert config.game == DEFAULT_GAME
     assert config.game.leaf_utilities[1] == (Fraction(3), Fraction(-10))
+
+
+def test_detector_and_game_sections_make_one_game():
+    """The detector's report probabilities and the game's leaf utilities
+    build the one game a run samples and solves; the period stays apart."""
+    leaves = [[0, -1]] * 8
+    config = scenario_from_dict(with_patch(
+        game={"leaf_utilities": leaves},
+        detector={"p_report_given_benign": 0.05, "sampling_period": 0.2}))
+    assert config.game == GameSpec(leaves, Fraction(7, 10), Fraction(1, 20))
+    assert config.sampling_period == 0.2
 
 
 def test_lyapunov_auto_means_search():
@@ -210,7 +223,7 @@ def test_periods_that_fit_the_step_are_accepted():
                       detector={"sampling_period": 0.3},
                       switching={"decision_period": 0.7})
     config = scenario_from_dict(data)
-    assert config.detector.sampling_period == 0.3
+    assert config.sampling_period == 0.3
     assert config.switching.decision_period == 0.7
 
 

@@ -1,6 +1,5 @@
 """End-to-end behavior of the switched-platoon simulation engine."""
 
-import collections
 import dataclasses
 import hashlib
 import json
@@ -19,11 +18,11 @@ from platoonsec.engine import (PLATOON_UNIT, CertificateError, CollisionInfo, Dw
                                ReportEvent, ScenarioConfig, SwitchingConfig, _Supervisor,
                                _input_edges, cacc_entry_values, run_scenario, switching_decision,
                                trace_metrics, write_metrics_json, write_trace_csv)
-from platoonsec.game import BehavioralStrategy, equilibrium_strategy
+from platoonsec.game import DEFAULT_GAME, BehavioralStrategy, equilibrium_strategy
 from platoonsec.platoon import LeaderProfile, PlatoonConfig
 from platoonsec.stability import (LyapunovCandidate, lyapunov_constants,
                                   min_dwell_time)
-from platoonsec.threat import (AttackSignal, AttackSpec, DetectorModel, attack_signal,
+from platoonsec.threat import (AttackSignal, AttackSpec, attack_signal,
                               detector_sample)
 
 from oracle import commanded_accelerations, run_row_by_row
@@ -309,8 +308,7 @@ def test_scenario_validation():
         ScenarioConfig(platoon=plat, attack=AttackSpec(targets={9}))
     # event periods are counted in whole steps; 0.015 s is not one
     with pytest.raises(ValueError, match="sampling_period"):
-        ScenarioConfig(platoon=plat, step=0.01,
-                       detector=DetectorModel(sampling_period=0.015))
+        ScenarioConfig(platoon=plat, step=0.01, sampling_period=0.015)
     with pytest.raises(ValueError, match="decision_period"):
         ScenarioConfig(platoon=plat, step=0.01,
                        switching=SwitchingConfig(decision_period=0.025))
@@ -321,7 +319,7 @@ def test_scenario_validation():
         with pytest.raises(ValueError, match="^duration "):
             ScenarioConfig(platoon=plat, step=0.01, duration=duration)
     # float quotients such as 0.3 / 0.1 = 2.9999999999999996 still fit
-    ScenarioConfig(platoon=plat, step=0.1, detector=DetectorModel(sampling_period=0.3))
+    ScenarioConfig(platoon=plat, step=0.1, sampling_period=0.3)
 
 
 def test_switching_validation():
@@ -362,18 +360,23 @@ def test_unstable_gain_family_needs_explicit_certificate():
     (NO_SWITCH, 0),
 ], ids=["game", "override", "unsupervised"])
 def test_game_is_solved_for_the_simulated_detector(monkeypatch, switching, solves):
-    """A game-driven run solves the game for its own detector once; a run
+    """A game-driven run solves the game its detector samples once; a run
     with a fixed policy, or with no supervisor, never solves it."""
-    config = dataclasses.replace(
-        ScenarioConfig(platoon=make_platoon(), duration=2.0, switching=switching),
-        detector=DetectorModel(0.95, 0.01))
-    assert config.game.p_report_given_attack == Fraction(19, 20)
-    assert config.game.p_report_given_benign == Fraction(1, 100)
-    solved = []
+    game = dataclasses.replace(DEFAULT_GAME, p_report_given_attack=0.95,
+                               p_report_given_benign=0.01)
+    config = ScenarioConfig(platoon=make_platoon(), duration=2.0, switching=switching,
+                            game=game)
+    assert game.p_report_given_attack == Fraction(19, 20)
+    assert game.p_report_given_benign == Fraction(1, 100)
+    solved, sampled = [], []
     monkeypatch.setattr(platoonsec.engine, "equilibrium_strategy",
                         lambda spec: solved.append(spec) or equilibrium_strategy(spec))
+    monkeypatch.setattr(platoonsec.engine, "detector_sample",
+                        lambda attacked, spec, rng: sampled.append(spec)
+                        or detector_sample(attacked, spec, rng))
     run_scenario(config)
-    assert solved == [config.game] * solves
+    assert solved == [game] * solves
+    assert sampled == [game] * switching.enabled  # an unsupervised run draws no report
 
 
 # ----------------------------------------------------------- basic dynamics
@@ -552,7 +555,8 @@ def oracle_scenarios(draw):
         platoon=make_platoon(n=n, eps_max=eps_max, pulses=pulses),
         lyapunov=_P_BENIGN,
         attack=attack,
-        detector=DetectorModel(0.7, 0.3, sampling_period=step * draw(st.integers(1, 6))),
+        game=dataclasses.replace(DEFAULT_GAME, p_report_given_benign=0.3),
+        sampling_period=step * draw(st.integers(1, 6)),
         switching=switching, step=step,
         duration=step * draw(st.integers(5, round(4.0 / step))),
         seed=draw(st.integers(0, 2 ** 16)),
@@ -1049,7 +1053,7 @@ def test_input_edges_split_varying_attacks_into_rows(signal, window, edges):
     inputs; the run's last tick ends the list."""
     config = ScenarioConfig(platoon=make_platoon(),
                             attack=AttackSpec(signal=signal, window=window),
-                            detector=DetectorModel(sampling_period=0.25),
+                            sampling_period=0.25,
                             switching=SwitchingConfig(decision_period=0.25),
                             step=0.25, duration=2.0)
     assert _input_edges(config, 8) == edges
@@ -1070,13 +1074,12 @@ def _reports_one_draw_at_a_time(config, rows):
              else (PLATOON_UNIT,))
     attack = config.attack
     out = []
-    for k in range(0, rows, round(config.detector.sampling_period / config.step)):
+    for k in range(0, rows, round(config.sampling_period / config.step)):
         t = k * config.step
         for unit in units:
             attacked = (attack is not None and attack.active(t)
                         and (unit == PLATOON_UNIT or unit in attack.targets))
-            out.append(ReportEvent(t, unit, detector_sample([attacked], config.detector,
-                                                            rng)[0]))
+            out.append(ReportEvent(t, unit, detector_sample([attacked], config.game, rng)[0]))
     return tuple(out)
 
 
@@ -1086,7 +1089,7 @@ def _reports_one_draw_at_a_time(config, rows):
     platoon=make_platoon(n=3, eps_max=5.4), attack=crash_attack(window=(0.3, math.inf)),
     lyapunov=_P_BENIGN, switching=SwitchingConfig(policy_override=(0.0, 0.0),
                                                   decision_period=0.5),
-    detector=DetectorModel(0.7, 0.3, sampling_period=0.25),
+    game=dataclasses.replace(DEFAULT_GAME, p_report_given_benign=0.3), sampling_period=0.25,
     step=0.05, duration=4.0, gap_offsets=(0.0, 2.0)))
 @example(ScenarioConfig(  # a window with edges between sampling ticks, both scopes
     platoon=make_platoon(n=4), attack=crash_attack(window=(0.33, 1.27)), lyapunov=_P_BENIGN,
@@ -1198,21 +1201,39 @@ def test_the_look_ahead_judges_few_ticks_in_vain(monkeypatch):
     assert len(judged) < 1.1 * ticks
 
 
+# at row 1699 the surface releases follower 3 and the game sends it back to ACC
+_RELEASED_AND_DOWNGRADED = dataclasses.replace(
+    _DEFENDED, seed=3, duration=20.0, switching=dataclasses.replace(
+        _DEFENDED.switching, decision_period=0.01, dwell_enforced=False,
+        policy_override=(0.5, 0.5)))
+
+
+def test_a_release_undone_on_its_row_records_no_cooperative_stint():
+    """A follower released from the surface into CACC and downgraded by the
+    game on the same row stays in ACC: the row holds no mode record for it,
+    and no cooperative entry is reported there."""
+    config = _RELEASED_AND_DOWNGRADED
+    trace = run_scenario(config)
+    k = 1699
+    assert abs(trace.spacing_errors[k, 1]) <= (config.switching.hysteresis_release
+                                               * config.platoon.epsilon_max)
+    assert (k, 3, "r", ACC, "game") in trace.decision_records
+    assert trace.modes[k - 1:k + 1, 1].tolist() == [1, 1]  # radar-only before and at k
+    assert not [r for r in trace.mode_records if r[:2] == (k, 3)]
+    assert trace.times[k] not in [t for t, _ in cacc_entry_values(trace, _P_BENIGN)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(oracle_scenarios())
 @example(dataclasses.replace(_DEFENDED, seed=5, duration=40.0))  # latches and releases
-@example(dataclasses.replace(  # at row 1699 follower 3 is released, then downgraded
-    _DEFENDED, seed=3, duration=20.0, switching=dataclasses.replace(
-        _DEFENDED.switching, decision_period=0.01, dwell_enforced=False,
-        policy_override=(0.5, 0.5))))
+@example(_RELEASED_AND_DOWNGRADED)
 def test_mode_records_match_the_modes_array(config):
     """Each follower's column of the modes array, prefixed with its initial
     mode, is the replay of its mode records: each record changes the mode
-    its previous one set, from its row on.  So the column changes at the
-    rows of its non-initial records, to the recorded mode, except at a row
-    that holds two (a release, then a game move back to radar-only).  Each
-    event's time is its row times the step, bit for bit, as on the trace's
-    time grid."""
+    its previous one set, from its row on.  So the column changes exactly
+    at the rows of its non-initial records, one record a row.  Each event's
+    time is its row times the step, bit for bit, as on the trace's time
+    grid."""
     trace = run_scenario(config)
     code = {CACC: 0, ACC: 1}
     for col, column in enumerate(trace.modes.T):
@@ -1224,10 +1245,8 @@ def test_mode_records_match_the_modes_array(config):
         for k, mode, _ in records[1:]:
             replay[k + 1:] = mode  # row k is entry k + 1
         assert np.array_equal(replay[1:], column)
-        rows = collections.Counter(k for k, _, _ in records[1:])
         changes = np.flatnonzero(replay[1:] != replay[:-1]).tolist()
-        assert changes == sorted(k for k, count in rows.items() if count == 1)
-        assert all(count <= 2 for count in rows.values())
+        assert changes == [k for k, _, _ in records[1:]]
     times = [event.time.hex() for event in trace.mode_events]
     assert times == [(k * config.step).hex() for k, *_ in trace.mode_records]
     assert times == [float(trace.times[k]).hex() for k, *_ in trace.mode_records]

@@ -6,6 +6,7 @@ attacker probability equalizing them; the attacker probability makes the
 defender indifferent) and is frozen here in exact rationals.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,6 @@ from platoonsec.game import (DEFAULT_GAME, DEFENDER_PURE_STRATEGIES, LEAF_ORDER,
                              equilibrium_strategy, expected_utilities,
                              monte_carlo_play, solve_nash, to_behavioral,
                              to_normal_form)
-from platoonsec.threat import DetectorModel
 
 F = Fraction
 
@@ -164,7 +164,10 @@ def test_equilibrium_strategy_is_memoised_per_spec():
     assert equilibrium_strategy(equal) is solved
     assert solved == equilibrium_strategy.__wrapped__(spec)
 
-    other = GameSpec.with_detector(DEFAULT_GAME.leaf_utilities, DetectorModel(0.95, 0.01))
+    other = dataclasses.replace(DEFAULT_GAME, p_report_given_attack=0.95,
+                                p_report_given_benign=0.01)
+    assert (other.p_report_given_attack, other.p_report_given_benign) == (F(19, 20),
+                                                                          F(1, 100))
     sharp = equilibrium_strategy(other)
     assert sharp == equilibrium_strategy.__wrapped__(other)
     assert sharp != solved

@@ -1,13 +1,14 @@
 """The experiment scripts that README documents run end to end.
 
 Each runs in its own process, as a user runs it, with the package on its
-path; a test checks the exit code and one line the script prints.  The rule
+path; a test checks the exit code and the lines the script prints.  The rule
 that ``bench_pairs.py`` gives each ``BENCH_*.json`` verdict by is tested
 in-process, on hand-made runs.
 """
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +37,14 @@ def test_crash_pair_runs(tmp_path):
     assert any(line.startswith("crash_baseline: COLLISION at t=12.71 s") for line in lines)
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         "crash_baseline.csv", "crash_defended.csv"]
+
+
+def test_output_digest_runs(tmp_path):
+    # the digests hold per machine (BLAS rounding), so only their form is checked
+    lines = _run("output_digest.py", cwd=tmp_path)
+    names = ("listing", "trace", "varying", "events", "odd events", "cli")
+    assert [line.rsplit(" ", 1)[0] for line in lines[-6:]] == [f"{n} sha256" for n in names]
+    assert all(re.fullmatch("[0-9a-f]{64}", line.rsplit(" ", 1)[1]) for line in lines[-6:])
 
 
 # ----------------------------------------------- bench_pairs' verdict rule

@@ -2,14 +2,17 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from platoonsec.engine import ScenarioConfig
+from platoonsec.game import DEFAULT_GAME, GameSpec
+from platoonsec.platoon import PlatoonConfig
 from platoonsec.threat import (MESSAGE_FIELDS, REPORT_ATTACK, REPORT_NONE,
-                               AttackSignal, AttackSpec, DetectorModel,
-                               attack_signal, detector_sample)
+                               AttackSignal, AttackSpec, attack_signal, detector_sample)
 
 from oracle import NeighborMessage, falsify_message
 
@@ -162,58 +165,85 @@ def test_falsified_fields_shift_together(offset):
 
 
 # ----------------------------------------------------------------- detector
+# The detector samples the confusion matrix of the game its policy solves.
+
+def _game(p_attack, p_benign) -> GameSpec:
+    return GameSpec(DEFAULT_GAME.leaf_utilities, p_attack, p_benign)
+
+
+def _detector(sampling_period=0.1, **probabilities) -> ScenarioConfig:
+    """A scenario whose detector has these report probabilities and period."""
+    return ScenarioConfig(platoon=PlatoonConfig(4, 10.0, 4.5, 4.0),
+                          game=dataclasses.replace(DEFAULT_GAME, **probabilities),
+                          sampling_period=sampling_period)
+
 
 def test_detector_default_probabilities():
-    model = DetectorModel()
-    assert model.p_report_given_attack == 0.7
-    assert model.p_report_given_benign == 0.1
+    """The default detector is the default game's chance node."""
+    default = _detector()
+    assert default.game == GameSpec(DEFAULT_GAME.leaf_utilities) == DEFAULT_GAME
+    assert default.game.p_report_given_attack == Fraction(7, 10)
+    assert default.game.p_report_given_benign == Fraction(1, 10)
+    assert default.sampling_period == ScenarioConfig.sampling_period == 0.1
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(p_report_given_attack=1.2),
     dict(p_report_given_benign=-0.01),
     dict(sampling_period=0.0),
+    dict(sampling_period=math.nan),
 ])
 def test_detector_validation(kwargs):
-    with pytest.raises(ValueError):
-        DetectorModel(**kwargs)
+    """A report probability outside [0, 1], or a sampling period that is
+    not > 0, is rejected with a message that names it."""
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        _detector(**kwargs)
 
 
 def test_detector_report_flags():
-    model = DetectorModel(p_report_given_attack=1.0, p_report_given_benign=0.0)
+    spec = _game(1.0, 0.0)
     rng = np.random.default_rng(0)
-    assert detector_sample([True, False], model, rng) == [REPORT_ATTACK, REPORT_NONE]
+    assert detector_sample([True, False], spec, rng) == [REPORT_ATTACK, REPORT_NONE]
     assert (REPORT_ATTACK, REPORT_NONE) == ("r", "nr")
 
 
 def test_detector_frequencies_match_confusion_matrix():
     """10^4 draws per condition; empirical rates within 3 binomial sigma."""
-    model = DetectorModel()
     rng = np.random.default_rng(42)
     n = 10_000
     for active, p in ((True, 0.7), (False, 0.1)):
-        hits = detector_sample([active] * n, model, rng).count(REPORT_ATTACK)
+        hits = detector_sample([active] * n, DEFAULT_GAME, rng).count(REPORT_ATTACK)
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(hits / n - p) < 3 * sigma
 
 
 def test_detector_reproducible_with_seeded_generator():
-    model = DetectorModel()
-    a = [detector_sample([True], model, np.random.default_rng(7)) for _ in range(5)]
+    a = [detector_sample([True], DEFAULT_GAME, np.random.default_rng(7)) for _ in range(5)]
     assert len(set(map(tuple, a))) == 1  # same seed, same draw
 
 
-@given(flags=st.lists(st.booleans(), max_size=60), seed=st.integers(0, 2**32 - 1))
-@example(flags=[True, False, False, True, True, False, True], seed=0)
-def test_detector_batch_equals_successive_single_draws(flags, seed):
-    model = DetectorModel(p_report_given_attack=0.6, p_report_given_benign=0.3)
+_PROBABILITY = st.floats(0.0, 1.0)
+
+
+@given(flags=st.lists(st.booleans(), max_size=60), seed=st.integers(0, 2**32 - 1),
+       p_attack=_PROBABILITY, p_benign=_PROBABILITY)
+@example(flags=[True, False, False, True, True, False, True], seed=0,
+         p_attack=0.7, p_benign=0.1)
+@example(flags=[True, False, True, False], seed=1, p_attack=0.0, p_benign=1.0)
+@example(flags=[True, False, True, False], seed=2, p_attack=1.0, p_benign=0.0)
+def test_detector_batch_equals_successive_single_draws(flags, seed, p_attack, p_benign):
+    """A batch of reports is the successive single draws, and each is the
+    scalar ``rng.random() < p`` on the float the probability was given as:
+    the game holds it exactly, so reading it back rounds to that float."""
+    spec = _game(p_attack, p_benign)
+    assert (float(spec.p_report_given_attack), float(spec.p_report_given_benign)) == (
+        p_attack, p_benign)
     batch_rng = np.random.default_rng(seed)
-    batch = detector_sample(flags, model, batch_rng)
+    batch = detector_sample(flags, spec, batch_rng)
     single_rng = np.random.default_rng(seed)
-    assert batch == [detector_sample([f], model, single_rng)[0] for f in flags]
-    # each report is the scalar draw ``rng.random() < p`` of its flag
+    assert batch == [detector_sample([f], spec, single_rng)[0] for f in flags]
     scalar_rng = np.random.default_rng(seed)
-    assert batch == [REPORT_ATTACK if scalar_rng.random() < (0.6 if f else 0.3)
+    assert batch == [REPORT_ATTACK if scalar_rng.random() < (p_attack if f else p_benign)
                      else REPORT_NONE for f in flags]
     assert batch_rng.bit_generator.state == single_rng.bit_generator.state
 
@@ -221,7 +251,7 @@ def test_detector_batch_equals_successive_single_draws(flags, seed):
 def test_detector_empty_batch_leaves_generator_untouched():
     rng = np.random.default_rng(11)
     state = rng.bit_generator.state
-    assert detector_sample([], DetectorModel(), rng) == []
+    assert detector_sample([], DEFAULT_GAME, rng) == []
     assert rng.bit_generator.state == state
 
 
