@@ -184,8 +184,8 @@ class SwitchingConfig:
     initial_mode: str = CACC
 
     def __post_init__(self):
-        if self.decision_period <= 0:
-            raise ValueError("decision_period must be positive")
+        if not self.decision_period > 0:  # NaN too
+            raise ValueError(f"decision_period must be positive, got {self.decision_period}")
         if self.scope not in ("per-vehicle", "platoon"):
             raise ValueError(f"unknown switching scope {self.scope!r}")
         if not 0.0 <= self.hysteresis_release <= 1.0:
@@ -222,10 +222,10 @@ class ScenarioConfig:
     gap_offsets: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("integrator step must be positive")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not self.step > 0:  # NaN too
+            raise ValueError(f"integrator step must be positive, got {self.step}")
+        if not self.duration > 0:
+            raise ValueError(f"duration must be positive, got {self.duration}")
         if not self.sampling_period > 0:
             raise ValueError(f"sampling_period must be positive, got {self.sampling_period}")
         for name, period in (("switching.decision_period", self.switching.decision_period),
@@ -1137,10 +1137,14 @@ def cacc_entry_values(trace: SimTrace, P: LyapunovCandidate) -> list[tuple[float
     return list(zip(trace.times[rows].tolist(), v))
 
 
-# Rows formatted at a time, so the writer's buffers stay near 40 KB a file.
-# 256-row blocks format 4% fewer strings, but left a 25 s loop of simulate
-# runs (2 vCPUs) with a peak resident set about 2 MB higher.
-_BLOCK_ROWS = 128
+# Rows formatted at a time.  A block's distinct floats go through the
+# formatter in one call, whose fixed cost (about 0.2 ms) wants large blocks;
+# its arrays, about 100 bytes a value, want small ones, as the heap keeps
+# the first block's high-water mark for the process.  On crash_defended
+# (2 vCPUs) 256-row blocks peak near 0.7 MB of traced memory; 512-row
+# blocks wrote about 8% faster but peaked near 1.3 MB and left the
+# process's peak resident set about 0.8 MB higher.
+_BLOCK_ROWS = 256
 
 
 def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None):
@@ -1156,12 +1160,29 @@ def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None
     files are written together, a block of rows at a time.  A block's floats
     are deduplicated by bit pattern (which keeps 0.0 and -0.0 apart), each
     distinct value is formatted once, and the lines of all three files are
-    joined from that one table of strings.  Most printed floats are repeats:
+    joined from that one table of bytes.  Most printed floats are repeats:
     the spacing and velocity files repeat CSV columns, and the leader's speed
     and command, the attack value and converged followers stay the same from
     row to row.  (A ``crash_defended`` run prints 312,026 floats, of which
-    122,720 are distinct within their block.)
+    110,869 are distinct within their block.)
+
+    A block's distinct floats are formatted in one numpy pass,
+    ``_floatfmt.reprs``, byte-equal to ``repr``.  It is exact by
+    construction: each value is scaled by a power of ten into [1e16, 2e17)
+    as a double-double whose error is below 1e-13, its rounding interval
+    (half an ulp on each side) is scaled the same way, and the shortest
+    digits are the multiple of the largest power of ten inside that
+    interval, the one nearest the value, found on ``int64``.  Only two
+    comparisons of a real with an integer could go either way: a bound of
+    the interval and a tie between two nearest multiples.  A value that
+    comes within 1e-7 of either, and every 0.0, -0.0, inf, nan, subnormal
+    and magnitude outside about 1e-38..1e38, goes to ``repr`` instead (47
+    of the 110,869 above: each block's 0.0).
     """
+    # imported on first use, so that a caller that writes no trace does not
+    # load (and, without bytecode caches, compile) the formatter
+    from ._floatfmt import reprs
+
     n = trace.positions.shape[1]
     header = ["t"]
     for i in range(1, n + 1):
@@ -1182,9 +1203,9 @@ def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None
         outs = []
         for p, sep, head, cols in files:
             if p is not None:
-                f = stack.enter_context(open(p, "w"))
-                f.write(head + "\n")
-                outs.append((f, sep, cols))
+                f = stack.enter_context(open(p, "wb"))
+                f.write(head.encode() + b"\n")
+                outs.append((f, sep.encode(), cols))
         for k in range(0, trace.times.size, _BLOCK_ROWS):
             rows = slice(k, k + _BLOCK_ROWS)
             t = trace.times[rows]
@@ -1197,11 +1218,11 @@ def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None
             block[:, -1] = trace.attack_xi[rows]
             bits, index = np.unique(block.view(np.int64).ravel(), return_inverse=True)
             # the mode names (codes 0 and 1) lead the table, the distinct floats follow
-            table = np.array([CACC, ACC, *map(repr, bits.view(np.float64).tolist())],
+            table = np.array([CACC.encode(), ACC.encode(), *reprs(bits.view(np.float64))],
                              dtype=object)
             cells = table[np.hstack([2 + index.reshape(block.shape), trace.modes[rows]])]
             for f, sep, cols in outs:
-                f.write("".join([sep.join(r) + "\n" for r in cells[:, cols].tolist()]))
+                f.writelines([sep.join(r) + b"\n" for r in cells[:, cols].tolist()])
 
 
 def write_metrics_json(metrics: TraceMetrics, path, extra: dict):

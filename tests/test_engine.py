@@ -322,6 +322,17 @@ def test_scenario_validation():
     ScenarioConfig(platoon=plat, step=0.1, sampling_period=0.3)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: ScenarioConfig(platoon=make_platoon(), step=float("nan")), "integrator step"),
+    (lambda: ScenarioConfig(platoon=make_platoon(), duration=float("nan")), "duration"),
+    (lambda: SwitchingConfig(decision_period=float("nan")), "decision_period"),
+], ids=["step", "duration", "decision_period"])
+def test_a_nan_is_blamed_on_its_field(make, name):
+    """A NaN passes a ``<= 0`` check; it must be rejected as the field it is."""
+    with pytest.raises(ValueError, match=f"^{name} must be positive, got nan$"):
+        make()
+
+
 def test_switching_validation():
     with pytest.raises(ValueError):
         SwitchingConfig(scope="fleet")
