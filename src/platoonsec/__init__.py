@@ -10,7 +10,7 @@ defender game that picks the switching policy.
 """
 
 from .control import (ACC, CACC, AccGains, CaccGains, DEFAULT_ACC_GAINS,
-                      DEFAULT_CACC_GAINS, assemble_closed_loop, law_terms)
+                      DEFAULT_CACC_GAINS, assemble_closed_loop, closed_loop, law_terms)
 from .engine import (ScenarioConfig, SimTrace, SwitchingConfig, cacc_entry_values,
                      run_scenario, trace_metrics, write_metrics_json, write_trace_csv)
 from .config import ConfigError, load_scenario, scenario_from_dict
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ACC", "CACC", "AccGains", "CaccGains", "DEFAULT_ACC_GAINS",
-    "DEFAULT_CACC_GAINS", "assemble_closed_loop", "law_terms",
+    "DEFAULT_CACC_GAINS", "assemble_closed_loop", "closed_loop", "law_terms",
     "ScenarioConfig", "SimTrace", "SwitchingConfig", "cacc_entry_values",
     "run_scenario", "trace_metrics", "write_metrics_json", "write_trace_csv",
     "ConfigError", "load_scenario", "scenario_from_dict",

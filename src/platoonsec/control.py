@@ -20,7 +20,10 @@ hold the desired gaps and steady speed, either law closes to zdot = A z with
 A's bottom row the sums of its alphas and betas, (k1, k2) or (k3, k4); the
 certificate is computed for these A.  Vehicle 2's predecessor *is* the
 leader, so it applies both CACC terms to vehicle 1's message, which keeps
-the sums (and hence A) the same for every follower.
+the sums (and hence A) the same for every follower.  ``closed_loop``, the
+one model of the whole platoon the engine integrates, takes each
+follower's own entries from its A: in error coordinates it is a cascade
+whose diagonal blocks are the followers' A.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
     "LawTerm",
     "law_terms",
     "assemble_closed_loop",
+    "closed_loop",
     "DEFAULT_CACC_GAINS",
     "DEFAULT_ACC_GAINS",
 ]
@@ -62,8 +66,8 @@ class CaccGains:
     """Cooperative controller gains toward the predecessor and the leader.
 
     The aggregates k1 = alpha_pred + alpha_lead and k2 = beta_pred + beta_lead
-    are what the stability conditions constrain; both must be negative for a
-    Hurwitz closed loop (see the stability module for the full check).
+    (A's bottom row) are what the stability conditions constrain; both must
+    be negative for a Hurwitz closed loop (``stability.check_bibo_lemma1``).
     """
 
     alpha_pred: float
@@ -72,14 +76,6 @@ class CaccGains:
     alpha_lead: float
     beta_lead: float
     gamma_lead: float
-
-    @property
-    def k1(self) -> float:
-        return self.alpha_pred + self.alpha_lead
-
-    @property
-    def k2(self) -> float:
-        return self.beta_pred + self.beta_lead
 
     @classmethod
     def from_aggregate(cls, k1: float, k2: float, split: float = 0.5,
@@ -98,12 +94,6 @@ class CaccGains:
             gamma_lead=gamma_lead,
         )
 
-    def validate(self):
-        if not (self.k1 < 0 and self.k2 < 0):
-            raise ValueError(
-                f"CACC aggregates must be negative (k1={self.k1}, k2={self.k2})"
-            )
-
 
 @dataclass(frozen=True)
 class AccGains:
@@ -111,12 +101,6 @@ class AccGains:
 
     alpha: float
     beta: float
-
-    def validate(self):
-        if not (self.alpha < 0 and self.beta < 0):
-            raise ValueError(
-                f"ACC gains must be negative (alpha={self.alpha}, beta={self.beta})"
-            )
 
 
 DEFAULT_CACC_GAINS = CaccGains.from_aggregate(-1.58, -2.51)
@@ -159,3 +143,30 @@ def assemble_closed_loop(mode: str, gains) -> np.ndarray:
     k = functools.reduce(operator.add, (term.alpha for term in terms))
     m = functools.reduce(operator.add, (term.beta for term in terms))
     return np.array([[0.0, 1.0], [k, m]])
+
+
+def closed_loop(pattern, cacc: CaccGains, acc: AccGains) -> np.ndarray:
+    """The platoon's matrix M under ``pattern``, each follower's mode code
+    front to back (0 CACC, 1 ACC, as in ``SimTrace.modes``): with
+    n = len(pattern) + 1 and x = (positions, velocities), xdot = M x + [0; g]
+    for constant accelerations g.  Row n + i, the command law, gives vehicle
+    i+1's acceleration (the leader's is zero): its own entries are its
+    mode's A bottom row, and each term subtracts its gains on its
+    neighbour's entries and chains its feed-forward through that row.
+    """
+    laws = [(law_terms(mode, gains), assemble_closed_loop(mode, gains)[1])
+            for mode, gains in ((CACC, cacc), (ACC, acc))]
+    n = len(pattern) + 1
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, n:] = np.eye(n)
+    R = M[n:]
+    for i in range(1, n):
+        row = R[i]
+        terms, bottom = laws[pattern[i - 1]]
+        row[[i, n + i]] = bottom
+        for term in terms:
+            j = term.sender(i + 1) - 1
+            row[j] -= term.alpha
+            row[n + j] -= term.beta
+            row += term.gamma * R[j]
+    return M

@@ -125,11 +125,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .control import (ACC, CACC, V2V, AccGains, CaccGains, DEFAULT_ACC_GAINS,
-                      DEFAULT_CACC_GAINS, assemble_closed_loop, law_terms)
+                      DEFAULT_CACC_GAINS, assemble_closed_loop, closed_loop, law_terms)
 from .game import GameSpec, DEFAULT_GAME, equilibrium_strategy
 from .platoon import PlatoonConfig, desired_distance
-from .stability import (LyapunovCandidate, LyapunovConstants, check_common_lyapunov,
-                        find_common_lyapunov, lyapunov_constants, min_dwell_time)
+from .stability import (LyapunovCandidate, LyapunovConstants, check_bibo_lemma1,
+                        check_common_lyapunov, find_common_lyapunov, lyapunov_constants,
+                        min_dwell_time)
 from .threat import REPORT_ATTACK, REPORT_NONE, AttackSpec, attack_signal, detector_sample
 
 __all__ = [
@@ -736,27 +737,6 @@ class _Supervisor:
         self.pattern = pattern
 
 
-def _accel_rows(laws, n: int, pattern) -> np.ndarray:
-    """Linear part of the physical-acceleration chain, front to back.
-
-    Row i gives follower i+1's acceleration as a functional of the full
-    state; a term's feed-forward chains through its neighbour's row,
-    whatever that vehicle's own mode is (the leader's row is zero).
-    ``laws`` holds each mode code's terms and its A's bottom row.
-    """
-    R = np.zeros((n, 2 * n))
-    for i in range(1, n):
-        row = R[i]
-        terms, bottom = laws[pattern[i - 1]]
-        row[[i, n + i]] = bottom  # A's own sums of alphas and of betas
-        for term in terms:
-            j = term.sender(i + 1) - 1
-            row[j] -= term.alpha
-            row[n + j] -= term.beta
-            row += term.gamma * R[j]
-    return R
-
-
 class _PowerTable:
     """The powers of one mode pattern's step map, grown as runs need them.
 
@@ -775,15 +755,14 @@ class _PowerTable:
     items, or fewer where so many would pass a table's share of
     ``_TABLE_BYTES`` (padding counted), and grows no further past an item
     with an entry that is not finite; ``finite`` counts the items before it
-    (T_1 is always used).  ``R`` is the chain's linear part.
+    (T_1 is always used).  ``M`` is the pattern's ``control.closed_loop``
+    matrix, and ``R``, its last n rows, the command law.
     """
 
-    def __init__(self, laws, n: int, h: float, pattern):
+    def __init__(self, M: np.ndarray, h: float):
+        n = len(M) // 2
         ident = np.eye(2 * n)
-        self.R = _accel_rows(laws, n, pattern)
-        M = np.zeros((2 * n, 2 * n))
-        M[:n, n:] = np.eye(n)
-        M[n:, :] = self.R
+        self.R = M[n:]
         M2 = M @ M
         M3 = M2 @ M
         M4 = M3 @ M
@@ -797,7 +776,7 @@ class _PowerTable:
         self.items[0, :2 * n, :2 * n] = phi
         self.items[0, :2 * n, 2 * n:] = psi[:, n:]
         self.built = self.finite = 1
-        self.nbytes = self.items.nbytes + self.R.nbytes
+        self.nbytes = self.items.nbytes + M.nbytes  # R is a view of M
 
     def reach(self, j: int) -> int:
         """Build the items up to j, a whole level at a time, and return how
@@ -847,11 +826,12 @@ class _Integrator:
 
     Within one step every gated quantity (modes, attack value, leader
     acceleration) is frozen, so the closed loop is affine: xdot = M x + b
-    with x = (positions, velocities).  Each follower's rows of M and b are
-    its mode's law, read term by term from ``control.law_terms``, the table
-    the certificate's A and H(s) come from.  The fourth-order step on an
-    affine field collapses to x' = Phi x + Psi b, and a row is a power of
-    that map applied to its anchor (see the module docstring).
+    with x = (positions, velocities).  M is the pattern's
+    ``control.closed_loop``, in error coordinates a cascade of the
+    certificate's A, and b sums each follower's constant terms from
+    ``control.law_terms``.  The fourth-order step on an affine field
+    collapses to x' = Phi x + Psi b, and a row is a power of that map
+    applied to its anchor (see the module docstring).
     """
 
     def __init__(self, config: ScenarioConfig, steps: int):
@@ -863,11 +843,11 @@ class _Integrator:
         self.L = platoon.desired_gap
         self.vehicle_length = platoon.vehicle_length
         self.leader = platoon.leader_profile
-        # per mode code (0 cooperative, 1 radar-only): the law's terms and
-        # its A's bottom row, and whether it reads V2V (and so feels an attack)
-        self.laws = [(law_terms(mode, gains), assemble_closed_loop(mode, gains)[1])
-                     for mode, gains in ((CACC, config.cacc_gains), (ACC, config.acc_gains))]
-        self.exposed = [any(term.channel == V2V for term in terms) for terms, _ in self.laws]
+        # per mode code (0 cooperative, 1 radar-only): the law's terms, and
+        # whether it reads V2V (and so feels an attack)
+        self.gains = (config.cacc_gains, config.acc_gains)
+        self.laws = [law_terms(mode, gains) for mode, gains in zip((CACC, ACC), self.gains)]
+        self.exposed = [any(term.channel == V2V for term in terms) for terms in self.laws]
         # repr tells apart the signed zeros and the ints that == would not
         self.table_key = (repr(config.cacc_gains), repr(config.acc_gains), self.h, n)
         self.attack = attack
@@ -907,7 +887,7 @@ class _Integrator:
         forged = tuple(xi if on else 0.0 for on in self.offsets)
         g = [float(lead_acc)]  # floats round as the array's float64 entries do
         for i, code in enumerate(pattern, start=1):
-            terms, _ = self.laws[code]
+            terms = self.laws[code]
             hit = active and self.targeted[i]
             u = None
             for term in terms:
@@ -925,7 +905,7 @@ class _Integrator:
         looks it up a segment at a time and keeps no table: a run through
         many patterns would otherwise hold every table it used."""
         return _TABLES.get((*self.table_key, pattern),
-                           lambda: _PowerTable(self.laws, self.n, self.h, pattern))
+                           lambda: _PowerTable(closed_loop(pattern, *self.gains), self.h))
 
     def _segment_map(self, pattern, k: int, interval: int):
         """(R, g, disturbed, xi) for the inputs of row k, which hold from
@@ -1060,10 +1040,17 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     every supervisor decision with its cause, and every mode change.  The
     run ends early with a collision marker if any follower's front-to-rear
     gap closes to the vehicle length, and raises FloatingPointError if the
-    state leaves the floats.
+    state leaves the floats.  Gains whose law's A is not Hurwitz
+    (``stability.check_bibo_lemma1``), or whose terms or sums are not
+    finite, raise ValueError naming the mode.
     """
-    config.cacc_gains.validate()
-    config.acc_gains.validate()
+    for mode, gains in ((CACC, config.cacc_gains), (ACC, config.acc_gains)):
+        k, m = assemble_closed_loop(mode, gains)[1].tolist()
+        coefficients = (c for term in law_terms(mode, gains) for c in term[2:])
+        if not (all(map(math.isfinite, (k, m, *coefficients)))
+                and check_bibo_lemma1(k, m)["hurwitz"]):
+            raise ValueError(f"{mode} gains must be finite, and the sums of the law's alphas "
+                             f"and betas (k={k}, m={m}) both negative: {gains!r}")
     steps = _steps_per_period(config.duration, config.step)
     supervisor = _Supervisor(config, steps)
     integrator = _Integrator(config, steps)

@@ -1,9 +1,9 @@
 """Readable references the package's fast paths are held against.
 
 The control law and the attack injection through message objects.  The
-engine integrates the whole platoon as one affine map whose rows it
-reads term by term from ``control.law_terms``.  This module evaluates the
-same law one follower at a time, the readable way: it builds each
+engine integrates the whole platoon as one affine map, whose matrix
+``control.closed_loop`` builds from ``control.law_terms``.  This module
+evaluates the same law one follower at a time, the readable way: it builds each
 follower's inbound traffic -- a ``NeighborMessage`` from the sender of each
 V2V term (forged by ``falsify_message`` when the attack targets the
 receiver), a ``RadarMeasurement`` for a radar term -- and applies the law's

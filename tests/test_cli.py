@@ -144,6 +144,15 @@ def test_non_finite_input_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: gap_offsets[0]: expected a finite")
 
 
+def test_sign_flipped_gains_are_one_error_line(tmp_path, capsys):
+    config = write_config(tmp_path, gains={"acc": {"alpha": 0.25, "beta": -1.0}})
+    assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ACC gains must be finite, and the sums")
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_lyapunov_overflow_is_input_error(tmp_path, capsys):
     config = write_config(tmp_path, lyapunov={"p11": 1, "p12": 1e300, "p22": 1})
     assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == EXIT_INPUT

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import platoonsec.engine
-from platoonsec.control import ACC, CACC, AccGains, CaccGains
+from platoonsec.control import ACC, CACC, DEFAULT_CACC_GAINS, AccGains, CaccGains, closed_loop
 from platoonsec.config import load_scenario
 from platoonsec.engine import (PLATOON_UNIT, CertificateError, CollisionInfo, DwellState,
                                ReportEvent, ScenarioConfig, SwitchingConfig, _Supervisor,
@@ -142,6 +142,21 @@ def test_engine_rejects_bad_step_and_divergence():
         run_scenario(stiff)
 
 
+@pytest.mark.parametrize("mode, gains", [
+    (CACC, {"cacc_gains": dataclasses.replace(DEFAULT_CACC_GAINS, gamma_pred=math.inf)}),
+    (CACC, {"cacc_gains": dataclasses.replace(DEFAULT_CACC_GAINS, gamma_lead=math.nan)}),
+    (ACC, {"acc_gains": AccGains(-math.inf, -1.0)}),
+    # each term finite, but k1 = alpha_pred + alpha_lead overflows to -inf
+    (CACC, {"cacc_gains": CaccGains(-1e308, -1.0, 0.5, -1e308, -1.0, 0.5)}),
+], ids=["gamma_pred-inf", "gamma_lead-nan", "alpha-inf", "k1-overflow"])
+def test_non_finite_gains_are_blamed_on_their_mode(mode, gains):
+    """An API caller's non-finite gain is rejected before the run, naming
+    its mode, not blamed on the integrator or the certificate search."""
+    config = dataclasses.replace(load_scenario(CONFIGS / "benign_switching.json"), **gains)
+    with pytest.raises(ValueError, match=f"^{mode} gains must be finite"):
+        run_scenario(config)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 @np.errstate(over="ignore", invalid="ignore")  # as in run_scenario
 def test_stacked_matmul_rounds_like_per_row_dot(n):
@@ -193,9 +208,9 @@ def test_stacked_powers_round_like_per_row_dot(n):
 
 
 def _table(config, pattern):
-    """A fresh power table of ``config``'s gains, step and size."""
-    integrator = platoonsec.engine._Integrator(config, 1)
-    return platoonsec.engine._PowerTable(integrator.laws, integrator.n, integrator.h, pattern)
+    """A fresh power table of ``config``'s gains and step."""
+    return platoonsec.engine._PowerTable(
+        closed_loop(pattern, config.cacc_gains, config.acc_gains), config.step)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as in run_scenario
