@@ -5,11 +5,11 @@ and ``integration``; everything else falls back to the package defaults
 (certified gains, the default game and its detector, per-vehicle switching).
 
 This module holds no defaults: an entry the file omits is not passed on, so
-the dataclass default applies.  It checks what the dataclasses cannot see --
-JSON types, list shapes, unknown entries, finite numbers -- plus the ranges
-of single entries, and reports every error, its own or a dataclass's, at the
-dotted path of the offending entry, so a typo in a large sweep file is
-findable without bisecting it.
+the dataclass default applies.  Nor does it judge values: it checks only what
+the dataclasses cannot see -- JSON types, list shapes, unknown and missing
+entries, finite numbers, a given P's definiteness -- and reports every error,
+its own or a dataclass's, at the dotted path of the offending entry, so a
+typo in a large sweep file is findable without bisecting it.
 """
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import sys
 
+from ._entry import EntryError
 from .control import AccGains, CaccGains
-from .engine import ScenarioConfig, SwitchingConfig, _steps_per_period
+from .engine import ScenarioConfig, SwitchingConfig
 from .platoon import LeaderProfile, PlatoonConfig
 from .stability import LyapunovCandidate
-from .threat import AttackSignal, AttackSpec, MESSAGE_FIELDS, SIGNAL_KINDS
+from .threat import AttackSignal, AttackSpec
 
 __all__ = ["ConfigError", "load_scenario", "scenario_from_dict"]
 
@@ -42,9 +42,9 @@ def _join(path: str, key) -> str:
 
 # A parser reads one JSON value at its dotted path: parse(value, path).
 
-def _number(minimum=None, maximum=None, exclusive_min=False, open_end=False):
-    """Parser for a finite number in range; ``open_end`` also admits +Infinity,
-    which ends an interval that never closes."""
+def _number(open_end=False):
+    """Parser for a finite number; ``open_end`` also admits +Infinity, which
+    ends an interval that never closes."""
     def parse(value, path):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(path, f"expected a number, got {value!r}")
@@ -54,45 +54,18 @@ def _number(minimum=None, maximum=None, exclusive_min=False, open_end=False):
             v = math.nan
         if not (math.isfinite(v) or open_end and v == math.inf):
             raise ConfigError(path, f"expected a finite number, got {value!r}")
-        if minimum is not None and (v <= minimum if exclusive_min else v < minimum):
-            cmp = ">" if exclusive_min else ">="
-            raise ConfigError(path, f"expected a value {cmp} {minimum}, got {value!r}")
-        if maximum is not None and v > maximum:
-            raise ConfigError(path, f"expected a value <= {maximum}, got {value!r}")
         return v
     return parse
 
 
 _REAL = _number()
-_NONNEGATIVE = _number(0.0)
-_POSITIVE = _number(0.0, exclusive_min=True)
-_FRACTION = _number(0.0, 1.0)
-
-
-def _integer(minimum=None, maximum=None):
-    def parse(value, path):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(path, f"expected an integer, got {value!r}")
-        if minimum is not None and value < minimum:
-            raise ConfigError(path, f"expected an integer >= {minimum}, got {value!r}")
-        if maximum is not None and value > maximum:
-            raise ConfigError(path, f"expected an integer <= {maximum}, got {value!r}")
-        return value
-    return parse
 
 
 def _is(kind):
+    """Parser for a JSON value of type ``kind``; true and false are no int."""
     def parse(value, path):
-        if not isinstance(value, kind):
+        if not isinstance(value, kind) or kind is int and isinstance(value, bool):
             raise ConfigError(path, f"expected {kind.__name__}, got {value!r}")
-        return value
-    return parse
-
-
-def _one_of(*choices):
-    def parse(value, path):
-        if value not in choices:
-            raise ConfigError(path, f"unknown value {value!r}; valid: {', '.join(choices)}")
         return value
     return parse
 
@@ -106,20 +79,17 @@ def _or_none(parse, *aliases):
                                 else parse(value, path))
 
 
-def _list(parse, length=None, nonempty=False, item="{}[{}]"):
+def _list(parse, item="{}[{}]"):
     """Parser for a JSON list whose item i is read at ``item.format(path, i)``.
 
     ``parse`` reads every item, or is a tuple of one parser per position,
     which fixes the length.
     """
-    if isinstance(parse, tuple):
-        length = len(parse)
+    length = len(parse) if isinstance(parse, tuple) else None
 
     def read(value, path):
-        if (not isinstance(value, list) or length not in (None, len(value))
-                or nonempty and not value):
-            shape = (f" of {length} entries" if length is not None
-                     else " with at least one entry" if nonempty else "")
+        if not isinstance(value, list) or length not in (None, len(value)):
+            shape = f" of {length} entries" if length is not None else ""
             raise ConfigError(path, f"expected a list{shape}, got {value!r}")
         each = parse if isinstance(parse, tuple) else (parse,) * len(value)
         return tuple(p(x, item.format(path, i)) for i, (p, x) in enumerate(zip(each, value)))
@@ -151,9 +121,12 @@ def _fields(obj, path: str, parsers: dict, required=()) -> dict:
 
 
 def _build(make, path: str, **kwargs):
-    """``make(**kwargs)``, with any rule it enforces reported at ``path``."""
+    """``make(**kwargs)``, with a rule it enforces reported at ``path`` or at
+    the entry under it that an ``EntryError`` names."""
     try:
         return make(**kwargs)
+    except EntryError as exc:
+        raise ConfigError(_join(path, exc.path), exc.reason) from exc
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -163,23 +136,11 @@ def _section(make, parsers: dict, required=()):
     return lambda obj, path: _build(make, path, **_fields(obj, path, parsers, required))
 
 
-def _interval(parse, what: str):
-    """``parse`` for a list that starts with an interval's start and end,
-    which must come after the start."""
-    def read(value, path):
-        entries = parse(value, path)
-        if entries[1] <= entries[0]:
-            raise ConfigError(path, f"{what} must end after it starts, got {value!r}")
-        return entries
-    return read
-
-
-_pulse = _interval(_list((_NONNEGATIVE, _number(open_end=True), _REAL), item="{}.{}"), "pulse")
-_leader = _section(LeaderProfile, {"initial_velocity": _REAL, "pulses": _list(_pulse)})
-
-# a count beyond the platform's index range could size no array
-_PLATOON = {"vehicle_count": _integer(2, sys.maxsize), "desired_gap": _POSITIVE,
-            "vehicle_length": _POSITIVE, "epsilon_max": _POSITIVE}
+_INTERVAL = (_REAL, _number(open_end=True))
+_leader = _section(LeaderProfile, {"initial_velocity": _REAL,
+                                   "pulses": _list(_list((*_INTERVAL, _REAL), item="{}.{}"))})
+_PLATOON = {"vehicle_count": _is(int), "desired_gap": _REAL,
+            "vehicle_length": _REAL, "epsilon_max": _REAL}
 
 
 def _platoon(obj, path: str) -> PlatoonConfig:
@@ -189,7 +150,7 @@ def _platoon(obj, path: str) -> PlatoonConfig:
     return _build(PlatoonConfig, path, **kwargs)
 
 
-_AGGREGATE = {"k1": _REAL, "k2": _REAL, "split": _FRACTION,
+_AGGREGATE = {"k1": _REAL, "k2": _REAL, "split": _REAL,
               "gamma_pred": _REAL, "gamma_lead": _REAL}
 _EXPLICIT = dict.fromkeys(("alpha_pred", "beta_pred", "gamma_pred", "alpha_lead",
                            "beta_lead", "gamma_lead"), _REAL)
@@ -216,7 +177,7 @@ def _lyapunov(obj, path: str) -> LyapunovCandidate:
     return cand
 
 
-_WAVEFORM = {"kind": _one_of(*SIGNAL_KINDS), "amplitude": _REAL, "rate": _REAL,
+_WAVEFORM = {"kind": _is(str), "amplitude": _REAL, "rate": _REAL,
              "frequency": _REAL, "phase": _REAL,
              "times": _list(_REAL), "values": _list(_REAL)}
 
@@ -227,23 +188,22 @@ def _signal(obj, path: str) -> AttackSignal:
 
 
 _attack = _section(AttackSpec, {
-    "targets": _list(_integer(2), nonempty=True),
+    "targets": _list(_is(int)),
     "mode": lambda value, path: value,  # AttackSpec judges it
-    "window": _interval(_list((_NONNEGATIVE, _number(open_end=True))), "attack window"),
-    "message_fields": _list(_one_of(*MESSAGE_FIELDS), nonempty=True),
+    "window": _list(_INTERVAL),
+    "message_fields": _list(_is(str)),
     "signal": _signal,
-    "xi_max": _POSITIVE,
+    "xi_max": _REAL,
 })
 
 _switching = _section(SwitchingConfig, {
-    "policy_override": _or_none(_list((_FRACTION, _FRACTION))),
+    "policy_override": _or_none(_list((_REAL, _REAL))),
     "enabled": _is(bool), "scope": _is(str), "dwell_enforced": _is(bool),
-    "initial_mode": _is(str), "decision_period": _POSITIVE,
-    "hysteresis_release": _FRACTION,
+    "initial_mode": _is(str), "decision_period": _REAL, "hysteresis_release": _REAL,
 })
 
 # the game's leaf utilities; its report probabilities are in ``detector``
-_game = _section(dict, {"leaf_utilities": _list(_list((_REAL, _REAL), item="{}.{}"), length=8)},
+_game = _section(dict, {"leaf_utilities": _list(_list((_REAL, _REAL), item="{}.{}"))},
                  required=("leaf_utilities",))
 
 _SCENARIO = {
@@ -251,18 +211,21 @@ _SCENARIO = {
     "gains": _section(dict, {"cacc": _cacc_gains,
                              "acc": _section(AccGains, {"alpha": _REAL, "beta": _REAL},
                                              required=("alpha", "beta"))}),
-    "integration": _section(dict, {"step": _POSITIVE, "duration": _POSITIVE},
-                            required=("duration",)),
-    "detector": _section(dict, {"p_report_given_attack": _FRACTION,
-                                "p_report_given_benign": _FRACTION,
-                                "sampling_period": _POSITIVE}),
+    "integration": _section(dict, {"step": _REAL, "duration": _REAL}, required=("duration",)),
+    "detector": _section(dict, {"p_report_given_attack": _REAL,
+                                "p_report_given_benign": _REAL, "sampling_period": _REAL}),
     "switching": _switching,
     "gap_offsets": _list(_REAL),
     "lyapunov": _or_none(_lyapunov, "auto"),
     "attack": _or_none(_attack),
     "game": _or_none(_game, "default"),
-    "seed": _integer(0),
+    "seed": _is(int),
 }
+
+# the section that holds each ScenarioConfig or game field the top level lacks
+_SECTION_OF = {"step": "integration", "duration": "integration", "leaf_utilities": "game",
+               "sampling_period": "detector", "p_report_given_attack": "detector",
+               "p_report_given_benign": "detector"}
 
 
 def scenario_from_dict(data: dict, path: str = "") -> ScenarioConfig:
@@ -274,26 +237,13 @@ def scenario_from_dict(data: dict, path: str = "") -> ScenarioConfig:
     game = {**kwargs.pop("detector", {}), **kwargs.pop("game", {})}
     if "sampling_period" in game:
         kwargs["sampling_period"] = game.pop("sampling_period")
-    kwargs["game"] = dataclasses.replace(ScenarioConfig.game, **game)
-
-    step = kwargs.get("step", ScenarioConfig.step)
-    for name, period in (
-            ("switching.decision_period",
-             kwargs.get("switching", SwitchingConfig).decision_period),
-            ("detector.sampling_period",
-             kwargs.get("sampling_period", ScenarioConfig.sampling_period)),
-            ("integration.duration", kwargs["duration"])):
-        try:
-            _steps_per_period(period, step)
-        except ValueError as exc:
-            raise ConfigError(_join(path, name), str(exc)) from exc
-
-    n = kwargs["platoon"].vehicle_count
-    outside = sorted(i for i in getattr(kwargs.get("attack"), "targets", ()) if i > n)
-    if outside:
-        raise ConfigError(_join(path, "attack.targets"),
-                          f"vehicle {outside[0]} is outside the platoon (N={n})")
-    return _build(ScenarioConfig, path or "scenario", **kwargs)
+    try:  # the game is the default one with the file's entries
+        return ScenarioConfig(game=dataclasses.replace(ScenarioConfig.game, **game), **kwargs)
+    except EntryError as exc:
+        raise ConfigError(_join(path, _join(_SECTION_OF.get(exc.path, ""), exc.path)),
+                          exc.reason) from exc
+    except ValueError as exc:
+        raise ConfigError(path or "scenario", str(exc)) from exc
 
 
 def load_scenario(filename) -> ScenarioConfig:

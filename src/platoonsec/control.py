@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._entry import EntryError
 
 __all__ = [
     "CACC",
@@ -84,10 +85,10 @@ class CaccGains:
 
         ``split`` is the fraction assigned to the predecessor; the default
         50/50 split is a free design choice (the aggregates are what matter
-        for stability).
+        for stability); one outside [0, 1] is an ``EntryError`` naming it.
         """
-        if not 0.0 <= split <= 1.0:
-            raise ValueError("split must lie in [0, 1]")
+        if not 0.0 <= split <= 1.0:  # NaN too
+            raise EntryError("split", "split must lie in [0, 1]")
         return cls(
             alpha_pred=split * k1, beta_pred=split * k2, gamma_pred=gamma_pred,
             alpha_lead=(1.0 - split) * k1, beta_lead=(1.0 - split) * k2,

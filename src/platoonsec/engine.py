@@ -119,11 +119,13 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ._entry import EntryError
 from .control import (ACC, CACC, V2V, AccGains, CaccGains, DEFAULT_ACC_GAINS,
                       DEFAULT_CACC_GAINS, assemble_closed_loop, closed_loop, law_terms)
 from .game import GameSpec, DEFAULT_GAME, equilibrium_strategy
@@ -173,7 +175,8 @@ class SwitchingConfig:
     such as "never switch" or "always radar".  Either way the policy is
     fixed once a run, when the supervisor starts.  ``enabled=False``
     disables the supervisor entirely (no safety surface, no game, so no
-    policy is needed): the platoon stays in ``initial_mode``.
+    policy is needed): the platoon stays in ``initial_mode``.  A bad
+    number raises an ``EntryError`` that names it.
     """
 
     enabled: bool = True
@@ -186,15 +189,19 @@ class SwitchingConfig:
 
     def __post_init__(self):
         if not self.decision_period > 0:  # NaN too
-            raise ValueError(f"decision_period must be positive, got {self.decision_period}")
+            raise EntryError("decision_period",
+                             f"decision_period must be positive, got {self.decision_period}")
         if self.scope not in ("per-vehicle", "platoon"):
             raise ValueError(f"unknown switching scope {self.scope!r}")
         if not 0.0 <= self.hysteresis_release <= 1.0:
-            raise ValueError("hysteresis_release is a fraction of epsilon_max")
+            raise EntryError("hysteresis_release",
+                             "hysteresis_release is a fraction of epsilon_max")
         if self.policy_override is not None:
-            pr, pnr = self.policy_override
-            if not (0.0 <= pr <= 1.0 and 0.0 <= pnr <= 1.0):
-                raise ValueError("policy_override entries must be probabilities")
+            pr, pnr = self.policy_override  # a pair: given report, given none
+            for k, p in enumerate((pr, pnr)):
+                if not 0.0 <= p <= 1.0:
+                    raise EntryError(f"policy_override[{k}]",
+                                     "policy_override entries must be probabilities")
         if self.initial_mode not in (CACC, ACC):
             raise ValueError(f"unknown initial mode {self.initial_mode!r}")
 
@@ -206,7 +213,8 @@ class ScenarioConfig:
     ``game`` is the security game the policy is solved for, and its report
     probabilities are the simulated detector's confusion matrix, so the run
     samples the game it solves.  The detector reports every
-    ``sampling_period`` seconds.
+    ``sampling_period`` seconds.  Each period and the duration are whole
+    multiples of ``step``; a bad entry raises an ``EntryError`` naming it.
     """
 
     platoon: PlatoonConfig
@@ -224,26 +232,28 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if not self.step > 0:  # NaN too
-            raise ValueError(f"integrator step must be positive, got {self.step}")
-        if not self.duration > 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if not self.sampling_period > 0:
-            raise ValueError(f"sampling_period must be positive, got {self.sampling_period}")
+            raise EntryError("step", f"integrator step must be positive, got {self.step}")
+        for name in ("duration", "sampling_period"):
+            if not getattr(self, name) > 0:
+                raise EntryError(name, f"{name} must be positive, got {getattr(self, name)}")
         for name, period in (("switching.decision_period", self.switching.decision_period),
                              ("sampling_period", self.sampling_period),
                              ("duration", self.duration)):
             try:
                 _steps_per_period(period, self.step)
             except ValueError as exc:
-                raise ValueError(f"{name} {exc}") from None
+                raise EntryError(name, f"{name} {exc}", str(exc)) from None
+        if not isinstance(self.seed, numbers.Integral):
+            raise EntryError("seed", f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:  # numpy's generators take no negative seed
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise EntryError("seed", f"seed must be >= 0, got {self.seed}")
         if self.gap_offsets and len(self.gap_offsets) != self.platoon.vehicle_count - 1:
             raise ValueError("gap_offsets needs one entry per follower")
         if self.attack is not None:
-            bad = [i for i in self.attack.targets if i > self.platoon.vehicle_count]
+            bad = sorted(i for i in self.attack.targets if i > self.platoon.vehicle_count)
             if bad:
-                raise ValueError(f"attack targets {bad} exceed the platoon size")
+                raise EntryError("attack.targets",
+                                 f"attack targets {bad} exceed the platoon size")
 
 
 @dataclass

@@ -26,6 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._entry import EntryError
+
 __all__ = [
     "LEAF_ORDER",
     "DEFENDER_PURE_STRATEGIES",
@@ -82,7 +84,8 @@ class GameSpec:
     ``leaf_utilities`` holds eight (attacker, defender) pairs in LEAF_ORDER.
     The two report probabilities are the chance node's, and the only copy of
     them: a run's simulated detector (``threat.detector_sample``) samples
-    the game its policy is solved for.
+    the game its policy is solved for.  A bad entry raises an ``EntryError``
+    naming it.
     """
 
     leaf_utilities: tuple
@@ -92,12 +95,13 @@ class GameSpec:
     def __post_init__(self):
         leaves = tuple((_frac(ua), _frac(ud)) for ua, ud in self.leaf_utilities)
         if len(leaves) != 8:
-            raise ValueError(f"expected 8 leaf utility pairs, got {len(leaves)}")
+            raise EntryError("leaf_utilities",
+                             f"expected 8 leaf utility pairs, got {len(leaves)}")
         object.__setattr__(self, "leaf_utilities", leaves)
         for name in ("p_report_given_attack", "p_report_given_benign"):
             p = _frac(getattr(self, name))
             if not 0 <= p <= 1:
-                raise ValueError(f"{name} must be a probability, got {p}")
+                raise EntryError(name, f"{name} must be a probability, got {p}")
             object.__setattr__(self, name, p)
 
     def report_probability(self, attack: bool) -> Fraction:

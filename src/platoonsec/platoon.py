@@ -14,7 +14,10 @@ and holds its state itself.  Vehicle indices are 1-based.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+
+from ._entry import EntryError
 
 __all__ = [
     "LeaderProfile",
@@ -31,16 +34,18 @@ class LeaderProfile:
     at time t is the sum of all pulses whose half-open window [start, end)
     contains t, and zero otherwise.  Piecewise-constant acceleration is enough
     to express the braking / speed-up disturbances used in string-stability
-    experiments.
+    experiments.  A pulse starts at t >= 0; an ``EntryError`` names a bad one.
     """
 
     initial_velocity: float = 20.0
     pulses: tuple[tuple[float, float, float], ...] = ()
 
     def __post_init__(self):
-        for start, end, _ in self.pulses:
+        for i, (start, end, _) in enumerate(self.pulses):
+            if not start >= 0:  # NaN too
+                raise EntryError(f"pulses[{i}].0", f"a pulse starts at t >= 0, got {start}")
             if not end > start:
-                raise ValueError(f"pulse window [{start}, {end}) is empty")
+                raise EntryError(f"pulses[{i}]", f"pulse window [{start}, {end}) is empty")
 
     def acceleration(self, t: float) -> float:
         return sum(a for (s, e, a) in self.pulses if s <= t < e)
@@ -48,7 +53,8 @@ class LeaderProfile:
 
 @dataclass(frozen=True)
 class PlatoonConfig:
-    """Static description of the platoon geometry and safety threshold."""
+    """Static description of the platoon geometry and safety threshold; a
+    bad field raises an ``EntryError`` naming it."""
 
     vehicle_count: int
     desired_gap: float
@@ -57,15 +63,21 @@ class PlatoonConfig:
     leader_profile: LeaderProfile = field(default_factory=LeaderProfile)
 
     def __post_init__(self):
-        if self.vehicle_count < 2:
-            raise ValueError("a platoon needs at least two vehicles")
-        if not self.desired_gap > self.vehicle_length > 0:
-            raise ValueError("desired_gap must exceed vehicle_length > 0")
+        # a count beyond the platform's index range could size no array
+        if not 2 <= self.vehicle_count <= sys.maxsize:
+            raise EntryError("vehicle_count", "a platoon needs at least two vehicles and no more "
+                                              f"than an index can count, got {self.vehicle_count}")
+        for name in ("desired_gap", "vehicle_length"):
+            if not getattr(self, name) > 0:
+                raise EntryError(name, f"{name} must be positive, got {getattr(self, name)}")
+        if not self.desired_gap > self.vehicle_length:
+            raise ValueError("desired_gap must exceed vehicle_length")
         if not 0 < self.epsilon_max < self.desired_gap - self.vehicle_length:
-            raise ValueError(
-                "epsilon_max must lie in (0, desired_gap - vehicle_length) so a "
-                "triggered safety surface still precedes physical contact"
-            )
+            message = ("epsilon_max must lie in (0, desired_gap - vehicle_length) so a "
+                       "triggered safety surface still precedes physical contact")
+            if self.epsilon_max > 0:  # the geometry, not the entry, is at fault
+                raise ValueError(message)
+            raise EntryError("epsilon_max", message)
 
 
 def desired_distance(i: int, j: int, L: float) -> float:

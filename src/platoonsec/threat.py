@@ -35,6 +35,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._entry import EntryError
+
 if TYPE_CHECKING:
     from .game import GameSpec
 
@@ -65,6 +67,7 @@ class AttackSignal:
       ramp      -- rate * (t - window start)
       sinusoid  -- amplitude * sin(2 pi frequency (t - window start) + phase)
       table     -- zero-order hold over (times, values) sample pairs
+    (an unknown kind is an ``EntryError`` naming ``kind``)
     """
 
     kind: str = "constant"
@@ -77,7 +80,7 @@ class AttackSignal:
 
     def __post_init__(self):
         if self.kind not in SIGNAL_KINDS:
-            raise ValueError(f"unknown attack signal kind {self.kind!r}")
+            raise EntryError("kind", f"unknown attack signal kind {self.kind!r}")
         if self.kind == "table":
             if len(self.times) != len(self.values) or not self.times:
                 raise ValueError("table signal needs matching, nonempty times/values")
@@ -104,7 +107,8 @@ class AttackSpec:
     ``message_fields`` selects which fields are offset in message-level mode
     (all three by default -- a consistent forged kinematic state).
     ``xi_max`` clamps the signal magnitude: the attacker stays bounded to
-    evade trivial plausibility checks.
+    evade trivial plausibility checks.  The window opens at t >= 0.  A bad
+    entry raises an ``EntryError`` naming it, an item by its place as given.
     """
 
     targets: frozenset[int] = frozenset({3})
@@ -115,21 +119,27 @@ class AttackSpec:
     message_fields: frozenset[str] = frozenset(MESSAGE_FIELDS)
 
     def __post_init__(self):
+        for k, i in enumerate(self.targets):
+            if not i > 1:
+                raise EntryError(f"targets[{k}]", "the leader takes no V2V input and cannot "
+                                 "be attacked" if i == 1 else "vehicle indices are 1-based")
+        for k, name in enumerate(self.message_fields):
+            if name not in MESSAGE_FIELDS:
+                raise EntryError(f"message_fields[{k}]", f"unknown message field {name!r}")
         object.__setattr__(self, "targets", frozenset(int(i) for i in self.targets))
         object.__setattr__(self, "message_fields", frozenset(self.message_fields))
-        if 1 in self.targets:
-            raise ValueError("the leader takes no V2V input and cannot be attacked")
-        if any(i < 1 for i in self.targets):
-            raise ValueError("vehicle indices are 1-based")
+        for name in ("targets", "message_fields"):
+            if not getattr(self, name):
+                raise EntryError(name, f"an attack needs at least one of its {name}")
         if self.mode not in ("lumped-acceleration", "message-level"):
             raise ValueError(f"unknown attack mode {self.mode!r}")
-        if self.xi_max < 0:
-            raise ValueError("xi_max must be nonnegative")
+        if not self.xi_max >= 0:  # NaN too
+            raise EntryError("xi_max", "xi_max must be nonnegative")
+        if not self.window[0] >= 0:
+            raise EntryError("window[0]", "the attack window opens at t >= 0, "
+                                          f"got {self.window[0]}")
         if not self.window[1] > self.window[0]:
-            raise ValueError("attack window must have positive length")
-        unknown = self.message_fields - set(MESSAGE_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown message fields {sorted(unknown)}")
+            raise EntryError("window", "attack window must have positive length")
 
     def active(self, t):
         """Is the window open at time ``t``, a float or an array of them?"""
