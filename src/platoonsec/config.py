@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from functools import partial
 
 from ._entry import EntryError
 from .control import AccGains, CaccGains
@@ -120,15 +121,17 @@ def _fields(obj, path: str, parsers: dict, required=()) -> dict:
     return {key: value for key, value in read.items() if value is not _DEFAULT}
 
 
-def _build(make, path: str, **kwargs):
+def _build(make, path: str, sections={}, **kwargs):
     """``make(**kwargs)``, with a rule it enforces reported at ``path`` or at
-    the entry under it that an ``EntryError`` names."""
+    the entry under it that an ``EntryError`` names, inside the section that
+    ``sections`` maps that entry to, if any."""
     try:
         return make(**kwargs)
     except EntryError as exc:
-        raise ConfigError(_join(path, exc.path), exc.reason) from exc
+        entry = _join(sections.get(exc.path, ""), exc.path)
+        raise ConfigError(_join(path, entry), exc.reason) from exc
     except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+        raise ConfigError(path or "scenario", str(exc)) from exc
 
 
 def _section(make, parsers: dict, required=()):
@@ -233,17 +236,12 @@ def scenario_from_dict(data: dict, path: str = "") -> ScenarioConfig:
     kwargs = _fields(data, path, _SCENARIO, required=("platoon", "integration"))
     kwargs.update(kwargs.pop("integration"))  # its entries are ScenarioConfig fields
     kwargs.update((f"{key}_gains", gains) for key, gains in kwargs.pop("gains", {}).items())
-    # the detector's report probabilities and the leaf utilities make one game
+    # the detector's report probabilities and the leaf utilities change the default game
     game = {**kwargs.pop("detector", {}), **kwargs.pop("game", {})}
     if "sampling_period" in game:
         kwargs["sampling_period"] = game.pop("sampling_period")
-    try:  # the game is the default one with the file's entries
-        return ScenarioConfig(game=dataclasses.replace(ScenarioConfig.game, **game), **kwargs)
-    except EntryError as exc:
-        raise ConfigError(_join(path, _join(_SECTION_OF.get(exc.path, ""), exc.path)),
-                          exc.reason) from exc
-    except ValueError as exc:
-        raise ConfigError(path or "scenario", str(exc)) from exc
+    game = _build(partial(dataclasses.replace, ScenarioConfig.game), path, _SECTION_OF, **game)
+    return _build(ScenarioConfig, path, _SECTION_OF, game=game, **kwargs)
 
 
 def load_scenario(filename) -> ScenarioConfig:

@@ -119,15 +119,16 @@ class AttackSpec:
     message_fields: frozenset[str] = frozenset(MESSAGE_FIELDS)
 
     def __post_init__(self):
-        for k, i in enumerate(self.targets):
+        targets, message_fields = tuple(self.targets), tuple(self.message_fields)
+        for k, i in enumerate(targets):
             if not i > 1:
                 raise EntryError(f"targets[{k}]", "the leader takes no V2V input and cannot "
                                  "be attacked" if i == 1 else "vehicle indices are 1-based")
-        for k, name in enumerate(self.message_fields):
+        for k, name in enumerate(message_fields):
             if name not in MESSAGE_FIELDS:
                 raise EntryError(f"message_fields[{k}]", f"unknown message field {name!r}")
-        object.__setattr__(self, "targets", frozenset(int(i) for i in self.targets))
-        object.__setattr__(self, "message_fields", frozenset(self.message_fields))
+        object.__setattr__(self, "targets", frozenset(int(i) for i in targets))
+        object.__setattr__(self, "message_fields", frozenset(message_fields))
         for name in ("targets", "message_fields"):
             if not getattr(self, name):
                 raise EntryError(name, f"an attack needs at least one of its {name}")

@@ -96,3 +96,12 @@ def test_seed_must_be_an_integer(seed):
     with pytest.raises(ValueError, match="^seed must be an integer") as err:
         ScenarioConfig(PlatoonConfig(4, 10.0, 4.5, 4.0), seed=seed)
     assert err.value.path == "seed"
+
+
+def test_attack_sets_may_be_given_as_one_pass_iterables():
+    """Each item is judged and kept from one pass over what the caller gave."""
+    spec = AttackSpec(targets=(i for i in [3, 4]), message_fields=iter(["velocity"]))
+    assert spec.targets == {3, 4} and spec.message_fields == {"velocity"}
+    with pytest.raises(ValueError) as err:
+        AttackSpec(targets=(i for i in [3, 1]))
+    assert err.value.path == "targets[1]"
