@@ -9,7 +9,8 @@ Usage (from the repository root):
 For each workload in the change's ``BENCHMARK.json``, pair i of ten runs
 ``bench/run.py --trace 0`` once in each checkout, for the benchmark's
 ``run_seconds``, with seed ``first_seed + i``, the parent first in even pairs
-and the change first in odd ones.  Then one traced pass (``--trace 1``) a
+and the change first in odd ones.  Every run compiles its modules from
+source, without reading or writing a bytecode cache (see ``bench``).  Then one traced pass (``--trace 1``) a
 side, with the first seed, gives the per-layer metrics that show where a
 difference went.
 
@@ -33,9 +34,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -43,11 +46,20 @@ PAIRS = 10
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple:
-    """(manifest, result) of one ``bench/run.py`` run in ``checkout``."""
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, check=True)
+    """(manifest, result) of one ``bench/run.py`` run in ``checkout``.
+
+    The run compiles every module it imports from source: it writes no
+    bytecode, and its cache prefix is a fresh empty directory, which hides
+    the ``__pycache__`` directories of the checkout and of the installed
+    packages alike.  So a cache that one checkout holds and the other lacks
+    skews neither side's ``setup_s``.
+    """
+    with tempfile.TemporaryDirectory() as cache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
+        proc = subprocess.run(
+            [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", str(trace)],
+            cwd=checkout, env=env, capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     manifest = json.loads(lines[-2].removeprefix("manifest "))
     return manifest, json.loads(lines[-1])

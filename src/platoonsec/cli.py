@@ -110,8 +110,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"no collision; min spacing {_fmt(metrics.min_spacing)} m, "
               f"sup spacing errors "
               f"[{', '.join(_fmt(s) for s in metrics.sup_spacing_errors)}] m")
-    if args.verbose:
-        print(f"mode events: {len(trace.mode_events)}, decisions: {len(trace.decisions)}")
     print(f"wrote {out / 'trace.csv'}, {out / 'metrics.json'}, "
           f"{out / 'spacing.dat'}, {out / 'velocity.dat'}")
     return EXIT_OUTCOME if metrics.collision else EXIT_OK
@@ -324,9 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"verdict tolerance (default {tol:g})")
         return p
 
-    p = command("simulate", cmd_simulate, "run one scenario, write trace and metrics", 1e-6)
-    p.add_argument("-v", "--verbose", action="store_true",
-                   help="also print the mode-event and decision counts")
+    command("simulate", cmd_simulate, "run one scenario, write trace and metrics", 1e-6)
     command("stability", cmd_stability, "certificate report for the configured gains")
     command("game", cmd_game, "equilibria of the configured security game", 1e-9)
 

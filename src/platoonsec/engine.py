@@ -249,6 +249,9 @@ class ScenarioConfig:
             raise EntryError("seed", f"seed must be >= 0, got {self.seed}")
         if self.gap_offsets and len(self.gap_offsets) != self.platoon.vehicle_count - 1:
             raise ValueError("gap_offsets needs one entry per follower")
+        for i, offset in enumerate(self.gap_offsets):
+            if not math.isfinite(offset):
+                raise EntryError(f"gap_offsets[{i}]", f"gap offsets must be finite, got {offset}")
         if self.attack is not None:
             bad = sorted(i for i in self.attack.targets if i > self.platoon.vehicle_count)
             if bad:
@@ -465,44 +468,28 @@ def _steps_per_period(period: float, step: float) -> int:
     return ticks
 
 
-def _first_tick(t: float, h: float) -> int:
-    """Smallest step index k >= 0 whose time k * h is at or after ``t``.
+def _input_edges(config: ScenarioConfig, times: np.ndarray) -> list[int]:
+    """Where the exogenous inputs may change value: the sorted rows in
+    1..steps of the run's grid ``times`` (row k at ``k * step`` up to row
+    steps, the times the trace records) at which the leader acceleration,
+    the attack window's activity or a table signal's value can change, and
+    every row inside the attack window of a ramp or sinusoid, which takes a
+    new value every step; the last is ``steps`` itself.
 
-    Computed on the same floating-point products the run compares event
-    edges against, so an edge such as 0.3 with h = 0.1 lands where
-    ``3 * 0.1 >= 0.3`` says it does.
+    An instant lands on the first row whose recorded time is at or after it,
+    so an edge such as 0.3 with a step of 0.1 lands where ``3 * 0.1 >= 0.3``
+    says it does; one after the run's end lands past its last row.
     """
-    if t <= 0.0:
-        return 0
-    k = math.ceil(t / h)
-    while k > 0 and (k - 1) * h >= t:
-        k -= 1
-    while k * h < t:
-        k += 1
-    return k
-
-
-def _input_edges(config: ScenarioConfig, steps: int) -> list[int]:
-    """Where the exogenous inputs may change value: the sorted step ticks in
-    1..steps at which the leader acceleration, the attack window's activity
-    or a table signal's value can change, and every tick inside the attack
-    window of a ramp or sinusoid, which takes a new value every step; the
-    last is ``steps`` itself."""
-    def tick(t: float) -> int:  # steps + 1 for an edge after the run's end
-        return _first_tick(t, config.step) if t <= steps * config.step else steps + 1
-
-    times = [edge for start, end, _ in config.platoon.leader_profile.pulses
-             for edge in (start, end)]
-    ticks = set()
     attack = config.attack
-    if attack is not None:
-        times += attack.window
-        if attack.signal.kind == "table":
-            times += attack.signal.times
-        elif attack.signal.kind in ("ramp", "sinusoid"):
-            ticks.update(range(tick(attack.window[0]), tick(attack.window[1])))
-    ticks.update(tick(t) for t in times)
-    return sorted(ticks - {0, steps + 1} | {steps})
+    instants = [*(attack.window if attack is not None else ()),
+                *(edge for start, end, _ in config.platoon.leader_profile.pulses
+                  for edge in (start, end))]
+    if attack is not None and attack.signal.kind == "table":
+        instants += attack.signal.times
+    rows = np.searchsorted(times, instants).tolist()
+    if attack is not None and attack.signal.kind in ("ramp", "sinusoid"):
+        rows += range(rows[0], rows[1])  # the window's rows
+    return sorted(set(rows) - {0, len(times)} | {len(times) - 1})
 
 
 class CertificateError(ValueError):
@@ -861,7 +848,8 @@ class _Integrator:
         # repr tells apart the signed zeros and the ints that == would not
         self.table_key = (repr(config.cacc_gains), repr(config.acc_gains), self.h, n)
         self.attack = attack
-        self.edges = _input_edges(config, steps)
+        self.times = np.arange(steps + 1) * self.h  # row k's time, as the trace records it
+        self.edges = _input_edges(config, self.times)
         self.targeted = [attack is not None and i + 1 in attack.targets for i in range(n)]
         self.lumped = attack is not None and attack.mode == "lumped-acceleration"
         fields = (attack.message_fields
@@ -1032,7 +1020,7 @@ class _Integrator:
             modes[start:stop] = pattern
             xis[start:stop] = xi
         positions = states[:, :self.n]
-        return dict(times=np.arange(last + 1) * self.h, positions=positions,
+        return dict(times=self.times[:last + 1], positions=positions,
                     velocities=states[:, self.n:], modes=modes,
                     spacing_errors=positions[:, 1:] - positions[:, :-1] + self.L,
                     attack_xi=xis,

@@ -14,6 +14,7 @@ and holds its state itself.  Vehicle indices are 1-based.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -34,18 +35,24 @@ class LeaderProfile:
     at time t is the sum of all pulses whose half-open window [start, end)
     contains t, and zero otherwise.  Piecewise-constant acceleration is enough
     to express the braking / speed-up disturbances used in string-stability
-    experiments.  A pulse starts at t >= 0; an ``EntryError`` names a bad one.
+    experiments.  A pulse starts at t >= 0, and the speed and each pulse's
+    acceleration are finite; an ``EntryError`` names a bad entry.
     """
 
     initial_velocity: float = 20.0
     pulses: tuple[tuple[float, float, float], ...] = ()
 
     def __post_init__(self):
-        for i, (start, end, _) in enumerate(self.pulses):
+        if not math.isfinite(self.initial_velocity):
+            raise EntryError("initial_velocity",
+                             f"initial_velocity must be finite, got {self.initial_velocity}")
+        for i, (start, end, accel) in enumerate(self.pulses):
             if not start >= 0:  # NaN too
                 raise EntryError(f"pulses[{i}].0", f"a pulse starts at t >= 0, got {start}")
             if not end > start:
                 raise EntryError(f"pulses[{i}]", f"pulse window [{start}, {end}) is empty")
+            if not math.isfinite(accel):
+                raise EntryError(f"pulses[{i}].2", f"acceleration must be finite, got {accel}")
 
     def acceleration(self, t: float) -> float:
         return sum(a for (s, e, a) in self.pulses if s <= t < e)

@@ -67,7 +67,7 @@ class AttackSignal:
       ramp      -- rate * (t - window start)
       sinusoid  -- amplitude * sin(2 pi frequency (t - window start) + phase)
       table     -- zero-order hold over (times, values) sample pairs
-    (an unknown kind is an ``EntryError`` naming ``kind``)
+    (an unknown kind or a non-finite number is an ``EntryError`` naming it)
     """
 
     kind: str = "constant"
@@ -81,6 +81,14 @@ class AttackSignal:
     def __post_init__(self):
         if self.kind not in SIGNAL_KINDS:
             raise EntryError("kind", f"unknown attack signal kind {self.kind!r}")
+        # min(xi_max, nan) is xi_max: a NaN value would run as a full-strength attack
+        entries = [("amplitude", self.amplitude), ("rate", self.rate),
+                   ("frequency", self.frequency), ("phase", self.phase)]
+        entries += [(f"{name}[{i}]", value) for name in ("times", "values")
+                    for i, value in enumerate(getattr(self, name))]
+        for path, value in entries:
+            if not math.isfinite(value):
+                raise EntryError(path, f"{path} must be finite, got {value}")
         if self.kind == "table":
             if len(self.times) != len(self.values) or not self.times:
                 raise ValueError("table signal needs matching, nonempty times/values")

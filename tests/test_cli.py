@@ -232,6 +232,7 @@ def test_negative_seed_is_input_error(tmp_path, capsys, extra):
     ["stability", "--tol", "1e-3"],
     ["game", "-v"],
     [],
+    ["simulate", "--config", DEFENDED, "-v"],  # simulate's --verbose is gone
 ])
 def test_usage_errors_are_input_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -87,8 +87,10 @@ def test_row_zero_is_checked_like_every_other_row():
     assert trace.collision.gap == pytest.approx(4.2)
     assert trace.reports == () and trace.decisions == ()
     assert {e.cause for e in trace.mode_events} == {"initial"}
+    # each offset is finite, but the third vehicle's position overflows
     with pytest.raises(FloatingPointError, match=r"non-finite state at t=0 s"):
-        run_scenario(dataclasses.replace(config, gap_offsets=(math.inf,)))
+        run_scenario(dataclasses.replace(config, platoon=make_platoon(n=3),
+                                         gap_offsets=(1e308, 1e308)))
 
 
 def test_run_looks_up_the_traced_engine_names_at_call_time(monkeypatch):
@@ -1082,7 +1084,61 @@ def test_input_edges_split_varying_attacks_into_rows(signal, window, edges):
                             sampling_period=0.25,
                             switching=SwitchingConfig(decision_period=0.25),
                             step=0.25, duration=2.0)
-    assert _input_edges(config, 8) == edges
+    assert _input_edges(config, np.arange(9) * 0.25) == edges
+
+
+def _edge_case(step, steps, window=(0.0, math.inf), pulses=(), signal=AttackSignal()):
+    """(config, step, steps) of a run of ``steps`` rows whose inputs change
+    at the given instants."""
+    config = ScenarioConfig(platoon=make_platoon(pulses=pulses),
+                            attack=AttackSpec(signal=signal, window=window),
+                            sampling_period=step, switching=SwitchingConfig(decision_period=step),
+                            step=step, duration=steps * step)
+    return config, step, steps
+
+
+@st.composite
+def _timed_inputs(draw):
+    """A short run on a common step, with pulses, an attack window (open or
+    closed) and a waveform whose instants carry 1 to 3 decimals, some of
+    them past the run's end."""
+    step = draw(st.sampled_from([0.001, 0.003, 0.01, 0.02, 0.03, 0.25]))
+    steps = draw(st.integers(1, 400))
+    horizon = 1.25 * steps * step
+    instant = st.integers(1, 3).flatmap(
+        lambda d: st.integers(0, int(horizon * 10 ** d)).map(lambda m: m / 10 ** d))
+    interval = st.lists(instant, min_size=2, max_size=2, unique=True).map(sorted)
+    pulses = tuple((start, end, -1.0) for start, end in draw(st.lists(interval, max_size=2)))
+    start, end = draw(interval)
+    window = (start, draw(st.sampled_from([end, math.inf])))
+    kind = draw(st.sampled_from(["constant", "ramp", "sinusoid", "table"]))
+    times = sorted(draw(st.lists(instant, min_size=1, max_size=5)))
+    signal = (AttackSignal(kind="table", times=tuple(times), values=(1.0,) * len(times))
+              if kind == "table" else AttackSignal(kind=kind))
+    return _edge_case(step, steps, window, pulses, signal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_timed_inputs())
+@example(_edge_case(0.001, 17_000, window=(16.35, math.inf)))  # 16.35 / 0.001 rounds up
+@example(_edge_case(0.03, 4_200, pulses=((125.7, 125.8, -1.0),)))  # 4190 * 0.03 < 125.7
+def test_every_input_edge_is_the_first_row_at_or_after_its_instant(case):
+    """Each instant lands on the least row k whose recorded time k * step is
+    at or after it, found here by scanning the products one by one."""
+    config, step, steps = case
+    attack = config.attack
+
+    def first_row(t):  # steps + 1 past the run's end
+        return next((k for k in range(steps + 1) if k * step >= t), steps + 1)
+
+    pulses = config.platoon.leader_profile.pulses
+    instants = [*attack.window, *(t for start, end, _ in pulses for t in (start, end)),
+                *attack.signal.times]
+    expected = {first_row(t) for t in instants}
+    if attack.signal.kind in ("ramp", "sinusoid"):
+        expected.update(range(first_row(attack.window[0]), first_row(attack.window[1])))
+    assert _input_edges(config, np.arange(steps + 1) * step) == sorted(
+        expected - {0, steps + 1} | {steps})
 
 
 _DEFENDED = load_scenario(CONFIGS / "crash_defended.json")

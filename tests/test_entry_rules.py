@@ -15,7 +15,7 @@ from platoonsec.config import ConfigError, scenario_from_dict
 from platoonsec.control import CaccGains
 from platoonsec.engine import ScenarioConfig, SwitchingConfig
 from platoonsec.platoon import LeaderProfile, PlatoonConfig
-from platoonsec.threat import AttackSpec
+from platoonsec.threat import AttackSignal, AttackSpec
 
 
 def base_scenario() -> dict:
@@ -75,6 +75,17 @@ def test_file_and_dataclass_give_one_verdict(mutate, make, section, entry):
     (lambda nan: SwitchingConfig(policy_override=(0.5, nan)), "policy_override[1]"),
     (lambda nan: ScenarioConfig(PlatoonConfig(4, 10.0, 4.5, 4.0), sampling_period=nan),
      "sampling_period"),
+    (lambda nan: AttackSignal(amplitude=nan), "amplitude"),
+    (lambda nan: AttackSignal(kind="ramp", rate=nan), "rate"),
+    (lambda nan: AttackSignal(kind="sinusoid", frequency=nan), "frequency"),
+    (lambda nan: AttackSignal(kind="sinusoid", phase=nan), "phase"),
+    (lambda nan: AttackSignal(amplitude=-math.inf), "amplitude"),
+    (lambda nan: AttackSignal(kind="table", times=(0.0, nan), values=(1.0, 2.0)), "times[1]"),
+    (lambda nan: AttackSignal(kind="table", times=(0.0,), values=(nan,)), "values[0]"),
+    (lambda nan: LeaderProfile(initial_velocity=nan), "initial_velocity"),
+    (lambda nan: LeaderProfile(pulses=((1.0, 2.0, nan),)), "pulses[0].2"),
+    (lambda nan: ScenarioConfig(PlatoonConfig(4, 10.0, 4.5, 4.0), gap_offsets=(0.0, nan, 0.0)),
+     "gap_offsets[1]"),
 ])
 def test_nan_fails_every_rule_and_is_named(make, entry):
     """A NaN passes a ``< 0`` test; every rule on a value rejects it when the

@@ -2,11 +2,12 @@
 
 Each runs in its own process, as a user runs it, with the package on its
 path; a test checks the exit code and the lines the script prints.  The rule
-that ``bench_pairs.py`` gives each ``BENCH_*.json`` verdict by is tested
-in-process, on hand-made runs.
+that ``bench_pairs.py`` gives each ``BENCH_*.json`` verdict by, and the
+environment it runs each side in, are tested in-process, on hand-made runs.
 """
 
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -110,3 +111,34 @@ def test_bench_pairs_verdict_rule():
     # the same medians where higher is better: the change is 25% worse
     assert bench_pairs.verdict(parent, better, 10, 10, -1, 0.3) == "unresolved"
     assert bench_pairs.verdict(parent, better, 10, 10, -1, 0.2) == "worse"
+
+
+def test_bench_pairs_runs_both_sides_without_bytecode_caches(tmp_path, monkeypatch):
+    """Each run writes no bytecode and reads caches only from a fresh empty
+    prefix, so a ``__pycache__`` one checkout holds skews neither side."""
+    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for checkout in checkouts.values():
+        (checkout / "__pycache__").mkdir(parents=True)
+    (checkouts["change"] / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+    seen = {side: [] for side in bench_pairs.SIDES}
+
+    def fake_run(argv, cwd, **kwargs):
+        env = kwargs["env"]
+        prefix = env["PYTHONPYCACHEPREFIX"]
+        assert os.listdir(prefix) == []
+        seen[Path(cwd).name].append((env["PYTHONDONTWRITEBYTECODE"], prefix))
+        result = {"correct": True, "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
+        return subprocess.CompletedProcess(argv, 0, stdout="manifest {\"git_commit\": null}\n"
+                                                           + json.dumps(result) + "\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.main(["--parent", str(checkouts["parent"]),
+                             "--change", str(checkouts["change"]),
+                             "--out", str(tmp_path / "bench.json")]) == 0
+    runs = seen["parent"] + seen["change"]
+    assert len(seen["parent"]) == len(seen["change"]) == bench_pairs.PAIRS + 1
+    assert {flag for flag, _ in runs} == {"1"}
+    prefixes = {prefix for _, prefix in runs}
+    assert len(prefixes) == len(runs) and not any(map(os.path.exists, prefixes))
