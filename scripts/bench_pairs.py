@@ -10,9 +10,9 @@ For each workload in the change's ``BENCHMARK.json``, pair i of ten runs
 ``bench/run.py --trace 0`` once in each checkout, for the benchmark's
 ``run_seconds``, with seed ``first_seed + i``, the parent first in even pairs
 and the change first in odd ones.  Every run compiles its modules from
-source, without reading or writing a bytecode cache (see ``bench``).  Then one traced pass (``--trace 1``) a
-side, with the first seed, gives the per-layer metrics that show where a
-difference went.
+source, without reading or writing a bytecode cache (see ``bench``).  Then
+one traced pass (``--trace 1``) a side, with the first seed, gives the
+per-layer metrics that show where a difference went.
 
 The output holds, per workload and end-to-end metric, each side's median and
 quartiles (``statistics.quantiles``, inclusive method), the change's wins out
