@@ -9,10 +9,14 @@ Usage (from the repository root):
 For each workload in the change's ``BENCHMARK.json``, pair i of ten runs
 ``bench/run.py --trace 0`` once in each checkout, for the benchmark's
 ``run_seconds``, with seed ``first_seed + i``, the parent first in even pairs
-and the change first in odd ones.  Every run compiles its modules from
-source, without reading or writing a bytecode cache (see ``bench``).  Then
-one traced pass (``--trace 1``) a side, with the first seed, gives the
-per-layer metrics that show where a difference went.
+and the change first in odd ones.  No run writes bytecode, and the script
+refuses to start while either checkout holds a ``__pycache__`` directory, so
+both sides compile their own modules from source and read the installed
+packages' caches alike.  It also refuses two checkouts whose absolute paths
+differ in length, which moves ``ensemble_benign``'s ``wall_s`` by up to 10%
+at identical code: use sibling directories such as ``.../parent`` and
+``.../change``.  Then one traced pass (``--trace 1``) a side, with the first
+seed, gives the per-layer metrics that show where a difference went.
 
 The output holds, per workload and end-to-end metric, each side's median and
 quartiles (``statistics.quantiles``, inclusive method), the change's wins out
@@ -38,7 +42,6 @@ import os
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -48,21 +51,34 @@ PAIRS = 10
 def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple:
     """(manifest, result) of one ``bench/run.py`` run in ``checkout``.
 
-    The run compiles every module it imports from source: it writes no
-    bytecode, and its cache prefix is a fresh empty directory, which hides
-    the ``__pycache__`` directories of the checkout and of the installed
-    packages alike.  So a cache that one checkout holds and the other lacks
-    skews neither side's ``setup_s``.
+    The run writes no bytecode and has no cache prefix: it reads the
+    installed packages' ``__pycache__`` directories (an empty prefix would
+    compile numpy from source in every ``setup_s`` sample), and the checkout
+    holds none (see ``refusal``), so both sides compile platoonsec from source.
     """
-    with tempfile.TemporaryDirectory() as cache:
-        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
-        proc = subprocess.run(
-            [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-             "--seconds", str(seconds), "--trace", str(trace)],
-            cwd=checkout, env=env, capture_output=True, text=True, check=True)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, env=env, capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     manifest = json.loads(lines[-2].removeprefix("manifest "))
     return manifest, json.loads(lines[-1])
+
+
+def refusal(checkouts: dict) -> str | None:
+    """Why the two checkouts cannot be compared fairly, or None."""
+    paths = {side: checkout.resolve() for side, checkout in checkouts.items()}
+    if len(str(paths["parent"])) != len(str(paths["change"])):
+        return (f"the checkouts' absolute paths differ in length ({paths['parent']}, "
+                f"{paths['change']}), which moves wall_s; use sibling directories such as "
+                f".../parent and .../change")
+    for path in paths.values():
+        cache = next(path.rglob("__pycache__"), None)
+        if cache is not None:
+            return f"{cache} holds bytecode that the other checkout may lack; remove it"
+    return None
 
 
 def summary(values: list) -> dict:
@@ -108,8 +124,12 @@ def main(argv=None) -> int:
     parser.add_argument("--commits", nargs=2, metavar=("PARENT", "CHANGE"))
     args = parser.parse_args(argv)
 
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
     checkouts = {"parent": args.parent, "change": args.change}
+    reason = refusal(checkouts)
+    if reason is not None:
+        print(f"bench_pairs: refusing to start: {reason}", file=sys.stderr)
+        return 2
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     seeds = list(range(args.first_seed, args.first_seed + PAIRS))
     report = {"pairs": PAIRS, "seconds": seconds, "seeds": seeds,

@@ -77,6 +77,8 @@ class PlatoonConfig:
         for name in ("desired_gap", "vehicle_length"):
             if not getattr(self, name) > 0:
                 raise EntryError(name, f"{name} must be positive, got {getattr(self, name)}")
+            if getattr(self, name) == math.inf:  # no finite state has an infinite gap or length
+                raise EntryError(name, f"{name} must be finite, got inf")
         if not self.desired_gap > self.vehicle_length:
             raise ValueError("desired_gap must exceed vehicle_length")
         if not 0 < self.epsilon_max < self.desired_gap - self.vehicle_length:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import dropwhile
 
 import numpy as np
 
@@ -374,17 +375,19 @@ def min_dwell_time(z, constants: LyapunovConstants) -> float:
 
 @dataclass(frozen=True)
 class TransferFunction:
-    """Rational transfer function; coefficients in descending powers of s."""
+    """Rational transfer function; coefficients in descending powers of s,
+    stored as float tuples without leading zeros."""
 
     num: tuple[float, ...]
     den: tuple[float, ...]
 
     def __post_init__(self):
-        num = _strip(self.num)
-        den = _strip(self.den)
-        if not den:
+        for name in ("num", "den"):
+            coeffs = map(float, getattr(self, name))
+            object.__setattr__(self, name, tuple(dropwhile(lambda c: c == 0.0, coeffs)))
+        if not self.den:
             raise ValueError("denominator must not be identically zero")
-        if num and len(num) > len(den):
+        if self.num and len(self.num) > len(self.den):
             raise ValueError("transfer function must be proper (deg num <= deg den)")
 
     def __call__(self, s: complex) -> complex:
@@ -392,18 +395,7 @@ class TransferFunction:
 
     def is_stable(self) -> bool:
         """Hurwitz denominator: every pole strictly in the left half plane."""
-        den = _strip(self.den)
-        if len(den) == 1:
-            return True
-        return bool(np.all(np.roots(den).real < 0))
-
-
-def _strip(coeffs) -> tuple[float, ...]:
-    coeffs = tuple(float(c) for c in coeffs)
-    i = 0
-    while i < len(coeffs) and coeffs[i] == 0.0:
-        i += 1
-    return coeffs[i:]
+        return bool(np.all(np.roots(self.den).real < 0))
 
 
 def spacing_error_tf(mode: str, gains) -> TransferFunction:
@@ -425,7 +417,7 @@ def spacing_error_tf(mode: str, gains) -> TransferFunction:
                          "coupling active; set the leader gains to zero for a chain analysis")
     a, b, g = pred.alpha, pred.beta, pred.gamma
     den = (1.0, -b + 0.0, -a + 0.0)
-    return TransferFunction(num=_strip((g + 0.0,) + den[1:]), den=den)
+    return TransferFunction(num=(g + 0.0,) + den[1:], den=den)
 
 
 @dataclass(frozen=True)
@@ -436,50 +428,59 @@ class HinfNorm:
     omega: float
 
 
-# hinf_norm's coarse grid: omega = 0, then 4096 log-spaced frequencies
 _OMEGA_MAX = 1e3
-_HINF_GRID = np.concatenate(([0.0], np.logspace(-4, math.log10(_OMEGA_MAX), 4096)))
+
+
+def _gain_squared(coeffs) -> np.ndarray:
+    """|c(j omega)|^2 = re(w)^2 + w im(w)^2 in descending powers of w = omega^2, where
+    c(j omega) = re + j omega im; c's coefficients (descending powers of s, none for c = 0)
+    are first scaled to a largest magnitude of one, so that no square overflows."""
+    c = np.array(coeffs[::-1] + (0.0, 0.0)) / max(map(abs, coeffs), default=1.0)
+    c[2::4] *= -1.0  # j^2 = -1
+    c[3::4] *= -1.0  # j^3 = -j
+    re, im = c[0::2][::-1], c[1::2][::-1]
+    return np.polyadd(np.polymul(re, re), np.polymul(np.polymul(im, im), [1.0, 0.0]))
+
+
+def _log_derivatives(p, s):
+    """p'(s) / p(s) and p''(s) / p(s)."""
+    value = np.polyval(p, s)
+    return np.polyval(np.polyder(p), s) / value, np.polyval(np.polyder(p, 2), s) / value
 
 
 def hinf_norm(H: TransferFunction) -> HinfNorm:
-    """sup over omega in [0, 1e3] of |H(j omega)|.
+    """sup over omega in [0, 1e3] of |H(j omega)|, at a stationary point.
 
-    Coarse pass on ``_HINF_GRID``, evaluated as one polynomial pair over the
-    array, whose entries are bitwise the scalar H(j omega); then
-    golden-section refinement of the bracket around the grid argmax.
-    Requires a stable H; the norm is undefined otherwise.
+    |H(j omega)|^2 = A(w) / B(w) in w = omega^2, so the peak is at an end of the range
+    or at a root of the slope A'B - AB'.  Those and the frequencies of H's poles are
+    the candidates, each also after Newton steps on d log|H(j omega)| / d omega taken
+    from H itself: near lightly damped or coinciding resonances the slope's roots are
+    found to a few digits only.  All are evaluated as H(j omega) in one call, and the
+    first largest is the peak.  Requires a stable H; the norm is undefined otherwise.
     """
     if not H.is_stable():
         raise ValueError("H-infinity norm undefined: denominator is not Hurwitz")
-    if _strip(H.num) == ():
-        return HinfNorm(0.0, 0.0)
-
-    omegas = _HINF_GRID
-    mags = np.abs(H(1j * omegas))
-    k = int(np.argmax(mags))
-    best_w, best_m = float(omegas[k]), float(mags[k])
-
-    lo = float(omegas[k - 1]) if k > 0 else 0.0
-    hi = float(omegas[k + 1]) if k + 1 < omegas.size else _OMEGA_MAX
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - phi * (hi - lo)
-    x2 = lo + phi * (hi - lo)
-    f1, f2 = abs(H(1j * x1)), abs(H(1j * x2))
-    for _ in range(200):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + phi * (hi - lo)
-            f2 = abs(H(1j * x2))
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - phi * (hi - lo)
-            f1 = abs(H(1j * x1))
-        if hi - lo < 1e-13 * max(1.0, hi):
-            break
-    for w, m in ((x1, f1), (x2, f2)):
-        if m > best_m:
-            best_w, best_m = float(w), float(m)
-    return HinfNorm(best_m, best_w)
+    A, B = _gain_squared(H.num), _gain_squared(H.den)
+    slope = np.polysub(np.polymul(np.polyder(A), B), np.polymul(A, np.polyder(B)))
+    # the slope in u = w / 2^20 (> 1e6), exactly scaled by powers of two to a largest coefficient
+    # near 1 at any order; a leading one below eps adds a root past 1 / eps, or overflows np.roots
+    k = np.arange(slope.size)[::-1]
+    top = (20 * k + np.frexp(slope)[1]).max(where=slope != 0.0, initial=0)
+    slope = np.ldexp(slope, 20 * k - top)
+    with np.errstate(all="ignore"):  # a root or step that leaves the range is dropped
+        u = np.roots(slope[np.argmax(np.abs(slope) > np.finfo(float).eps):]).real
+        starts = np.concatenate(([0.0, _OMEGA_MAX], np.sqrt(u * 2.0 ** 20),
+                                 np.abs(np.roots(H.den).imag)))
+        polished = starts
+        for _ in range(20):
+            (n1, n2), (d1, d2) = (_log_derivatives(p, 1j * polished) for p in (H.num, H.den))
+            polished = polished - (n1 - d1).imag / (n2 - n1 ** 2 - d2 + d1 ** 2).real
+    omegas = np.append(starts, polished)
+    omegas = omegas[(omegas >= 0.0) & (omegas <= _OMEGA_MAX)]
+    # each entry's abs, as abs(H(1j * omega)) takes it: np.abs of an array rounds some otherwise
+    mags = [abs(response) for response in H(1j * omegas)]
+    best = int(np.argmax(mags))  # the first of the largest
+    return HinfNorm(float(mags[best]), float(omegas[best]))
 
 
 def impulse_response_nonneg(H: TransferFunction) -> bool:
@@ -491,16 +492,12 @@ def impulse_response_nonneg(H: TransferFunction) -> bool:
     is outside the sampled window and is ignored.
     """
     horizon, step, tol = 80.0, 1e-3, 1e-9
-    num = list(_strip(H.num))
-    den = list(_strip(H.den))
-    if not num:
+    if not H.num:
         return True
+    den = [c / H.den[0] for c in H.den]
+    num = [c / H.den[0] for c in H.num]
     if len(den) == 1:
-        return num[0] / den[0] >= -tol
-
-    lead = den[0]
-    den = [c / lead for c in den]
-    num = [c / lead for c in num]
+        return num[0] >= -tol
     n = len(den) - 1
     if len(num) == len(den):
         d = num[0]

@@ -414,6 +414,16 @@ def test_string_check_fixture_passes(capsys):
     assert "verdict: string stable" in stdout
 
 
+def test_string_check_reports_a_narrow_resonance(capsys):
+    """|H(2j)| = 2.204: the peak line says so, though the verdict needs no
+    peak, since the impulse response changes sign."""
+    assert main(["string-check", "--num", "0.5", "0.00018", "2.00016",
+                 "--den", "1", "1.00004", "4.00004", "4"]) == EXIT_OUTCOME
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("  peak gain 2.204160") and lines[1].endswith(" -> > 1")
+    assert lines[-1] == "verdict: not string stable"
+
+
 def test_string_check_fixture_needs_both_polynomials(capsys):
     assert main(["string-check", "--num", "1"]) == EXIT_INPUT
     assert "--num and --den" in capsys.readouterr().err

@@ -69,6 +69,10 @@ def test_file_and_dataclass_give_one_verdict(mutate, make, section, entry):
     (lambda nan: PlatoonConfig(nan, 10.0, 4.5, 4.0), "vehicle_count"),
     (lambda nan: PlatoonConfig(4, nan, 4.5, 4.0), "desired_gap"),
     (lambda nan: PlatoonConfig(4, 10.0, nan, 4.0), "vehicle_length"),
+    pytest.param(lambda nan: PlatoonConfig(4, math.inf, 4.5, 4.0), "desired_gap",
+                 id="desired_gap-inf"),
+    pytest.param(lambda nan: PlatoonConfig(4, 10.0, math.inf, 4.0), "vehicle_length",
+                 id="vehicle_length-inf"),
     (lambda nan: PlatoonConfig(4, 10.0, 4.5, nan), "epsilon_max"),
     (lambda nan: CaccGains.from_aggregate(-1.58, -2.51, split=nan), "split"),
     (lambda nan: SwitchingConfig(hysteresis_release=nan), "hysteresis_release"),

@@ -113,32 +113,64 @@ def test_bench_pairs_verdict_rule():
     assert bench_pairs.verdict(parent, better, 10, 10, -1, 0.2) == "worse"
 
 
-def test_bench_pairs_runs_both_sides_without_bytecode_caches(tmp_path, monkeypatch):
-    """Each run writes no bytecode and reads caches only from a fresh empty
-    prefix, so a ``__pycache__`` one checkout holds skews neither side."""
-    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+def _checkouts(tmp_path, change="change"):
+    """Two checkouts for ``bench_pairs.main``; the change's holds the spec."""
+    checkouts = {"parent": tmp_path / "parent", "change": tmp_path / change}
     for checkout in checkouts.values():
-        (checkout / "__pycache__").mkdir(parents=True)
+        checkout.mkdir(parents=True)
     (checkouts["change"] / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 1, "workloads": [{"name": "w"}],
         "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+    return checkouts
+
+
+def _main(checkouts, tmp_path):
+    return bench_pairs.main(["--parent", str(checkouts["parent"]),
+                             "--change", str(checkouts["change"]),
+                             "--out", str(tmp_path / "bench.json")])
+
+
+def test_bench_pairs_runs_both_sides_without_bytecode_caches(tmp_path, monkeypatch):
+    """Each run writes no bytecode and has no cache prefix, not even one set
+    in the caller's environment, so it reads the installed packages' caches."""
+    checkouts = _checkouts(tmp_path)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "cache"))
     seen = {side: [] for side in bench_pairs.SIDES}
 
     def fake_run(argv, cwd, **kwargs):
         env = kwargs["env"]
-        prefix = env["PYTHONPYCACHEPREFIX"]
-        assert os.listdir(prefix) == []
-        seen[Path(cwd).name].append((env["PYTHONDONTWRITEBYTECODE"], prefix))
+        seen[Path(cwd).name].append((env["PYTHONDONTWRITEBYTECODE"],
+                                     env.get("PYTHONPYCACHEPREFIX")))
         result = {"correct": True, "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
         return subprocess.CompletedProcess(argv, 0, stdout="manifest {\"git_commit\": null}\n"
                                                            + json.dumps(result) + "\n")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
-    assert bench_pairs.main(["--parent", str(checkouts["parent"]),
-                             "--change", str(checkouts["change"]),
-                             "--out", str(tmp_path / "bench.json")]) == 0
-    runs = seen["parent"] + seen["change"]
+    assert _main(checkouts, tmp_path) == 0
     assert len(seen["parent"]) == len(seen["change"]) == bench_pairs.PAIRS + 1
-    assert {flag for flag, _ in runs} == {"1"}
-    prefixes = {prefix for _, prefix in runs}
-    assert len(prefixes) == len(runs) and not any(map(os.path.exists, prefixes))
+    assert set(seen["parent"] + seen["change"]) == {("1", None)}
+
+
+def _refused(checkouts, tmp_path, monkeypatch, capsys):
+    """The one stderr line of a refused start; no run was made."""
+    monkeypatch.setattr(bench_pairs.subprocess, "run", None)
+    assert _main(checkouts, tmp_path) == 2
+    assert not (tmp_path / "bench.json").exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("bench_pairs: refusing to start: ")
+    return err
+
+
+def test_bench_pairs_refuses_a_checkout_with_bytecode(tmp_path, monkeypatch, capsys):
+    """A ``__pycache__`` in either checkout would let one side read compiled
+    modules the other compiles; the refusal names it."""
+    for side in bench_pairs.SIDES:
+        checkouts = _checkouts(tmp_path / side)
+        cache = checkouts[side] / "src" / "platoonsec" / "__pycache__"
+        cache.mkdir(parents=True)
+        assert str(cache.resolve()) in _refused(checkouts, tmp_path, monkeypatch, capsys)
+
+
+def test_bench_pairs_refuses_checkout_paths_of_unequal_length(tmp_path, monkeypatch, capsys):
+    err = _refused(_checkouts(tmp_path, change="changed"), tmp_path, monkeypatch, capsys)
+    assert "differ in length" in err and ".../parent and .../change" in err

@@ -352,15 +352,95 @@ _biproper_tfs = st.builds(
     st.floats(0.01, 10.0), st.floats(0.01, 10.0))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(_radar_tfs, _biproper_tfs))
+@st.composite
+def _resonant_tfs(draw):
+    """Orders 2-6 built from poles: a pair s^2 + 2 zeta wn s + wn^2 for each
+    two orders, damping ratios zeta down to 1e-4, and a real pole if the
+    order is odd; any proper numerator."""
+    order = draw(st.integers(2, 6))
+    den = np.array([1.0])
+    for _ in range(order // 2):
+        zeta, wn = 10.0 ** draw(st.floats(-4.0, 0.0)), 10.0 ** draw(st.floats(-2.0, 2.0))
+        den = np.polymul(den, [1.0, 2.0 * zeta * wn, wn * wn])
+    if order % 2:
+        den = np.polymul(den, [1.0, 10.0 ** draw(st.floats(-2.0, 2.0))])
+    num = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=order + 1))
+    return TransferFunction(tuple(num), tuple(den))
+
+
+# 0 and 4,096 frequencies log-spaced over [1e-4, 1e3] rad/s, the grid the peak
+# was once searched on: no sample of it may beat the peak
+_LOG_GRID = np.concatenate(([0.0], np.logspace(-4, 3, 4096)))
+
+
+def _rounding(p, omegas):
+    """A bound on the relative rounding error of p(j omega) by Horner's rule,
+    8 n eps sum |p_k| omega^k / |p(j omega)| for n coefficients: near a
+    lightly damped pole, D(j omega) cancels far below its terms.  At most 1:
+    near a zero of p the bound says nothing."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bound = (8 * len(p) * np.finfo(float).eps * np.polyval(np.abs(p), omegas)
+                 / np.abs(np.polyval(p, 1j * omegas)))
+    return np.fmin(bound, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_radar_tfs, _biproper_tfs,
+                 _resonant_tfs().filter(TransferFunction.is_stable)))
 @example(TransferFunction((-1.0, -0.25), (1.0, 1.0, 0.25)))  # acceptance criterion 3
-def test_hinf_grid_response_is_bitwise_the_scalar_response(H):
-    """``hinf_norm`` evaluates H over its whole grid in one call; each entry
-    must hold the bytes of H at that one frequency."""
-    grid = stability._HINF_GRID
-    scalar = np.array([H(1j * w) for w in grid])
-    assert H(1j * grid).tobytes() == scalar.tobytes()
+# a resonance at 2 rad/s between two grid frequencies: the peak is 2.204, the
+# grid saw 0.50004 at omega = 0
+@example(TransferFunction((0.5, 0.00018, 2.00016), (1.0, 1.00004, 4.00004, 4.0)))
+# a peak among clustered stationary points: the slope's roots alone miss it
+# by 1.4e-6 relative
+@example(TransferFunction((6.81745702, -8.1741737, -4.43998875, 5.20606191, 2.1261099,
+                           -3.68196613),
+                          (1.0, 0.0438269105, 209.726854, 7.1884742, 0.046752962,
+                           0.00147152143)))
+# a numerator term of 4e-10 puts a slope root at -1.3e19 rad^2/s^2, which
+# costs the companion matrix the peak's root near 1: only a step from the
+# pole's frequency finds 5.03 there
+@example(TransferFunction((3.864631852286046e-10, 1.0), (1.0, 0.2, 1.0)))
+# a numerator term of 5e-11 gives the slope a leading coefficient below eps
+# in omega^2, though not in omega^2 / 2^20, that sets the peak at 158 rad/s
+@example(TransferFunction((5.28e-11, -1.19, -9.26, 3.3, 3.91, -3.77, -2.37),
+                          (1.0, 657.0, 36157.0, 502889.0, 2820891.0, 6676893.0, 5180660.0)))
+# two resonances at 1 rad/s, damping 1e-3 and 1e-4: the slope's clustered
+# roots start no step inside the peak, which is 1.77e6, not 6.4e5
+@example(TransferFunction((1e-09, 1.0), (1.0, 1.0022, 2.0022004, 2.0022004, 1.0022, 1.0)))
+def test_hinf_norm_is_the_peak_of_the_response(H):
+    """No frequency in [0, 1e3] has a larger gain: not one of the log grid,
+    nor the frequency of a pole, nor one within 0.1% of the peak.  The gains
+    are compared to 1e-12 relative beyond the rounding bound of evaluating H
+    at each frequency (and the smallest normal float, below which a gain
+    has no relative precision).  The value is |H(j omega)| at its own
+    omega, bit for bit."""
+    norm = hinf_norm(H)
+    assert 0.0 <= norm.omega <= 1e3
+    assert norm.value.hex() == float(abs(H(1j * norm.omega))).hex()
+    poles = np.abs(np.roots(H.den).imag)
+    near = norm.omega * (1.0 + np.linspace(-1e-3, 1e-3, 2001))
+    omegas = np.concatenate((_LOG_GRID, poles, near))
+    omegas = omegas[omegas <= 1e3]
+    peak = np.array([norm.omega])
+    slack = 1e-12 + _rounding(H.num, peak) + _rounding(H.den, peak)
+    gains = np.abs(H(1j * omegas)) * (1.0 - _rounding(H.num, omegas) - _rounding(H.den, omegas))
+    assert np.all(gains <= norm.value * (1.0 + slack) + np.finfo(float).tiny)
+
+
+def test_hinf_norm_radar_law_peak_is_exact():
+    """The radar law's peak sits at omega = sqrt(1/8), with gain 2/sqrt(3)."""
+    norm = hinf_norm(spacing_error_tf(ACC, DEFAULT_ACC_GAINS))
+    assert norm.omega == pytest.approx(math.sqrt(0.125), rel=0, abs=1e-12)
+    assert norm.value == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-12)
+
+
+def test_hinf_norm_tiny_leading_denominator_coefficient():
+    """A subnormal leading slope coefficient would overflow the companion
+    matrix; |(2s + 1) / (3e-162 s^2 + s + 1)| rises to its value at 1e3."""
+    norm = hinf_norm(TransferFunction((2.0, 1.0), (3e-162, 1.0, 1.0)))
+    assert norm.omega == 1e3
+    assert norm.value == pytest.approx(math.sqrt(4e6 + 1.0) / math.sqrt(1e6 + 1.0), rel=1e-12)
 
 
 @given(k3=st.floats(-4.0, -0.05), k4=st.floats(-5.0, -0.05))
