@@ -1,7 +1,10 @@
 """Shortest round-trip text of many doubles at once, byte-equal to ``repr``.
 
-``reprs(values)`` returns ``[repr(v).encode() for v in values]``, computed in
-one numpy pass over the array instead of one ``repr`` call a value.  Python's
+``shortest(values, out)`` writes ``repr(v).encode()`` of each value into its
+row of ``out``, a ``uint8`` table of at least 24 columns, the rest of the
+row's first 24 bytes NUL; no ``repr`` holds a NUL, so dropping them joins a
+table's texts.  It is computed in one numpy pass over the array instead of
+one ``repr`` call a value, with no Python object for any value.  Python's
 ``repr`` of a float is the shortest decimal string that reads back to the
 same double; among the shortest strings it is the one nearest the value
 (Steele & White 1990; Gay's ``dtoa``, mode 0).  The pass finds that string
@@ -26,9 +29,9 @@ with exact integer arithmetic on a scaled copy of each value:
 * Text.  The digits and the decimal point's place give Python's ``'r'``
   layout: exponent form when the point lies 4 or more places before the
   first digit or more than 16 places after it, else fixed, with ``.0``
-  after a whole number.  Each value's bytes are one gather from a row of
-  its digits, signs and exponent through a table of layouts keyed by
-  (layout, digit count, sign).
+  after a whole number.  The bytes of all the values are one gather, each
+  from a source row of its digits, signs and exponent through a table of
+  layouts keyed by (layout, digit count, sign); a layout ends in NULs.
 
 The arithmetic is exact except where a real is compared with an integer:
 the bounds L and H (a multiple of 10**d exactly on a bound reads back as x
@@ -36,7 +39,7 @@ only if x's significand is even) and a rounding tie between the two
 nearest multiples.  A value whose L or H lies within ``_TOL`` of an
 integer, or whose y lies within it of a tie that decides the result, is
 flagged, as are 0.0, -0.0, inf, nan, subnormals and values outside the
-table of 10**k.  ``reprs`` formats the flagged values with ``repr``.
+table of 10**k.  ``shortest`` formats the flagged values with ``repr``.
 ``_TOL`` is 1e-7, a million times the error of y, so every comparison made
 for an unflagged value comes out as in exact arithmetic.
 """
@@ -47,7 +50,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["reprs", "shortest"]
+__all__ = ["shortest"]
 
 # frexp exponents whose values the pass formats: |x| in [2**-129, 2**128),
 # about [1.5e-39, 3.4e38], so a decimal exponent has two digits; the rest go
@@ -61,12 +64,13 @@ _LOG10_2 = 0.30102999566398120
 # a NUL that pads the gathered text.
 _ZERO, _DIGIT, _MINUS, _POINT, _E, _EXP_SIGN, _EXP, _NUL = 0, 3, 20, 21, 22, 24, 25, 27
 _WORDS = 7
-_WIDTH = 23  # the longest text: "-1.2345678901234567e-39" or "-0.00012345678901234567"
+# a row: the longest repr, "-1.3498094062947883e-308" (a fallback); the pass's
+# longest, "-1.2345678901234567e-39" or "-0.00012345678901234567", has 23 bytes
+_WIDTH = 24
 _POINTS = np.arange(-3, 17)  # fixed layout: the point's place after the first digit
 _DIGITS = np.arange(1, 18)
 _EXP_KEYS = _POINTS.size * 17  # fixed keys by (point, digits), then exponent keys by digits
 _SIGNED = _EXP_KEYS + 17  # then the same layouts behind a minus sign
-_SLICE = 256
 
 
 def _split(a):
@@ -146,13 +150,16 @@ def _near_integer(frac):
     return (frac < _TOL) | (frac > 1.0 - _TOL)
 
 
-def shortest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``repr`` bytes of each of ``values`` (float64, one dimension) as
-    an ``S23`` array, and the mask of the values that must go to ``repr``
-    instead (see the module docstring), whose entries are undefined.
+def shortest(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``repr(v).encode()`` of each of ``values`` (float64, one
+    dimension) into its row of ``out``, a ``uint8`` array of one row a value
+    and at least ``_WIDTH`` = 24 columns, NUL-padded through column 23;
+    columns past that are left as they are.  Return the mask of the values
+    that went to ``repr`` itself (see the module docstring).
 
     Each temporary is dropped after its last use, or updated in place, to
-    keep few arrays alive at once: the peak is about 100 bytes a value."""
+    keep few arrays alive at once: the peak is the gather's index, 192
+    bytes a value, on top of about 100."""
     t = _tables()
     x = np.asarray(values, np.float64)
     a = np.abs(x)
@@ -254,20 +261,13 @@ def shortest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     key += nd - 1
     key += np.signbit(x) * _SIGNED
     del point, nd
-    # the gather, _SLICE values at a time to bound its index array
-    text = np.empty((x.size, _WIDTH), np.uint8)
-    for i in range(0, x.size, _SLICE):
-        keys = key[i:i + _SLICE]
-        index = np.take(t["layouts"], keys, axis=0)
-        index = index + np.arange(i, i + keys.size)[:, None] * (4 * _WORDS)  # as intp
-        np.take(src.view(np.uint8), index, out=text[i:i + _SLICE])
-    return text.view(f"S{_WIDTH}").ravel(), fallback
-
-
-def reprs(values: np.ndarray) -> list[bytes]:
-    """``[repr(v).encode() for v in values]`` for a one-dimensional float64 array."""
-    text, fallback = shortest(values)
-    out = text.tolist()
+    # each row's bytes: its layout's places in its own source row
+    index = np.take(t["layouts"], key, axis=0).astype(np.intp)
+    del key
+    index += np.arange(0, x.size * 4 * _WORDS, 4 * _WORDS)[:, None]
+    out[:, :_WIDTH] = np.take(src.view(np.uint8), index)
+    del index, src
     for i in np.flatnonzero(fallback).tolist():
-        out[i] = repr(float(values[i])).encode()
-    return out
+        text = repr(float(x[i])).encode()
+        out[i, :_WIDTH] = np.frombuffer(text.ljust(_WIDTH, b"\0"), np.uint8)
+    return fallback

@@ -1124,12 +1124,15 @@ def cacc_entry_values(trace: SimTrace, P: LyapunovCandidate) -> list[tuple[float
 
 # Rows formatted at a time.  A block's distinct floats go through the
 # formatter in one call, whose fixed cost (about 0.2 ms) wants large blocks;
-# its arrays, about 100 bytes a value, want small ones, as the heap keeps
-# the first block's high-water mark for the process.  On crash_defended
-# (2 vCPUs) 256-row blocks peak near 0.7 MB of traced memory; 512-row
-# blocks wrote about 8% faster but peaked near 1.3 MB and left the
-# process's peak resident set about 0.8 MB higher.
+# its arrays (about 300 bytes a value, the gather's index the largest) and a
+# file's padded cells (25 bytes each) want small ones, as the heap keeps the
+# first block's high-water mark for the process.  On crash_defended at seed 0
+# (2 vCPUs) 256-row blocks peak near 1.2 MB of traced memory; 128-row blocks
+# peaked near 0.6 MB but wrote about 15% slower, and 512-row blocks wrote
+# about 9% faster but peaked near 2.3 MB.
 _BLOCK_ROWS = 256
+# a cell's bytes: its text, NUL-padded to 24 (the longest repr), then its separator
+_CELL = 25
 
 
 def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None):
@@ -1145,14 +1148,22 @@ def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None
     files are written together, a block of rows at a time.  A block's floats
     are deduplicated by bit pattern (which keeps 0.0 and -0.0 apart), each
     distinct value is formatted once, and the lines of all three files are
-    joined from that one table of bytes.  Most printed floats are repeats:
-    the spacing and velocity files repeat CSV columns, and the leader's speed
-    and command, the attack value and converged followers stay the same from
-    row to row.  (A ``crash_defended`` run prints 312,026 floats, of which
-    110,869 are distinct within their block.)
+    assembled from that one table of bytes.  Most printed floats are
+    repeats: the spacing and velocity files repeat CSV columns, and the
+    leader's speed and command, the attack value and converged followers
+    stay the same from row to row.  (A ``crash_defended`` run prints 312,026
+    floats, of which 110,869 are distinct within their block.)
+
+    The table is built as bytes, with no Python object for any value or
+    line: one ``_CELL`` = 25-byte row a text, the two mode names and then
+    the distinct floats, each NUL-padded to 24 bytes, the longest ``repr``.
+    A file's block is the gather of its cells' rows, with each cell's last
+    byte set to the separator (``\n`` for a line's last cell); no text holds
+    a NUL, so dropping the NULs leaves the block's lines, written in one
+    call.
 
     A block's distinct floats are formatted in one numpy pass,
-    ``_floatfmt.reprs``, byte-equal to ``repr``.  It is exact by
+    ``_floatfmt.shortest``, byte-equal to ``repr``.  It is exact by
     construction: each value is scaled by a power of ten into [1e16, 2e17)
     as a double-double whose error is below 1e-13, its rounding interval
     (half an ulp on each side) is scaled the same way, and the shortest
@@ -1166,7 +1177,7 @@ def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None
     """
     # imported on first use, so that a caller that writes no trace does not
     # load (and, without bytecode caches, compile) the formatter
-    from ._floatfmt import reprs
+    from ._floatfmt import shortest
 
     n = trace.positions.shape[1]
     header = ["t"]
@@ -1184,13 +1195,16 @@ def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None
              (spacing_path, " ", "# t " + " ".join(header[-n:-1]), np.r_[0, eps]),
              (velocity_path, " ", "# t " + " ".join(header[2:3 * n + 1:3]),
               np.r_[0, 2:3 * n + 1:3])]
+    names = np.zeros((2, _CELL), np.uint8)  # the mode names, codes 0 and 1
+    for code, name in enumerate((CACC, ACC)):
+        names[code, :len(name)] = np.frombuffer(name.encode(), np.uint8)
     with contextlib.ExitStack() as stack:
         outs = []
         for p, sep, head, cols in files:
             if p is not None:
                 f = stack.enter_context(open(p, "wb"))
                 f.write(head.encode() + b"\n")
-                outs.append((f, sep.encode(), cols))
+                outs.append((f, ord(sep), cols))
         for k in range(0, trace.times.size, _BLOCK_ROWS):
             rows = slice(k, k + _BLOCK_ROWS)
             t = trace.times[rows]
@@ -1202,12 +1216,17 @@ def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None
             block[:, eps] = trace.spacing_errors[rows]
             block[:, -1] = trace.attack_xi[rows]
             bits, index = np.unique(block.view(np.int64).ravel(), return_inverse=True)
-            # the mode names (codes 0 and 1) lead the table, the distinct floats follow
-            table = np.array([CACC.encode(), ACC.encode(), *reprs(bits.view(np.float64))],
-                             dtype=object)
-            cells = table[np.hstack([2 + index.reshape(block.shape), trace.modes[rows]])]
+            # one NUL-padded text a row: the mode names, then the distinct floats
+            table = np.zeros((2 + bits.size, _CELL), np.uint8)
+            table[:2] = names
+            shortest(bits.view(np.float64), table[2:])
+            cells = np.hstack([2 + index.reshape(block.shape), trace.modes[rows]])
             for f, sep, cols in outs:
-                f.writelines([sep.join(r) + b"\n" for r in cells[:, cols].tolist()])
+                text = np.take(table, cells[:, cols], axis=0)
+                text[:, :, -1] = sep
+                text[:, -1, -1] = ord("\n")
+                # text holds no NUL, so dropping the padding joins the cells
+                f.write(text[text != 0])
 
 
 def write_metrics_json(metrics: TraceMetrics, path, extra: dict):

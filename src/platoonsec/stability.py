@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import dropwhile
+from fractions import Fraction
+from itertools import dropwhile, zip_longest
 
 import numpy as np
 
@@ -394,8 +395,22 @@ class TransferFunction:
         return np.polyval(self.num, s) / np.polyval(self.den, s)
 
     def is_stable(self) -> bool:
-        """Hurwitz denominator: every pole strictly in the left half plane."""
-        return bool(np.all(np.roots(self.den).real < 0))
+        """Hurwitz denominator: every pole strictly in the left half plane.
+
+        Decided without roots by the Routh-Hurwitz test, in exact rational
+        arithmetic on the coefficients' values: the first column of the
+        Routh array holds no zero and a single sign.  (Computed roots can
+        misplace the small poles of a badly scaled denominator, such as
+        1e-160 s^3 + s^2 + s + 1.)
+        """
+        upper, lower = ([Fraction(c) for c in self.den[i::2]] for i in (0, 1))
+        while lower:
+            if lower[0] == 0 or (lower[0] > 0) != (upper[0] > 0):
+                return False
+            ratio = upper[0] / lower[0]
+            upper, lower = lower, [a - ratio * b for a, b in
+                                   zip_longest(upper[1:], lower[1:], fillvalue=0)]
+        return True
 
 
 def spacing_error_tf(mode: str, gains) -> TransferFunction:

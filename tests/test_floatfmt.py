@@ -1,8 +1,8 @@
 """The vectorized float formatter against ``repr``, its oracle.
 
-``_floatfmt.reprs`` must return ``repr(v).encode()`` for every double; the
-values its numpy pass cannot settle exactly are flagged and formatted by
-``repr`` itself.  The properties draw doubles the usual way, as raw bit
+``_floatfmt.shortest`` must write ``repr(v).encode()`` for every double into
+its row of the caller's table, followed only by NULs; the values its numpy
+pass cannot settle exactly are flagged and formatted by ``repr`` itself.  The properties draw doubles the usual way, as raw bit
 patterns, and across the pass's range; the fixed cases are the ones a
 drawn value rarely hits.
 """
@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platoonsec._floatfmt import _E_MAX, _E_MIN, _SLICE, reprs, shortest
+from platoonsec._floatfmt import _E_MAX, _E_MIN, _WIDTH, shortest
 from platoonsec.config import load_scenario
-from platoonsec.engine import run_scenario
+from platoonsec.engine import _BLOCK_ROWS, run_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -25,9 +25,17 @@ def oracle(values) -> list[bytes]:
     return [repr(v).encode() for v in np.asarray(values, np.float64).tolist()]
 
 
-def check(values):
+def formatted(values) -> tuple[list[bytes], np.ndarray]:
+    """Each value's row of ``shortest``'s table, NULs stripped, and the
+    fallback mask."""
     values = np.asarray(values, np.float64)
-    assert reprs(values) == oracle(values)
+    out = np.zeros((values.size, _WIDTH), np.uint8)
+    fallback = shortest(values, out)
+    return [bytes(row).rstrip(b"\0") for row in out], fallback
+
+
+def check(values):
+    assert formatted(values)[0] == oracle(values)
 
 
 @settings(max_examples=200, deadline=None)
@@ -67,8 +75,8 @@ def test_matches_repr_on_many_values():
     check(np.ldexp(1.0, np.arange(-1074, 1024)))
 
 
-@pytest.mark.parametrize("size", [_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 3])
-def test_sizes_about_the_gather_slice(size):
+@pytest.mark.parametrize("size", [0, 1, _BLOCK_ROWS * 17])  # 17 floats a row at 4 vehicles
+def test_sizes_up_to_a_block(size):
     check(np.exp(np.random.default_rng(size).uniform(-40, 40, size)))
 
 
@@ -90,27 +98,26 @@ def test_nans_of_every_sign_and_payload():
     nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
                      0x7FF0000000000001, 0xFFF0000000000001, 0xFFFFFFFFFFFFFFFF],
                     dtype=np.uint64).view(np.float64)
-    assert reprs(nans) == [b"nan"] * nans.size
+    assert formatted(nans)[0] == [b"nan"] * nans.size
 
 
 def test_exact_bound_takes_the_fallback():
     """1.01992787641404e+18's scaled lower bound is exactly an integer: the
     pass cannot tell on which side its rounding lies, so it flags the value."""
     value = np.array([1.01992787641404e+18])
-    assert shortest(value)[1].tolist() == [True]
+    assert formatted(value)[1].tolist() == [True]
     check(value)
 
 
 def test_fallback_is_rare_on_a_trace():
     """Of crash_defended's distinct floats at seed 0, under 1% go to repr
-    (1 of about 100,000: 0.0), and the rest match it."""
+    (1 of about 100,000: 0.0), and every value matches it."""
     config = dataclasses.replace(load_scenario(CONFIGS / "crash_defended.json"), seed=0)
     trace = run_scenario(config)
     cells = np.concatenate([trace.times, trace.positions.ravel(), trace.velocities.ravel(),
                             trace.commands.ravel(), trace.spacing_errors.ravel(),
                             trace.attack_xi])
     distinct = np.unique(cells.view(np.int64)).view(np.float64)
-    text, fallback = shortest(distinct)
+    text, fallback = formatted(distinct)
     assert 100 * fallback.sum() < distinct.size
-    assert [t for t, f in zip(text.tolist(), fallback) if not f] == \
-        [r for r, f in zip(oracle(distinct), fallback) if not f]
+    assert text == oracle(distinct)

@@ -2,7 +2,7 @@
 
 A name with a leading underscore is its module's own business; a module
 that needs it from a sibling should get a public entry point instead.  A
-public name from a private module (``engine``'s ``_floatfmt.reprs``) is
+public name from a private module (``engine``'s ``_floatfmt.shortest``) is
 fine.
 """
 
@@ -32,5 +32,5 @@ def test_no_module_imports_a_private_name(source):
 
 def test_the_check_sees_a_private_import():
     tree = ast.parse("from .engine import ScenarioConfig, _steps_per_period\n"
-                     "from ._floatfmt import reprs\n")
+                     "from ._floatfmt import shortest\n")
     assert private_imports(tree) == ["engine._steps_per_period"]

@@ -443,6 +443,36 @@ def test_hinf_norm_tiny_leading_denominator_coefficient():
     assert norm.value == pytest.approx(math.sqrt(4e6 + 1.0) / math.sqrt(1e6 + 1.0), rel=1e-12)
 
 
+def test_badly_scaled_hurwitz_denominator():
+    """1 / (1e-160 s^3 + s^2 + s + 1) has poles near -1e160 and -1/2 +- j sqrt(3)/2,
+    all stable, though computed roots put one of them at 0; its peak is that of
+    1 / (s^2 + s + 1), 2/sqrt(3) at omega = 1/sqrt(2)."""
+    H = TransferFunction((1.0,), (1e-160, 1.0, 1.0, 1.0))
+    assert H.is_stable()
+    norm = hinf_norm(H)
+    assert norm.omega == pytest.approx(math.sqrt(0.5), rel=1e-12)
+    assert norm.value == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-12)
+
+
+# poles re +- j im (one real pole when im is 0) on a half-unit grid, distinct, so
+# that any two lie at least 1/2 apart and every pole at least 1/2 off the axis
+_pole_grid = st.tuples(st.integers(1, 10).map(lambda k: k / 2) | st.integers(-10, -1).map(
+    lambda k: k / 2), st.integers(0, 10).map(lambda k: k / 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_pole_grid, min_size=1, max_size=4, unique=True),
+       st.floats(0.1, 10.0), st.booleans())
+def test_stability_verdict_agrees_with_the_roots(grid, scale, negate):
+    """On well-separated poles up to order 8, under a leading coefficient of
+    either sign, the exact Routh-Hurwitz verdict is that of the computed roots."""
+    poles = [complex(re, sign * im) for re, im in grid for sign in ((1, -1) if im else (1,))]
+    den = (-scale if negate else scale) * np.poly(poles).real
+    verdict = bool(np.all(np.roots(den).real < 0))
+    assert TransferFunction((1.0,), tuple(den)).is_stable() == verdict
+    assert verdict == all(re < 0 for re, _ in grid)
+
+
 @given(k3=st.floats(-4.0, -0.05), k4=st.floats(-5.0, -0.05))
 @settings(max_examples=60)
 def test_hop_norm_at_least_dc_gain(k3, k4):

@@ -1,9 +1,10 @@
 """The text writer against a per-float reference.
 
-``write_trace_csv`` formats each distinct float of a block of rows once and
-joins trace.csv, spacing.dat and velocity.dat from the shared strings.  The
-reference below formats every printed float on its own with ``repr``, as the
-writers did before; the files must be byte-equal.
+``write_trace_csv`` formats each distinct float of a block of rows once, into
+a table of NUL-padded bytes, and assembles trace.csv, spacing.dat and
+velocity.dat from that table by dropping the NULs.  The reference below
+formats every printed float on its own with ``repr``, as the writers did
+before; the files must be byte-equal.
 """
 
 import dataclasses
@@ -12,12 +13,13 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from platoonsec.cli import EXIT_OK, main
+from platoonsec._floatfmt import shortest
 from platoonsec.config import load_scenario
 from platoonsec.control import ACC, CACC
-from platoonsec.engine import _BLOCK_ROWS, SimTrace, run_scenario, write_trace_csv
+from platoonsec.engine import _BLOCK_ROWS, _CELL, SimTrace, run_scenario, write_trace_csv
 
 FILES = ("trace.csv", "spacing.dat", "velocity.dat")
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -87,6 +89,10 @@ EDGE_BITS = np.array([0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000
                       0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
                       0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
 EDGES = EDGE_BITS.view(np.float64)
+# the longest reprs, 24 bytes (a subnormal and the most negative double), a
+# short negative subnormal, and values the formatter leaves to repr
+LONGEST = [-1.3498094062947883e-308, -1.7976931348623157e+308, -5e-324]
+FALLBACKS = [0.0, -0.0, float("nan"), float("inf")]
 
 # row counts about the writer's block size, and a few small ones
 ROW_COUNTS = st.one_of(
@@ -125,8 +131,38 @@ def traces(draw):
     return trace
 
 
+def column_trace(values, n: int) -> SimTrace:
+    """A SimTrace of n vehicles with ``values`` down every float column, one
+    row a value."""
+    values = np.asarray(values, np.float64)
+    grid = np.tile(values[:, None], (1, n))
+    trace = SimTrace(times=values.copy(), positions=grid, velocities=grid[:, ::-1].copy(),
+                     modes=np.zeros((values.size, n - 1), np.uint8),
+                     spacing_errors=grid[:, 1:], attack_xi=values[::-1].copy(),
+                     drawn_reports=[], decision_records=(), mode_records=(), collision=None,
+                     config=None, command_spans=())
+    trace.commands = grid
+    return trace
+
+
+def assert_rows_are_reprs(trace: SimTrace):
+    """The formatter leaves each of the trace's distinct floats in its row of
+    a writer's table as its repr followed only by NULs, the separator byte
+    included: dropping the NULs must leave exactly the text."""
+    values = np.unique(np.concatenate(
+        [trace.times, trace.positions.ravel(), trace.velocities.ravel(),
+         trace.commands.ravel(), trace.spacing_errors.ravel(), trace.attack_xi]
+    ).view(np.int64)).view(np.float64)
+    table = np.zeros((values.size, _CELL), np.uint8)
+    shortest(values, table)
+    assert [bytes(row) for row in table] == \
+        [repr(v).encode().ljust(_CELL, b"\0") for v in values.tolist()]
+
+
 @settings(max_examples=60, deadline=None)
 @given(trace=traces())
+@example(trace=column_trace(LONGEST + FALLBACKS, 3))
+@example(trace=column_trace(np.resize(LONGEST + FALLBACKS[:1], _BLOCK_ROWS + 1), 6))
 def test_writer_matches_per_float_reference(trace):
     with tempfile.TemporaryDirectory() as tmp:
         new, ref = Path(tmp, "new"), Path(tmp, "ref")
@@ -135,21 +171,14 @@ def test_writer_matches_per_float_reference(trace):
         write_trace_csv(trace, new / "trace.csv", new / "spacing.dat", new / "velocity.dat")
         reference_files(trace, ref)
         assert file_bytes(new) == file_bytes(ref)
+    assert_rows_are_reprs(trace)
 
 
 def test_edge_values_survive_formatting(tmp_path):
     """Each edge value in every float column: -0.0 stays apart from 0.0, every
     NaN is written as nan, and the strings read back to the same values.
     Without .dat paths the writer writes trace.csv alone."""
-    rows, n = EDGES.size, 3
-    grid = np.tile(EDGES[:, None], (1, n))
-    trace = SimTrace(times=EDGES.copy(), positions=grid, velocities=grid[:, ::-1].copy(),
-                     modes=np.zeros((rows, n - 1), np.uint8),
-                     spacing_errors=grid[:, 1:], attack_xi=EDGES[::-1].copy(),
-                     drawn_reports=[], decision_records=(), mode_records=(), collision=None,
-                     config=None, command_spans=())
-    trace.commands = grid
-    write_trace_csv(trace, tmp_path / "trace.csv")
+    write_trace_csv(column_trace(EDGES, 3), tmp_path / "trace.csv")
     assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
     times = [line.split(",")[0] for line in (tmp_path / "trace.csv").read_text().splitlines()[1:]]
     assert times[:2] == ["0.0", "-0.0"]
@@ -179,8 +208,9 @@ def test_simulate_files_match_the_reference(tmp_path):
 
 def test_writer_memory_stays_small(tmp_path):
     """Writing crash_defended's three files at seed 0 (12,001 rows, 5.3 MB)
-    peaks under 3 MB of traced memory (about 0.9 MB with 256-row blocks):
-    the formatter's per-value arrays must not grow with the trace."""
+    peaks under 3 MB of traced memory (about 1.2 MB with 256-row blocks):
+    the formatter's per-value arrays and the padded cells must not grow
+    with the trace."""
     trace = run_scenario(dataclasses.replace(
         load_scenario(CONFIGS / "crash_defended.json"), seed=0))
     trace.commands  # built on first read, before the measured span
