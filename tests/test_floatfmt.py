@@ -2,9 +2,9 @@
 
 ``_floatfmt.shortest`` must write ``repr(v).encode()`` for every double into
 its row of the caller's table, followed only by NULs; the values its numpy
-pass cannot settle exactly are flagged and formatted by ``repr`` itself.  The properties draw doubles the usual way, as raw bit
-patterns, and across the pass's range; the fixed cases are the ones a
-drawn value rarely hits.
+pass cannot settle exactly are flagged and formatted by ``repr`` itself.
+The properties draw doubles the usual way, as raw bit patterns, and across
+the pass's range; the fixed cases are the ones a drawn value rarely hits.
 """
 
 import dataclasses
