@@ -80,6 +80,14 @@ def test_sizes_up_to_a_block(size):
     check(np.exp(np.random.default_rng(size).uniform(-40, 40, size)))
 
 
+# The formatter once gathered its layout in slices of 256 values; all rows are
+# now one gather, and these sizes about that width guard against a slicing
+# that drops or repeats the rows at a seam.
+@pytest.mark.parametrize("size", [255, 256, 257, 2 * 256 + 3])
+def test_sizes_about_the_gather_slice(size):
+    check(np.exp(np.random.default_rng(size).uniform(-40, 40, size)))
+
+
 EDGE_CASES = [
     5e-324, 2.2250738585072014e-308, 1.7976931348623157e+308,  # extremes
     1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05,  # fixed/exponent switch
