@@ -20,7 +20,6 @@ import dataclasses
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import ConfigError, load_scenario
@@ -279,6 +278,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for attack in attacks for platoon in platoons]
     workers = min(len(jobs), args.jobs or _usable_cpus())
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only sweep needs it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, jobs))
     else:

@@ -12,9 +12,9 @@ behavioral strategies (one downgrade probability per report value).
 Everything is computed in exact rational arithmetic: numeric inputs are
 interpreted as the decimal literals they were written as (``0.7`` means
 7/10), so equilibrium probabilities and verification gaps come out exact.
-Support enumeration over the 2 x 4 reduced normal form finds all Nash
-equilibria; degenerate games (ties creating equilibrium components) are
-reported with representative points and a flag.
+The solver lists every extreme Nash equilibrium of the 2 x 4 reduced normal
+form; where payoff ties make a set of equilibria, it lists the set's
+extreme points, each flagged degenerate.
 """
 
 from __future__ import annotations
@@ -189,8 +189,9 @@ class Equilibrium:
     """A Nash equilibrium of the reduced game, in mixed-strategy form.
 
     ``attacker`` is (P(a), P(na)); ``defender`` weights the four pure
-    strategies.  ``degenerate`` marks representative points of equilibrium
-    components (payoff ties make the exact profile non-unique).
+    strategies.  ``degenerate`` marks a profile with a best reply outside
+    its support: a payoff tie, through which a set of equilibria may run,
+    and the profile is then one of that set's extreme points.
     """
 
     attacker: tuple
@@ -232,102 +233,47 @@ def _verified(nf: NormalForm, x, y) -> tuple[bool, bool]:
 
 
 def solve_nash(nf: NormalForm) -> list[Equilibrium]:
-    """All Nash equilibria of the 2 x 4 bimatrix by support enumeration.
+    """Every extreme Nash equilibrium of the 2 x 4 bimatrix, sorted.
 
-    Candidate supports are solved through the indifference conditions and
-    kept when exact verification shows no profitable deviation.  Supports
-    whose indifference system is underdetermined contribute a representative
-    point flagged degenerate, as do verified profiles with off-support
-    payoff ties.
+    The attacker's mixture is one number, P(attack) = p, and each defender
+    column's value is a line in p.  A set of equilibria ends, in p, at 0, at
+    1 or where two best columns of different slope cross.  At such a p the
+    defender's equilibrium mixtures form a polytope over the best columns,
+    whose vertices are single columns that keep the attacker's row a best
+    reply and pairs of columns that leave the attacker indifferent (Avis,
+    Rosenberg, Savani & von Stengel 2010).  Every profile is verified
+    exactly; ``degenerate`` marks one with a best reply outside its support.
     """
-    found: dict[tuple, Equilibrium] = {}
+    D = nf.defender_payoffs
+    gain = [nf.attacker_payoffs[0][c] - nf.attacker_payoffs[1][c] for c in range(4)]
+    slope = [D[0][c] - D[1][c] for c in range(4)]
 
-    def record(x, y, degenerate):
-        x = tuple(Fraction(v) for v in x)
-        y = tuple(Fraction(v) for v in y)
-        ok, ties = _verified(nf, x, y)
-        if not ok:
-            return
-        key = (x, y)
-        deg = degenerate or ties
-        if key not in found or (found[key].degenerate and not deg):
-            found[key] = Equilibrium(attacker=x, defender=y, degenerate=deg)
+    def best(p):
+        values = [_defender_payoff(nf, c, p) for c in range(4)]
+        return [c for c in range(4) if values[c] == max(values)]
 
-    # Pure attacker rows against every defender support.
-    for row in (0, 1):
-        x = (Fraction(1), Fraction(0)) if row == 0 else (Fraction(0), Fraction(1))
-        payoffs = [_defender_payoff(nf, c, x[0]) for c in range(4)]
-        best = max(payoffs)
-        best_cols = [c for c in range(4) if payoffs[c] == best]
-        other = 1 - row
-        for size in range(1, len(best_cols) + 1):
-            for support in itertools.combinations(best_cols, size):
-                y = [Fraction(0)] * 4
-                for c in support:
-                    y[c] = Fraction(1, size)
-                # attacker's chosen row must remain weakly preferred
-                if (_attacker_payoff(nf, row, y) >= _attacker_payoff(nf, other, y)):
-                    record(x, tuple(y), degenerate=size > 1 or len(best_cols) > 1)
-
-    # Attacker mixing: defender must be indifferent on the support, and the
-    # support columns must be exact best responses.
-    diffs = [nf.attacker_payoffs[0][c] - nf.attacker_payoffs[1][c] for c in range(4)]
+    candidates = {Fraction(0), Fraction(1)}
     for c1, c2 in itertools.combinations(range(4), 2):
-        da = (nf.defender_payoffs[0][c1] - nf.defender_payoffs[0][c2])
-        dna = (nf.defender_payoffs[1][c1] - nf.defender_payoffs[1][c2])
-        if da == dna:
-            continue  # parallel payoff lines: no interior crossing
-        p = dna / (dna - da)  # P(attack) equalizing the two columns
-        if not 0 < p < 1:
-            continue
-        if diffs[c1] == diffs[c2]:
-            if diffs[c1] != 0:
-                continue
-            # attacker indifferent for every mixture: component, take uniform
-            y = [Fraction(0)] * 4
-            y[c1] = y[c2] = Fraction(1, 2)
-            record((p, 1 - p), tuple(y), degenerate=True)
-            continue
-        y_c1 = diffs[c2] / (diffs[c2] - diffs[c1])
-        if not 0 <= y_c1 <= 1:
-            continue
-        y = [Fraction(0)] * 4
-        y[c1] = y_c1
-        y[c2] = 1 - y_c1
-        record((p, 1 - p), tuple(y), degenerate=False)
+        if slope[c1] != slope[c2]:
+            p = (D[1][c2] - D[1][c1]) / (slope[c1] - slope[c2])
+            if 0 < p < 1 and {c1, c2} <= set(best(p)):
+                candidates.add(p)
 
-    # Attacker mixing against a *pure* defender column: needs an exact
-    # attacker-payoff tie on that column, and then any P(attack) keeping the
-    # column optimal works -- an equilibrium component, represented by the
-    # midpoint of the feasible interval.
-    for c in range(4):
-        if diffs[c] != 0:
-            continue
-        lo, hi = Fraction(0), Fraction(1)
-        feasible = True
-        for other in range(4):
-            if other == c:
-                continue
-            da = nf.defender_payoffs[0][c] - nf.defender_payoffs[0][other]
-            dna = nf.defender_payoffs[1][c] - nf.defender_payoffs[1][other]
-            # require dna + p (da - dna) >= 0 on the interval
-            slope = da - dna
-            if slope == 0:
-                if dna < 0:
-                    feasible = False
-                    break
-            elif slope > 0:
-                lo = max(lo, -dna / slope)
-            else:
-                hi = min(hi, -dna / slope)
-        if feasible and lo < hi:
-            p = (lo + hi) / 2
-            if 0 < p < 1:
-                y = [Fraction(0)] * 4
-                y[c] = Fraction(1)
-                record((p, 1 - p), tuple(y), degenerate=True)
-
-    return sorted(found.values(), key=lambda e: (e.attacker, e.defender))
+    equilibria = []
+    for p in candidates:
+        x = (p, 1 - p)
+        cols = best(p)
+        mixes = [{c: Fraction(1)} for c in cols
+                 if gain[c] == 0 or (p == 1 and gain[c] > 0) or (p == 0 and gain[c] < 0)]
+        mixes += [{c1: gain[c2] / (gain[c2] - gain[c1]), c2: gain[c1] / (gain[c1] - gain[c2])}
+                  for c1, c2 in itertools.combinations(cols, 2) if gain[c1] * gain[c2] < 0]
+        for mix in mixes:
+            y = tuple(mix.get(c, Fraction(0)) for c in range(4))
+            ok, ties = _verified(nf, x, y)
+            if not ok:
+                raise RuntimeError(f"candidate profile {x}, {y} is not an equilibrium")
+            equilibria.append(Equilibrium(attacker=x, defender=y, degenerate=ties))
+    return sorted(equilibria, key=lambda e: (e.attacker, e.defender))
 
 
 def to_behavioral(defender_mixed, attacker_p_attack) -> BehavioralStrategy:
@@ -420,14 +366,15 @@ def equilibrium_strategy(spec: GameSpec) -> BehavioralStrategy:
     """Solve the game and return the behavioral profile driving the switch.
 
     When several equilibria exist the defender-optimal one is selected (the
-    defender operates the switch, so it plays the equilibrium it prefers).
+    defender operates the switch, so it plays the equilibrium it prefers),
+    the first in sorted order on ties.  The pick is optimal over the whole
+    equilibrium set, not only the listed points: the equilibria form a union
+    of products of polytopes, on each of which the defender's payoff is
+    bilinear and so peaks at a vertex, and ``solve_nash`` lists every vertex.
     The solution is memoised per spec: both types are frozen, and seed
     ensembles and sweep cells solve the same game in every run.
     """
     equilibria = solve_nash(to_normal_form(spec))
-    if not equilibria:
-        raise RuntimeError("no equilibrium found; support enumeration is exhaustive, "
-                           "so this indicates an invalid game specification")
     best = max(
         equilibria,
         key=lambda e: expected_utilities(

@@ -1,15 +1,20 @@
 """Command-line interface: subcommands, exit codes, output files.
 
-All tests drive ``main(argv)`` in-process so stdout/stderr and the exit code
-can be asserted without spawning interpreters.
+The tests drive ``main(argv)`` in-process so stdout/stderr and the exit code
+can be asserted without spawning interpreters; only the check of what
+importing the module loads runs in a fresh one.
 """
 
+import concurrent.futures
 import contextlib
 import copy
 import functools
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -395,6 +400,21 @@ def test_game_with_custom_spec(tmp_path, capsys):
     assert "P(attack) = 1 = 1" in stdout  # dominant attack
 
 
+def test_game_lists_every_extreme_point_of_a_degenerate_game(tmp_path, capsys):
+    """A game with payoff ties has sets of equilibria; the command prints each
+    set's extreme points, every one tagged and verified."""
+    config = write_config(
+        tmp_path,
+        game={"leaf_utilities": [[1, -1], [3, -1], [2, 0], [5, 1],
+                                 [-1, 1], [4, 1], [-5, 1], [-3, -2]]},
+        detector={"p_report_given_attack": 0.1, "p_report_given_benign": 0.8})
+    assert main(["game", "--config", config]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert "7 equilibria; worst gap 0" in stdout
+    assert stdout.count("(degenerate: one of a continuum)") == 7
+    assert "P(downgrade | report) = 1/38 = " in stdout
+
+
 # ------------------------------------------------------------- string-check
 
 def test_string_check_radar_law_fails(capsys):
@@ -479,7 +499,7 @@ def test_sweep_default_workers_count_the_cpus_it_may_use(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool started")
 
-    monkeypatch.setattr(platoonsec.cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(platoonsec.cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(platoonsec.cli.os, "cpu_count", lambda: 64)
     config = write_config(tmp_path, integration={"step": 0.1, "duration": 2.0},
@@ -488,6 +508,19 @@ def test_sweep_default_workers_count_the_cpus_it_may_use(tmp_path, monkeypatch):
     assert main(["sweep", "--config", config, "--out", str(out), "--xi-grid", "1.0", "2.0",
                  "--eps-grid", "4.0", "--runs", "1"]) == EXIT_OK
     assert len((out / "sweep.csv").read_text().splitlines()) == 3
+
+
+def test_importing_the_cli_starts_no_process_pool_machinery():
+    """Only ``sweep`` runs a worker pool, so it alone imports one: importing
+    the command line leaves ``concurrent.futures.process`` unloaded."""
+    src = str(Path(platoonsec.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, platoonsec.cli; "
+                               "print('concurrent.futures.process' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
 
 
 def test_sweep_requires_attack(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 from fractions import Fraction
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import platoonsec.cli
 import platoonsec.engine
 from platoonsec.control import ACC, CACC, DEFAULT_CACC_GAINS, AccGains, CaccGains, closed_loop
 from platoonsec.config import load_scenario
@@ -93,14 +95,19 @@ def test_row_zero_is_checked_like_every_other_row():
                                          gap_offsets=(1e308, 1e308)))
 
 
-def test_run_looks_up_the_traced_engine_names_at_call_time(monkeypatch):
-    """``bench/tracer.py`` times the layers of a run by wrapping these
-    ``engine`` module globals, so a run must call each of them through the
-    module: a name bound at import time would read as zero time."""
-    names = ("find_common_lyapunov", "lyapunov_constants", "min_dwell_time",
-             "equilibrium_strategy", "detector_sample", "attack_signal",
-             "switching_decision")
-    calls = dict.fromkeys(names, 0)
+def _traced_names():
+    """``bench/tracer.py``'s WRAPPED table, loaded by path: module -> the
+    names its traced pass wraps."""
+    spec = importlib.util.spec_from_file_location(
+        "tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WRAPPED
+
+
+def _count_calls(monkeypatch, module):
+    """Wrap each traced name of ``module`` with a call counter."""
+    calls = dict.fromkeys(_traced_names()[module], 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -108,11 +115,28 @@ def test_run_looks_up_the_traced_engine_names_at_call_time(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in names:
-        monkeypatch.setattr(platoonsec.engine, name,
-                            counting(name, getattr(platoonsec.engine, name)))
+    for name in calls:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+def test_run_looks_up_the_traced_engine_names_at_call_time(monkeypatch):
+    """``bench/tracer.py`` times the layers of a run by wrapping these
+    ``engine`` module globals, so a run must call each of them through the
+    module: a name bound at import time would read as zero time, and a
+    renamed one would fail the traced pass."""
+    calls = _count_calls(monkeypatch, platoonsec.engine)
     run_scenario(load_scenario(CONFIGS / "crash_defended.json"))
-    assert all(calls.values()), calls
+    assert calls and all(calls.values()), calls
+
+
+def test_simulate_looks_up_the_traced_cli_names_at_call_time(monkeypatch, tmp_path):
+    """The ``cli`` half of the same table: a ``simulate`` command calls each
+    wrapped name through the ``cli`` module."""
+    calls = _count_calls(monkeypatch, platoonsec.cli)
+    assert platoonsec.cli.main(["simulate", "--config", str(CONFIGS / "crash_defended.json"),
+                                "--out", str(tmp_path)]) == 0
+    assert calls and all(calls.values()), calls
 
 
 def test_a_run_that_holds_no_dwell_resolves_no_certificate(monkeypatch):

@@ -7,6 +7,7 @@ defender indifferent) and is frozen here in exact rationals.
 """
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -14,10 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from platoonsec.game import (DEFAULT_GAME, DEFENDER_PURE_STRATEGIES, LEAF_ORDER,
-                             BehavioralStrategy, GameSpec, best_response_gap,
-                             equilibrium_strategy, expected_utilities,
-                             monte_carlo_play, solve_nash, to_behavioral,
-                             to_normal_form)
+                             BehavioralStrategy, Equilibrium, GameSpec, NormalForm,
+                             _attacker_payoff, _defender_payoff, _verified,
+                             best_response_gap, equilibrium_strategy,
+                             expected_utilities, monte_carlo_play, solve_nash,
+                             to_behavioral, to_normal_form)
 
 F = Fraction
 
@@ -194,7 +196,7 @@ probs = st.fractions(min_value=F(1, 10), max_value=F(9, 10),
 def test_every_reported_equilibrium_verifies_exactly(leaves, pa, pb):
     spec = GameSpec(leaves, pa, pb)
     eqs = solve_nash(to_normal_form(spec))
-    assert eqs, "support enumeration must find at least one equilibrium"
+    assert eqs, "every game has an equilibrium, so the list is never empty"
     for e in eqs:
         gap_a, gap_d = best_response_gap(spec, to_behavioral(e.defender, e.p_attack))
         assert gap_a == 0
@@ -221,6 +223,240 @@ def test_equilibria_invariant_under_affine_utility_maps(leaves, scale, shift):
     base = GameSpec(leaves)
     moved = GameSpec(tuple((scale * F(ua) + shift, ud) for ua, ud in leaves))
     assert solve_nash(to_normal_form(base)) == solve_nash(to_normal_form(moved))
+
+
+# ------------------------------------------- the earlier solver, for reference
+
+# The solver this module had before it enumerated extreme points: support
+# enumeration, with a representative point (a uniform mix or an interval's
+# midpoint) for each set of equilibria.  It is kept verbatim as the
+# reference that the extreme-point solver is held to.
+def reference_solve_nash(nf: NormalForm) -> list[Equilibrium]:
+    """All Nash equilibria of the 2 x 4 bimatrix by support enumeration.
+
+    Candidate supports are solved through the indifference conditions and
+    kept when exact verification shows no profitable deviation.  Supports
+    whose indifference system is underdetermined contribute a representative
+    point flagged degenerate, as do verified profiles with off-support
+    payoff ties.
+    """
+    found: dict[tuple, Equilibrium] = {}
+
+    def record(x, y, degenerate):
+        x = tuple(Fraction(v) for v in x)
+        y = tuple(Fraction(v) for v in y)
+        ok, ties = _verified(nf, x, y)
+        if not ok:
+            return
+        key = (x, y)
+        deg = degenerate or ties
+        if key not in found or (found[key].degenerate and not deg):
+            found[key] = Equilibrium(attacker=x, defender=y, degenerate=deg)
+
+    # Pure attacker rows against every defender support.
+    for row in (0, 1):
+        x = (Fraction(1), Fraction(0)) if row == 0 else (Fraction(0), Fraction(1))
+        payoffs = [_defender_payoff(nf, c, x[0]) for c in range(4)]
+        best = max(payoffs)
+        best_cols = [c for c in range(4) if payoffs[c] == best]
+        other = 1 - row
+        for size in range(1, len(best_cols) + 1):
+            for support in itertools.combinations(best_cols, size):
+                y = [Fraction(0)] * 4
+                for c in support:
+                    y[c] = Fraction(1, size)
+                # attacker's chosen row must remain weakly preferred
+                if (_attacker_payoff(nf, row, y) >= _attacker_payoff(nf, other, y)):
+                    record(x, tuple(y), degenerate=size > 1 or len(best_cols) > 1)
+
+    # Attacker mixing: defender must be indifferent on the support, and the
+    # support columns must be exact best responses.
+    diffs = [nf.attacker_payoffs[0][c] - nf.attacker_payoffs[1][c] for c in range(4)]
+    for c1, c2 in itertools.combinations(range(4), 2):
+        da = (nf.defender_payoffs[0][c1] - nf.defender_payoffs[0][c2])
+        dna = (nf.defender_payoffs[1][c1] - nf.defender_payoffs[1][c2])
+        if da == dna:
+            continue  # parallel payoff lines: no interior crossing
+        p = dna / (dna - da)  # P(attack) equalizing the two columns
+        if not 0 < p < 1:
+            continue
+        if diffs[c1] == diffs[c2]:
+            if diffs[c1] != 0:
+                continue
+            # attacker indifferent for every mixture: component, take uniform
+            y = [Fraction(0)] * 4
+            y[c1] = y[c2] = Fraction(1, 2)
+            record((p, 1 - p), tuple(y), degenerate=True)
+            continue
+        y_c1 = diffs[c2] / (diffs[c2] - diffs[c1])
+        if not 0 <= y_c1 <= 1:
+            continue
+        y = [Fraction(0)] * 4
+        y[c1] = y_c1
+        y[c2] = 1 - y_c1
+        record((p, 1 - p), tuple(y), degenerate=False)
+
+    # Attacker mixing against a *pure* defender column: needs an exact
+    # attacker-payoff tie on that column, and then any P(attack) keeping the
+    # column optimal works -- an equilibrium component, represented by the
+    # midpoint of the feasible interval.
+    for c in range(4):
+        if diffs[c] != 0:
+            continue
+        lo, hi = Fraction(0), Fraction(1)
+        feasible = True
+        for other in range(4):
+            if other == c:
+                continue
+            da = nf.defender_payoffs[0][c] - nf.defender_payoffs[0][other]
+            dna = nf.defender_payoffs[1][c] - nf.defender_payoffs[1][other]
+            # require dna + p (da - dna) >= 0 on the interval
+            slope = da - dna
+            if slope == 0:
+                if dna < 0:
+                    feasible = False
+                    break
+            elif slope > 0:
+                lo = max(lo, -dna / slope)
+            else:
+                hi = min(hi, -dna / slope)
+        if feasible and lo < hi:
+            p = (lo + hi) / 2
+            if 0 < p < 1:
+                y = [Fraction(0)] * 4
+                y[c] = Fraction(1)
+                record((p, 1 - p), tuple(y), degenerate=True)
+
+    return sorted(found.values(), key=lambda e: (e.attacker, e.defender))
+
+
+def _best_payoffs(spec, eqs):
+    """(attacker's, defender's) best expected payoff over the profiles."""
+    values = [expected_utilities(spec, to_behavioral(e.defender, e.p_attack)) for e in eqs]
+    return max(v[0] for v in values), max(v[1] for v in values)
+
+
+games = st.builds(GameSpec, st.tuples(*([leaf_pairs] * 8)), probs, probs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=games)
+def test_nondegenerate_games_keep_the_reference_list(spec):
+    nf = to_normal_form(spec)
+    eqs, ref = solve_nash(nf), reference_solve_nash(nf)
+    if not any(e.degenerate for e in eqs + ref):
+        assert eqs == ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=games)
+def test_both_solvers_agree_on_whether_a_game_is_degenerate(spec):
+    nf = to_normal_form(spec)
+    assert (any(e.degenerate for e in solve_nash(nf))
+            == any(e.degenerate for e in reference_solve_nash(nf)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=games)
+def test_extreme_points_reach_the_references_best_payoffs(spec):
+    """The reference's points lie in the equilibrium set, and each player's
+    payoff over a set of equilibria peaks at an extreme point."""
+    nf = to_normal_form(spec)
+    att, dfn = _best_payoffs(spec, solve_nash(nf))
+    ref_att, ref_dfn = _best_payoffs(spec, reference_solve_nash(nf))
+    assert att >= ref_att and dfn >= ref_dfn
+
+
+# ------------------------------- extreme equilibria as vertex pairs, an oracle
+
+def _solve(rows, dim):
+    """The one solution of ``a . z = b`` over the square system ``rows`` of
+    (a, b), or None when it is singular; exact Gauss-Jordan elimination."""
+    m = [list(a) + [b] for a, b in rows]
+    for col in range(dim):
+        pivot = next((r for r in range(col, dim) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        for r in range(dim):
+            if r != col:
+                f = m[r][col] / m[col][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    return tuple(m[r][dim] / m[r][r] for r in range(dim))
+
+
+def _vertices(constraints, dim):
+    """Each vertex of {z : a . z <= b for every (a, b)}, with the indices of
+    the constraints tight there."""
+    found = {}
+    for tight in itertools.combinations(constraints, dim):
+        z = _solve(tight, dim)
+        if z is None:
+            continue
+        slack = [b - sum(ak * zk for ak, zk in zip(a, z)) for a, b in constraints]
+        if min(slack) >= 0:
+            found[z] = {i for i, s in enumerate(slack) if s == 0}
+    return found
+
+
+def extreme_equilibria(nf):
+    """The completely labelled vertex pairs of the two best-response
+    polytopes, scaled to mixed strategies: exactly the extreme equilibria,
+    degenerate games included (Avis, Rosenberg, Savani & von Stengel 2010).
+    Labels 0 and 1 are the rows, 2 to 5 the columns."""
+    shift = 1 - min(min(row) for row in nf.attacker_payoffs + nf.defender_payoffs)
+    A = [[v + shift for v in row] for row in nf.attacker_payoffs]
+    B = [[v + shift for v in row] for row in nf.defender_payoffs]
+
+    def unit(n, i):
+        return tuple(F(-(k == i)) for k in range(n))
+
+    # P = {x >= 0 : B'x <= 1}: x_i = 0 has label i, column j's bound label 2 + j
+    P = [(unit(2, i), F(0)) for i in range(2)] + [((B[0][j], B[1][j]), F(1)) for j in range(4)]
+    # Q = {y >= 0 : Ay <= 1}: row i's bound has label i, y_j = 0 label 2 + j
+    Q = [(tuple(A[i]), F(1)) for i in range(2)] + [(unit(4, j), F(0)) for j in range(4)]
+    return {(tuple(v / sum(x) for v in x), tuple(v / sum(y) for v in y))
+            for x, x_labels in _vertices(P, 2).items()
+            for y, y_labels in _vertices(Q, 4).items()
+            if any(x) and any(y) and x_labels | y_labels == set(range(6))}
+
+
+small = st.tuples(st.integers(-2, 2), st.integers(-2, 2))  # many payoff ties
+
+
+@settings(max_examples=200, deadline=None)
+@given(leaves=st.tuples(*([small] * 8)), pa=probs, pb=probs)
+def test_the_list_is_the_set_of_extreme_equilibria(leaves, pa, pb):
+    nf = to_normal_form(GameSpec(leaves, pa, pb))
+    assert {(e.attacker, e.defender) for e in solve_nash(nf)} == extreme_equilibria(nf)
+
+
+def test_the_oracle_on_the_default_game():
+    assert extreme_equilibria(to_normal_form(DEFAULT_GAME)) == {
+        ((F(9, 17), F(8, 17)), (F(1, 6), F(5, 6), F(0), F(0)))}
+
+
+# Two degenerate games whose extreme points the reference misses.
+GAME_A = GameSpec(((1, -1), (3, -1), (2, 0), (5, 1), (-1, 1), (4, 1), (-5, 1), (-3, -2)),
+                  F(1, 10), F(4, 5))
+GAME_B = GameSpec(((2, -5), (-1, -5), (-1, 5), (-1, -5), (1, -2), (-3, 1), (-4, 0), (5, -3)),
+                  F(3, 10), F(4, 5))
+
+
+def test_an_end_of_a_set_of_equilibria_is_listed():
+    """In game A the defender may mix columns 0 and 2 at 1 : 37 against any
+    P(attack) in [0, 2/5]; both ends are listed."""
+    eqs = solve_nash(to_normal_form(GAME_A))
+    y = (F(1, 38), F(0), F(37, 38), F(0))
+    assert Equilibrium((F(0), F(1)), y, degenerate=True) in eqs
+    assert Equilibrium((F(2, 5), F(3, 5)), y, degenerate=True) in eqs
+    assert len(eqs) == 7 and all(e.degenerate for e in eqs)
+
+
+def test_the_attackers_best_extreme_point_is_listed():
+    eqs = solve_nash(to_normal_form(GAME_B))
+    assert _best_payoffs(GAME_B, eqs)[0] == F(-16, 115)
+    assert _best_payoffs(GAME_B, reference_solve_nash(to_normal_form(GAME_B)))[0] == F(-11, 20)
 
 
 # ------------------------------------------------------------ monte carlo
