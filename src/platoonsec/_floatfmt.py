@@ -29,9 +29,10 @@ with exact integer arithmetic on a scaled copy of each value:
 * Text.  The digits and the decimal point's place give Python's ``'r'``
   layout: exponent form when the point lies 4 or more places before the
   first digit or more than 16 places after it, else fixed, with ``.0``
-  after a whole number.  The bytes of all the values are one gather, each
-  from a source row of its digits, signs and exponent through a table of
-  layouts keyed by (layout, digit count, sign); a layout ends in NULs.
+  after a whole number.  The bytes of the values are gathered ``_GATHER``
+  values at a time, each from a source row of its digits, signs and
+  exponent through a table of layouts keyed by (layout, digit count, sign);
+  a layout ends in NULs.
 
 The arithmetic is exact except where a real is compared with an integer:
 the bounds L and H (a multiple of 10**d exactly on a bound reads back as x
@@ -71,6 +72,8 @@ _POINTS = np.arange(-3, 17)  # fixed layout: the point's place after the first d
 _DIGITS = np.arange(1, 18)
 _EXP_KEYS = _POINTS.size * 17  # fixed keys by (point, digits), then exponent keys by digits
 _SIGNED = _EXP_KEYS + 17  # then the same layouts behind a minus sign
+# values whose text bytes are gathered at a time (see ``shortest``)
+_GATHER = 1024
 
 
 def _split(a):
@@ -158,8 +161,11 @@ def shortest(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     that went to ``repr`` itself (see the module docstring).
 
     Each temporary is dropped after its last use, or updated in place, to
-    keep few arrays alive at once: the peak is the gather's index, 192
-    bytes a value, on top of about 100."""
+    keep few arrays alive at once.  Everything before the gather is one pass
+    over all the values, about 100 bytes a value; the gather's index, 192
+    bytes a value, is the largest array, so it is built for ``_GATHER`` =
+    1,024 values at a time, and the peak stays near 100 bytes a value plus
+    about 200 KB however many values a call takes."""
     t = _tables()
     x = np.asarray(values, np.float64)
     a = np.abs(x)
@@ -261,12 +267,17 @@ def shortest(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     key += nd - 1
     key += np.signbit(x) * _SIGNED
     del point, nd
-    # each row's bytes: its layout's places in its own source row
-    index = np.take(t["layouts"], key, axis=0).astype(np.intp)
-    del key
-    index += np.arange(0, x.size * 4 * _WORDS, 4 * _WORDS)[:, None]
-    out[:, :_WIDTH] = np.take(src.view(np.uint8), index)
-    del index, src
+    # each row's bytes: its layout's places in its own source row, gathered
+    # _GATHER rows at a time, as the index takes 192 bytes a value
+    src = src.view(np.uint8)
+    offsets = np.arange(0, x.size * 4 * _WORDS, 4 * _WORDS)[:, None]
+    for i in range(0, x.size, _GATHER):
+        rows = slice(i, i + _GATHER)
+        index = np.take(t["layouts"], key[rows], axis=0).astype(np.intp)
+        index += offsets[rows]
+        out[rows, :_WIDTH] = np.take(src, index)
+        del index
+    del key, offsets, src
     for i in np.flatnonzero(fallback).tolist():
         text = repr(float(x[i])).encode()
         out[i, :_WIDTH] = np.frombuffer(text.ljust(_WIDTH, b"\0"), np.uint8)

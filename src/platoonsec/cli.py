@@ -181,7 +181,7 @@ def cmd_game(args: argparse.Namespace) -> int:
         beh = to_behavioral(eq.defender, eq.p_attack)
         gap_a, gap_d = best_response_gap(spec, beh)
         worst = max(worst, float(gap_a), float(gap_d))
-        tag = " (degenerate: one of a continuum)" if eq.degenerate else ""
+        tag = " (degenerate: a payoff tie)" if eq.degenerate else ""
         print(f"equilibrium {idx}{tag}:")
         print(f"  P(attack) = {eq.p_attack} = {_fmt(eq.p_attack)}")
         print(f"  P(downgrade | report) = {beh.defender_p_downgrade_given_r} "

@@ -1014,15 +1014,19 @@ class _Integrator:
             pattern, last, bisect.bisect_right(self.edges, last))
         self.spans.append([last, last + 1, R, g, xi, disturbed, pattern])
         states = self.states[:last + 1]
-        modes = np.empty((last + 1, self.n - 1), dtype=np.uint8)
-        xis = np.empty(last + 1)
-        for start, stop, _, _, xi, _, pattern in self.spans:
-            modes[start:stop] = pattern
-            xis[start:stop] = xi
+        # the spans run back to back from row 0, each under one pattern and xi
+        lengths = [stop - start for start, stop, *_ in self.spans]
+        modes = np.repeat(np.array([span[6] for span in self.spans], np.uint8), lengths, axis=0)
+        xis = np.repeat(np.array([span[4] for span in self.spans], np.float64), lengths)
         positions = states[:, :self.n]
+        # the differences one long loop a column, over the rows of a C-ordered
+        # transpose, not a short loop a row
+        columns = positions.T
+        spacing_errors = np.subtract(columns[1:], columns[:-1], order="C")
+        spacing_errors += self.L
         return dict(times=self.times[:last + 1], positions=positions,
                     velocities=states[:, self.n:], modes=modes,
-                    spacing_errors=positions[:, 1:] - positions[:, :-1] + self.L,
+                    spacing_errors=spacing_errors.T,
                     attack_xi=xis,
                     command_spans=tuple((start, stop, R, g, disturbed)
                                         for start, stop, R, g, _, disturbed, _ in self.spans))
@@ -1122,15 +1126,19 @@ def cacc_entry_values(trace: SimTrace, P: LyapunovCandidate) -> list[tuple[float
     return list(zip(trace.times[rows].tolist(), v))
 
 
-# Rows formatted at a time.  A block's distinct floats go through the
-# formatter in one call, whose fixed cost (about 0.2 ms) wants large blocks;
-# its arrays (about 300 bytes a value, the gather's index the largest) and a
-# file's padded cells (25 bytes each) want small ones, as the heap keeps the
-# first block's high-water mark for the process.  On crash_defended at seed 0
-# (2 vCPUs) 256-row blocks peak near 1.2 MB of traced memory; 128-row blocks
-# peaked near 0.6 MB but wrote about 15% slower, and 512-row blocks wrote
-# about 9% faster but peaked near 2.3 MB.
+# Rows formatted at a time, and rows assembled at a time.  A batch's distinct
+# floats go through the formatter in one call, whose fixed cost (about 0.2 ms)
+# wants large batches; its arrays (about 100 bytes a value, and the gather's
+# index, 192 bytes a value in chunks of 1,024) and a file's padded cells (25
+# bytes each) want small ones, as the heap keeps the first batch's high-water
+# mark for the process.  So a batch of _FORMAT_ROWS is formatted in one call
+# and its files assembled _BLOCK_ROWS at a time.  On crash_defended at seed 0
+# (2 vCPUs) 1,024-row batches wrote the files in 0.82 of the time of 256-row
+# ones, at a traced peak near 1.95 MB against 0.73 MB; 512-row batches took
+# 0.86 (1.08 MB) and 2,048-row batches 0.82 (3.70 MB).  Assembling 1,024 rows
+# at a time too gained nothing measurable and raised the peak.
 _BLOCK_ROWS = 256
+_FORMAT_ROWS = 4 * _BLOCK_ROWS
 # a cell's bytes: its text, NUL-padded to 24 (the longest repr), then its separator
 _CELL = 25
 
@@ -1145,14 +1153,15 @@ def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None
 
     Every float is written as its ``repr``, the shortest string that reads
     back to the same double, so the files are byte-stable given a seed.  The
-    files are written together, a block of rows at a time.  A block's floats
-    are deduplicated by bit pattern (which keeps 0.0 and -0.0 apart), each
-    distinct value is formatted once, and the lines of all three files are
-    assembled from that one table of bytes.  Most printed floats are
+    files are written together, a batch of ``_FORMAT_ROWS`` = 1,024 rows at
+    a time.  A batch's floats are deduplicated by bit pattern (which keeps
+    0.0 and -0.0 apart), each distinct value is formatted once, and the
+    lines of all three files are assembled from that one table of bytes, a
+    block of ``_BLOCK_ROWS`` = 256 rows at a time.  Most printed floats are
     repeats: the spacing and velocity files repeat CSV columns, and the
     leader's speed and command, the attack value and converged followers
     stay the same from row to row.  (A ``crash_defended`` run prints 312,026
-    floats, of which 110,869 are distinct within their block.)
+    floats, of which 102,032 are distinct within their batch.)
 
     The table is built as bytes, with no Python object for any value or
     line: one ``_CELL`` = 25-byte row a text, the two mode names and then
@@ -1162,7 +1171,7 @@ def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None
     a NUL, so dropping the NULs leaves the block's lines, written in one
     call.
 
-    A block's distinct floats are formatted in one numpy pass,
+    A batch's distinct floats are formatted in one numpy pass,
     ``_floatfmt.shortest``, byte-equal to ``repr``.  It is exact by
     construction: each value is scaled by a power of ten into [1e16, 2e17)
     as a double-double whose error is below 1e-13, its rounding interval
@@ -1172,8 +1181,8 @@ def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None
     comparisons of a real with an integer could go either way: a bound of
     the interval and a tie between two nearest multiples.  A value that
     comes within 1e-7 of either, and every 0.0, -0.0, inf, nan, subnormal
-    and magnitude outside about 1e-38..1e38, goes to ``repr`` instead (47
-    of the 110,869 above: each block's 0.0).
+    and magnitude outside about 1e-38..1e38, goes to ``repr`` instead (12
+    of the 102,032 above: each batch's 0.0).
     """
     # imported on first use, so that a caller that writes no trace does not
     # load (and, without bytecode caches, compile) the formatter
@@ -1205,28 +1214,33 @@ def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None
                 f = stack.enter_context(open(p, "wb"))
                 f.write(head.encode() + b"\n")
                 outs.append((f, ord(sep), cols))
-        for k in range(0, trace.times.size, _BLOCK_ROWS):
-            rows = slice(k, k + _BLOCK_ROWS)
+        for k in range(0, trace.times.size, _FORMAT_ROWS):
+            rows = slice(k, k + _FORMAT_ROWS)
             t = trace.times[rows]
-            block = np.empty((t.size, floats))
-            block[:, 0] = t
-            block[:, 1:3 * n + 1:3] = trace.positions[rows]
-            block[:, 2:3 * n + 1:3] = trace.velocities[rows]
-            block[:, 3:3 * n + 1:3] = trace.commands[rows]
-            block[:, eps] = trace.spacing_errors[rows]
-            block[:, -1] = trace.attack_xi[rows]
-            bits, index = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+            batch = np.empty((t.size, floats))
+            batch[:, 0] = t
+            batch[:, 1:3 * n + 1:3] = trace.positions[rows]
+            batch[:, 2:3 * n + 1:3] = trace.velocities[rows]
+            batch[:, 3:3 * n + 1:3] = trace.commands[rows]
+            batch[:, eps] = trace.spacing_errors[rows]
+            batch[:, -1] = trace.attack_xi[rows]
+            bits, index = np.unique(batch.view(np.int64).ravel(), return_inverse=True)
             # one NUL-padded text a row: the mode names, then the distinct floats
             table = np.zeros((2 + bits.size, _CELL), np.uint8)
             table[:2] = names
             shortest(bits.view(np.float64), table[2:])
-            cells = np.hstack([2 + index.reshape(block.shape), trace.modes[rows]])
-            for f, sep, cols in outs:
-                text = np.take(table, cells[:, cols], axis=0)
-                text[:, :, -1] = sep
-                text[:, -1, -1] = ord("\n")
-                # text holds no NUL, so dropping the padding joins the cells
-                f.write(text[text != 0])
+            index = index.reshape(batch.shape) + 2
+            modes = trace.modes[rows]
+            del batch, bits
+            for j in range(0, t.size, _BLOCK_ROWS):
+                block = slice(j, j + _BLOCK_ROWS)
+                cells = np.hstack([index[block], modes[block]])
+                for f, sep, cols in outs:
+                    text = np.take(table, cells[:, cols], axis=0)
+                    text[:, :, -1] = sep
+                    text[:, -1, -1] = ord("\n")
+                    # text holds no NUL, so dropping the padding joins the cells
+                    f.write(text[text != 0])
 
 
 def write_metrics_json(metrics: TraceMetrics, path, extra: dict):

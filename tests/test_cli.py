@@ -411,7 +411,7 @@ def test_game_lists_every_extreme_point_of_a_degenerate_game(tmp_path, capsys):
     assert main(["game", "--config", config]) == EXIT_OK
     stdout = capsys.readouterr().out
     assert "7 equilibria; worst gap 0" in stdout
-    assert stdout.count("(degenerate: one of a continuum)") == 7
+    assert stdout.count("(degenerate: a payoff tie)") == 7
     assert "P(downgrade | report) = 1/38 = " in stdout
 
 

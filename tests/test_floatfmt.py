@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platoonsec._floatfmt import _E_MAX, _E_MIN, _WIDTH, shortest
+from platoonsec._floatfmt import _E_MAX, _E_MIN, _GATHER, _WIDTH, shortest
 from platoonsec.config import load_scenario
 from platoonsec.engine import _BLOCK_ROWS, run_scenario
 
@@ -85,6 +85,14 @@ def test_sizes_up_to_a_block(size):
 # that drops or repeats the rows at a seam.
 @pytest.mark.parametrize("size", [255, 256, 257, 2 * 256 + 3])
 def test_sizes_about_the_gather_slice(size):
+    check(np.exp(np.random.default_rng(size).uniform(-40, 40, size)))
+
+
+# The formatter gathers its text bytes _GATHER values at a time: sizes about
+# one chunk and just past two, so a chunk that drops or repeats rows at a
+# seam shows.
+@pytest.mark.parametrize("size", [_GATHER - 1, _GATHER, _GATHER + 1, 2 * _GATHER + 1])
+def test_sizes_about_the_gather_chunk(size):
     check(np.exp(np.random.default_rng(size).uniform(-40, 40, size)))
 
 

@@ -1,10 +1,10 @@
 """The text writer against a per-float reference.
 
-``write_trace_csv`` formats each distinct float of a block of rows once, into
+``write_trace_csv`` formats each distinct float of a batch of rows once, into
 a table of NUL-padded bytes, and assembles trace.csv, spacing.dat and
-velocity.dat from that table by dropping the NULs.  The reference below
-formats every printed float on its own with ``repr``, as the writers did
-before; the files must be byte-equal.
+velocity.dat from that table, a block of rows at a time, by dropping the
+NULs.  The reference below formats every printed float on its own with
+``repr``, as the writers did before; the files must be byte-equal.
 """
 
 import dataclasses
@@ -13,13 +13,15 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from platoonsec.cli import EXIT_OK, main
 from platoonsec._floatfmt import shortest
 from platoonsec.config import load_scenario
 from platoonsec.control import ACC, CACC
-from platoonsec.engine import _BLOCK_ROWS, _CELL, SimTrace, run_scenario, write_trace_csv
+from platoonsec.engine import (_BLOCK_ROWS, _CELL, _FORMAT_ROWS, SimTrace, run_scenario,
+                               write_trace_csv)
 
 FILES = ("trace.csv", "spacing.dat", "velocity.dat")
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -109,8 +111,12 @@ def traces(draw):
     drawn = draw(st.lists(st.floats(allow_nan=True, allow_infinity=True,
                                     allow_subnormal=True), min_size=1, max_size=12))
     pool = np.concatenate([drawn, EDGES])
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return pool_trace(n, rows, pool, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
 
+
+def pool_trace(n: int, rows: int, pool: np.ndarray, rng) -> SimTrace:
+    """A SimTrace of n vehicles whose float cells are ``pool`` values picked
+    by ``rng``."""
     def series(*shape):
         """Columns of pool values, each held for runs of 1 to 400 rows."""
         cols = []
@@ -165,13 +171,35 @@ def assert_rows_are_reprs(trace: SimTrace):
 @example(trace=column_trace(np.resize(LONGEST + FALLBACKS[:1], _BLOCK_ROWS + 1), 6))
 def test_writer_matches_per_float_reference(trace):
     with tempfile.TemporaryDirectory() as tmp:
-        new, ref = Path(tmp, "new"), Path(tmp, "ref")
-        new.mkdir()
-        ref.mkdir()
-        write_trace_csv(trace, new / "trace.csv", new / "spacing.dat", new / "velocity.dat")
-        reference_files(trace, ref)
-        assert file_bytes(new) == file_bytes(ref)
+        write_and_compare(trace, Path(tmp))
     assert_rows_are_reprs(trace)
+
+
+def write_and_compare(trace: SimTrace, tmp: Path):
+    """Write the trace's three files, and the reference's, under ``tmp``:
+    they must be byte-equal."""
+    new, ref = tmp / "new", tmp / "ref"
+    new.mkdir()
+    ref.mkdir()
+    write_trace_csv(trace, new / "trace.csv", new / "spacing.dat", new / "velocity.dat")
+    reference_files(trace, ref)
+    assert file_bytes(new) == file_bytes(ref)
+
+
+# The writer formats _FORMAT_ROWS rows at a time and assembles them in
+# _BLOCK_ROWS-row blocks: these row counts end a format batch one row before,
+# at and after its end, and one row past a block of the next batch.  The pool
+# of a few thousand magnitudes makes each batch's table of distinct floats
+# differ, so a block read from the wrong rows of its batch shows.
+@pytest.mark.parametrize("rows", [_FORMAT_ROWS - 1, _FORMAT_ROWS, _FORMAT_ROWS + 1,
+                                  _FORMAT_ROWS + _BLOCK_ROWS + 1])
+def test_writer_matches_the_reference_about_a_format_batch(rows, tmp_path):
+    rng = np.random.default_rng(rows)
+    pool = np.concatenate([np.exp(rng.uniform(-40, 40, 3000)) * rng.choice([-1.0, 1.0], 3000),
+                           EDGES])
+    trace = pool_trace(4, rows, pool, rng)
+    write_and_compare(trace, tmp_path)
+    assert len((tmp_path / "new" / "trace.csv").read_bytes().splitlines()) == 1 + rows
 
 
 def test_edge_values_survive_formatting(tmp_path):
@@ -208,9 +236,9 @@ def test_simulate_files_match_the_reference(tmp_path):
 
 def test_writer_memory_stays_small(tmp_path):
     """Writing crash_defended's three files at seed 0 (12,001 rows, 5.3 MB)
-    peaks under 3 MB of traced memory (about 1.2 MB with 256-row blocks):
-    the formatter's per-value arrays and the padded cells must not grow
-    with the trace."""
+    peaks under 3 MB of traced memory (about 2.0 MB with 1,024-row format
+    batches assembled in 256-row blocks): the formatter's per-value arrays
+    and the padded cells must not grow with the trace."""
     trace = run_scenario(dataclasses.replace(
         load_scenario(CONFIGS / "crash_defended.json"), seed=0))
     trace.commands  # built on first read, before the measured span
