@@ -1231,7 +1231,6 @@ def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None
             shortest(bits.view(np.float64), table[2:])
             index = index.reshape(batch.shape) + 2
             modes = trace.modes[rows]
-            del batch, bits
             for j in range(0, t.size, _BLOCK_ROWS):
                 block = slice(j, j + _BLOCK_ROWS)
                 cells = np.hstack([index[block], modes[block]])

@@ -80,17 +80,14 @@ def test_sizes_up_to_a_block(size):
     check(np.exp(np.random.default_rng(size).uniform(-40, 40, size)))
 
 
-# The formatter once gathered its layout in slices of 256 values; all rows are
-# now one gather, and these sizes about that width guard against a slicing
-# that drops or repeats the rows at a seam.
+# The formatter once gathered its layout in slices of 256 values, and now
+# gathers it in chunks of _GATHER values: sizes about either width guard
+# against a slicing that drops or repeats the rows at a seam.
 @pytest.mark.parametrize("size", [255, 256, 257, 2 * 256 + 3])
 def test_sizes_about_the_gather_slice(size):
     check(np.exp(np.random.default_rng(size).uniform(-40, 40, size)))
 
 
-# The formatter gathers its text bytes _GATHER values at a time: sizes about
-# one chunk and just past two, so a chunk that drops or repeats rows at a
-# seam shows.
 @pytest.mark.parametrize("size", [_GATHER - 1, _GATHER, _GATHER + 1, 2 * _GATHER + 1])
 def test_sizes_about_the_gather_chunk(size):
     check(np.exp(np.random.default_rng(size).uniform(-40, 40, size)))

@@ -165,16 +165,6 @@ def assert_rows_are_reprs(trace: SimTrace):
         [repr(v).encode().ljust(_CELL, b"\0") for v in values.tolist()]
 
 
-@settings(max_examples=60, deadline=None)
-@given(trace=traces())
-@example(trace=column_trace(LONGEST + FALLBACKS, 3))
-@example(trace=column_trace(np.resize(LONGEST + FALLBACKS[:1], _BLOCK_ROWS + 1), 6))
-def test_writer_matches_per_float_reference(trace):
-    with tempfile.TemporaryDirectory() as tmp:
-        write_and_compare(trace, Path(tmp))
-    assert_rows_are_reprs(trace)
-
-
 def write_and_compare(trace: SimTrace, tmp: Path):
     """Write the trace's three files, and the reference's, under ``tmp``:
     they must be byte-equal."""
@@ -184,6 +174,16 @@ def write_and_compare(trace: SimTrace, tmp: Path):
     write_trace_csv(trace, new / "trace.csv", new / "spacing.dat", new / "velocity.dat")
     reference_files(trace, ref)
     assert file_bytes(new) == file_bytes(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace=traces())
+@example(trace=column_trace(LONGEST + FALLBACKS, 3))
+@example(trace=column_trace(np.resize(LONGEST + FALLBACKS[:1], _BLOCK_ROWS + 1), 6))
+def test_writer_matches_per_float_reference(trace):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_and_compare(trace, Path(tmp))
+    assert_rows_are_reprs(trace)
 
 
 # The writer formats _FORMAT_ROWS rows at a time and assembles them in
