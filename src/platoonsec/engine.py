@@ -66,9 +66,9 @@ table: ``_BLOCK`` items, fewer for a large platoon (and a row past the
 table's last finite item, on a loop unstable enough to leave the floats
 within a block, is anchored that many rows back).  Item j of the table is
 T_j = [Phi^j | S_j], so a row is T_j (x_s, g), one matrix-vector product.
-A table is built by doubling, a level of items at a time as rows first
-need them, and kept for the process.  A block, the rows up to the next
-multiple of B, is one BLAS matrix-vector product: the block's items, read
+A table is built whole, by doubling, when a run first needs its pattern,
+and kept for the process.  A block, the rows up to the next multiple of
+B, is one BLAS matrix-vector product: the block's items, read
 as one matrix of stacked rows, on its anchor's (x_s, g), written in place
 into the rows of the state buffer.  BLAS computes the rows of that product
 in groups of four, so each item is padded with zero rows to a multiple of
@@ -735,7 +735,7 @@ class _Supervisor:
 
 
 class _PowerTable:
-    """The powers of one mode pattern's step map, grown as runs need them.
+    """The powers of one mode pattern's step map, all built at once.
 
     The fourth-order step on the affine field xdot = M x + b collapses to
     x' = Phi x + Psi b; b is zero on the position block, so only Psi's
@@ -745,15 +745,16 @@ class _PowerTable:
     accelerations g of a segment.  Zero rows pad each item to
     ``_padded(n)`` rows: a block of rows is then one matrix-vector product
     of the block's items, read as one matrix, on the anchor's (x, g), and
-    each item rounds in it as its own product.  ``reach`` builds the items
-    by doubling, on their state rows, one stacked matmul a level,
-    T_(m+j) = Phi^m T_j + [0 | S_m] for j = 1..m: an item is computed the
-    same way however far the table has grown.  The table holds ``_BLOCK``
-    items, or fewer where so many would pass a table's share of
-    ``_TABLE_BYTES`` (padding counted), and grows no further past an item
-    with an entry that is not finite; ``finite`` counts the items before it
-    (T_1 is always used).  ``M`` is the pattern's ``control.closed_loop``
-    matrix, and ``R``, its last n rows, the command law.
+    each item rounds in it as its own product.  The constructor builds the
+    items by doubling, on their state rows, one stacked matmul a level,
+    T_(m+j) = Phi^m T_j + [0 | S_m] for j = 1..m, so each item is a
+    function of the pattern's map alone.  The table holds ``_BLOCK`` items,
+    or fewer where so many would pass a table's share of ``_TABLE_BYTES``
+    (padding counted), and the doubling stops at the first level with an
+    entry that is not finite; ``finite`` counts the items before the first
+    such item (T_1 is always used).  ``M`` is the pattern's
+    ``control.closed_loop`` matrix, and ``R``, its last n rows, the command
+    law.
     """
 
     def __init__(self, M: np.ndarray, h: float):
@@ -772,32 +773,28 @@ class _PowerTable:
                                _padded(n), 3 * n))
         self.items[0, :2 * n, :2 * n] = phi
         self.items[0, :2 * n, 2 * n:] = psi[:, n:]
-        self.built = self.finite = 1
         self.nbytes = self.items.nbytes + M.nbytes  # R is a view of M
-
-    def reach(self, j: int) -> int:
-        """Build the items up to j, a whole level at a time, and return how
-        many of the first j are finite."""
-        cols = self.R.shape[1]  # 2n: Phi's columns, then S's; the state rows
-        items = self.items[:, :cols]
-        while self.finite == self.built < min(j, len(items)):
-            m = self.built
+        items = self.items[:, :2 * n]  # the state rows
+        m = 1  # T_1 is always used
+        while m < len(items):
             top = min(2 * m, len(items))
             level = items[m:top]
-            np.matmul(items[m - 1, :, :cols], items[:top - m], out=level)
-            level[:, :, cols:] += items[m - 1, :, cols:]
+            np.matmul(items[m - 1, :, :2 * n], items[:top - m], out=level)
+            level[:, :, 2 * n:] += items[m - 1, :, 2 * n:]
             finite = np.isfinite(level).all(axis=(1, 2))
-            self.built = top
-            self.finite = top if finite.all() else m + int(finite.argmin())
-        return min(j, self.finite)
+            if not finite.all():
+                m += int(finite.argmin())
+                break
+            m = top
+        self.finite = m
 
 
 class _TableMemo:
     """Power tables kept for the process, by (gains, step, vehicle count,
     mode pattern).  An item of a table is a function of its key alone, so
-    which run built it changes no bit.  Once the tables may hold more than
-    ``limit`` bytes, counting every item a table can grow to, the oldest
-    built go first; the newest always stays."""
+    which run built it changes no bit.  Once the tables hold more than
+    ``limit`` bytes, counting every item a table holds, the oldest built go
+    first; the newest always stays."""
 
     def __init__(self, limit: int):
         self.limit = limit
@@ -984,8 +981,7 @@ class _Integrator:
         first = k if span is None else span[0]  # the same constant inputs go on
         table = self._table(pattern)
         items = table.items
-        block = len(items)
-        reach = table.reach(min(block, end - first))
+        block, reach = len(items), table.finite
         row = checked = k
         while True:
             base = row - row % block
@@ -1126,19 +1122,17 @@ def cacc_entry_values(trace: SimTrace, P: LyapunovCandidate) -> list[tuple[float
     return list(zip(trace.times[rows].tolist(), v))
 
 
-# Rows formatted at a time, and rows assembled at a time.  A batch's distinct
-# floats go through the formatter in one call, whose fixed cost (about 0.2 ms)
-# wants large batches; its arrays (about 100 bytes a value, and the gather's
-# index, 192 bytes a value in chunks of 1,024) and a file's padded cells (25
-# bytes each) want small ones, as the heap keeps the first batch's high-water
-# mark for the process.  So a batch of _FORMAT_ROWS is formatted in one call
-# and its files assembled _BLOCK_ROWS at a time.  On crash_defended at seed 0
-# (2 vCPUs) 1,024-row batches wrote the files in 0.82 of the time of 256-row
-# ones, at a traced peak near 1.95 MB against 0.73 MB; 512-row batches took
-# 0.86 (1.08 MB) and 2,048-row batches 0.82 (3.70 MB).  Assembling 1,024 rows
-# at a time too gained nothing measurable and raised the peak.
-_BLOCK_ROWS = 256
-_FORMAT_ROWS = 4 * _BLOCK_ROWS
+# Rows formatted and written at a time.  A batch's distinct floats go through
+# the formatter in one call, whose fixed cost (about 0.2 ms) wants large
+# batches; its arrays (about 100 bytes a value, and the gather's index, 192
+# bytes a value in chunks of 1,024) and a file's padded cells (25 bytes each)
+# want small ones, as the heap keeps the first batch's high-water mark for the
+# process.  On crash_defended at seed 0 (2 vCPUs) 1,024-row batches wrote the
+# files in 0.82 of the time of 256-row ones; 512-row batches took 0.86 and
+# 2,048-row batches 0.82, at a traced peak of 3.70 MB.  The 1,024-row batch
+# peaks near 2.3 MB; assembling each file in 256-row blocks of it instead
+# lowered that to about 2.1 MB and changed no measured time or peak RSS.
+_FORMAT_ROWS = 1024
 # a cell's bytes: its text, NUL-padded to 24 (the longest repr), then its separator
 _CELL = 25
 
@@ -1156,8 +1150,8 @@ def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None
     files are written together, a batch of ``_FORMAT_ROWS`` = 1,024 rows at
     a time.  A batch's floats are deduplicated by bit pattern (which keeps
     0.0 and -0.0 apart), each distinct value is formatted once, and the
-    lines of all three files are assembled from that one table of bytes, a
-    block of ``_BLOCK_ROWS`` = 256 rows at a time.  Most printed floats are
+    batch's lines of each of the three files are assembled from that one
+    table of bytes and written in one call.  Most printed floats are
     repeats: the spacing and velocity files repeat CSV columns, and the
     leader's speed and command, the attack value and converged followers
     stay the same from row to row.  (A ``crash_defended`` run prints 312,026
@@ -1166,10 +1160,9 @@ def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None
     The table is built as bytes, with no Python object for any value or
     line: one ``_CELL`` = 25-byte row a text, the two mode names and then
     the distinct floats, each NUL-padded to 24 bytes, the longest ``repr``.
-    A file's block is the gather of its cells' rows, with each cell's last
+    A file's batch is the gather of its cells' rows, with each cell's last
     byte set to the separator (``\n`` for a line's last cell); no text holds
-    a NUL, so dropping the NULs leaves the block's lines, written in one
-    call.
+    a NUL, so dropping the NULs leaves the batch's lines.
 
     A batch's distinct floats are formatted in one numpy pass,
     ``_floatfmt.shortest``, byte-equal to ``repr``.  It is exact by
@@ -1195,7 +1188,7 @@ def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None
     header += [f"mode{i}" for i in range(2, n + 1)]
     header += [f"eps{i}" for i in range(2, n + 1)]
     header.append("xi")
-    # A block's cells: its float columns t, x/v/u per vehicle, eps, xi, then
+    # A batch's cells: its float columns t, x/v/u per vehicle, eps, xi, then
     # the follower modes.  Each file's lines pick their columns from these.
     floats = 4 * n + 1
     eps = slice(3 * n + 1, floats - 1)
@@ -1229,17 +1222,13 @@ def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None
             table = np.zeros((2 + bits.size, _CELL), np.uint8)
             table[:2] = names
             shortest(bits.view(np.float64), table[2:])
-            index = index.reshape(batch.shape) + 2
-            modes = trace.modes[rows]
-            for j in range(0, t.size, _BLOCK_ROWS):
-                block = slice(j, j + _BLOCK_ROWS)
-                cells = np.hstack([index[block], modes[block]])
-                for f, sep, cols in outs:
-                    text = np.take(table, cells[:, cols], axis=0)
-                    text[:, :, -1] = sep
-                    text[:, -1, -1] = ord("\n")
-                    # text holds no NUL, so dropping the padding joins the cells
-                    f.write(text[text != 0])
+            cells = np.hstack([index.reshape(batch.shape) + 2, trace.modes[rows]])
+            for f, sep, cols in outs:
+                text = np.take(table, cells[:, cols], axis=0)
+                text[:, :, -1] = sep
+                text[:, -1, -1] = ord("\n")
+                # text holds no NUL, so dropping the padding joins the cells
+                f.write(text[text != 0])
 
 
 def write_metrics_json(metrics: TraceMetrics, path, extra: dict):

@@ -504,19 +504,18 @@ def impulse_response_nonneg(H: TransferFunction) -> bool:
     The transfer function is realized in controllable canonical form and the
     response h(t) = C exp(At) B is integrated with a fixed 1 ms fourth-order
     update.  For a biproper H the impulsive direct-feedthrough term at t = 0
-    is outside the sampled window and is ignored.
+    is outside the sampled window and is ignored, so a constant H, or one
+    that cancels to a constant, has a zero response there.
     """
     horizon, step, tol = 80.0, 1e-3, 1e-9
-    if not H.num:
-        return True
     den = [c / H.den[0] for c in H.den]
     num = [c / H.den[0] for c in H.num]
-    if len(den) == 1:
-        return num[0] >= -tol
     n = len(den) - 1
     if len(num) == len(den):
         d = num[0]
         num = [num[i + 1] - d * den[i + 1] for i in range(n)]
+    if not any(num):
+        return True
     num = [0.0] * (n - len(num)) + num
 
     A = np.zeros((n, n))

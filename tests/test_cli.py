@@ -2,7 +2,8 @@
 
 The tests drive ``main(argv)`` in-process so stdout/stderr and the exit code
 can be asserted without spawning interpreters; only the check of what
-importing the module loads runs in a fresh one.
+importing the module loads runs in a fresh one, and one sweep starts a
+two-process worker pool.
 """
 
 import concurrent.futures
@@ -91,6 +92,13 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
             hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in ("trace.csv", "metrics.json", "spacing.dat", "velocity.dat")))
     assert digests[0] == digests[1]
+
+
+def test_simulate_tolerance_reaches_the_metrics(tmp_path):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", config, "--out", str(out), "--tol", "0.5"]) == EXIT_OK
+    assert json.loads((out / "metrics.json").read_text())["tol"] == 0.5
 
 
 def test_simulate_seed_override(tmp_path):
@@ -392,6 +400,11 @@ def test_game_default_equilibrium(capsys):
     assert "1 equilibria; worst gap 0" in stdout
 
 
+def test_game_zero_tolerance_accepts_an_exact_equilibrium(capsys):
+    assert main(["game", "--tol", "0"]) == EXIT_OK
+    assert "1 equilibria; worst gap 0 (tolerance 0)" in capsys.readouterr().out
+
+
 def test_game_with_custom_spec(tmp_path, capsys):
     config = write_config(tmp_path, game={"leaf_utilities":
         [[1, -2], [3, -10], [1, -2], [3, -10], [0, -3], [0, 0], [0, -3], [0, 0]]})
@@ -444,6 +457,19 @@ def test_string_check_reports_a_narrow_resonance(capsys):
     assert lines[-1] == "verdict: not string stable"
 
 
+def test_string_check_constant_fixture_passes(capsys):
+    """H = -1 is string stable whether written as -1 / 1 or (-s - 1) / (s + 1)."""
+    for argv in (["--num", "-1", "--den", "1"], ["--num", "-1", "-1", "--den", "1", "1"]):
+        assert main(["string-check", *argv]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("verdict: string stable\n")
+
+
+def test_string_check_prints_no_zero_coefficient(capsys):
+    main(["string-check", "--num", "1", "0", "1", "--den", "1", "2", "1"])
+    assert capsys.readouterr().out.startswith(
+        "H(s) [fixture] = (s^2 + 1) / (s^2 + 2 s + 1)\n")
+
+
 def test_string_check_fixture_needs_both_polynomials(capsys):
     assert main(["string-check", "--num", "1"]) == EXIT_INPUT
     assert "--num and --den" in capsys.readouterr().err
@@ -491,6 +517,23 @@ def test_sweep_grid(tmp_path, capsys):
     assert cells[("0.1", "4.0")] == ["0", "0.0"]   # weak attack never collides
     assert cells[("2.0", "4.0")] == ["2", "1.0"]   # forged +2 always collides
     assert "wrote" in capsys.readouterr().out
+
+
+def test_sweep_pool_writes_what_one_process_writes(tmp_path):
+    """Two worker processes write the same sweep.csv bytes as one."""
+    data = json.loads(Path(DEFENDED).read_text())
+    data["integration"]["duration"] = 20.0
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(data))
+    written = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs-{jobs}"
+        assert main(["sweep", "--config", str(config), "--out", str(out),
+                     "--xi-grid", "1", "4", "--eps-grid", "2", "4", "--runs", "2",
+                     "--jobs", jobs]) == EXIT_OK
+        written.append((out / "sweep.csv").read_bytes())
+    assert written[0] == written[1]
+    assert len(written[0].splitlines()) == 5
 
 
 def test_sweep_default_workers_count_the_cpus_it_may_use(tmp_path, monkeypatch):

@@ -241,29 +241,28 @@ def _table(config, pattern):
 
 @np.errstate(over="ignore", invalid="ignore")  # as in run_scenario
 def test_power_table_ends_at_its_last_finite_power():
-    """A pattern's table grows no further past its first item that leaves
+    """A pattern's table counts its items only up to the first that leaves
     the floats, so a diverging run still names the first row that does:
     row 47 here, as in the oracle test's example; a step map that is not
-    finite itself is used, and the run stops on its first row.  An item
-    does not depend on how far the table grew before it was read."""
+    finite itself is used, and the run stops on its first row.  A stable
+    pattern's table is finite in every item once it is built."""
+    stable = _table(ScenarioConfig(platoon=make_platoon(n=3)), (0, 1))
+    assert stable.finite == len(stable.items) == platoonsec.engine._BLOCK
+    assert np.isfinite(stable.items).all()
     diverging = ScenarioConfig(
         platoon=make_platoon(n=2, pulses=[(4.7, 5.0, -1.0)]), acc_gains=AccGains(-1e3, -1e3),
         gap_offsets=(1.0,), switching=SwitchingConfig(enabled=False, initial_mode=ACC),
         step=0.1, duration=30.0)
     table = _table(diverging, (1,))
-    assert table.reach(10) == 10 and table.built == 16
-    early = table.items[:16].copy()
-    finite = table.reach(platoonsec.engine._BLOCK)
-    assert finite == table.finite and 16 < finite < table.built <= platoonsec.engine._BLOCK
+    finite = table.finite
+    assert 16 < finite < len(table.items)
     assert np.isfinite(table.items[:finite]).all()
     assert not np.isfinite(table.items[finite]).all()
-    assert table.items[:16].tobytes() == early.tobytes()
-    assert table.reach(platoonsec.engine._BLOCK) == finite
     with pytest.raises(FloatingPointError, match=r"non-finite state at t=4.7 s"):
         run_scenario(diverging)
     stiff = dataclasses.replace(diverging, acc_gains=AccGains(-1e160, -1e160))
     table = _table(stiff, (1,))
-    assert table.reach(platoonsec.engine._BLOCK) == 1 and not np.isfinite(table.items[0]).all()
+    assert table.finite == 1 and not np.isfinite(table.items[0]).all()
     with pytest.raises(FloatingPointError, match=r"non-finite state at t=0.1 s"):
         run_scenario(stiff)
 

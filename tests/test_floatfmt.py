@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from platoonsec._floatfmt import _E_MAX, _E_MIN, _GATHER, _WIDTH, shortest
 from platoonsec.config import load_scenario
-from platoonsec.engine import _BLOCK_ROWS, run_scenario
+from platoonsec.engine import run_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -75,7 +75,7 @@ def test_matches_repr_on_many_values():
     check(np.ldexp(1.0, np.arange(-1074, 1024)))
 
 
-@pytest.mark.parametrize("size", [0, 1, _BLOCK_ROWS * 17])  # 17 floats a row at 4 vehicles
+@pytest.mark.parametrize("size", [0, 1, 256 * 17])  # 256 rows of 17 floats at 4 vehicles
 def test_sizes_up_to_a_block(size):
     check(np.exp(np.random.default_rng(size).uniform(-40, 40, size)))
 

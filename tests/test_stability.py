@@ -335,6 +335,14 @@ def test_impulse_sign_check_on_known_responses():
     assert not impulse_response_nonneg(TransferFunction((1.0, -1.0), (1.0, 2.0, 1.0)))
 
 
+@pytest.mark.parametrize("num, den", [((-1.0,), (1.0,)), ((-1.0, -1.0), (1.0, 1.0)),
+                                      ((-2.0, -2.0), (2.0, 2.0))])
+def test_impulse_sign_check_ignores_a_constant_feedthrough(num, den):
+    """H = -1 however it is written: its response is the impulse at t = 0
+    alone, outside the sampled window, so it is zero on (0, 80]."""
+    assert impulse_response_nonneg(TransferFunction(num, den))
+
+
 def test_impulse_check_handles_biproper():
     # (s + 2)/(s + 1) = 1 + 1/(s+1): impulse delta + positive tail
     assert impulse_response_nonneg(TransferFunction((1.0, 2.0), (1.0, 1.0)))

@@ -20,8 +20,7 @@ from platoonsec.cli import EXIT_OK, main
 from platoonsec._floatfmt import shortest
 from platoonsec.config import load_scenario
 from platoonsec.control import ACC, CACC
-from platoonsec.engine import (_BLOCK_ROWS, _CELL, _FORMAT_ROWS, SimTrace, run_scenario,
-                               write_trace_csv)
+from platoonsec.engine import _CELL, _FORMAT_ROWS, SimTrace, run_scenario, write_trace_csv
 
 FILES = ("trace.csv", "spacing.dat", "velocity.dat")
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -96,9 +95,9 @@ EDGES = EDGE_BITS.view(np.float64)
 LONGEST = [-1.3498094062947883e-308, -1.7976931348623157e+308, -5e-324]
 FALLBACKS = [0.0, -0.0, float("nan"), float("inf")]
 
-# row counts about the writer's block size, and a few small ones
+# row counts about the 256-row blocks the writer once assembled, and a few small ones
 ROW_COUNTS = st.one_of(
-    st.sampled_from([_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]),
+    st.sampled_from([255, 256, 257, 515]),
     st.integers(0, 40))
 
 
@@ -179,20 +178,20 @@ def write_and_compare(trace: SimTrace, tmp: Path):
 @settings(max_examples=60, deadline=None)
 @given(trace=traces())
 @example(trace=column_trace(LONGEST + FALLBACKS, 3))
-@example(trace=column_trace(np.resize(LONGEST + FALLBACKS[:1], _BLOCK_ROWS + 1), 6))
+@example(trace=column_trace(np.resize(LONGEST + FALLBACKS[:1], 257), 6))
 def test_writer_matches_per_float_reference(trace):
     with tempfile.TemporaryDirectory() as tmp:
         write_and_compare(trace, Path(tmp))
     assert_rows_are_reprs(trace)
 
 
-# The writer formats _FORMAT_ROWS rows at a time and assembles them in
-# _BLOCK_ROWS-row blocks: these row counts end a format batch one row before,
-# at and after its end, and one row past a block of the next batch.  The pool
-# of a few thousand magnitudes makes each batch's table of distinct floats
-# differ, so a block read from the wrong rows of its batch shows.
+# The writer formats and writes _FORMAT_ROWS rows at a time: these row counts
+# end a format batch one row before, at and after its end, and 257 rows into
+# the next batch.  The pool of a few thousand magnitudes makes each batch's
+# table of distinct floats differ, so cells read from the wrong rows of their
+# batch show.
 @pytest.mark.parametrize("rows", [_FORMAT_ROWS - 1, _FORMAT_ROWS, _FORMAT_ROWS + 1,
-                                  _FORMAT_ROWS + _BLOCK_ROWS + 1])
+                                  _FORMAT_ROWS + 256 + 1])
 def test_writer_matches_the_reference_about_a_format_batch(rows, tmp_path):
     rng = np.random.default_rng(rows)
     pool = np.concatenate([np.exp(rng.uniform(-40, 40, 3000)) * rng.choice([-1.0, 1.0], 3000),
@@ -219,7 +218,7 @@ def test_edge_values_survive_formatting(tmp_path):
 # ---------------------------------------------------------------- simulate
 
 def test_simulate_files_match_the_reference(tmp_path):
-    """``simulate`` on a 601-row run (several blocks): trace.csv and the two .dat
+    """``simulate`` on a 601-row run: trace.csv and the two .dat
     files equal the reference writers' output for the same trace."""
     config = tmp_path / "scenario.json"
     config.write_text(
@@ -236,8 +235,8 @@ def test_simulate_files_match_the_reference(tmp_path):
 
 def test_writer_memory_stays_small(tmp_path):
     """Writing crash_defended's three files at seed 0 (12,001 rows, 5.3 MB)
-    peaks under 3 MB of traced memory (about 2.0 MB with 1,024-row format
-    batches assembled in 256-row blocks): the formatter's per-value arrays
+    peaks under 3 MB of traced memory (about 2.3 MB with 1,024-row format
+    batches): the formatter's per-value arrays
     and the padded cells must not grow with the trace."""
     trace = run_scenario(dataclasses.replace(
         load_scenario(CONFIGS / "crash_defended.json"), seed=0))
