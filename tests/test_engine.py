@@ -293,7 +293,7 @@ def test_a_quiet_block_is_finite_in_every_row(monkeypatch):
 
 def test_power_tables_stay_within_their_bound(monkeypatch):
     """The process keeps at most ``_TABLE_BYTES`` of power tables, counting
-    every item a table can grow to: a large per-vehicle platoon, whose
+    every item a table holds: a large per-vehicle platoon, whose
     followers switch into many patterns, each table of fewer than
     ``_BLOCK`` items, passes the bound only by evicting the oldest."""
     memo = platoonsec.engine._TableMemo(platoonsec.engine._TABLE_BYTES)
@@ -319,10 +319,9 @@ def test_power_tables_stay_within_their_bound(monkeypatch):
 
 
 def test_a_run_does_not_depend_on_the_tables_built_before_it(monkeypatch):
-    """Power tables outlive runs, grown only as far as some run's rows have
-    needed them.  An item is computed the same way however far its table
-    has grown, so a run records the same bytes from fresh tables as from
-    tables other runs built."""
+    """Power tables outlive runs.  An item is computed the same way
+    whichever run first needed its table, so a run records the same bytes
+    from fresh tables as from tables other runs built."""
     config = dataclasses.replace(_DEFENDED, duration=30.0)
     monkeypatch.setattr(platoonsec.engine, "_TABLES",
                         platoonsec.engine._TableMemo(platoonsec.engine._TABLE_BYTES))

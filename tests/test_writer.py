@@ -95,7 +95,7 @@ EDGES = EDGE_BITS.view(np.float64)
 LONGEST = [-1.3498094062947883e-308, -1.7976931348623157e+308, -5e-324]
 FALLBACKS = [0.0, -0.0, float("nan"), float("inf")]
 
-# row counts about the 256-row blocks the writer once assembled, and a few small ones
+# row counts about a quarter of a format batch, and a few small ones
 ROW_COUNTS = st.one_of(
     st.sampled_from([255, 256, 257, 515]),
     st.integers(0, 40))
