@@ -6,9 +6,14 @@ Five subcommands: ``simulate`` (one scenario -> trace/metrics/plot data),
 (frequency/impulse criteria for one controller), and ``sweep`` (attack
 magnitude x safety threshold grid, collision rates, in parallel).
 
-Exit codes are a stable contract: 0 ok, 1 input error (a bad scenario file or
-command line), 2 domain outcome (collision, failed certificate, unstable
-behavior, equilibrium gap above tolerance).  All outputs land under
+``simulate`` and ``sweep`` need ``--config``; the others read
+``_DEFAULT_SCENARIO`` without it.
+
+Exit codes are a stable contract: 0 ok, 1 input error (a bad scenario file
+or command line, or gains whose closed loop is not Hurwitz, in every
+subcommand), 2 domain outcome (collision, failed or missing certificate, a
+state that diverges to non-finite values, string-stability violation,
+equilibrium gap above tolerance).  All outputs land under
 ``--out`` (or $PLATOONSEC_OUT, or the working directory); reruns with the
 same inputs and seed are byte-identical.
 """
@@ -23,11 +28,11 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_scenario
-from .control import (ACC, CACC, DEFAULT_ACC_GAINS, DEFAULT_CACC_GAINS,
-                      assemble_closed_loop)
-from .engine import (CertificateError, resolve_certificate, run_scenario, trace_metrics,
-                     write_metrics_json, write_trace_csv)
+from .control import ACC, CACC, assemble_closed_loop
+from .engine import (CertificateError, ScenarioConfig, resolve_certificate, run_scenario,
+                     trace_metrics, write_metrics_json, write_trace_csv)
 from .game import best_response_gap, solve_nash, to_behavioral, to_normal_form
+from .platoon import PlatoonConfig
 from .stability import (TransferFunction, check_bibo_lemma1, check_gues_inequalities,
                         hinf_norm, impulse_response_nonneg, min_dwell_time,
                         spacing_error_tf)
@@ -39,6 +44,12 @@ EXIT_INPUT = 1
 EXIT_OUTCOME = 2
 
 _OUT_ENV = "PLATOONSEC_OUT"
+
+# the scenario of ``stability``, ``game`` and ``string-check`` without
+# --config: the crash configs' platoon, with the package's default gains,
+# certificate search and game
+_DEFAULT_SCENARIO = ScenarioConfig(PlatoonConfig(vehicle_count=4, desired_gap=10.0,
+                                                 vehicle_length=4.5, epsilon_max=4.0))
 
 
 def _fmt(x: float) -> str:
@@ -81,17 +92,18 @@ def tolerance(text: str) -> float:
     return value
 
 
-def _load(args: argparse.Namespace):
-    if args.config is None:
+def _load(args: argparse.Namespace, default: ScenarioConfig | None = _DEFAULT_SCENARIO):
+    """The ``--config`` scenario, else ``default``; with neither, an input error."""
+    config = default if args.config is None else load_scenario(args.config)
+    if config is None:
         raise ConfigError("", "this subcommand needs --config <scenario.json>")
-    config = load_scenario(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     return config
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load(args)
+    config = _load(args, default=None)
     trace = run_scenario(config)
     metrics = trace_metrics(trace, tol=args.tol)
 
@@ -115,13 +127,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_stability(args: argparse.Namespace) -> int:
-    if args.config is not None:
-        config = _load(args)
-        cacc, acc, P = config.cacc_gains, config.acc_gains, config.lyapunov
-        eps_ref = config.platoon.epsilon_max
-    else:
-        cacc, acc, P = DEFAULT_CACC_GAINS, DEFAULT_ACC_GAINS, None
-        eps_ref = 4.0
+    config = _load(args)
+    cacc, acc, P = config.cacc_gains, config.acc_gains, config.lyapunov
+    eps_ref = config.platoon.epsilon_max
 
     # the aggregates are the bottom rows of the two laws' A
     (k1, k2), (k3, k4) = (assemble_closed_loop(mode, gains)[1].tolist()
@@ -132,9 +140,6 @@ def cmd_stability(args: argparse.Namespace) -> int:
         verdict = check_bibo_lemma1(*pair)
         print(f"  {label}: hurwitz={verdict['hurwitz']} "
               f"real-pole criterion={verdict['lemma1']}")
-        if not verdict["hurwitz"]:
-            print("  -> gains are not stabilizing; no certificate exists")
-            return EXIT_OUTCOME
 
     searched = P is None
     P, report, consts = resolve_certificate(cacc, acc, P)
@@ -168,11 +173,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
 
 
 def cmd_game(args: argparse.Namespace) -> int:
-    if args.config is not None:
-        spec = _load(args).game
-    else:
-        from .game import DEFAULT_GAME
-        spec = DEFAULT_GAME
+    spec = _load(args).game
     print(f"detector: P(report|attack)={_fmt(spec.p_report_given_attack)} "
           f"P(report|benign)={_fmt(spec.p_report_given_benign)}")
     equilibria = solve_nash(to_normal_form(spec))
@@ -203,18 +204,10 @@ def cmd_string_check(args: argparse.Namespace) -> int:
         H = TransferFunction(tuple(num), tuple(den))
         label = "fixture"
     else:
-        mode = args.mode
-        if args.config is not None:
-            config = _load(args)
-            gains = config.acc_gains if mode == ACC else config.cacc_gains
-        else:
-            gains = DEFAULT_ACC_GAINS if mode == ACC else DEFAULT_CACC_GAINS
-        H = spacing_error_tf(mode, gains)
+        mode, config = args.mode, _load(args)
+        H = spacing_error_tf(mode, config.acc_gains if mode == ACC else config.cacc_gains)
         label = f"{mode} spacing-error propagation"
     print(f"H(s) [{label}] = ({_poly_str(H.num)}) / ({_poly_str(H.den)})")
-    if not H.is_stable():
-        print("denominator is not Hurwitz: gain/norm undefined")
-        return EXIT_INPUT
     norm = hinf_norm(H)
     nonneg = impulse_response_nonneg(H)
     gain_ok = norm.value <= 1.0 + 1e-12
@@ -263,7 +256,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise ValueError(f"--{flag} must be at least 1, got {value}")
-    base = _load(args)
+    base = _load(args, default=None)
     if base.attack is None:
         raise ConfigError("attack", "sweep varies the attack magnitude; the base "
                                     "scenario must define an attack")

@@ -50,6 +50,7 @@ __all__ = [
     "law_terms",
     "assemble_closed_loop",
     "closed_loop",
+    "step_map",
     "DEFAULT_CACC_GAINS",
     "DEFAULT_ACC_GAINS",
 ]
@@ -171,3 +172,17 @@ def closed_loop(pattern, cacc: CaccGains, acc: AccGains) -> np.ndarray:
             row[n + j] -= term.beta
             row += term.gamma * R[j]
     return M
+
+
+def step_map(M: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one fourth-order step of xdot = M x + b over ``h``: the Taylor
+    polynomials (Phi, Psi) with x' = Phi x + Psi b, for a constant b."""
+    ident = np.eye(len(M))
+    M2 = M @ M
+    M3 = M2 @ M
+    M4 = M3 @ M
+    phi = (ident + h * M + (h * h / 2.0) * M2
+           + (h ** 3 / 6.0) * M3 + (h ** 4 / 24.0) * M4)
+    psi = h * (ident + (h / 2.0) * M + (h * h / 6.0) * M2
+               + (h ** 3 / 24.0) * M3)
+    return phi, psi

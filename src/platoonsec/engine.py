@@ -127,7 +127,8 @@ import numpy as np
 
 from ._entry import EntryError
 from .control import (ACC, CACC, V2V, AccGains, CaccGains, DEFAULT_ACC_GAINS,
-                      DEFAULT_CACC_GAINS, assemble_closed_loop, closed_loop, law_terms)
+                      DEFAULT_CACC_GAINS, assemble_closed_loop, closed_loop, law_terms,
+                      step_map)
 from .game import GameSpec, DEFAULT_GAME, equilibrium_strategy
 from .platoon import PlatoonConfig, desired_distance
 from .stability import (LyapunovCandidate, LyapunovConstants, check_bibo_lemma1,
@@ -192,7 +193,7 @@ class SwitchingConfig:
             raise EntryError("decision_period",
                              f"decision_period must be positive, got {self.decision_period}")
         if self.scope not in ("per-vehicle", "platoon"):
-            raise ValueError(f"unknown switching scope {self.scope!r}")
+            raise EntryError("scope", f"unknown switching scope {self.scope!r}")
         if not 0.0 <= self.hysteresis_release <= 1.0:
             raise EntryError("hysteresis_release",
                              "hysteresis_release is a fraction of epsilon_max")
@@ -203,7 +204,7 @@ class SwitchingConfig:
                     raise EntryError(f"policy_override[{k}]",
                                      "policy_override entries must be probabilities")
         if self.initial_mode not in (CACC, ACC):
-            raise ValueError(f"unknown initial mode {self.initial_mode!r}")
+            raise EntryError("initial_mode", f"unknown initial mode {self.initial_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -248,7 +249,7 @@ class ScenarioConfig:
         if self.seed < 0:  # numpy's generators take no negative seed
             raise EntryError("seed", f"seed must be >= 0, got {self.seed}")
         if self.gap_offsets and len(self.gap_offsets) != self.platoon.vehicle_count - 1:
-            raise ValueError("gap_offsets needs one entry per follower")
+            raise EntryError("gap_offsets", "gap_offsets needs one entry per follower")
         for i, offset in enumerate(self.gap_offsets):
             if not math.isfinite(offset):
                 raise EntryError(f"gap_offsets[{i}]", f"gap offsets must be finite, got {offset}")
@@ -496,15 +497,30 @@ class CertificateError(ValueError):
     """Dwell enforcement needs a common Lyapunov certificate and has none."""
 
 
+def _check_gains(cacc: CaccGains, acc: AccGains):
+    """The one rule on gains: each law's terms and sums finite, and its A
+    Hurwitz (``stability.check_bibo_lemma1``); else a ValueError naming the
+    mode."""
+    for mode, gains in ((CACC, cacc), (ACC, acc)):
+        k, m = assemble_closed_loop(mode, gains)[1].tolist()
+        coefficients = (c for term in law_terms(mode, gains) for c in term[2:])
+        if not (all(map(math.isfinite, (k, m, *coefficients)))
+                and check_bibo_lemma1(k, m)["hurwitz"]):
+            raise ValueError(f"{mode} gains must be finite, and the sums of the law's alphas "
+                             f"and betas (k={k}, m={m}) both negative: {gains!r}")
+
+
 def resolve_certificate(cacc: CaccGains, acc: AccGains, lyapunov: LyapunovCandidate | None):
     """The certificate of the two modes' closed loops, its check and its constants.
 
-    P is ``lyapunov`` when not None, else the result of the certificate
-    search (None when the search finds nothing).  The report is P checked
-    against both modes' matrices A (None without a P).  The constants are
-    the worst case, the smallest decay rate, over both modes; they are None
-    unless P certifies both.  Returns (P, report, constants).
+    Gains that ``_check_gains`` rejects raise ValueError.  P is
+    ``lyapunov`` when not None, else the result of the certificate search
+    (None when the search finds nothing).  The report is P checked against
+    both modes' matrices A (None without a P).  The constants are the worst
+    case, the smallest decay rate, over both modes; they are None unless P
+    certifies both.  Returns (P, report, constants).
     """
+    _check_gains(cacc, acc)
     A_list = [assemble_closed_loop(CACC, cacc), assemble_closed_loop(ACC, acc)]
     P = find_common_lyapunov(A_list) if lyapunov is None else lyapunov
     report = None if P is None else check_common_lyapunov(P, A_list)
@@ -738,11 +754,11 @@ class _PowerTable:
     """The powers of one mode pattern's step map, all built at once.
 
     The fourth-order step on the affine field xdot = M x + b collapses to
-    x' = Phi x + Psi b; b is zero on the position block, so only Psi's
-    velocity columns Psi_g act.  Item j - 1 of ``items`` holds
-    T_j = [Phi^j | S_j], S_j = sum_{i<j} Phi^i Psi_g, in its 2n state rows,
-    so the state j steps after x is T_j (x, g), for the constant
-    accelerations g of a segment.  Zero rows pad each item to
+    x' = Phi x + Psi b (``control.step_map``); b is zero on the position
+    block, so only Psi's velocity columns Psi_g act.  Item j - 1 of
+    ``items`` holds T_j = [Phi^j | S_j], S_j = sum_{i<j} Phi^i Psi_g, in its
+    2n state rows, so the state j steps after x is T_j (x, g), for the
+    constant accelerations g of a segment.  Zero rows pad each item to
     ``_padded(n)`` rows: a block of rows is then one matrix-vector product
     of the block's items, read as one matrix, on the anchor's (x, g), and
     each item rounds in it as its own product.  The constructor builds the
@@ -759,15 +775,8 @@ class _PowerTable:
 
     def __init__(self, M: np.ndarray, h: float):
         n = len(M) // 2
-        ident = np.eye(2 * n)
         self.R = M[n:]
-        M2 = M @ M
-        M3 = M2 @ M
-        M4 = M3 @ M
-        phi = (ident + h * M + (h * h / 2.0) * M2
-               + (h ** 3 / 6.0) * M3 + (h ** 4 / 24.0) * M4)
-        psi = h * (ident + (h / 2.0) * M + (h * h / 6.0) * M2
-                   + (h ** 3 / 24.0) * M3)
+        phi, psi = step_map(M, h)
         item = 8 * _padded(n) * 3 * n
         self.items = np.zeros((max(1, min(_BLOCK, _TABLE_BYTES // 128 // item)),
                                _padded(n), 3 * n))
@@ -1038,17 +1047,10 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     every supervisor decision with its cause, and every mode change.  The
     run ends early with a collision marker if any follower's front-to-rear
     gap closes to the vehicle length, and raises FloatingPointError if the
-    state leaves the floats.  Gains whose law's A is not Hurwitz
-    (``stability.check_bibo_lemma1``), or whose terms or sums are not
-    finite, raise ValueError naming the mode.
+    state leaves the floats.  Gains that ``_check_gains`` rejects raise
+    ValueError naming the mode.
     """
-    for mode, gains in ((CACC, config.cacc_gains), (ACC, config.acc_gains)):
-        k, m = assemble_closed_loop(mode, gains)[1].tolist()
-        coefficients = (c for term in law_terms(mode, gains) for c in term[2:])
-        if not (all(map(math.isfinite, (k, m, *coefficients)))
-                and check_bibo_lemma1(k, m)["hurwitz"]):
-            raise ValueError(f"{mode} gains must be finite, and the sums of the law's alphas "
-                             f"and betas (k={k}, m={m}) both negative: {gains!r}")
+    _check_gains(config.cacc_gains, config.acc_gains)
     steps = _steps_per_period(config.duration, config.step)
     supervisor = _Supervisor(config, steps)
     integrator = _Integrator(config, steps)

@@ -90,10 +90,10 @@ class AttackSignal:
             if not math.isfinite(value):
                 raise EntryError(path, f"{path} must be finite, got {value}")
         if self.kind == "table":
-            if len(self.times) != len(self.values) or not self.times:
-                raise ValueError("table signal needs matching, nonempty times/values")
-            if list(self.times) != sorted(self.times):
-                raise ValueError("table times must be sorted")
+            if not self.times or list(self.times) != sorted(self.times):
+                raise EntryError("times", "table times must be nonempty and sorted")
+            if len(self.values) != len(self.times):
+                raise EntryError("values", "a table signal needs one value per time")
 
     def value(self, elapsed: float, absolute: float) -> float:
         if self.kind == "constant":
@@ -141,7 +141,7 @@ class AttackSpec:
             if not getattr(self, name):
                 raise EntryError(name, f"an attack needs at least one of its {name}")
         if self.mode not in ("lumped-acceleration", "message-level"):
-            raise ValueError(f"unknown attack mode {self.mode!r}")
+            raise EntryError("mode", f"unknown attack mode {self.mode!r}")
         if not self.xi_max >= 0:  # NaN too
             raise EntryError("xi_max", "xi_max must be nonnegative")
         if not self.window[0] >= 0:

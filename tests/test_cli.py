@@ -166,6 +166,33 @@ def test_sign_flipped_gains_are_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate"], ["stability"], ["string-check"],
+    ["sweep", "--xi-grid", "1", "--eps-grid", "4", "--runs", "1", "--jobs", "1"]])
+def test_gains_that_are_not_hurwitz_are_one_error_line_everywhere(tmp_path, capsys, argv):
+    """Each subcommand that reads a config's ACC gains rejects (0.25, -1) the
+    same way: exit 1 and one error line."""
+    config = write_config(tmp_path, attack={"targets": [3]},
+                          gains={"acc": {"alpha": 0.25, "beta": -1.0}})
+    assert main([*argv, "--config", config, "--out", str(tmp_path / "out")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("error:") == 1 and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability"], ["game"],
+    ["string-check", "--mode", "ACC"], ["string-check", "--mode", "CACC"]])
+def test_no_config_reads_the_crash_configs_scenario(capsys, argv):
+    """Without --config these subcommands read the default scenario, which
+    answers as ``crash_defended.json`` does: same exit code, stdout and
+    stderr."""
+    runs = []
+    for extra in ([], ["--config", DEFENDED]):
+        code = main([*argv, *extra])
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+
+
 def test_lyapunov_overflow_is_input_error(tmp_path, capsys):
     config = write_config(tmp_path, lyapunov={"p11": 1, "p12": 1e300, "p22": 1})
     assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == EXIT_INPUT
@@ -382,9 +409,13 @@ def test_stability_checks_the_certificate_once(monkeypatch, capsys, argv):
 
 
 def test_stability_rejects_destabilizing_gains(tmp_path, capsys):
+    """Gains that are not Hurwitz are an input error: the flag lines say
+    which law fails, then one error line."""
     config = write_config(tmp_path, gains={"acc": {"alpha": 0.25, "beta": -1.0}})
-    assert main(["stability", "--config", config]) == EXIT_OUTCOME
-    assert "not stabilizing" in capsys.readouterr().out
+    assert main(["stability", "--config", config]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "radar-only: hurwitz=False" in captured.out
+    assert captured.err.startswith("error: ACC gains must be finite, and the sums")
 
 
 # --------------------------------------------------------------------- game
@@ -477,7 +508,7 @@ def test_string_check_fixture_needs_both_polynomials(capsys):
 
 def test_string_check_unstable_fixture_is_input_error(capsys):
     assert main(["string-check", "--num", "1", "--den", "1", "-1"]) == EXIT_INPUT
-    assert "not Hurwitz" in capsys.readouterr().out
+    assert "not Hurwitz" in capsys.readouterr().err
 
 
 def test_string_check_cacc_leader_coupling_rejected(capsys):

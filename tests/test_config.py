@@ -237,7 +237,7 @@ def test_attack_paths():
     assert error_path(with_patch(attack={"targets": [1]})) == "attack.targets[0]"
     assert error_path(with_patch(attack={"targets": [9]})) == "attack.targets"
     assert error_path(with_patch(attack={"targets": [3], "window": [5.0]})) == "attack.window"
-    assert error_path(with_patch(attack={"targets": [3], "mode": "spoof"})) == "attack"
+    assert error_path(with_patch(attack={"targets": [3], "mode": "spoof"})) == "attack.mode"
     assert error_path(
         with_patch(attack={"targets": [3], "message_fields": ["jerk"]})
     ) == "attack.message_fields[0]"
@@ -288,7 +288,7 @@ def test_lyapunov_with_overflowing_determinant_is_rejected_not_misjudged():
 
 
 def test_switching_paths():
-    assert error_path(with_patch(switching={"scope": "fleet"})) == "switching"
+    assert error_path(with_patch(switching={"scope": "fleet"})) == "switching.scope"
     assert error_path(with_patch(switching={"enabled": "yes"})) == "switching.enabled"
     assert error_path(
         with_patch(switching={"policy_override": [0.5]})
@@ -312,8 +312,7 @@ def test_game_paths():
 
 def test_gap_offsets_validation():
     assert error_path(with_patch(gap_offsets=[0.1, "x", 0.0])) == "gap_offsets[1]"
-    with pytest.raises(ConfigError, match="gap_offsets"):
-        scenario_from_dict(with_patch(gap_offsets=[0.1]))
+    assert error_path(with_patch(gap_offsets=[0.1])) == "gap_offsets"
 
 
 @pytest.mark.parametrize("mutate, path", [

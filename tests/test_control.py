@@ -22,7 +22,7 @@ from platoonsec.control import (ACC, CACC, LEADER, PREDECESSOR, RADAR, V2V,
                                 AccGains, CaccGains, DEFAULT_ACC_GAINS,
                                 DEFAULT_CACC_GAINS, LawTerm, assemble_closed_loop,
                                 closed_loop, law_terms)
-from platoonsec.engine import SwitchingConfig, run_scenario
+from platoonsec.engine import SwitchingConfig, resolve_certificate, run_scenario
 
 from oracle import NeighborMessage, RadarMeasurement, VehicleState, law_accel
 
@@ -103,6 +103,16 @@ def test_run_scenario_rejects_sign_flipped_gains():
                           (ACC, {"acc_gains": AccGains(0.25, -1.0)})):
         with pytest.raises(ValueError, match=f"^{mode} gains must be finite, and the sums"):
             run_scenario(dataclasses.replace(BENIGN, **flipped))
+
+
+def test_resolve_certificate_judges_gains_by_the_run_s_rule():
+    """A certificate is resolved only for gains a run accepts: the search or
+    a given P on non-Hurwitz gains is an input error, not a failed check."""
+    for mode, cacc, acc in ((CACC, CaccGains.from_aggregate(1.58, -2.51), DEFAULT_ACC_GAINS),
+                            (ACC, DEFAULT_CACC_GAINS, AccGains(0.25, -1.0))):
+        for P in (None, BENIGN.lyapunov):
+            with pytest.raises(ValueError, match=f"^{mode} gains must be finite, and the sums"):
+                resolve_certificate(cacc, acc, P)
 
 
 signed = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)

@@ -26,7 +26,8 @@ def base_scenario() -> dict:
     }
 
 
-# the six inputs on which the file's rule and the dataclass's once differed
+# the six inputs on which the file's rule and the dataclass's once differed,
+# then the rules that the file once reported at their section alone
 @pytest.mark.parametrize("mutate, make, section, entry", [
     pytest.param(lambda d: d.update(attack={"window": [-1.0, 5.0]}),
                  lambda: AttackSpec(window=(-1.0, 5.0)), "attack", "window[0]",
@@ -44,6 +45,25 @@ def base_scenario() -> dict:
                  "vehicle_count", id="vehicle-count-beyond-maxsize"),
     pytest.param(lambda d: d.update(attack={"xi_max": 0}),
                  lambda: AttackSpec(xi_max=0), "attack", None, id="xi_max-zero-loads"),
+    pytest.param(lambda d: d.update(switching={"scope": "fleet"}),
+                 lambda: SwitchingConfig(scope="fleet"), "switching", "scope", id="scope"),
+    pytest.param(lambda d: d.update(switching={"initial_mode": "manual"}),
+                 lambda: SwitchingConfig(initial_mode="manual"), "switching", "initial_mode",
+                 id="initial-mode"),
+    pytest.param(lambda d: d.update(attack={"mode": "spoof"}),
+                 lambda: AttackSpec(mode="spoof"), "attack", "mode", id="attack-mode"),
+    pytest.param(lambda d: d.update(attack={"signal": {"kind": "table", "times": [],
+                                                       "values": []}}),
+                 lambda: AttackSignal(kind="table"), "attack.signal", "times",
+                 id="table-without-times"),
+    pytest.param(lambda d: d.update(attack={"signal": {"kind": "table", "times": [2.0, 1.0],
+                                                       "values": [0.0, 0.0]}}),
+                 lambda: AttackSignal(kind="table", times=(2.0, 1.0), values=(0.0, 0.0)),
+                 "attack.signal", "times", id="table-times-unsorted"),
+    pytest.param(lambda d: d.update(attack={"signal": {"kind": "table", "times": [1.0],
+                                                       "values": []}}),
+                 lambda: AttackSignal(kind="table", times=(1.0,)), "attack.signal", "values",
+                 id="table-values-short"),
 ])
 def test_file_and_dataclass_give_one_verdict(mutate, make, section, entry):
     data = base_scenario()

@@ -33,13 +33,6 @@ def test_dwell_study_runs(tmp_path):
     assert "  sup-norm ordering holds: False" in lines
 
 
-def test_crash_pair_runs(tmp_path):
-    lines = _run("run_crash_pair.py", "--out", str(tmp_path / "out"), cwd=tmp_path)
-    assert any(line.startswith("crash_baseline: COLLISION at t=12.71 s") for line in lines)
-    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
-        "crash_baseline.csv", "crash_defended.csv"]
-
-
 def test_output_digest_runs(tmp_path):
     # the digests hold per machine (BLAS rounding), so only their form is checked
     lines = _run("output_digest.py", cwd=tmp_path)
