@@ -128,12 +128,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_stability(args: argparse.Namespace) -> int:
     config = _load(args)
-    cacc, acc, P = config.cacc_gains, config.acc_gains, config.lyapunov
     eps_ref = config.platoon.epsilon_max
 
     # the aggregates are the bottom rows of the two laws' A
     (k1, k2), (k3, k4) = (assemble_closed_loop(mode, gains)[1].tolist()
-                          for mode, gains in ((CACC, cacc), (ACC, acc)))
+                          for mode, gains in ((CACC, config.cacc_gains),
+                                              (ACC, config.acc_gains)))
     print(f"cooperative gains: k1={_fmt(k1)} k2={_fmt(k2)}  "
           f"radar gains: k3={_fmt(k3)} k4={_fmt(k4)}")
     for label, pair in (("cooperative", (k1, k2)), ("radar-only", (k3, k4))):
@@ -141,14 +141,13 @@ def cmd_stability(args: argparse.Namespace) -> int:
         print(f"  {label}: hurwitz={verdict['hurwitz']} "
               f"real-pole criterion={verdict['lemma1']}")
 
-    searched = P is None
-    P, report, consts = resolve_certificate(cacc, acc, P)
+    P, report, consts = resolve_certificate(config)
     if P is None:
         print("no certificate found (search budget exhausted; not a disproof)")
         return EXIT_OUTCOME
 
     ineq = check_gues_inequalities(k1, k2, k3, k4, P)
-    source = "searched" if searched else "given"
+    source = "searched" if config.lyapunov is None else "given"
     print(f"certificate P ({source}): p11={_fmt(P.p11)} p12={_fmt(P.p12)} "
           f"p22={_fmt(P.p22)}")
     print(f"  P eigenvalues: {_fmt(report.p_eigenvalues[0])}, "
@@ -266,7 +265,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     platoons = _grid("--eps-grid", args.eps_grid,
                      lambda eps: dataclasses.replace(base.platoon, epsilon_max=eps))
     # the certificate depends on the gains alone: resolve it once for the grid
-    P, _, _ = resolve_certificate(base.cacc_gains, base.acc_gains, base.lyapunov)
+    P, _, _ = resolve_certificate(base)
     jobs = [(dataclasses.replace(base, lyapunov=P, attack=attack, platoon=platoon), args.runs)
             for attack in attacks for platoon in platoons]
     workers = min(len(jobs), args.jobs or _usable_cpus())

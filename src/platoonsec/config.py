@@ -121,15 +121,14 @@ def _fields(obj, path: str, parsers: dict, required=()) -> dict:
     return {key: value for key, value in read.items() if value is not _DEFAULT}
 
 
-def _build(make, path: str, sections={}, **kwargs):
+def _build(make, path: str, paths={}, **kwargs):
     """``make(**kwargs)``, with a rule it enforces reported at ``path`` or at
-    the entry under it that an ``EntryError`` names, inside the section that
-    ``sections`` maps that entry to, if any."""
+    the entry under it that an ``EntryError`` names, at the file path that
+    ``paths`` maps that entry to, if any."""
     try:
         return make(**kwargs)
     except EntryError as exc:
-        entry = _join(sections.get(exc.path, ""), exc.path)
-        raise ConfigError(_join(path, entry), exc.reason) from exc
+        raise ConfigError(_join(path, paths.get(exc.path, exc.path)), exc.reason) from exc
     except ValueError as exc:
         raise ConfigError(path or "scenario", str(exc)) from exc
 
@@ -180,22 +179,14 @@ def _lyapunov(obj, path: str) -> LyapunovCandidate:
     return cand
 
 
-_WAVEFORM = {"kind": _is(str), "amplitude": _REAL, "rate": _REAL,
-             "frequency": _REAL, "phase": _REAL,
-             "times": _list(_REAL), "values": _list(_REAL)}
-
-
-def _signal(obj, path: str) -> AttackSignal:
-    table = ("times", "values") if _mapping(obj, path).get("kind") == "table" else ()
-    return _build(AttackSignal, path, **_fields(obj, path, _WAVEFORM, required=table))
-
-
 _attack = _section(AttackSpec, {
     "targets": _list(_is(int)),
     "mode": lambda value, path: value,  # AttackSpec judges it
     "window": _list(_INTERVAL),
     "message_fields": _list(_is(str)),
-    "signal": _signal,
+    "signal": _section(AttackSignal, {"kind": _is(str), "amplitude": _REAL, "rate": _REAL,
+                                      "frequency": _REAL, "phase": _REAL,
+                                      "times": _list(_REAL), "values": _list(_REAL)}),
     "xi_max": _REAL,
 })
 
@@ -225,10 +216,13 @@ _SCENARIO = {
     "seed": _is(int),
 }
 
-# the section that holds each ScenarioConfig or game field the top level lacks
-_SECTION_OF = {"step": "integration", "duration": "integration", "leaf_utilities": "game",
-               "sampling_period": "detector", "p_report_given_attack": "detector",
-               "p_report_given_benign": "detector"}
+# the file path of each ScenarioConfig or game field the file names otherwise
+_PATH_OF = {"step": "integration.step", "duration": "integration.duration",
+            "cacc_gains": "gains.cacc", "acc_gains": "gains.acc",
+            "leaf_utilities": "game.leaf_utilities",
+            "sampling_period": "detector.sampling_period",
+            "p_report_given_attack": "detector.p_report_given_attack",
+            "p_report_given_benign": "detector.p_report_given_benign"}
 
 
 def scenario_from_dict(data: dict, path: str = "") -> ScenarioConfig:
@@ -240,8 +234,8 @@ def scenario_from_dict(data: dict, path: str = "") -> ScenarioConfig:
     game = {**kwargs.pop("detector", {}), **kwargs.pop("game", {})}
     if "sampling_period" in game:
         kwargs["sampling_period"] = game.pop("sampling_period")
-    game = _build(partial(dataclasses.replace, ScenarioConfig.game), path, _SECTION_OF, **game)
-    return _build(ScenarioConfig, path, _SECTION_OF, game=game, **kwargs)
+    game = _build(partial(dataclasses.replace, ScenarioConfig.game), path, _PATH_OF, **game)
+    return _build(ScenarioConfig, path, _PATH_OF, game=game, **kwargs)
 
 
 def load_scenario(filename) -> ScenarioConfig:

@@ -198,8 +198,10 @@ class SwitchingConfig:
             raise EntryError("hysteresis_release",
                              "hysteresis_release is a fraction of epsilon_max")
         if self.policy_override is not None:
-            pr, pnr = self.policy_override  # a pair: given report, given none
-            for k, p in enumerate((pr, pnr)):
+            if len(self.policy_override) != 2:
+                raise EntryError("policy_override", "policy_override is a pair of "
+                                 "probabilities: given a report, given none")
+            for k, p in enumerate(self.policy_override):
                 if not 0.0 <= p <= 1.0:
                     raise EntryError(f"policy_override[{k}]",
                                      "policy_override entries must be probabilities")
@@ -215,7 +217,9 @@ class ScenarioConfig:
     probabilities are the simulated detector's confusion matrix, so the run
     samples the game it solves.  The detector reports every
     ``sampling_period`` seconds.  Each period and the duration are whole
-    multiples of ``step``; a bad entry raises an ``EntryError`` naming it.
+    multiples of ``step``, and each law's gains are finite with its A
+    Hurwitz (``stability.check_bibo_lemma1``); a bad entry raises an
+    ``EntryError`` naming it.
     """
 
     platoon: PlatoonConfig
@@ -258,6 +262,14 @@ class ScenarioConfig:
             if bad:
                 raise EntryError("attack.targets",
                                  f"attack targets {bad} exceed the platoon size")
+        for mode, gains in ((CACC, self.cacc_gains), (ACC, self.acc_gains)):
+            k, m = assemble_closed_loop(mode, gains)[1].tolist()
+            coefficients = (c for term in law_terms(mode, gains) for c in term[2:])
+            if not (all(map(math.isfinite, (k, m, *coefficients)))
+                    and check_bibo_lemma1(k, m)["hurwitz"]):
+                raise EntryError(f"{mode.lower()}_gains",
+                                 f"{mode} gains must be finite, and the sums of the law's "
+                                 f"alphas and betas (k={k}, m={m}) both negative: {gains!r}")
 
 
 @dataclass
@@ -497,32 +509,19 @@ class CertificateError(ValueError):
     """Dwell enforcement needs a common Lyapunov certificate and has none."""
 
 
-def _check_gains(cacc: CaccGains, acc: AccGains):
-    """The one rule on gains: each law's terms and sums finite, and its A
-    Hurwitz (``stability.check_bibo_lemma1``); else a ValueError naming the
-    mode."""
-    for mode, gains in ((CACC, cacc), (ACC, acc)):
-        k, m = assemble_closed_loop(mode, gains)[1].tolist()
-        coefficients = (c for term in law_terms(mode, gains) for c in term[2:])
-        if not (all(map(math.isfinite, (k, m, *coefficients)))
-                and check_bibo_lemma1(k, m)["hurwitz"]):
-            raise ValueError(f"{mode} gains must be finite, and the sums of the law's alphas "
-                             f"and betas (k={k}, m={m}) both negative: {gains!r}")
+def resolve_certificate(config: ScenarioConfig):
+    """The certificate of the scenario's two closed loops, its check and its
+    constants.
 
-
-def resolve_certificate(cacc: CaccGains, acc: AccGains, lyapunov: LyapunovCandidate | None):
-    """The certificate of the two modes' closed loops, its check and its constants.
-
-    Gains that ``_check_gains`` rejects raise ValueError.  P is
-    ``lyapunov`` when not None, else the result of the certificate search
-    (None when the search finds nothing).  The report is P checked against
-    both modes' matrices A (None without a P).  The constants are the worst
-    case, the smallest decay rate, over both modes; they are None unless P
-    certifies both.  Returns (P, report, constants).
+    P is the scenario's ``lyapunov`` when not None, else the result of the
+    certificate search (None when the search finds nothing).  The report is
+    P checked against both modes' matrices A (None without a P).  The
+    constants are the worst case, the smallest decay rate, over both modes;
+    they are None unless P certifies both.  Returns (P, report, constants).
     """
-    _check_gains(cacc, acc)
-    A_list = [assemble_closed_loop(CACC, cacc), assemble_closed_loop(ACC, acc)]
-    P = find_common_lyapunov(A_list) if lyapunov is None else lyapunov
+    A_list = [assemble_closed_loop(CACC, config.cacc_gains),
+              assemble_closed_loop(ACC, config.acc_gains)]
+    P = find_common_lyapunov(A_list) if config.lyapunov is None else config.lyapunov
     report = None if P is None else check_common_lyapunov(P, A_list)
     if report is None or not report.passed:
         return P, report, None
@@ -551,8 +550,7 @@ class _Supervisor:
         n = config.platoon.vehicle_count
         constants = None  # only a supervised run with the hold on needs them
         if sw.enabled and sw.dwell_enforced:
-            _, _, constants = resolve_certificate(config.cacc_gains, config.acc_gains,
-                                                  config.lyapunov)
+            _, _, constants = resolve_certificate(config)
             if constants is None:
                 raise CertificateError("no common Lyapunov certificate for the configured "
                                        "gains (none found, or the given one fails); "
@@ -1047,10 +1045,9 @@ def run_scenario(config: ScenarioConfig) -> SimTrace:
     every supervisor decision with its cause, and every mode change.  The
     run ends early with a collision marker if any follower's front-to-rear
     gap closes to the vehicle length, and raises FloatingPointError if the
-    state leaves the floats.  Gains that ``_check_gains`` rejects raise
-    ValueError naming the mode.
+    state leaves the floats.  It judges no input: the config did when it was
+    built.
     """
-    _check_gains(config.cacc_gains, config.acc_gains)
     steps = _steps_per_period(config.duration, config.step)
     supervisor = _Supervisor(config, steps)
     integrator = _Integrator(config, steps)

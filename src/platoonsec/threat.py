@@ -144,6 +144,8 @@ class AttackSpec:
             raise EntryError("mode", f"unknown attack mode {self.mode!r}")
         if not self.xi_max >= 0:  # NaN too
             raise EntryError("xi_max", "xi_max must be nonnegative")
+        if self.xi_max == math.inf:  # a clamp at inf bounds nothing
+            raise EntryError("xi_max", "xi_max must be finite, got inf")
         if not self.window[0] >= 0:
             raise EntryError("window[0]", "the attack window opens at t >= 0, "
                                           f"got {self.window[0]}")

@@ -161,22 +161,26 @@ def test_sign_flipped_gains_are_one_error_line(tmp_path, capsys):
     config = write_config(tmp_path, gains={"acc": {"alpha": 0.25, "beta": -1.0}})
     assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == EXIT_INPUT
     err = capsys.readouterr().err
-    assert err.startswith("error: ACC gains must be finite, and the sums")
+    assert err.startswith("error: gains.acc: ACC gains must be finite, and the sums")
     assert err.count("error:") == 1 and err.count("\n") == 1
     assert not (tmp_path / "trace.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate"], ["stability"], ["string-check"],
-    ["sweep", "--xi-grid", "1", "--eps-grid", "4", "--runs", "1", "--jobs", "1"]])
+    ["simulate"], ["stability"], ["string-check", "--mode", "ACC"],
+    ["sweep", "--xi-grid", "1", "--eps-grid", "4", "--runs", "1", "--jobs", "1"],
+    ["game"], ["string-check", "--mode", "CACC"]])
 def test_gains_that_are_not_hurwitz_are_one_error_line_everywhere(tmp_path, capsys, argv):
-    """Each subcommand that reads a config's ACC gains rejects (0.25, -1) the
-    same way: exit 1 and one error line."""
-    config = write_config(tmp_path, attack={"targets": [3]},
-                          gains={"acc": {"alpha": 0.25, "beta": -1.0}})
-    assert main([*argv, "--config", config, "--out", str(tmp_path / "out")]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("error:") == 1 and err.count("\n") == 1
+    """Every subcommand that reads a config rejects CACC (1.58, -2.51) and
+    ACC (0.25, -1) the same way, whichever law it reads or none: exit 1 and
+    one error line at the gains' path, before any output."""
+    for mode, gains in (("cacc", {"k1": 1.58, "k2": -2.51}),
+                        ("acc", {"alpha": 0.25, "beta": -1.0})):
+        config = write_config(tmp_path, attack={"targets": [3]}, gains={mode: gains})
+        assert main([*argv, "--config", config, "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: gains.{mode}: {mode.upper()} gains must")
+        assert err.count("error:") == 1 and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -409,13 +413,14 @@ def test_stability_checks_the_certificate_once(monkeypatch, capsys, argv):
 
 
 def test_stability_rejects_destabilizing_gains(tmp_path, capsys):
-    """Gains that are not Hurwitz are an input error: the flag lines say
-    which law fails, then one error line."""
+    """Gains that are not Hurwitz are an input error when the scenario is
+    built: one error line names the law's entry, and no report line comes
+    before it."""
     config = write_config(tmp_path, gains={"acc": {"alpha": 0.25, "beta": -1.0}})
     assert main(["stability", "--config", config]) == EXIT_INPUT
     captured = capsys.readouterr()
-    assert "radar-only: hurwitz=False" in captured.out
-    assert captured.err.startswith("error: ACC gains must be finite, and the sums")
+    assert captured.out == ""
+    assert captured.err.startswith("error: gains.acc: ACC gains must be finite, and the sums")
 
 
 # --------------------------------------------------------------------- game

@@ -11,6 +11,7 @@ about A holds for the code that actually runs.
 """
 
 import dataclasses
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -106,13 +107,16 @@ def test_run_scenario_rejects_sign_flipped_gains():
 
 
 def test_resolve_certificate_judges_gains_by_the_run_s_rule():
-    """A certificate is resolved only for gains a run accepts: the search or
-    a given P on non-Hurwitz gains is an input error, not a failed check."""
-    for mode, cacc, acc in ((CACC, CaccGains.from_aggregate(1.58, -2.51), DEFAULT_ACC_GAINS),
-                            (ACC, DEFAULT_CACC_GAINS, AccGains(0.25, -1.0))):
+    """A certificate is resolved only for gains a run accepts: a scenario
+    with non-Hurwitz gains, searched or with a given P, is an input error
+    when it is built, naming the gains, not a failed check."""
+    for mode, gains in ((CACC, {"cacc_gains": CaccGains.from_aggregate(1.58, -2.51)}),
+                        (ACC, {"acc_gains": AccGains(0.25, -1.0)})):
         for P in (None, BENIGN.lyapunov):
-            with pytest.raises(ValueError, match=f"^{mode} gains must be finite, and the sums"):
-                resolve_certificate(cacc, acc, P)
+            with pytest.raises(ValueError, match=f"^{mode} gains must be finite") as err:
+                dataclasses.replace(BENIGN, lyapunov=P, **gains)
+            assert err.value.path == f"{mode.lower()}_gains"
+    assert resolve_certificate(BENIGN)[2] is not None
 
 
 signed = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
@@ -122,19 +126,20 @@ signed = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
        mode=st.sampled_from((CACC, ACC)))
 def test_run_scenario_accepts_exactly_negative_sums(ap, bp, al, bl, alpha, beta, mode):
     """One rule accepts the gains: both of a law's sums negative, the
-    ``hurwitz`` of ``check_bibo_lemma1`` on its A's bottom row.  A run with
-    the other law's default gains is rejected, naming the mode, iff that
-    rule fails."""
+    ``hurwitz`` of ``check_bibo_lemma1`` on its A's bottom row.  A config
+    with the other law's default gains is rejected when built, naming the
+    mode, iff that rule fails; one it accepts runs."""
     gains = {CACC: {"cacc_gains": CaccGains(ap, bp, 0.5, al, bl, 0.5)},
              ACC: {"acc_gains": AccGains(alpha, beta)}}[mode]
     hurwitz = {CACC: ap + al < 0 and bp + bl < 0, ACC: alpha < 0 and beta < 0}[mode]
-    config = dataclasses.replace(BENIGN, duration=0.1,
-                                 switching=SwitchingConfig(enabled=False), **gains)
+    build = functools.partial(dataclasses.replace, BENIGN, duration=0.1,
+                              switching=SwitchingConfig(enabled=False), **gains)
     if hurwitz:
-        run_scenario(config)
+        run_scenario(build())
     else:
-        with pytest.raises(ValueError, match=f"^{mode} gains"):
-            run_scenario(config)
+        with pytest.raises(ValueError, match=f"^{mode} gains") as err:
+            build()
+        assert err.value.path == f"{mode.lower()}_gains"
 
 
 @given(n=st.integers(2, 7), data=st.data(), k1=gain, k2=gain, split=st.floats(0.0, 1.0),

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from platoonsec.config import ConfigError, scenario_from_dict
-from platoonsec.control import CaccGains
+from platoonsec.control import AccGains, CaccGains
 from platoonsec.engine import ScenarioConfig, SwitchingConfig
 from platoonsec.platoon import LeaderProfile, PlatoonConfig
 from platoonsec.threat import AttackSignal, AttackSpec
@@ -64,6 +64,12 @@ def base_scenario() -> dict:
                                                        "values": []}}),
                  lambda: AttackSignal(kind="table", times=(1.0,)), "attack.signal", "values",
                  id="table-values-short"),
+    pytest.param(lambda d: d.update(attack={"signal": {"kind": "table", "values": [1.0]}}),
+                 lambda: AttackSignal(kind="table", values=(1.0,)), "attack.signal", "times",
+                 id="table-without-times-key"),
+    pytest.param(lambda d: d.update(attack={"signal": {"kind": "table", "times": [1.0]}}),
+                 lambda: AttackSignal(kind="table", times=(1.0,)), "attack.signal", "values",
+                 id="table-without-values-key"),
 ])
 def test_file_and_dataclass_give_one_verdict(mutate, make, section, entry):
     data = base_scenario()
@@ -81,6 +87,8 @@ def test_file_and_dataclass_give_one_verdict(mutate, make, section, entry):
 
 @pytest.mark.parametrize("make, entry", [
     (lambda nan: AttackSpec(xi_max=nan), "xi_max"),
+    # a clamp at inf bounds nothing; a file's Infinity is rejected as attack.xi_max
+    pytest.param(lambda nan: AttackSpec(xi_max=math.inf), "xi_max", id="xi_max-inf"),
     (lambda nan: AttackSpec(window=(nan, 5.0)), "window[0]"),
     (lambda nan: AttackSpec(window=(0.0, nan)), "window"),
     (lambda nan: AttackSpec(targets=(3, nan)), "targets[1]"),
@@ -140,3 +148,29 @@ def test_attack_sets_may_be_given_as_one_pass_iterables():
     with pytest.raises(ValueError) as err:
         AttackSpec(targets=(i for i in [3, 1]))
     assert err.value.path == "targets[1]"
+
+
+@pytest.mark.parametrize("gains, make, entry, path", [
+    ({"cacc": {"k1": 1.58, "k2": -2.51}}, lambda: CaccGains.from_aggregate(1.58, -2.51),
+     "cacc_gains", "gains.cacc"),
+    ({"acc": {"alpha": 0.25, "beta": -1.0}}, lambda: AccGains(0.25, -1.0),
+     "acc_gains", "gains.acc"),
+])
+def test_gains_that_are_not_hurwitz_get_one_verdict(gains, make, entry, path):
+    """The scenario judges its gains when it is built, from a file or not;
+    the file names the entry at its own path."""
+    data = base_scenario()
+    data["gains"] = gains
+    with pytest.raises(ConfigError) as from_file:
+        scenario_from_dict(data)
+    with pytest.raises(ValueError) as from_api:
+        ScenarioConfig(PlatoonConfig(4, 10.0, 4.5, 4.0), **{entry: make()})
+    assert from_api.value.path == entry
+    assert str(from_file.value) == f"{path}: {from_api.value}"
+
+
+@pytest.mark.parametrize("override", [(), (0.1,), (0.1, 0.2, 0.3)])
+def test_policy_override_is_a_pair(override):
+    with pytest.raises(ValueError, match="^policy_override is a pair") as err:
+        SwitchingConfig(policy_override=override)
+    assert err.value.path == "policy_override"
