@@ -198,11 +198,15 @@ class SwitchingConfig:
             raise EntryError("hysteresis_release",
                              "hysteresis_release is a fraction of epsilon_max")
         if self.policy_override is not None:
-            if len(self.policy_override) != 2:
+            try:
+                pair = len(self.policy_override) == 2
+            except TypeError:  # a bare number, say
+                pair = False
+            if not pair:
                 raise EntryError("policy_override", "policy_override is a pair of "
                                  "probabilities: given a report, given none")
             for k, p in enumerate(self.policy_override):
-                if not 0.0 <= p <= 1.0:
+                if not (isinstance(p, numbers.Real) and 0.0 <= p <= 1.0):
                     raise EntryError(f"policy_override[{k}]",
                                      "policy_override entries must be probabilities")
         if self.initial_mode not in (CACC, ACC):
@@ -220,6 +224,12 @@ class ScenarioConfig:
     multiples of ``step``, and each law's gains are finite with its A
     Hurwitz (``stability.check_bibo_lemma1``); a bad entry raises an
     ``EntryError`` naming it.
+
+    A run's size is judged here too: its duration / step + 1 rows, at the
+    bytes a row costs for the platoon (``_row_bytes``), may hold at most
+    ``_RUN_BYTES``, 1 GiB, so about 1.8 million rows of a 4-vehicle
+    platoon (five hours at a 0.01 s step).  A larger grid is rejected at
+    ``step``, naming its row count, before anything is allocated.
     """
 
     platoon: PlatoonConfig
@@ -248,6 +258,12 @@ class ScenarioConfig:
                 _steps_per_period(period, self.step)
             except ValueError as exc:
                 raise EntryError(name, f"{name} {exc}", str(exc)) from None
+        n = self.platoon.vehicle_count
+        rows, row = _steps_per_period(self.duration, self.step) + 1, _row_bytes(n)
+        if rows * row > _RUN_BYTES:
+            raise EntryError("step", f"integrator step {self.step!r} over {self.duration!r} s "
+                                     f"makes {rows} rows, which at {row} bytes a row "
+                                     f"for {n} vehicles exceed a run's {_RUN_BYTES} bytes")
         if not isinstance(self.seed, numbers.Integral):
             raise EntryError("seed", f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:  # numpy's generators take no negative seed
@@ -455,6 +471,23 @@ _MAX_AHEAD = 128
 _TABLE_BYTES = 32 << 20
 
 
+# Bytes a run may hold at most, its rows costing ``_row_bytes`` each (see
+# ScenarioConfig).
+_RUN_BYTES = 1 << 30
+
+
+def _row_bytes(n: int) -> int:
+    """The bytes a row of a run of n vehicles costs at most: 8 a float of
+    its time and attack value, of its padded state row, and of four a
+    vehicle (a spacing error, a command, and the copies that reading the
+    commands and the metrics make); then 128 a follower, for a decision
+    draw, a detector report and a decision record when every row is a tick
+    of each.  That is 1.1 to 1.2 times the peak bytes a row ``tracemalloc``
+    measured on 4,001-row runs of 2 to 12 vehicles, every row a tick, their
+    commands and metrics read."""
+    return 8 * (2 + _padded(n) + 4 * n) + 128 * (n - 1)
+
+
 def _padded(n: int) -> int:
     """The rows of a power table's item and of the integrator's state buffer
     for n vehicles: the 2n state rows, then zero rows up to a multiple of
@@ -509,6 +542,12 @@ class CertificateError(ValueError):
     """Dwell enforcement needs a common Lyapunov certificate and has none."""
 
 
+# Certificates a process keeps, by the reprs of (cacc_gains, acc_gains,
+# lyapunov), oldest first; past the limit the oldest goes.
+_CERTIFICATES: dict[tuple, tuple] = {}
+_CERTIFICATE_LIMIT = 128
+
+
 def resolve_certificate(config: ScenarioConfig):
     """The certificate of the scenario's two closed loops, its check and its
     constants.
@@ -518,7 +557,24 @@ def resolve_certificate(config: ScenarioConfig):
     P checked against both modes' matrices A (None without a P).  The
     constants are the worst case, the smallest decay rate, over both modes;
     they are None unless P certifies both.  Returns (P, report, constants).
+
+    The triple depends on the gains and the given P alone and is made of
+    frozen objects, so the process keeps it, a failed search's too, by the
+    reprs of the three (which tell apart the signed zeros and the ints that
+    == would not), the latest ``_CERTIFICATE_LIMIT``: a sweep's cells and
+    an ensemble's seeds search and check once.
     """
+    key = (repr(config.cacc_gains), repr(config.acc_gains), repr(config.lyapunov))
+    resolved = _CERTIFICATES.get(key)
+    if resolved is None:
+        resolved = _CERTIFICATES[key] = _resolve(config)
+        if len(_CERTIFICATES) > _CERTIFICATE_LIMIT:
+            del _CERTIFICATES[next(iter(_CERTIFICATES))]
+    return resolved
+
+
+def _resolve(config: ScenarioConfig) -> tuple:
+    """``resolve_certificate``'s triple, searched and checked afresh."""
     A_list = [assemble_closed_loop(CACC, config.cacc_gains),
               assemble_closed_loop(ACC, config.acc_gains)]
     P = find_common_lyapunov(A_list) if config.lyapunov is None else config.lyapunov

@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -214,6 +215,30 @@ def test_period_overflowing_the_step_count_is_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("step, duration, rows", [(1e-9, 30.0, 30_000_000_001),
+                                                   (0.01, 1e6, 100_000_001)],
+                         ids=["small-step", "long-duration"])
+def test_a_run_too_large_to_hold_is_one_error_line(tmp_path, capsys, step, duration, rows):
+    """A grid whose rows would pass the bytes a run may hold is rejected when
+    the scenario is built, at ``integration.step``, before any of its
+    arrays is allocated."""
+    config = write_config(tmp_path, integration={"step": step, "duration": duration})
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--config", config, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: integration.step: integrator step {step!r} over "
+                            f"{duration!r} s makes {rows} rows, which at 592 bytes a row "
+                            f"for 4 vehicles exceed a run's 1073741824 bytes\n")
+    assert peak < 1 << 20
+    assert not (tmp_path / "out").exists()
+
+
 def _entries(value, path=()):
     """The path of every entry in a parsed JSON value, containers included."""
     items = (value.items() if isinstance(value, dict)
@@ -398,6 +423,7 @@ def test_stability_states_a_badly_scaled_certificate_exactly(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["stability"], ["stability", "--config", DEFENDED]])
 def test_stability_checks_the_certificate_once(monkeypatch, capsys, argv):
     """The report printed is the one ``resolve_certificate`` made."""
+    monkeypatch.setattr(platoonsec.engine, "_CERTIFICATES", {})  # none resolved yet
     checks = []
     check = platoonsec.stability.check_common_lyapunov
 
@@ -410,6 +436,27 @@ def test_stability_checks_the_certificate_once(monkeypatch, capsys, argv):
     assert main(argv) == EXIT_OK
     assert "residual max eigenvalues: " in capsys.readouterr().out
     assert len(checks) == 1
+
+
+def test_stability_reports_a_kept_failed_search(monkeypatch, tmp_path, capsys):
+    """A search that finds nothing is kept like one that finds a P: a second
+    ``stability`` command on the same gains searches no more, and says the
+    same."""
+    monkeypatch.setattr(platoonsec.engine, "_CERTIFICATES", {})
+    searches = []
+    search = platoonsec.engine.find_common_lyapunov
+    monkeypatch.setattr(platoonsec.engine, "find_common_lyapunov",
+                        lambda A_list: searches.append(A_list) or search(A_list))
+    # a lightly damped radar loop shares no quadratic certificate with the default CACC
+    config = write_config(tmp_path, gains={"acc": {"alpha": -0.25, "beta": -0.05}})
+    outputs = []
+    for _ in range(2):
+        assert main(["stability", "--config", config]) == EXIT_OUTCOME
+        outputs.append(capsys.readouterr())
+    assert len(searches) == 1
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out.endswith(
+        "no certificate found (search budget exhausted; not a disproof)\n")
 
 
 def test_stability_rejects_destabilizing_gains(tmp_path, capsys):

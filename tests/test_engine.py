@@ -18,7 +18,8 @@ from platoonsec.control import ACC, CACC, DEFAULT_CACC_GAINS, AccGains, CaccGain
 from platoonsec.config import load_scenario
 from platoonsec.engine import (PLATOON_UNIT, CertificateError, CollisionInfo, DwellState,
                                ReportEvent, ScenarioConfig, SwitchingConfig, _Supervisor,
-                               _input_edges, cacc_entry_values, run_scenario, switching_decision,
+                               _input_edges, cacc_entry_values, resolve_certificate,
+                               run_scenario, switching_decision,
                                trace_metrics, write_metrics_json, write_trace_csv)
 from platoonsec.game import DEFAULT_GAME, BehavioralStrategy, equilibrium_strategy
 from platoonsec.platoon import LeaderProfile, PlatoonConfig
@@ -125,6 +126,7 @@ def test_run_looks_up_the_traced_engine_names_at_call_time(monkeypatch):
     ``engine`` module globals, so a run must call each of them through the
     module: a name bound at import time would read as zero time, and a
     renamed one would fail the traced pass."""
+    monkeypatch.setattr(platoonsec.engine, "_CERTIFICATES", {})  # a search to count
     calls = _count_calls(monkeypatch, platoonsec.engine)
     run_scenario(load_scenario(CONFIGS / "crash_defended.json"))
     assert calls and all(calls.values()), calls
@@ -145,6 +147,7 @@ def test_a_run_that_holds_no_dwell_resolves_no_certificate(monkeypatch):
     def no_search(A_list):
         raise AssertionError("certificate search on a run that holds no dwell")
 
+    monkeypatch.setattr(platoonsec.engine, "_CERTIFICATES", {})  # none resolved yet
     monkeypatch.setattr(platoonsec.engine, "find_common_lyapunov", no_search)
     baseline = load_scenario(CONFIGS / "crash_baseline.json")  # unsupervised
     defended = load_scenario(CONFIGS / "crash_defended.json")
@@ -331,6 +334,79 @@ def test_a_run_does_not_depend_on_the_tables_built_before_it(monkeypatch):
     assert _outcome(config) == fresh
 
 
+def test_a_run_does_not_depend_on_the_certificates_resolved_before_it(monkeypatch):
+    """Certificates outlive runs too: a run that finds its certificate kept
+    records the same bytes as one that searches for it."""
+    memo = {}
+    monkeypatch.setattr(platoonsec.engine, "_CERTIFICATES", memo)
+    fresh = _outcome(_DEFENDED)
+    assert len(memo) == 1
+    assert _outcome(_DEFENDED) == fresh  # a warm memo
+    assert len(memo) == 1
+
+
+def _counted_searches(monkeypatch) -> list:
+    """Give the process a fresh certificate memo, and list each search."""
+    monkeypatch.setattr(platoonsec.engine, "_CERTIFICATES", {})
+    searches = []
+    search = platoonsec.engine.find_common_lyapunov
+
+    def counting(A_list):
+        searches.append(A_list)
+        return search(A_list)
+
+    monkeypatch.setattr(platoonsec.engine, "find_common_lyapunov", counting)
+    return searches
+
+
+def test_a_kept_certificate_is_the_triple_a_search_gives(monkeypatch):
+    """Scenarios that share their gains and given P, whatever else differs,
+    search once, and each gets the triple a cold resolution gives."""
+    searches = _counted_searches(monkeypatch)
+    cold = resolve_certificate(_DEFENDED)
+    assert cold[2] is not None and len(searches) == 1
+    other = dataclasses.replace(_DEFENDED, seed=3, duration=5.0, attack=None)
+    assert resolve_certificate(other) is cold
+    assert len(searches) == 1
+    monkeypatch.setattr(platoonsec.engine, "_CERTIFICATES", {})
+    assert resolve_certificate(other) == cold
+    assert len(searches) == 2
+
+
+def test_certificates_are_kept_by_the_exact_gains_and_given_p(monkeypatch):
+    """A signed zero, an int for a float and a given P for a searched one
+    each make an entry of their own, as they make a power table of their
+    own."""
+    searches = _counted_searches(monkeypatch)
+    base = ScenarioConfig(platoon=make_platoon())
+    found = resolve_certificate(base)[0]
+    variants = [
+        dataclasses.replace(base, cacc_gains=dataclasses.replace(DEFAULT_CACC_GAINS,
+                                                                 gamma_lead=0.0)),
+        dataclasses.replace(base, cacc_gains=dataclasses.replace(DEFAULT_CACC_GAINS,
+                                                                 gamma_lead=-0.0)),
+        dataclasses.replace(base, acc_gains=AccGains(-0.25, -1)),
+        dataclasses.replace(base, lyapunov=found),
+    ]
+    for config in variants:
+        resolve_certificate(config)
+    assert len(platoonsec.engine._CERTIFICATES) == 5
+    assert len(searches) == 4  # the given P is checked, not searched for
+    assert resolve_certificate(variants[-1])[0] is found
+
+
+def test_the_certificate_memo_keeps_the_latest_entries(monkeypatch):
+    _counted_searches(monkeypatch)
+    monkeypatch.setattr(platoonsec.engine, "_CERTIFICATE_LIMIT", 3)
+    configs = [ScenarioConfig(platoon=make_platoon(), lyapunov=dataclasses.replace(P_REF, p11=p))
+               for p in (1.0, 1.1, 1.2, 1.3, 1.4)]
+    for config in configs:
+        resolve_certificate(config)
+    memo = platoonsec.engine._CERTIFICATES
+    assert [key[2] for key in memo] == [repr(c.lyapunov) for c in configs[2:]]
+    assert platoonsec.engine._CERTIFICATE_LIMIT == 3 and len(memo) == 3
+
+
 # --------------------------------------------------------------- validation
 
 def test_scenario_validation():
@@ -360,6 +436,23 @@ def test_scenario_validation():
             ScenarioConfig(platoon=plat, step=0.01, duration=duration)
     # float quotients such as 0.3 / 0.1 = 2.9999999999999996 still fit
     ScenarioConfig(platoon=plat, step=0.1, sampling_period=0.3)
+
+
+def test_a_run_is_judged_by_the_bytes_its_rows_cost():
+    """A 4-vehicle row costs 592 bytes, so 1 GiB holds 1,813,753 rows: a
+    duration of 1,813,752 steps is accepted, one step more is not, and
+    neither is a step of 1e-9 over 30 s."""
+    plat = make_platoon()
+    assert platoonsec.engine._row_bytes(4) == 592
+    assert platoonsec.engine._RUN_BYTES // 592 == 1_813_753
+    ScenarioConfig(platoon=plat, step=0.01, duration=18137.52)
+    for step, duration, rows in ((0.01, 18137.53, 1_813_754), (1e-9, 30.0, 30_000_000_001)):
+        with pytest.raises(ValueError, match=f"makes {rows} rows, which at 592 bytes") as err:
+            ScenarioConfig(platoon=plat, step=step, duration=duration)
+        assert err.value.path == "step"
+    # more vehicles cost more a row
+    with pytest.raises(ValueError, match="for 40 vehicles exceed"):
+        ScenarioConfig(platoon=make_platoon(n=40, eps_max=4.0), step=0.01, duration=18137.52)
 
 
 @pytest.mark.parametrize("make, name", [

@@ -169,8 +169,19 @@ def test_gains_that_are_not_hurwitz_get_one_verdict(gains, make, entry, path):
     assert str(from_file.value) == f"{path}: {from_api.value}"
 
 
-@pytest.mark.parametrize("override", [(), (0.1,), (0.1, 0.2, 0.3)])
+@pytest.mark.parametrize("override", [(), (0.1,), (0.1, 0.2, 0.3), 0.5, 1])
 def test_policy_override_is_a_pair(override):
     with pytest.raises(ValueError, match="^policy_override is a pair") as err:
         SwitchingConfig(policy_override=override)
     assert err.value.path == "policy_override"
+
+
+@pytest.mark.parametrize("override, path", [
+    (("a", 1), "policy_override[0]"), ("ab", "policy_override[0]"),
+    ((0.5, None), "policy_override[1]"), ((0.5, [0.5]), "policy_override[1]")])
+def test_policy_override_entries_are_numbers(override, path):
+    """An entry that is no number is the entry's error, as a number out of
+    [0, 1] is, not a ``TypeError`` from comparing it."""
+    with pytest.raises(ValueError, match="^policy_override entries must be probabilities$") as err:
+        SwitchingConfig(policy_override=override)
+    assert err.value.path == path
