@@ -120,6 +120,7 @@ import itertools
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -227,8 +228,10 @@ class ScenarioConfig:
 
     A run's size is judged here too: its duration / step + 1 rows, at the
     bytes a row costs for the platoon (``_row_bytes``), may hold at most
-    ``_RUN_BYTES``, 1 GiB, so about 1.8 million rows of a 4-vehicle
-    platoon (five hours at a 0.01 s step).  A larger grid is rejected at
+    ``_RUN_BYTES``, the machine's physical memory, since a run that needs
+    more could complete only by swapping, if at all.  On 8 GiB that is
+    about 14.5 million rows of a 4-vehicle platoon (40 hours at a 0.01 s
+    step) or 60 s of a 5,000-vehicle one.  A larger grid is rejected at
     ``step``, naming its row count, before anything is allocated.
     """
 
@@ -263,7 +266,11 @@ class ScenarioConfig:
         if rows * row > _RUN_BYTES:
             raise EntryError("step", f"integrator step {self.step!r} over {self.duration!r} s "
                                      f"makes {rows} rows, which at {row} bytes a row "
-                                     f"for {n} vehicles exceed a run's {_RUN_BYTES} bytes")
+                                     f"for {n} vehicles exceed the machine's "
+                                     f"{_RUN_BYTES} bytes of memory")
+        if self.lyapunov is not None and not isinstance(self.lyapunov, LyapunovCandidate):
+            raise EntryError("lyapunov", "lyapunov is a LyapunovCandidate or None, got "
+                                         f"{type(self.lyapunov).__name__}")
         if not isinstance(self.seed, numbers.Integral):
             raise EntryError("seed", f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:  # numpy's generators take no negative seed
@@ -472,8 +479,10 @@ _TABLE_BYTES = 32 << 20
 
 
 # Bytes a run may hold at most, its rows costing ``_row_bytes`` each (see
-# ScenarioConfig).
-_RUN_BYTES = 1 << 30
+# ScenarioConfig): the machine's physical memory, where the platform
+# reports it, and no bound where it does not.
+_RUN_BYTES = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+              if hasattr(os, "sysconf") else math.inf)
 
 
 def _row_bytes(n: int) -> int:
@@ -542,10 +551,31 @@ class CertificateError(ValueError):
     """Dwell enforcement needs a common Lyapunov certificate and has none."""
 
 
+class _Memo:
+    """Values kept for the process by key, each a function of its key
+    alone, so which caller built it changes no bit.  Once the values kept
+    cost more than ``limit`` in all, each counted by ``cost``, the oldest
+    built go first; the newest always stays."""
+
+    def __init__(self, limit: int, cost=lambda value: 1):
+        self.limit = limit
+        self.cost = cost
+        self.values: dict = {}  # oldest first
+        self.total = 0
+
+    def get(self, key, build):
+        value = self.values.get(key)
+        if value is None:
+            value = self.values[key] = build()
+            self.total += self.cost(value)
+            while self.total > self.limit and len(self.values) > 1:
+                self.total -= self.cost(self.values.pop(next(iter(self.values))))
+        return value
+
+
 # Certificates a process keeps, by the reprs of (cacc_gains, acc_gains,
-# lyapunov), oldest first; past the limit the oldest goes.
-_CERTIFICATES: dict[tuple, tuple] = {}
-_CERTIFICATE_LIMIT = 128
+# lyapunov): the latest 128.
+_CERTIFICATES = _Memo(128)
 
 
 def resolve_certificate(config: ScenarioConfig):
@@ -561,16 +591,13 @@ def resolve_certificate(config: ScenarioConfig):
     The triple depends on the gains and the given P alone and is made of
     frozen objects, so the process keeps it, a failed search's too, by the
     reprs of the three (which tell apart the signed zeros and the ints that
-    == would not), the latest ``_CERTIFICATE_LIMIT``: a sweep's cells and
-    an ensemble's seeds search and check once.
+    == would not), the latest 128 (``_CERTIFICATES``): a ``sweep``'s cells
+    and an ensemble's seeds check P and derive its constants once, and
+    commands run in one process (``cli.main`` called in a loop) search
+    once for their gains.
     """
     key = (repr(config.cacc_gains), repr(config.acc_gains), repr(config.lyapunov))
-    resolved = _CERTIFICATES.get(key)
-    if resolved is None:
-        resolved = _CERTIFICATES[key] = _resolve(config)
-        if len(_CERTIFICATES) > _CERTIFICATE_LIMIT:
-            del _CERTIFICATES[next(iter(_CERTIFICATES))]
-    return resolved
+    return _CERTIFICATES.get(key, lambda: _resolve(config))
 
 
 def _resolve(config: ScenarioConfig) -> tuple:
@@ -852,29 +879,9 @@ class _PowerTable:
         self.finite = m
 
 
-class _TableMemo:
-    """Power tables kept for the process, by (gains, step, vehicle count,
-    mode pattern).  An item of a table is a function of its key alone, so
-    which run built it changes no bit.  Once the tables hold more than
-    ``limit`` bytes, counting every item a table holds, the oldest built go
-    first; the newest always stays."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.tables: dict[tuple, _PowerTable] = {}  # oldest first
-        self.nbytes = 0
-
-    def get(self, key: tuple, build) -> _PowerTable:
-        table = self.tables.get(key)
-        if table is None:
-            table = self.tables[key] = build()
-            self.nbytes += table.nbytes
-            while self.nbytes > self.limit and len(self.tables) > 1:
-                self.nbytes -= self.tables.pop(next(iter(self.tables))).nbytes
-        return table
-
-
-_TABLES = _TableMemo(_TABLE_BYTES)
+# Power tables kept for the process, by (gains, step, vehicle count, mode
+# pattern), within ``_TABLE_BYTES`` counting every item a table holds.
+_TABLES = _Memo(_TABLE_BYTES, lambda table: table.nbytes)
 
 
 class _Integrator:

@@ -216,12 +216,13 @@ def test_period_overflowing_the_step_count_is_one_error_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("step, duration, rows", [(1e-9, 30.0, 30_000_000_001),
-                                                   (0.01, 1e6, 100_000_001)],
+                                                   (0.01, 1e9, 100_000_000_001)],
                          ids=["small-step", "long-duration"])
 def test_a_run_too_large_to_hold_is_one_error_line(tmp_path, capsys, step, duration, rows):
     """A grid whose rows would pass the bytes a run may hold is rejected when
     the scenario is built, at ``integration.step``, before any of its
-    arrays is allocated."""
+    arrays is allocated.  Both grids need over 17 TB, more than any
+    machine's memory."""
     config = write_config(tmp_path, integration={"step": step, "duration": duration})
     tracemalloc.start()
     try:
@@ -234,7 +235,8 @@ def test_a_run_too_large_to_hold_is_one_error_line(tmp_path, capsys, step, durat
     assert captured.out == ""
     assert captured.err == (f"error: integration.step: integrator step {step!r} over "
                             f"{duration!r} s makes {rows} rows, which at 592 bytes a row "
-                            f"for 4 vehicles exceed a run's 1073741824 bytes\n")
+                            f"for 4 vehicles exceed the machine's "
+                            f"{platoonsec.engine._RUN_BYTES} bytes of memory\n")
     assert peak < 1 << 20
     assert not (tmp_path / "out").exists()
 
@@ -423,7 +425,7 @@ def test_stability_states_a_badly_scaled_certificate_exactly(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["stability"], ["stability", "--config", DEFENDED]])
 def test_stability_checks_the_certificate_once(monkeypatch, capsys, argv):
     """The report printed is the one ``resolve_certificate`` made."""
-    monkeypatch.setattr(platoonsec.engine, "_CERTIFICATES", {})  # none resolved yet
+    monkeypatch.setattr(platoonsec.engine, "_CERTIFICATES", platoonsec.engine._Memo(128))
     checks = []
     check = platoonsec.stability.check_common_lyapunov
 
@@ -442,7 +444,7 @@ def test_stability_reports_a_kept_failed_search(monkeypatch, tmp_path, capsys):
     """A search that finds nothing is kept like one that finds a P: a second
     ``stability`` command on the same gains searches no more, and says the
     same."""
-    monkeypatch.setattr(platoonsec.engine, "_CERTIFICATES", {})
+    monkeypatch.setattr(platoonsec.engine, "_CERTIFICATES", platoonsec.engine._Memo(128))
     searches = []
     search = platoonsec.engine.find_common_lyapunov
     monkeypatch.setattr(platoonsec.engine, "find_common_lyapunov",

@@ -126,7 +126,8 @@ def test_run_looks_up_the_traced_engine_names_at_call_time(monkeypatch):
     ``engine`` module globals, so a run must call each of them through the
     module: a name bound at import time would read as zero time, and a
     renamed one would fail the traced pass."""
-    monkeypatch.setattr(platoonsec.engine, "_CERTIFICATES", {})  # a search to count
+    monkeypatch.setattr(platoonsec.engine, "_CERTIFICATES",
+                        platoonsec.engine._Memo(128))  # a search to count
     calls = _count_calls(monkeypatch, platoonsec.engine)
     run_scenario(load_scenario(CONFIGS / "crash_defended.json"))
     assert calls and all(calls.values()), calls
@@ -147,7 +148,8 @@ def test_a_run_that_holds_no_dwell_resolves_no_certificate(monkeypatch):
     def no_search(A_list):
         raise AssertionError("certificate search on a run that holds no dwell")
 
-    monkeypatch.setattr(platoonsec.engine, "_CERTIFICATES", {})  # none resolved yet
+    monkeypatch.setattr(platoonsec.engine, "_CERTIFICATES",
+                        platoonsec.engine._Memo(128))  # none resolved yet
     monkeypatch.setattr(platoonsec.engine, "find_common_lyapunov", no_search)
     baseline = load_scenario(CONFIGS / "crash_baseline.json")  # unsupervised
     defended = load_scenario(CONFIGS / "crash_defended.json")
@@ -300,14 +302,14 @@ def test_power_tables_stay_within_their_bound(monkeypatch):
     every item a table holds: a large per-vehicle platoon, whose
     followers switch into many patterns, each table of fewer than
     ``_BLOCK`` items, passes the bound only by evicting the oldest."""
-    memo = platoonsec.engine._TableMemo(platoonsec.engine._TABLE_BYTES)
+    memo = platoonsec.engine._Memo(platoonsec.engine._TABLE_BYTES, lambda table: table.nbytes)
     monkeypatch.setattr(platoonsec.engine, "_TABLES", memo)
     peaks = []
     get = memo.get
 
     def measured(key, build):
         table = get(key, build)
-        peaks.append(memo.nbytes)
+        peaks.append(memo.total)
         return table
 
     monkeypatch.setattr(memo, "get", measured)
@@ -317,9 +319,9 @@ def test_power_tables_stay_within_their_bound(monkeypatch):
                                   policy_override=(0.5, 0.5)))
     trace = run_scenario(config)
     patterns = len(np.unique(trace.modes, axis=0))
-    assert len(memo.tables) < patterns
+    assert len(memo.values) < patterns
     assert max(peaks) <= platoonsec.engine._TABLE_BYTES
-    assert all(len(table.items) < platoonsec.engine._BLOCK for table in memo.tables.values())
+    assert all(len(table.items) < platoonsec.engine._BLOCK for table in memo.values.values())
 
 
 def test_a_run_does_not_depend_on_the_tables_built_before_it(monkeypatch):
@@ -328,7 +330,8 @@ def test_a_run_does_not_depend_on_the_tables_built_before_it(monkeypatch):
     from fresh tables as from tables other runs built."""
     config = dataclasses.replace(_DEFENDED, duration=30.0)
     monkeypatch.setattr(platoonsec.engine, "_TABLES",
-                        platoonsec.engine._TableMemo(platoonsec.engine._TABLE_BYTES))
+                        platoonsec.engine._Memo(platoonsec.engine._TABLE_BYTES,
+                                                lambda table: table.nbytes))
     fresh = _outcome(config)
     run_scenario(dataclasses.replace(config, seed=7, duration=60.0))
     assert _outcome(config) == fresh
@@ -337,17 +340,17 @@ def test_a_run_does_not_depend_on_the_tables_built_before_it(monkeypatch):
 def test_a_run_does_not_depend_on_the_certificates_resolved_before_it(monkeypatch):
     """Certificates outlive runs too: a run that finds its certificate kept
     records the same bytes as one that searches for it."""
-    memo = {}
+    memo = platoonsec.engine._Memo(128)
     monkeypatch.setattr(platoonsec.engine, "_CERTIFICATES", memo)
     fresh = _outcome(_DEFENDED)
-    assert len(memo) == 1
+    assert len(memo.values) == 1
     assert _outcome(_DEFENDED) == fresh  # a warm memo
-    assert len(memo) == 1
+    assert len(memo.values) == 1
 
 
 def _counted_searches(monkeypatch) -> list:
     """Give the process a fresh certificate memo, and list each search."""
-    monkeypatch.setattr(platoonsec.engine, "_CERTIFICATES", {})
+    monkeypatch.setattr(platoonsec.engine, "_CERTIFICATES", platoonsec.engine._Memo(128))
     searches = []
     search = platoonsec.engine.find_common_lyapunov
 
@@ -368,7 +371,7 @@ def test_a_kept_certificate_is_the_triple_a_search_gives(monkeypatch):
     other = dataclasses.replace(_DEFENDED, seed=3, duration=5.0, attack=None)
     assert resolve_certificate(other) is cold
     assert len(searches) == 1
-    monkeypatch.setattr(platoonsec.engine, "_CERTIFICATES", {})
+    monkeypatch.setattr(platoonsec.engine, "_CERTIFICATES", platoonsec.engine._Memo(128))
     assert resolve_certificate(other) == cold
     assert len(searches) == 2
 
@@ -390,21 +393,20 @@ def test_certificates_are_kept_by_the_exact_gains_and_given_p(monkeypatch):
     ]
     for config in variants:
         resolve_certificate(config)
-    assert len(platoonsec.engine._CERTIFICATES) == 5
+    assert len(platoonsec.engine._CERTIFICATES.values) == 5
     assert len(searches) == 4  # the given P is checked, not searched for
     assert resolve_certificate(variants[-1])[0] is found
 
 
 def test_the_certificate_memo_keeps_the_latest_entries(monkeypatch):
     _counted_searches(monkeypatch)
-    monkeypatch.setattr(platoonsec.engine, "_CERTIFICATE_LIMIT", 3)
+    monkeypatch.setattr(platoonsec.engine, "_CERTIFICATES", platoonsec.engine._Memo(3))
     configs = [ScenarioConfig(platoon=make_platoon(), lyapunov=dataclasses.replace(P_REF, p11=p))
                for p in (1.0, 1.1, 1.2, 1.3, 1.4)]
     for config in configs:
         resolve_certificate(config)
-    memo = platoonsec.engine._CERTIFICATES
+    memo = platoonsec.engine._CERTIFICATES.values
     assert [key[2] for key in memo] == [repr(c.lyapunov) for c in configs[2:]]
-    assert platoonsec.engine._CERTIFICATE_LIMIT == 3 and len(memo) == 3
 
 
 # --------------------------------------------------------------- validation
@@ -438,11 +440,12 @@ def test_scenario_validation():
     ScenarioConfig(platoon=plat, step=0.1, sampling_period=0.3)
 
 
-def test_a_run_is_judged_by_the_bytes_its_rows_cost():
-    """A 4-vehicle row costs 592 bytes, so 1 GiB holds 1,813,753 rows: a
-    duration of 1,813,752 steps is accepted, one step more is not, and
-    neither is a step of 1e-9 over 30 s."""
+def test_a_run_is_judged_by_the_bytes_its_rows_cost(monkeypatch):
+    """A 4-vehicle row costs 592 bytes, so on a machine of 1 GiB a run
+    holds 1,813,753 rows: a duration of 1,813,752 steps is accepted, one
+    step more is not, and neither is a step of 1e-9 over 30 s."""
     plat = make_platoon()
+    monkeypatch.setattr(platoonsec.engine, "_RUN_BYTES", 1 << 30)
     assert platoonsec.engine._row_bytes(4) == 592
     assert platoonsec.engine._RUN_BYTES // 592 == 1_813_753
     ScenarioConfig(platoon=plat, step=0.01, duration=18137.52)

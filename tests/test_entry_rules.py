@@ -9,6 +9,7 @@ dataclass names.
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from platoonsec.config import ConfigError, scenario_from_dict
@@ -185,3 +186,14 @@ def test_policy_override_entries_are_numbers(override, path):
     with pytest.raises(ValueError, match="^policy_override entries must be probabilities$") as err:
         SwitchingConfig(policy_override=override)
     assert err.value.path == path
+
+
+@pytest.mark.parametrize("P", [
+    np.array([[1.0, 0.759], [0.759, 1.2]]), [[1.0, 0.759], [0.759, 1.2]], (1.0, 0.759, 1.2)])
+def test_lyapunov_is_a_candidate(P):
+    """A given P is a ``LyapunovCandidate``: an array or a list names the
+    entry, since the run keeps its certificate by P's repr, which would
+    round an array's entries."""
+    with pytest.raises(ValueError, match="^lyapunov is a LyapunovCandidate or None, got ") as err:
+        ScenarioConfig(platoon=PlatoonConfig(4, 10.0, 4.5, 4.0), lyapunov=P)
+    assert err.value.path == "lyapunov"
