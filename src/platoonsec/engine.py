@@ -231,8 +231,8 @@ class ScenarioConfig:
     ``_RUN_BYTES``, the machine's physical memory, since a run that needs
     more could complete only by swapping, if at all.  On 8 GiB that is
     about 14.5 million rows of a 4-vehicle platoon (40 hours at a 0.01 s
-    step) or 60 s of a 5,000-vehicle one.  A larger grid is rejected at
-    ``step``, naming its row count, before anything is allocated.
+    step).  A larger grid is rejected at ``step``, naming its row count,
+    before anything is allocated.
     """
 
     platoon: PlatoonConfig
