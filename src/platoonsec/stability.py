@@ -7,7 +7,9 @@ zdot = A z with A = [[0, 1], [k_pos, k_vel]]:
 * A common quadratic Lyapunov certificate V(z) = z'Pz valid for both
   controller matrices simultaneously, which guarantees global uniform
   exponential stability under arbitrary switching (``lmi_residual``,
-  ``check_common_lyapunov``, ``find_common_lyapunov``).  The same
+  ``check_common_lyapunov``, ``find_common_lyapunov``).  The search
+  maximizes a P's worst decay margin; when it returns None, no P of its
+  region clears the check's margin of 1e-9.  The same
   negative-definiteness condition is also exposed as a literal set of scalar
   inequalities in the gains and the entries of P
   (``check_gues_inequalities``); the two forms agree exactly because for a
@@ -262,84 +264,74 @@ def check_gues_inequalities(k1: float, k2: float, k3: float, k4: float,
     )
 
 
-def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``math.hypot`` entry by entry of two 1-d arrays: ``np.hypot`` rounds
-    some entries differently, and the search's scores must be bitwise the
-    scalar ones."""
-    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, x.size)
+# golden section's step: each keeps this fraction of the bracket
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _eig_max(s11, s12, s22) -> np.ndarray:
-    """``sym_eig_2x2``'s larger eigenvalue of each symmetric 2x2 matrix
-    [[s11, s12], [s12, s22]] given entry by entry, by its operations."""
-    mean = 0.5 * (s11 + s22)
-    radius = _hypot(0.5 * (s11 - s22), s12)
-    det = s11 * s22 - s12 * s12
-    return np.where(np.isfinite(det) & (mean < 0.0), det / (mean - radius), mean + radius)
+def _golden_argmax(f, lo: float, hi: float, steps: int = 30) -> float:
+    """The x in (lo, hi) where f is largest, by golden-section search: each
+    step keeps the part of the bracket on the better side of two interior
+    points, so an f unimodal there is maximized to 0.618**steps of the
+    bracket.  A tie or a NaN keeps the upper part."""
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(steps):
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            fd = f(d)
+    return c if fc > fd else d
 
 
-def _grid_scores(p12s: np.ndarray, p22s: np.ndarray, gains) -> np.ndarray:
-    """The margin of each P = [[1, p12], [p12, p22]] on the grid p12s x p22s
-    (rows p12, columns p22): min over the modes' (k, m) of
-    -max_eig(A'P + PA), over max_eig(P); -inf outside the wedge
-    p12 > 0, p22 > p12^2, where nothing is evaluated.  Entry by entry the
-    operations of a scalar score, in its order; the minimum keeps the
-    earlier value on a tie or a NaN, as ``min`` does."""
-    P12, P22 = np.meshgrid(p12s, p22s, indexing="ij")
-    # the wedge's bound squares each p12 as a scalar: an array's ** 2 is a
-    # multiplication, which rounds some squares differently from pow
-    bound = np.array([p12 ** 2 for p12 in p12s])
-    inside = ~((P12 <= 0) | (P22 <= bound[:, None]))
-    p12, p22 = P12[inside], P22[inside]
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = _eig_max(1.0, p12, p22)
-        worst = np.full(p12.shape, math.inf)
-        for k, m in gains:
-            margin = -_eig_max(2.0 * k * p12, k * p22 + 1.0 + m * p12, 2.0 * (p12 + m * p22))
-            worst = np.where(margin < worst, margin, worst)
-        scores = np.full(P12.shape, -math.inf)
-        scores[inside] = worst / b
-    return scores
+# the ranges of p12 and of det P = p22 - p12^2 (with p11 = 1) the search
+# covers, in their logarithms: certificates span decades (the P of
+# A'P + PA = -I, scaled to p11 = 1, has det P near 50 for a slow mode,
+# k = m = -0.02, near 4e-4 for k = -0.02, m = -8, and p12 near 9 for
+# k = -1e-3, m = -0.01)
+_LOG_P12 = (math.log(1e-6), math.log(1e6))
+_LOG_DET = (math.log(1e-6), math.log(1e6))
 
 
 def find_common_lyapunov(A_list) -> LyapunovCandidate | None:
-    """Search for a common certificate by scanning P = [[1, p12],[p12, p22]].
+    """Search for a common certificate P = [[1, p12], [p12, p22]] by
+    maximizing its score.
 
-    The scan normalizes p11 = 1 (certificates are scale invariant) and
-    explores the positive-definite wedge p12 > 0, p22 > p12^2 on a 28 x 28
-    grid, scoring each candidate by its worst-case normalized decay margin
-    min_A(-max_eig(A'P + PA)) / max_eig(P).  The candidate with the best
-    margin is refined locally for four rounds.  Each round's grid is scored
-    as one array (``_grid_scores``), and its best is the first candidate in
-    row-major order (p12 outer, p22 inner) whose score beats every earlier
-    one, strictly: the pick of scanning the candidates one at a time.
-    Returns None when nothing passes ``check_common_lyapunov`` within the
-    budget -- which is absence of evidence, not a proof that no certificate
-    exists.
+    Certificates are scale invariant, so p11 = 1.  A P's score is its worst
+    normalized decay margin, min_A(-max_eig(A'P + PA)) / max_eig(P).  The
+    margin is concave in P and max_eig(P) is convex and positive, so the
+    score's positive superlevel sets are convex, and where a certificate
+    exists nested line searches reach the best one: a golden-section search
+    over log p12, with p12 in [1e-6, 1e6], scores each p12 by a
+    golden-section search over log det P, with det P = p22 - p12^2 in
+    [1e-6, 1e6].  The best P is judged by ``check_common_lyapunov``.  None
+    means that it fails the check: no P of that region clears the margin of
+    1e-9, to the search's resolution.
     """
-    grid = 28
     A_list = [np.asarray(A, dtype=float) for A in A_list]
-    gains = [(A[1, 0], A[1, 1]) for A in A_list]
+    gains = [(float(A[1, 0]), float(A[1, 1])) for A in A_list]
 
-    lo12, hi12, lo22, hi22 = 1e-3, 6.0, 1e-3, 36.0
-    best = (-math.inf, None)
-    for _ in range(4):
-        p12s = np.linspace(lo12, hi12, grid)
-        p22s = np.linspace(lo22, hi22, grid)
-        scores = _grid_scores(p12s, p22s, gains)
-        beats = np.where(scores > best[0], scores, -math.inf)
-        i = int(beats.argmax())  # the first of the largest
-        if beats.flat[i] > best[0]:
-            best = (scores.flat[i], (float(p12s[i // grid]), float(p22s[i % grid])))
-        if best[1] is None:
-            return None
-        c12, c22 = best[1]
-        span12 = (hi12 - lo12) / grid
-        span22 = (hi22 - lo22) / grid
-        lo12, hi12 = max(1e-6, c12 - span12), c12 + span12
-        lo22, hi22 = max(1e-6, c22 - span22), c22 + span22
+    def best_p22(log_p12: float) -> tuple[float, float]:
+        """The best score with this p12, and its p22."""
+        p12 = math.exp(log_p12)
 
-    cand = LyapunovCandidate(1.0, best[1][0], best[1][1])
+        def score(log_det: float) -> float:
+            p22 = p12 ** 2 + math.exp(log_det)
+            # each max_eig in closed form, mean + radius; S as in lmi_residual
+            worst = math.inf
+            for k, m in gains:
+                s11, s12, s22 = 2.0 * k * p12, k * p22 + 1.0 + m * p12, 2.0 * (p12 + m * p22)
+                worst = min(worst, -0.5 * (s11 + s22) - math.hypot(0.5 * (s11 - s22), s12))
+            return worst / (0.5 * (1.0 + p22) + math.hypot(0.5 * (1.0 - p22), p12))
+
+        log_det = _golden_argmax(score, *_LOG_DET)
+        return score(log_det), p12 ** 2 + math.exp(log_det)
+
+    log_p12 = _golden_argmax(lambda log_p12: best_p22(log_p12)[0], *_LOG_P12)
+    cand = LyapunovCandidate(1.0, math.exp(log_p12), best_p22(log_p12)[1])
     if not check_common_lyapunov(cand, A_list).passed:
         return None
     return cand

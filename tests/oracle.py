@@ -18,16 +18,18 @@ own Phi and c, so only the order of the arithmetic differs.  The tests hold
 the anchored rows within a set tolerance of it, and its decisions and mode
 events equal.
 
-The certificate search, one candidate at a time
-(``scalar_common_lyapunov``, scoring with ``scalar_score``).
-``stability.find_common_lyapunov`` scores each refinement round's grid as
-one array; each score must be bitwise this one's, and the pick this scan's.
+Whether two modes share a quadratic certificate, decided exactly
+(``common_lyapunov_exists``): Shorten & Narendra's criterion for two stable
+second-order systems (IJACSP 2002), read off the traces and determinants of
+two matrix products in ``Fraction``.  ``stability.find_common_lyapunov``
+searches for a certificate in floats, by a score it maximizes; the tests
+hold its verdict to this one away from the criterion's boundary.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +37,6 @@ import pytest
 from platoonsec.control import ACC, CACC, V2V, law_terms
 from platoonsec.engine import ScenarioConfig, _Integrator, run_scenario
 from platoonsec.platoon import desired_distance
-from platoonsec.stability import LyapunovCandidate, check_common_lyapunov, sym_eig_2x2
 from platoonsec.threat import AttackSpec, attack_signal
 
 
@@ -174,57 +175,26 @@ def run_row_by_row(config: ScenarioConfig):
         return run_scenario(config)
 
 
-def scalar_score(A_list, p12: float, p22: float) -> float:
-    """One candidate's worst-case normalized decay margin, as the scalar
-    search scores it: -inf outside the wedge p12 > 0, p22 > p12^2."""
-    if p12 <= 0 or p22 <= p12 ** 2:
-        return -math.inf
-    P = ((1.0, p12), (p12, p22))
-    b = sym_eig_2x2(P)[1]
-    worst = math.inf
-    for A in A_list:
-        k, m = A[1, 0], A[1, 1]
-        s11 = 2.0 * k * p12
-        s12 = k * p22 + 1.0 + m * p12
-        s22 = 2.0 * (p12 + m * p22)
-        worst = min(worst, -sym_eig_2x2(((s11, s12), (s12, s22)))[1])
-    return worst / b
+def _product(X, Y):
+    return [[sum(X[i][k] * Y[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
 
 
-def scalar_common_lyapunov(A_list) -> LyapunovCandidate | None:
-    """Search for a common certificate by scanning P = [[1, p12],[p12, p22]].
+def _inverse(X):
+    det = X[0][0] * X[1][1] - X[0][1] * X[1][0]
+    return [[X[1][1] / det, -X[0][1] / det], [-X[1][0] / det, X[0][0] / det]]
 
-    The scan normalizes p11 = 1 (certificates are scale invariant) and
-    explores the positive-definite wedge p12 > 0, p22 > p12^2 on a 28 x 28
-    grid, scoring each candidate by its worst-case normalized decay margin
-    min_A(-max_eig(A'P + PA)) / max_eig(P).  The candidate with the best
-    margin is refined locally for four rounds.  Returns None when nothing
-    passes ``check_common_lyapunov`` within the budget -- which is absence
-    of evidence, not a proof that no certificate exists.
-    """
-    grid = 28
-    A_list = [np.asarray(A, dtype=float) for A in A_list]
 
-    def score(p12: float, p22: float) -> float:
-        return scalar_score(A_list, p12, p22)
+def pair_products(A1, A2) -> list[tuple[Fraction, Fraction]]:
+    """The (trace, determinant) of A1 A2 and of A1 A2^-1, exact in the
+    entries' values."""
+    A1, A2 = ([[Fraction(float(x)) for x in row] for row in A] for A in (A1, A2))
+    products = (_product(A1, A2), _product(A1, _inverse(A2)))
+    return [(M[0][0] + M[1][1], M[0][0] * M[1][1] - M[0][1] * M[1][0]) for M in products]
 
-    lo12, hi12, lo22, hi22 = 1e-3, 6.0, 1e-3, 36.0
-    best = (-math.inf, None)
-    for _ in range(4):
-        for p12 in np.linspace(lo12, hi12, grid):
-            for p22 in np.linspace(lo22, hi22, grid):
-                s = score(p12, p22)
-                if s > best[0]:
-                    best = (s, (float(p12), float(p22)))
-        if best[1] is None:
-            return None
-        c12, c22 = best[1]
-        span12 = (hi12 - lo12) / grid
-        span22 = (hi22 - lo22) / grid
-        lo12, hi12 = max(1e-6, c12 - span12), c12 + span12
-        lo22, hi22 = max(1e-6, c22 - span22), c22 + span22
 
-    cand = LyapunovCandidate(1.0, best[1][0], best[1][1])
-    if not check_common_lyapunov(cand, A_list).passed:
-        return None
-    return cand
+def common_lyapunov_exists(A1, A2) -> bool:
+    """Whether two Hurwitz 2x2 matrices share a quadratic Lyapunov function:
+    iff neither A1 A2 nor A1 A2^-1 has a negative real eigenvalue.  The roots
+    of x^2 - t x + d hold a negative real one iff d < 0, or t < 0 and
+    t^2 >= 4 d (d = 0 included: its roots are 0 and t)."""
+    return not any(d < 0 or (t < 0 and t * t >= 4 * d) for t, d in pair_products(A1, A2))

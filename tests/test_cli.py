@@ -394,8 +394,9 @@ def test_stability_default_gains_certify(capsys):
     stdout = capsys.readouterr().out
     assert "cooperative gains: k1=-1.58 k2=-2.51" in stdout
     assert "radar gains: k3=-0.25 k4=-1" in stdout
-    assert "cooperative: hurwitz=True real-pole criterion=False" in stdout
-    assert "radar-only: hurwitz=True real-pole criterion=True" in stdout
+    assert "  cooperative: real-pole criterion=False\n" in stdout
+    assert "  radar-only: real-pole criterion=True\n" in stdout
+    assert "hurwitz" not in stdout  # every config that loads has Hurwitz gains
     assert "certificate P (searched):" in stdout
     assert "verdict: certified" in stdout
 
@@ -458,7 +459,21 @@ def test_stability_reports_a_kept_failed_search(monkeypatch, tmp_path, capsys):
     assert len(searches) == 1
     assert outputs[0] == outputs[1]
     assert outputs[0].out.endswith(
-        "no certificate found (search budget exhausted; not a disproof)\n")
+        "no certificate found: no P of the searched region clears the 1e-9 margin\n")
+
+
+def test_certifiable_gains_certify_and_simulate(tmp_path, capsys):
+    """CACC (-0.8464, -4.3215) and ACC (-2.0865, -0.0771) share a
+    certificate (A1 A2 has eigenvalues -1.30 +/- 0.28j, A1 A2^-1 has 0.41
+    and 1), though few P certify them: the search finds one, so
+    ``stability`` certifies and ``simulate`` runs, with no error line."""
+    config = write_config(tmp_path, gains={"cacc": {"k1": -0.8464, "k2": -4.3215},
+                                           "acc": {"alpha": -2.0865, "beta": -0.0771}})
+    assert main(["stability", "--config", config]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("verdict: certified\n")
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.startswith("no collision") and err == ""
 
 
 def test_stability_rejects_destabilizing_gains(tmp_path, capsys):
