@@ -37,12 +37,15 @@ with exact integer arithmetic on a scaled copy of each value:
 The arithmetic is exact except where a real is compared with an integer:
 the bounds L and H (a multiple of 10**d exactly on a bound reads back as x
 only if x's significand is even) and a rounding tie between the two
-nearest multiples.  A value whose L or H lies within ``_TOL`` of an
-integer, or whose y lies within it of a tie that decides the result, is
-flagged, as are 0.0, -0.0, inf, nan, subnormals and values outside the
-table of 10**k.  ``shortest`` formats the flagged values with ``repr``.
-``_TOL`` is 1e-7, a million times the error of y, so every comparison made
-for an unflagged value comes out as in exact arithmetic.
+nearest multiples.  Where 10**k is itself a double (k from 0 to 22, |x|
+from about 2e-6 to 1.4e17), lo is 0 and y, w and both bounds are exact, so
+a bound on an integer is decided there by the significand's parity, as
+``repr`` decides it.  Elsewhere a value whose L or H lies within ``_TOL``
+of an integer is flagged; so is one whose y lies within it of a tie that
+decides the result, and 0.0, -0.0, inf, nan, subnormals and values outside
+the table of 10**k.  ``shortest`` formats the flagged values with
+``repr``.  ``_TOL`` is 1e-7, a million times the error of y, so every
+comparison made for an unflagged value comes out as in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -137,7 +140,8 @@ def _tables() -> dict:
     sign = np.where(exp < 0, ord("-"), ord("+")).astype("<u4")
     exps = (groups[abs(exp)] >> 8) - ord("0") + sign  # "00dd" shifted to "0dd\0", then signed
     tables = {
-        "k": k, "hi": hi, "hi_split": _split(hi), "lo": lo, "w": np.ldexp(hi, e - 54),
+        "k": k, "hi": hi, "hi_split": _split(hi), "lo": lo, "exact": lo == 0,
+        "w": np.ldexp(hi, e - 54),
         "pow10": 10 ** np.arange(18, dtype=np.int64),
         "groups": groups, "exps": exps,
         "marks": np.frombuffer(b"-.e0", "<u4")[0],
@@ -196,17 +200,30 @@ def shortest(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     w = np.take(t["w"], row)
     lower = y_frac - np.where(mant == 0.5, 0.5 * w, w)  # below a power of two: ulp/4
     upper = np.add(y_frac, w, out=w)
-    del mant, row
+    del mant
     l_floor, h_floor = np.floor(lower), np.floor(upper)
-    fallback = ~todo | _near_integer(lower - l_floor) | _near_integer(upper - h_floor)
+    lower -= l_floor
+    upper -= h_floor
     low = y_int + l_floor.astype(np.int64)
     high = y_int + h_floor.astype(np.int64)
-    del todo, lower, upper, l_floor, h_floor
+    del l_floor, h_floor
+    # Where 10**k is a double, y, w and both bounds are exact, so a bound is
+    # an integer exactly when its fraction is 0, and that integer lies inside
+    # the interval when the significand is even (a tie reads back to the
+    # even neighbour): low steps down to take in such an L, and high down to
+    # leave out such an H of an odd one, so the integers inside stay
+    # low + 1..high.  Elsewhere a bound near an integer is flagged.
+    exact = np.take(t["exact"], row)
+    fallback = ~todo | (~exact & (_near_integer(lower) | _near_integer(upper)))
+    even = (x.view(np.int64) & 1) == 0
+    low -= exact & (lower == 0.0) & even
+    high -= exact & (upper == 0.0) & ~even
+    del row, todo, lower, upper, exact, even
 
     # d: the largest power of ten with a multiple in (L, H), whose integers
-    # are low + 1..high (L and H are no integers here): the largest d with
-    # high mod 10**d < high - low.  That difference is below 100, so past
-    # d = 2 the multiple is high - high mod 100 and d counts its zeros.
+    # are low + 1..high: the largest d with high mod 10**d < high - low.
+    # That difference is below 100, so past d = 2 the multiple is
+    # high - high mod 100 and d counts its zeros.
     gap = high - low
     d = (high % 10 < gap).astype(np.int64)
     past = high % 100 < gap

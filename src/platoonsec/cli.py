@@ -30,7 +30,7 @@ from pathlib import Path
 from .config import ConfigError, load_scenario
 from .control import ACC, CACC, assemble_closed_loop
 from .engine import (CertificateError, ScenarioConfig, resolve_certificate, run_scenario,
-                     trace_metrics, write_metrics_json, write_trace_csv)
+                     trace_metrics, usable_cpus, write_metrics_json, write_trace_csv)
 from .game import best_response_gap, solve_nash, to_behavioral, to_normal_form
 from .platoon import PlatoonConfig
 from .stability import (TransferFunction, check_bibo_lemma1, check_gues_inequalities,
@@ -239,15 +239,6 @@ def _grid(flag: str, values, build) -> list:
     return built
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the platform
-    has one (a container or ``taskset`` may allow fewer than the host has),
-    else the host's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     for flag in ("runs", "jobs"):
         value = getattr(args, flag)
@@ -266,7 +257,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     P, _, _ = resolve_certificate(base)
     jobs = [(dataclasses.replace(base, lyapunov=P, attack=attack, platoon=platoon), args.runs)
             for attack in attacks for platoon in platoons]
-    workers = min(len(jobs), args.jobs or _usable_cpus())
+    workers = min(len(jobs), args.jobs or usable_cpus())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only sweep needs it
         with ProcessPoolExecutor(max_workers=workers) as pool:

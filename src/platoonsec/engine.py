@@ -122,6 +122,7 @@ import math
 import numbers
 import os
 import sys
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -156,6 +157,7 @@ __all__ = [
     "cacc_entry_values",
     "write_trace_csv",
     "write_metrics_json",
+    "usable_cpus",
 ]
 
 PLATOON_UNIT = 0  # unit id used for platoon-scope events (vehicles are 1-based)
@@ -226,13 +228,20 @@ class ScenarioConfig:
     Hurwitz (``stability.check_bibo_lemma1``); a bad entry raises an
     ``EntryError`` naming it.
 
-    A run's size is judged here too: its duration / step + 1 rows, at the
-    bytes a row costs for the platoon (``_row_bytes``), may hold at most
-    ``_RUN_BYTES``, the machine's physical memory, since a run that needs
-    more could complete only by swapping, if at all.  On 8 GiB that is
-    about 14.5 million rows of a 4-vehicle platoon (40 hours at a 0.01 s
-    step).  A larger grid is rejected at ``step``, naming its row count,
-    before anything is allocated.
+    A run's size is judged here too, against ``_RUN_BYTES``, the machine's
+    physical memory, since a run that needs more could complete only by
+    swapping, if at all; nothing is allocated before.  Whatever its length,
+    a run builds at least one mode pattern's closed loop and power table,
+    whose bytes (``_pattern_bytes``) grow as the square of the vehicle
+    count: a platoon whose one pattern needs more is rejected at
+    ``platoon.vehicle_count`` (on 8 GiB, above 5,181 vehicles).  Then
+    its duration / step + 1 rows, at the bytes a row costs for the platoon
+    (``_row_bytes``), may hold at most ``_RUN_BYTES`` too.  On 8 GiB that
+    is about 14.5 million rows of a 4-vehicle platoon (40 hours at a
+    0.01 s step).  A larger grid is rejected at ``step``, naming its row
+    count.  The two are judged apart: the rows' bound has the margin of an
+    upper bound over runs that built their tables, far above a small
+    platoon's pattern.
     """
 
     platoon: PlatoonConfig
@@ -262,6 +271,11 @@ class ScenarioConfig:
             except ValueError as exc:
                 raise EntryError(name, f"{name} {exc}", str(exc)) from None
         n = self.platoon.vehicle_count
+        if _pattern_bytes(n) > _RUN_BYTES:
+            raise EntryError("platoon.vehicle_count",
+                             f"a platoon of {n} vehicles needs {_pattern_bytes(n)} bytes for "
+                             f"one mode pattern's closed loop, its step map and a power-table "
+                             f"item, more than the machine's {_RUN_BYTES} bytes of memory")
         rows, row = _steps_per_period(self.duration, self.step) + 1, _row_bytes(n)
         if rows * row > _RUN_BYTES:
             raise EntryError("step", f"integrator step {self.step!r} over {self.duration!r} s "
@@ -478,9 +492,10 @@ _MAX_AHEAD = 128
 _TABLE_BYTES = 32 << 20
 
 
-# Bytes a run may hold at most, its rows costing ``_row_bytes`` each (see
-# ScenarioConfig): the machine's physical memory, where the platform
-# reports it, and no bound where it does not.
+# Bytes a run may hold at most, its rows costing ``_row_bytes`` each and a
+# mode pattern ``_pattern_bytes`` (see ScenarioConfig): the machine's
+# physical memory, where the platform reports it, and no bound where it
+# does not.
 _RUN_BYTES = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
               if hasattr(os, "sysconf") else math.inf)
 
@@ -495,6 +510,17 @@ def _row_bytes(n: int) -> int:
     measured on 4,001-row runs of 2 to 12 vehicles, every row a tick, their
     commands and metrics read."""
     return 8 * (2 + _padded(n) + 4 * n) + 128 * (n - 1)
+
+
+def _pattern_bytes(n: int) -> int:
+    """The bytes one mode pattern of n vehicles costs at most, however long
+    the run: its closed loop M, 2n by 2n, the temporaries ``step_map``
+    makes on it, and its power table's one item, 2n padded rows by 3n
+    columns; 320 bytes a vehicle squared, and 4 KiB.  That is 1.1 to 1.3
+    times the peak ``tracemalloc`` measured building them for 8 to 256
+    vehicles (about 290 n² bytes, falling to 256 n², the eight 2n-square
+    matrices of ``step_map``, as n grows)."""
+    return 320 * n * n + 4096
 
 
 def _padded(n: int) -> int:
@@ -1184,17 +1210,81 @@ def cacc_entry_values(trace: SimTrace, P: LyapunovCandidate) -> list[tuple[float
     return list(zip(trace.times[rows].tolist(), v))
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (a container or ``taskset`` may allow fewer than the host has),
+    else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _one_ahead(stage, items):
+    """Yield ``stage(item)`` for each of ``items``, in order.
+
+    With two or more items and CPUs, one worker thread runs the stage on the
+    next item while the caller uses the current one's result, never more
+    than one item ahead; an exception the stage raises is raised here, at
+    its item, and the worker has ended by the time this generator is done or
+    closed.  On one CPU the threads could only take turns, so the stage runs
+    in the calling thread.
+    """
+    if len(items) < 2 or usable_cpus() < 2:
+        yield from map(stage, items)
+        return
+    go, done = threading.Semaphore(0), threading.Semaphore(0)
+    slot = [None]  # the worker's latest (result, exception)
+    stop = False
+
+    def work():
+        for item in items:
+            go.acquire()
+            if stop:
+                return
+            try:
+                slot[0] = stage(item), None
+            except BaseException as exc:  # raised in the caller's thread
+                slot[0] = None, exc
+            done.release()
+
+    worker = threading.Thread(target=work, name="platoonsec-writer", daemon=True)
+    worker.start()
+    go.release()
+    try:
+        for i in range(len(items)):
+            done.acquire()
+            result, exc = slot[0]
+            slot[0] = None
+            if exc is not None:
+                raise exc
+            if i + 1 < len(items):
+                go.release()
+            yield result
+            del result  # before the next result arrives
+    finally:
+        stop = True
+        go.release()
+        worker.join()
+
+
 # Rows formatted and written at a time.  A batch's distinct floats go through
 # the formatter in one call, whose fixed cost (about 0.2 ms) wants large
 # batches; its arrays (about 100 bytes a value, and the gather's index, 192
 # bytes a value in chunks of 1,024) and a file's padded cells (25 bytes each)
 # want small ones, as the heap keeps the first batch's high-water mark for the
-# process.  On crash_defended at seed 0 (2 vCPUs) 1,024-row batches wrote the
-# files in 0.82 of the time of 256-row ones; 512-row batches took 0.86 and
-# 2,048-row batches 0.82, at a traced peak of 3.70 MB.  The 1,024-row batch
-# peaks near 2.3 MB; assembling each file in 256-row blocks of it instead
-# lowered that to about 2.1 MB and changed no measured time or peak RSS.
+# process.  On crash_defended at seed 0 (2 vCPUs), with the two stages run
+# one after the other, 1,024-row batches wrote the files in 0.82 of the time
+# of 256-row ones; 512-row batches took 0.86 and 2,048-row batches 0.82, at
+# a traced peak of 3.70 MB.  With one batch formatted while the one before
+# is written, two batches are alive at once: the writer's traced peak there
+# is 2.5 to 2.7 MB, against 1.9 to 2.0 MB with the stages in one thread.
 _FORMAT_ROWS = 1024
+# Cells the output stage assembles and writes at a time, 200 KB of padded
+# text (409 rows of a 4-vehicle trace.csv, a whole batch of a .dat file).
+# Whole batches of trace.csv, beside the next batch's formatting, peaked at
+# 3.5 MB; blocks of 4,096 cells peaked at 2.6 MB, but took 5% longer, as
+# each numpy call of the output stage may wait for the interpreter lock.
+_OUTPUT_CELLS = 8192
 # a cell's bytes: its text, NUL-padded to 24 (the longest repr), then its separator
 _CELL = 25
 
@@ -1210,14 +1300,24 @@ def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None
     Every float is written as its ``repr``, the shortest string that reads
     back to the same double, so the files are byte-stable given a seed.  The
     files are written together, a batch of ``_FORMAT_ROWS`` = 1,024 rows at
-    a time.  A batch's floats are deduplicated by bit pattern (which keeps
-    0.0 and -0.0 apart), each distinct value is formatted once, and the
-    batch's lines of each of the three files are assembled from that one
-    table of bytes and written in one call.  Most printed floats are
-    repeats: the spacing and velocity files repeat CSV columns, and the
-    leader's speed and command, the attack value and converged followers
-    stay the same from row to row.  (A ``crash_defended`` run prints 312,026
-    floats, of which 102,032 are distinct within their batch.)
+    a time, in two stages.  The formatting stage deduplicates the batch's
+    floats by bit pattern (which keeps 0.0 and -0.0 apart), formats each
+    distinct value once into one table of bytes, and finds each cell's row
+    in it.  The output stage assembles the batch's lines of each of the
+    three files from that table and writes them in one call.  Most printed
+    floats are repeats: the spacing and velocity files repeat CSV columns,
+    and the leader's speed and command, the attack value and converged
+    followers stay the same from row to row.  (A ``crash_defended`` run
+    prints 312,026 floats, of which 102,032 are distinct within their
+    batch.)
+
+    The stages of one batch depend on nothing of another's, so one worker
+    thread runs the formatting stage of the next batch while the calling
+    thread runs the output stage of the current one (``_one_ahead``), at
+    most one batch ahead: the files are written in batch order, byte for
+    byte as when the stages run one after the other, and an exception in
+    either stage is raised here.  Where the process may use one CPU only,
+    both stages run in the calling thread, one after the other.
 
     The table is built as bytes, with no Python object for any value or
     line: one ``_CELL`` = 25-byte row a text, the two mode names and then
@@ -1235,9 +1335,11 @@ def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None
     interval, the one nearest the value, found on ``int64``.  Only two
     comparisons of a real with an integer could go either way: a bound of
     the interval and a tie between two nearest multiples.  A value that
-    comes within 1e-7 of either, and every 0.0, -0.0, inf, nan, subnormal
-    and magnitude outside about 1e-38..1e38, goes to ``repr`` instead (12
-    of the 102,032 above: each batch's 0.0).
+    comes within 1e-7 of either (where the scaling is inexact; an exact
+    bound on an integer is decided by the significand's parity, as ``repr``
+    decides it), and every 0.0, -0.0, inf, nan, subnormal and magnitude
+    outside about 1e-38..1e38, goes to ``repr`` instead (12 of the 102,032
+    above: each batch's 0.0).
     """
     # imported on first use, so that a caller that writes no trace does not
     # load (and, without bytecode caches, compile) the formatter
@@ -1262,35 +1364,53 @@ def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None
     names = np.zeros((2, _CELL), np.uint8)  # the mode names, codes 0 and 1
     for code, name in enumerate((CACC, ACC)):
         names[code, :len(name)] = np.frombuffer(name.encode(), np.uint8)
+    # the files written, each with the last byte of each of a line's cells
+    files = [(p, head, cols, np.r_[np.full(len(cols) - 1, ord(sep)), ord("\n")].astype(np.uint8))
+             for p, sep, head, cols in files if p is not None]
+    # built on first read, so read here: the worker only reads arrays
+    commands = trace.commands
+
+    def formatted(k: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The formatting stage of the batch from row k: its table of
+        texts, and for each file the rows in it of the file's cells."""
+        rows = slice(k, k + _FORMAT_ROWS)
+        t = trace.times[rows]
+        batch = np.empty((t.size, floats))
+        batch[:, 0] = t
+        batch[:, 1:3 * n + 1:3] = trace.positions[rows]
+        batch[:, 2:3 * n + 1:3] = trace.velocities[rows]
+        batch[:, 3:3 * n + 1:3] = commands[rows]
+        batch[:, eps] = trace.spacing_errors[rows]
+        batch[:, -1] = trace.attack_xi[rows]
+        bits, index = np.unique(batch.view(np.int64).ravel(), return_inverse=True)
+        cells = np.empty((t.size, floats + n - 1), np.intp)
+        np.add(index.reshape(batch.shape), 2, out=cells[:, :floats])
+        cells[:, floats:] = trace.modes[rows]
+        del batch, index  # before the formatter's arrays
+        # one NUL-padded text a row: the mode names, then the distinct floats
+        table = np.zeros((2 + bits.size, _CELL), np.uint8)
+        table[:2] = names
+        shortest(bits.view(np.float64), table[2:])
+        return table, [cells[:, cols] for _, _, cols, _ in files]
+
     with contextlib.ExitStack() as stack:
         outs = []
-        for p, sep, head, cols in files:
-            if p is not None:
-                f = stack.enter_context(open(p, "wb"))
-                f.write(head.encode() + b"\n")
-                outs.append((f, ord(sep), cols))
-        for k in range(0, trace.times.size, _FORMAT_ROWS):
-            rows = slice(k, k + _FORMAT_ROWS)
-            t = trace.times[rows]
-            batch = np.empty((t.size, floats))
-            batch[:, 0] = t
-            batch[:, 1:3 * n + 1:3] = trace.positions[rows]
-            batch[:, 2:3 * n + 1:3] = trace.velocities[rows]
-            batch[:, 3:3 * n + 1:3] = trace.commands[rows]
-            batch[:, eps] = trace.spacing_errors[rows]
-            batch[:, -1] = trace.attack_xi[rows]
-            bits, index = np.unique(batch.view(np.int64).ravel(), return_inverse=True)
-            # one NUL-padded text a row: the mode names, then the distinct floats
-            table = np.zeros((2 + bits.size, _CELL), np.uint8)
-            table[:2] = names
-            shortest(bits.view(np.float64), table[2:])
-            cells = np.hstack([index.reshape(batch.shape) + 2, trace.modes[rows]])
-            for f, sep, cols in outs:
-                text = np.take(table, cells[:, cols], axis=0)
-                text[:, :, -1] = sep
-                text[:, -1, -1] = ord("\n")
-                # text holds no NUL, so dropping the padding joins the cells
-                f.write(text[text != 0])
+        for p, head, cols, seps in files:
+            f = stack.enter_context(open(p, "wb"))
+            f.write(head.encode() + b"\n")
+            # the rows of a block of at most _OUTPUT_CELLS cells
+            outs.append((f, seps, max(1, _OUTPUT_CELLS // len(cols))))
+        batches = stack.enter_context(contextlib.closing(
+            _one_ahead(formatted, range(0, trace.times.size, _FORMAT_ROWS))))
+        for table, cells in batches:
+            # the output stage, a file a block of rows at a time
+            for (f, seps, block), lines in zip(outs, cells):
+                for b in range(0, len(lines), block):
+                    text = np.take(table, lines[b:b + block], axis=0)
+                    text[:, :, -1] = seps
+                    # text holds no NUL, so dropping the padding joins the cells
+                    f.write(text[text != 0])
+            del table, cells, lines  # before the worker's next batch arrives
 
 
 def write_metrics_json(metrics: TraceMetrics, path, extra: dict):

@@ -241,6 +241,31 @@ def test_a_run_too_large_to_hold_is_one_error_line(tmp_path, capsys, step, durat
     assert not (tmp_path / "out").exists()
 
 
+def test_a_platoon_too_large_to_hold_is_one_error_line(tmp_path, capsys):
+    """A 100,000-vehicle platoon over one step: its rows would fit, but one
+    mode pattern's closed loop and power-table item grow as the square of
+    the count, 3.2 TB here, so the scenario is refused when it is built, at
+    ``platoon.vehicle_count``, before any of its arrays is allocated."""
+    config = write_config(tmp_path, platoon={"vehicle_count": 100_000, "desired_gap": 10.0,
+                                             "vehicle_length": 4.5, "epsilon_max": 4.0},
+                          integration={"step": 0.01, "duration": 0.01})
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--config", config, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: platoon.vehicle_count: a platoon of 100000 vehicles needs "
+                            "3200000004096 bytes for one mode pattern's closed loop, its step "
+                            "map and a power-table item, more than the machine's "
+                            f"{platoonsec.engine._RUN_BYTES} bytes of memory\n")
+    assert peak < 1 << 20
+    assert not (tmp_path / "out").exists()
+
+
 def _entries(value, path=()):
     """The path of every entry in a parsed JSON value, containers included."""
     items = (value.items() if isinstance(value, dict)

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import platoonsec.cli
 import platoonsec.engine
+from platoonsec._entry import EntryError
 from platoonsec.control import ACC, CACC, DEFAULT_CACC_GAINS, AccGains, CaccGains, closed_loop
 from platoonsec.config import load_scenario
 from platoonsec.engine import (PLATOON_UNIT, CertificateError, CollisionInfo, DwellState,
@@ -456,6 +458,33 @@ def test_a_run_is_judged_by_the_bytes_its_rows_cost(monkeypatch):
     # more vehicles cost more a row
     with pytest.raises(ValueError, match="for 40 vehicles exceed"):
         ScenarioConfig(platoon=make_platoon(n=40, eps_max=4.0), step=0.01, duration=18137.52)
+
+
+def test_a_platoon_is_judged_by_the_bytes_a_pattern_costs(monkeypatch):
+    """One mode pattern of n vehicles costs 320 n² + 4,096 bytes, however
+    short the run: on a machine of 1 GiB a platoon holds 1,831 vehicles and
+    not 1,832, and a 100,000-vehicle platoon over one step, whose rows
+    alone would fit, is refused at its vehicle count before anything is
+    allocated."""
+    monkeypatch.setattr(platoonsec.engine, "_RUN_BYTES", 1 << 30)
+    assert platoonsec.engine._pattern_bytes(1831) <= 1 << 30 < \
+        platoonsec.engine._pattern_bytes(1832)
+    ScenarioConfig(platoon=make_platoon(n=1831), step=0.01, duration=0.01)
+    for n in (1832, 100_000):
+        assert 2 * platoonsec.engine._row_bytes(n) < 1 << 30
+        tracemalloc.start()
+        try:
+            with pytest.raises(EntryError) as err:
+                ScenarioConfig(platoon=make_platoon(n=n), step=0.01, duration=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.path == "platoon.vehicle_count"
+        assert str(err.value) == (f"a platoon of {n} vehicles needs {320 * n * n + 4096} bytes "
+                                  "for one mode pattern's closed loop, its step map and a "
+                                  "power-table item, more than the machine's 1073741824 bytes "
+                                  "of memory")
+        assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("make, name", [

@@ -3,12 +3,19 @@
 ``write_trace_csv`` formats each distinct float of a batch of rows once, into
 a table of NUL-padded bytes, and assembles trace.csv, spacing.dat and
 velocity.dat from that table, a block of rows at a time, by dropping the
-NULs.  The reference below formats every printed float on its own with
-``repr``, as the writers did before; the files must be byte-equal.
+NULs.  A worker thread formats the next batch while the caller writes the
+current one.  The reference below formats every printed float on its own
+with ``repr``, as the writers did before; the files must be byte-equal,
+with the stages overlapped or run one after the other.
 """
 
+import contextlib
 import dataclasses
+import os
+import subprocess
+import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -16,11 +23,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import platoonsec._floatfmt
+import platoonsec.engine
 from platoonsec.cli import EXIT_OK, main
 from platoonsec._floatfmt import shortest
 from platoonsec.config import load_scenario
 from platoonsec.control import ACC, CACC
-from platoonsec.engine import _CELL, _FORMAT_ROWS, SimTrace, run_scenario, write_trace_csv
+from platoonsec.engine import (_CELL, _FORMAT_ROWS, SimTrace, _one_ahead, run_scenario,
+                               write_trace_csv)
 
 FILES = ("trace.csv", "spacing.dat", "velocity.dat")
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -185,19 +195,25 @@ def test_writer_matches_per_float_reference(trace):
     assert_rows_are_reprs(trace)
 
 
-# The writer formats and writes _FORMAT_ROWS rows at a time: these row counts
-# end a format batch one row before, at and after its end, and 257 rows into
-# the next batch.  The pool of a few thousand magnitudes makes each batch's
-# table of distinct floats differ, so cells read from the wrong rows of their
-# batch show.
-@pytest.mark.parametrize("rows", [_FORMAT_ROWS - 1, _FORMAT_ROWS, _FORMAT_ROWS + 1,
-                                  _FORMAT_ROWS + 256 + 1])
-def test_writer_matches_the_reference_about_a_format_batch(rows, tmp_path):
+def batch_trace(rows: int) -> SimTrace:
+    """A 4-vehicle trace of ``rows`` rows from a pool of a few thousand
+    magnitudes, which makes each format batch's table of distinct floats
+    differ, so cells read from the wrong rows, or the wrong batch, show."""
     rng = np.random.default_rng(rows)
     pool = np.concatenate([np.exp(rng.uniform(-40, 40, 3000)) * rng.choice([-1.0, 1.0], 3000),
                            EDGES])
-    trace = pool_trace(4, rows, pool, rng)
-    write_and_compare(trace, tmp_path)
+    return pool_trace(4, rows, pool, rng)
+
+
+# The writer formats and writes _FORMAT_ROWS rows at a time: these row counts
+# end a format batch one row before, at and after its end, 257 rows into the
+# next batch, one row into a third, and at the end of a third, so a worker
+# hands over two and three batches, the last of one row.
+@pytest.mark.parametrize("rows", [_FORMAT_ROWS - 1, _FORMAT_ROWS, _FORMAT_ROWS + 1,
+                                  _FORMAT_ROWS + 256 + 1, 2 * _FORMAT_ROWS + 1,
+                                  3 * _FORMAT_ROWS])
+def test_writer_matches_the_reference_about_a_format_batch(rows, tmp_path):
+    write_and_compare(batch_trace(rows), tmp_path)
     assert len((tmp_path / "new" / "trace.csv").read_bytes().splitlines()) == 1 + rows
 
 
@@ -213,6 +229,93 @@ def test_edge_values_survive_formatting(tmp_path):
     back = np.array([float(s) for s in times])
     assert np.array_equal(back, EDGES, equal_nan=True)
     assert np.array_equal(np.signbit(back[:8]), np.signbit(EDGES[:8]))
+
+
+# ------------------------------------------------------------------ stages
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-cpu", "two-cpus"])
+def test_a_formatting_error_reaches_the_caller(cpus, monkeypatch, tmp_path):
+    """The formatter fails on the second batch: the writer raises its error,
+    the first batch's lines alone are written, no batch is formatted after
+    the failing one, and no thread is left running, whether the batches are
+    formatted on a worker thread (two CPUs) or in the caller (one)."""
+    real, calls = shortest, []
+
+    def failing(values, out):
+        calls.append(values.size)
+        if len(calls) == 2:
+            raise RuntimeError("formatter failed")
+        return real(values, out)
+
+    monkeypatch.setattr(platoonsec._floatfmt, "shortest", failing)
+    monkeypatch.setattr(platoonsec.engine, "usable_cpus", lambda: cpus)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^formatter failed$"):
+        write_trace_csv(batch_trace(3 * _FORMAT_ROWS), *(tmp_path / name for name in FILES))
+    assert threading.active_count() == before
+    assert len(calls) == 2
+    for name in FILES:
+        assert len((tmp_path / name).read_bytes().splitlines()) == 1 + _FORMAT_ROWS
+
+
+def test_leaving_the_batches_early_ends_the_worker(monkeypatch):
+    """A caller that stops after the first result (an error while writing,
+    say) closes the stages: the worker thread ends, having run at most one
+    item ahead."""
+    monkeypatch.setattr(platoonsec.engine, "usable_cpus", lambda: 2)
+    before, seen = threading.active_count(), []
+    with contextlib.closing(_one_ahead(lambda item: seen.append(item) or item * 2,
+                                       range(5))) as results:
+        assert next(results) == 0
+    assert threading.active_count() == before
+    assert seen in ([0], [0, 1])
+
+
+def test_results_come_in_order_under_frequent_switching(monkeypatch):
+    """Two thousand items through the worker with the interpreter switching
+    threads every microsecond: each result arrives once, in order, and the
+    worker never runs more than one item ahead of the caller."""
+    monkeypatch.setattr(platoonsec.engine, "usable_cpus", lambda: 2)
+    taken, started = [], []
+
+    def stage(item):
+        started.append(item)
+        assert item <= len(taken) + 1  # at most one ahead of the item in use
+        return item
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for result in _one_ahead(stage, range(2000)):
+            taken.append(result)
+    finally:
+        sys.setswitchinterval(interval)
+    assert taken == started == list(range(2000))
+
+
+def test_one_cpu_writes_the_same_bytes(tmp_path):
+    """``simulate`` of crash_defended (12 format batches) in a process that may
+    use one CPU, which runs both stages in the calling thread, writes the same
+    files, byte for byte, as in one that may use every CPU it has."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("the platform sets no CPU affinity")
+    cpu = min(os.sched_getaffinity(0))
+    src = str(Path(platoonsec.engine.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = {}
+    for pinned in (False, True):
+        out = tmp_path / ("pinned" if pinned else "free")
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, platoonsec.cli; "
+                                   "sys.exit(platoonsec.cli.main(sys.argv[1:]))",
+             "simulate", "--config", str(CONFIGS / "crash_defended.json"), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if pinned else None)
+        assert result.returncode in (0, 2), result.stderr
+        outputs[pinned] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert set(FILES) <= set(outputs[False])
+    assert outputs[True] == outputs[False]
 
 
 # ---------------------------------------------------------------- simulate
@@ -235,9 +338,10 @@ def test_simulate_files_match_the_reference(tmp_path):
 
 def test_writer_memory_stays_small(tmp_path):
     """Writing crash_defended's three files at seed 0 (12,001 rows, 5.3 MB)
-    peaks under 3 MB of traced memory (about 2.3 MB with 1,024-row format
-    batches): the formatter's per-value arrays
-    and the padded cells must not grow with the trace."""
+    peaks under 3 MB of traced memory (2.5 to 2.7 MB with 1,024-row format
+    batches, one formatted while the one before is written): the
+    formatter's per-value arrays and the padded cells must not grow with
+    the trace."""
     trace = run_scenario(dataclasses.replace(
         load_scenario(CONFIGS / "crash_defended.json"), seed=0))
     trace.commands  # built on first read, before the measured span
