@@ -271,9 +271,10 @@ class ScenarioConfig:
             except ValueError as exc:
                 raise EntryError(name, f"{name} {exc}", str(exc)) from None
         n = self.platoon.vehicle_count
-        if _pattern_bytes(n) > _RUN_BYTES:
+        pattern = _pattern_bytes(n)
+        if pattern > _RUN_BYTES:
             raise EntryError("platoon.vehicle_count",
-                             f"a platoon of {n} vehicles needs {_pattern_bytes(n)} bytes for "
+                             f"a platoon of {n} vehicles needs {pattern} bytes for "
                              f"one mode pattern's closed loop, its step map and a power-table "
                              f"item, more than the machine's {_RUN_BYTES} bytes of memory")
         rows, row = _steps_per_period(self.duration, self.step) + 1, _row_bytes(n)
@@ -1304,12 +1305,12 @@ def write_trace_csv(trace: SimTrace, path, spacing_path=None, velocity_path=None
     floats by bit pattern (which keeps 0.0 and -0.0 apart), formats each
     distinct value once into one table of bytes, and finds each cell's row
     in it.  The output stage assembles the batch's lines of each of the
-    three files from that table and writes them in one call.  Most printed
-    floats are repeats: the spacing and velocity files repeat CSV columns,
-    and the leader's speed and command, the attack value and converged
-    followers stay the same from row to row.  (A ``crash_defended`` run
-    prints 312,026 floats, of which 102,032 are distinct within their
-    batch.)
+    three files from that table and writes them, ``_OUTPUT_CELLS`` = 8,192
+    cells at a time.  Most printed floats are repeats: the spacing and
+    velocity files repeat CSV columns, and the leader's speed and command,
+    the attack value and converged followers stay the same from row to
+    row.  (A ``crash_defended`` run prints 312,026 floats, of which 102,032
+    are distinct within their batch.)
 
     The stages of one batch depend on nothing of another's, so one worker
     thread runs the formatting stage of the next batch while the calling

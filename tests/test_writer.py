@@ -207,8 +207,8 @@ def batch_trace(rows: int) -> SimTrace:
 
 # The writer formats and writes _FORMAT_ROWS rows at a time: these row counts
 # end a format batch one row before, at and after its end, 257 rows into the
-# next batch, one row into a third, and at the end of a third, so a worker
-# hands over two and three batches, the last of one row.
+# next batch, one row into a third (a last batch of one row) and at the end
+# of a third, so the worker hands over two and three batches.
 @pytest.mark.parametrize("rows", [_FORMAT_ROWS - 1, _FORMAT_ROWS, _FORMAT_ROWS + 1,
                                   _FORMAT_ROWS + 256 + 1, 2 * _FORMAT_ROWS + 1,
                                   3 * _FORMAT_ROWS])
